@@ -23,6 +23,7 @@ from .curve import (
     smoothness,
 )
 from .elliptic import (
+    _witnesses_up_to,
     constructible_sizes,
     jordan_totient_2,
     make_chart,
@@ -38,6 +39,7 @@ from .errors import (
 )
 from .monodromy import canonical_section, section_verdict, track
 from .serialize import (
+    _pair,
     canonical_dumps,
     cubic_from_obj,
     cubic_to_obj,
@@ -84,10 +86,6 @@ def _emit_points(points, args: argparse.Namespace) -> str:
     if args.format == "csv":
         return points_to_csv(points)
     return canonical_dumps(points_to_obj(points))
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _chart_for(args, f: CubicForm, tol: Tolerances):
@@ -138,17 +136,16 @@ def _cmd_j2(args) -> str:
 
 
 def _cmd_sizes(args) -> str:
-    sizes = constructible_sizes(args.bound)
+    witnesses = _witnesses_up_to(args.bound)
     if args.format == "csv":
         lines = ["n,witness"]
-        for n in sizes:
-            w = size_witness(n)
+        for n, w in witnesses.items():
             lines.append(f"{n},{' '.join(str(k) for k in w)}")
         return "\n".join(lines) + "\n"
     out = {
         "bound": args.bound,
-        "sizes": sizes,
-        "witnesses": {str(n): size_witness(n) for n in sizes},
+        "sizes": list(witnesses),
+        "witnesses": {str(n): w for n, w in witnesses.items()},
     }
     return canonical_dumps(out)
 

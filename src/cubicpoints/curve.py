@@ -19,7 +19,7 @@ from .errors import InputError, NumericalError, SingularCurveError
 from .numeric import (
     ProjectivePoint,
     UniPoly,
-    chordal_distance,
+    _sylvester_dets,
     chordal_matrix,
     normalize_point,
     solve_univariate,
@@ -87,9 +87,6 @@ class CubicForm:
             + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0])
         )
         return CubicForm(det, None)
-
-    def scaled(self, s: complex) -> "CubicForm":
-        return CubicForm(self.poly * s, self.label)
 
     def __repr__(self) -> str:
         name = f" {self.label!r}" if self.label else ""
@@ -264,29 +261,6 @@ def _fiber_poly(C: np.ndarray, u: complex) -> UniPoly:
     if top > 0.0:
         vec = np.where(np.abs(vec) > _REL_TRIM * top, vec, 0.0)
     return UniPoly(vec)
-
-
-def _sylvester_dets(pvals: np.ndarray, qvals: np.ndarray) -> tuple[np.ndarray, float]:
-    """Batched Sylvester determinants for stacks of coefficient rows.
-
-    Both stacks share fixed formal degrees, so every sample fills the same
-    matrix shape; one batched det call covers all of them. Also returns the
-    largest Hadamard bound: the scale against which a computed determinant
-    counts as zero, separating structurally vanishing resultants from small
-    ones.
-    """
-    m = pvals.shape[1] - 1
-    n = qvals.shape[1] - 1
-    size = m + n
-    S = np.zeros((pvals.shape[0], size, size), dtype=complex)
-    qd = qvals[:, ::-1]
-    pd = pvals[:, ::-1]
-    for i in range(m):
-        S[:, i, i : i + n + 1] = qd
-    for i in range(n):
-        S[:, m + i, i : i + m + 1] = pd
-    hadamard = float(np.prod(np.linalg.norm(S, axis=2), axis=1).max())
-    return np.linalg.det(S), hadamard
 
 
 _SAMPLES = 32
@@ -648,13 +622,23 @@ def _dedupe(
     tolerance: float,
     ranks: list[float] | None = None,
 ) -> list[CurvePoint]:
+    """Greedy dedupe in rank order (the residual unless ranks are given).
+
+    Walks the points best first and keeps each one that lies farther than
+    tolerance from every point already kept.
+    """
     if ranks is None:
         ranks = [cp.residual for cp in points]
-    out: list[CurvePoint] = []
-    for _, cp in sorted(zip(ranks, points), key=lambda pair: pair[0]):
-        if all(chordal_distance(cp.point, q.point) > tolerance for q in out):
-            out.append(cp)
-    return out
+    if not points:
+        return []
+    ranked = [points[i] for i in sorted(range(len(points)), key=ranks.__getitem__)]
+    rows = np.stack([cp.array for cp in ranked])
+    D = chordal_matrix(rows, rows)
+    kept: list[int] = []
+    for i in range(len(ranked)):
+        if not kept or D[i, kept].min() > tolerance:
+            kept.append(i)
+    return [ranked[i] for i in kept]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .curve import (
     CubicForm,
     CurvePoint,
     PointSet,
+    _dedupe,
     polish_onto_curve,
 )
 from .errors import InputError, NumericalError
@@ -211,10 +212,6 @@ class EllipticChart:
         return result
 
 
-def _structural_coeff(poly: TriPoly, key: tuple[int, int, int]) -> complex:
-    return complex(poly.coeff(*key))
-
-
 def make_chart(
     f: CubicForm, identity, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> EllipticChart:
@@ -250,24 +247,24 @@ def make_chart(
     g1 = f.poly.compose_linear(np.linalg.inv(M1))
     top = g1.norm_inf()
     for key in ((0, 3, 0), (1, 2, 0), (2, 1, 0)):
-        if abs(_structural_coeff(g1, key)) > 1e-6 * top:
+        if abs(g1.coeff(*key)) > 1e-6 * top:
             raise NumericalError(
                 "the marked point does not behave like an inflection"
             )
-    c = _structural_coeff(g1, (0, 2, 1))
-    a3 = _structural_coeff(g1, (3, 0, 0))
+    c = g1.coeff(0, 2, 1)
+    a3 = g1.coeff(3, 0, 0)
     if abs(c) <= 1e-8 * top or abs(a3) <= 1e-8 * top:
         raise NumericalError("degenerate tangent frame at the identity")
-    d = _structural_coeff(g1, (1, 1, 1))
-    e = _structural_coeff(g1, (0, 1, 2))
+    d = g1.coeff(1, 1, 1)
+    e = g1.coeff(0, 1, 2)
     T2 = _shift_matrix(d / (2.0 * c), e / (2.0 * c))
     g2 = g1.compose_linear(np.linalg.inv(T2))
-    a2 = _structural_coeff(g2, (2, 0, 1))
+    a2 = g2.coeff(2, 0, 1)
     s = a2 / (3.0 * a3)
     T3 = np.array([[1, 0, s], [0, 1, 0], [0, 0, 1]], dtype=complex)
     g3 = g2.compose_linear(np.linalg.inv(T3))
-    a1 = _structural_coeff(g3, (1, 0, 2))
-    a0 = _structural_coeff(g3, (0, 0, 3))
+    a1 = g3.coeff(1, 0, 2)
+    a0 = g3.coeff(0, 0, 3)
     q = np.sqrt(-a3 / c)
     T4 = np.diag([1.0, 1.0 / q, 1.0]).astype(complex)
     A = a1 / a3
@@ -365,8 +362,6 @@ def torsion_points(
         if m > 2:
             fm = _division_polys(m, A, B)[m]
             xs.extend((x, False) for x, _ in solve_univariate(fm, tol))
-        elif m == 2:
-            pass
         for x0, is_two in xs:
             ys = [0.0 + 0.0j] if is_two else [np.sqrt(complex(R(x0)))]
             if not is_two:
@@ -377,12 +372,7 @@ def torsion_points(
                 cp = polish_onto_curve(chart.curve, back.array, tol)
                 if cp.residual <= tol.tau_on_curve:
                     found.append(cp)
-    dedup: list[CurvePoint] = []
-    for cp in sorted(found, key=lambda c: c.residual):
-        if all(
-            chordal_distance(cp.point, q.point) > tol.tau_match for q in dedup
-        ):
-            dedup.append(cp)
+    dedup = _dedupe(found, tol.tau_match)
     if len(dedup) != m * m:
         raise NumericalError(
             f"expected {m * m} points of order dividing {m}, found {len(dedup)}"
@@ -456,15 +446,40 @@ def _totient_terms(m: int) -> list[tuple[int, int]]:
     return out
 
 
+def _size_table(m: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The subset-sum DP behind every size question, for sums up to m.
+
+    Returns (terms, reach): terms lists (k, J_2(k)) for J_2(k) <= m in
+    increasing k, and reach[i] is a bitset whose bit s is set when s is a
+    sum of distinct J_2 values from terms[i:].
+    """
+    terms = _totient_terms(m)
+    mask = (1 << (m + 1)) - 1
+    reach = [1] * (len(terms) + 1)
+    for i in range(len(terms) - 1, -1, -1):
+        r = reach[i + 1]
+        reach[i] = (r | r << terms[i][1]) & mask
+    return terms, reach
+
+
+def _witness(table: tuple[list[tuple[int, int]], list[int]], s: int) -> list[int] | None:
+    """Lexicographically smallest distinct orders whose J_2 values sum to s."""
+    terms, reach = table
+    if not reach[0] >> s & 1:
+        return None
+    out: list[int] = []
+    for i, (k, j) in enumerate(terms):
+        if s == 0:
+            break
+        if j <= s and reach[i + 1] >> (s - j) & 1:
+            out.append(k)
+            s -= j
+    return out
+
+
 def constructible_sizes(bound: int) -> list[int]:
     """All sizes up to the bound of the form 9 * sum of J_2 over distinct orders."""
-    if not isinstance(bound, (int, np.integer)) or bound < 1:
-        raise InputError("the bound must be a positive integer")
-    m = int(bound) // 9
-    sums = {0}
-    for _, j in _totient_terms(m):
-        sums |= {s + j for s in sums if s + j <= m}
-    return sorted(9 * s for s in sums if s > 0)
+    return list(_witnesses_up_to(bound))
 
 
 def translation_certificate(
@@ -499,20 +514,15 @@ def size_witness(n: int) -> list[int] | None:
     if n % 9:
         return None
     m = int(n) // 9
-    terms = _totient_terms(m)
-    reach: list[set[int]] = [set() for _ in range(len(terms) + 1)]
-    reach[len(terms)] = {0}
-    for i in range(len(terms) - 1, -1, -1):
-        j = terms[i][1]
-        reach[i] = reach[i + 1] | {s + j for s in reach[i + 1] if s + j <= m}
-    if m not in reach[0]:
-        return None
-    out: list[int] = []
-    rem = m
-    for i, (k, j) in enumerate(terms):
-        if rem == 0:
-            break
-        if j <= rem and rem - j in reach[i + 1]:
-            out.append(k)
-            rem -= j
-    return out
+    return _witness(_size_table(m), m)
+
+
+def _witnesses_up_to(bound: int) -> dict[int, list[int]]:
+    """Every constructible size up to the bound, in increasing order, mapped
+    to its witness.  One table serves them all.
+    """
+    if not isinstance(bound, (int, np.integer)) or bound < 1:
+        raise InputError("the bound must be a positive integer")
+    m = int(bound) // 9
+    table = _size_table(m)
+    return {9 * s: _witness(table, s) for s in range(1, m + 1) if table[1][0] >> s & 1}

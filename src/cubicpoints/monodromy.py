@@ -19,12 +19,7 @@ from .curve import (
     inflection_points,
     smoothness,
 )
-from .elliptic import (
-    constructible_sizes,
-    make_chart,
-    points_of_type,
-    size_witness,
-)
+from .elliptic import make_chart, points_of_type, size_witness
 from .errors import (
     DiscriminantPathError,
     InputError,
@@ -32,7 +27,7 @@ from .errors import (
     TrackingAmbiguityError,
 )
 from .numeric import chordal_matrix
-from .symmetry import ProjectiveTransform, act_on_point
+from .symmetry import ProjectiveTransform, _permutation_images
 
 __all__ = [
     "Permutation",
@@ -120,10 +115,6 @@ class ParameterPath:
             raise InputError("the step count must be a positive integer")
         self.waypoints = list(waypoints)
         self.steps = int(steps)
-
-    @classmethod
-    def from_samples(cls, cubics, steps: int = 64) -> "ParameterPath":
-        return cls([c if isinstance(c, CubicForm) else CubicForm(c) for c in cubics], steps)
 
     def at(self, t: float) -> CubicForm:
         if not 0.0 <= t <= 1.0:
@@ -223,6 +214,7 @@ def track(
         ok = S2.min_separation() > 2.0 * tol.tau_match and len(S2) == n
         assignment: list[int] = []
         if ok:
+            # points moved this step: demand a clear nearest, not a tolerance hit
             D = chordal_matrix(current, S2.arrays)
             sep = 0.25 * S2.min_separation()
             for i in range(n):
@@ -251,17 +243,11 @@ def track(
     end = PointSet(ordered, tol.tau_match)
     perm = None
     if path.is_closed():
-        D = chordal_matrix(start.arrays, end.arrays)
-        images = []
-        for j in range(n):
-            i = int(np.argmin(D[j]))
-            if D[j, i] > tol.tau_match:
-                raise TrackingAmbiguityError(
-                    "closed path did not return the section onto itself"
-                )
-            images.append(i)
-        if len(set(images)) != n:
-            raise TrackingAmbiguityError("arrival matching is not a bijection")
+        images = start.match(end)
+        if images is None:
+            raise TrackingAmbiguityError(
+                "closed path did not return the section onto itself"
+            )
         perm = Permutation(images)
     return TrackResult(start, end, perm, taken, min_margin)
 
@@ -274,15 +260,7 @@ def permutation_of_automorphism(
     With composition applying the right factor first, this assignment is a
     homomorphism: sigma_(S T) = sigma_S * sigma_T.
     """
-    images = []
-    for cp in points:
-        j = points.index_of(act_on_point(T, cp.point))
-        if j is None:
-            raise InputError("the transform does not permute the point set")
-        images.append(j)
-    if len(set(images)) != len(points):
-        raise InputError("the transform collapses points within tolerance")
-    return Permutation(images)
+    return Permutation(_permutation_images(T, points))
 
 
 def canonical_section(name: str, tol: Tolerances = DEFAULT_TOLERANCES):

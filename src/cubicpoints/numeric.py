@@ -9,7 +9,8 @@ Conventions:
 - polynomial coefficients are stored lowest degree first;
 - resultant(p, q) = lead(q)^deg(p) * prod of p over the roots of q, the
   Sylvester determinant with the q block on top (so resultant(x, x-1) = 1);
-- the projective metric is the chordal one, sqrt(1 - |<P,Q>|^2 / (|P|^2 |Q|^2)).
+- the projective metric is the chordal one, sqrt(1 - |<P,Q>|^2 / (|P|^2 |Q|^2)),
+  evaluated as |P x Q| / (|P| |Q|) so that nearby points keep full accuracy.
 """
 from __future__ import annotations
 
@@ -33,6 +34,10 @@ __all__ = [
 # Slack (in units of machine epsilon) for the max-modulus pivot search in
 # normalize_point; keeps renormalization bitwise idempotent on exact ties.
 _PIVOT_SLACK = 4.0 * np.finfo(float).eps
+
+# component i of a x b is a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]]
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 class UniPoly:
@@ -142,30 +147,37 @@ def normalize_point(v) -> ProjectivePoint:
     return ProjectivePoint((complex(w[0]), complex(w[1]), complex(w[2])))
 
 
+def _rows(points) -> np.ndarray:
+    if isinstance(points, ProjectivePoint):
+        return points.array.reshape(1, 3)
+    return np.asarray(points, dtype=complex).reshape(-1, 3)
+
+
 def chordal_distance(p, q) -> float:
     """Chordal (Fubini-Study sine) distance between two projective points.
 
     Takes ProjectivePoint or raw coordinate triples; scale invariant,
     symmetric, range [0, 1], and a metric on the projective plane.
     """
-    a = p.array if isinstance(p, ProjectivePoint) else np.asarray(p, dtype=complex)
-    b = q.array if isinstance(q, ProjectivePoint) else np.asarray(q, dtype=complex)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    return float(chordal_matrix(p, q)[0, 0])
+
+
+def chordal_matrix(A, B) -> np.ndarray:
+    """Pairwise chordal distances between two stacks of coordinate rows.
+
+    Either side may also be a single ProjectivePoint or coordinate triple.
+    """
+    A, B = _rows(A), _rows(B)
+    na = np.linalg.norm(A, axis=1)
+    nb = np.linalg.norm(B, axis=1)
+    if not (na.all() and nb.all()):
         raise InputError("the zero vector is not a projective point")
     # Lagrange identity: |a|^2 |b|^2 - |<a, conj(b)>|^2 = |a x b|^2, which
     # avoids the cancellation that a direct 1 - |<a,b>|^2 suffers near 0.
-    num = float(np.linalg.norm(np.cross(a, b)))
-    return min(1.0, num / (na * nb))
-
-
-def chordal_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise chordal distances between two stacks of coordinate rows."""
-    An = A / np.linalg.norm(A, axis=1, keepdims=True)
-    Bn = B / np.linalg.norm(B, axis=1, keepdims=True)
-    g = np.abs(An @ Bn.conj().T) ** 2
-    return np.sqrt(np.clip(1.0 - g, 0.0, None))
+    # The pairwise cross products are np.cross(a, b) spelled out by index,
+    # which skips np.cross's per-call broadcasting overhead.
+    cross = A[:, None, _NEXT] * B[None, :, _PREV] - A[:, None, _PREV] * B[None, :, _NEXT]
+    return np.minimum(1.0, np.linalg.norm(cross, axis=2) / (na[:, None] * nb[None, :]))
 
 
 def _newton(p: UniPoly, z: complex, iters: int = 40) -> complex:
@@ -185,9 +197,12 @@ def _residual_scale(p: UniPoly, z: complex) -> float:
     return float(np.max(np.abs(p.coeffs))) * max(1.0, abs(z)) ** p.degree
 
 
-def _cluster(values: np.ndarray, radius: float) -> list[list[int]]:
-    # Union-find on pairwise closeness; radius scales with the root size.
-    n = len(values)
+def _components(n: int, pairs) -> list[list[int]]:
+    """Connected components of range(n) joined by the given index pairs.
+
+    Union-find with path halving.  Members are listed in increasing order
+    and components in order of their smallest member.
+    """
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -196,15 +211,19 @@ def _cluster(values: np.ndarray, radius: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            lim = radius * max(1.0, abs(values[i]))
-            if abs(values[i] - values[j]) <= lim:
-                parent[find(i)] = find(j)
+    for i, j in pairs:
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def _cluster(values: np.ndarray, radius: float) -> list[list[int]]:
+    # pairwise closeness; the radius scales with the root size
+    lim = radius * np.maximum(1.0, np.abs(values))
+    close = np.abs(values[:, None] - values[None, :]) <= lim[:, None]
+    return _components(len(values), zip(*np.nonzero(np.triu(close, 1))))
 
 
 def solve_univariate(
@@ -261,6 +280,29 @@ def solve_univariate(
     return merged
 
 
+def _sylvester_dets(pvals: np.ndarray, qvals: np.ndarray) -> tuple[np.ndarray, float]:
+    """Batched Sylvester determinants for stacks of coefficient rows.
+
+    Rows are lowest degree first and both stacks share fixed formal
+    degrees, so every sample fills the same matrix shape (q block on top);
+    one batched det call covers all of them. Also returns the largest
+    Hadamard bound: the scale against which a computed determinant counts
+    as zero, separating structurally vanishing resultants from small ones.
+    """
+    m = pvals.shape[1] - 1
+    n = qvals.shape[1] - 1
+    size = m + n
+    S = np.zeros((pvals.shape[0], size, size), dtype=complex)
+    qd = qvals[:, ::-1]
+    pd = pvals[:, ::-1]
+    for i in range(m):
+        S[:, i, i : i + n + 1] = qd
+    for i in range(n):
+        S[:, m + i, i : i + m + 1] = pd
+    hadamard = float(np.prod(np.linalg.norm(S, axis=2), axis=1).max())
+    return np.linalg.det(S), hadamard
+
+
 def resultant(p: UniPoly, q: UniPoly) -> complex:
     """Sylvester resultant, q block on top.
 
@@ -270,15 +312,7 @@ def resultant(p: UniPoly, q: UniPoly) -> complex:
     """
     if p.is_zero() or q.is_zero():
         raise InputError("resultant of the zero polynomial is undefined")
-    m, n = p.degree, q.degree
-    if m < 1 or n < 1:
+    if p.degree < 1 or q.degree < 1:
         raise InputError("resultant needs two polynomials of degree >= 1")
-    size = m + n
-    S = np.zeros((size, size), dtype=complex)
-    qd = q.coeffs[::-1]
-    pd = p.coeffs[::-1]
-    for i in range(m):
-        S[i, i : i + n + 1] = qd
-    for i in range(n):
-        S[m + i, i : i + m + 1] = pd
-    return complex(np.linalg.det(S))
+    dets, _ = _sylvester_dets(p.coeffs[None, :], q.coeffs[None, :])
+    return complex(dets[0])

@@ -17,13 +17,14 @@ from .curve import (
     CubicForm,
     CurvePoint,
     PointSet,
+    _dedupe,
     fermat_cubic,
     inflection_points,
     line_curve_points,
     polish_onto_curve,
 )
 from .errors import InputError, NumericalError
-from .numeric import ProjectivePoint, chordal_distance, normalize_point
+from .numeric import ProjectivePoint, _components, chordal_distance, normalize_point
 
 _OMEGA = np.exp(2j * np.pi / 3)
 
@@ -135,13 +136,7 @@ def fixed_points_on_curve(
         cp = polish_onto_curve(f, P.array, tol)
         if chordal_distance(act_on_point(T, cp.point), cp.point) <= tol.tau_match:
             found.append(cp)
-    out: list[CurvePoint] = []
-    for cp in sorted(found, key=lambda c: c.residual):
-        if all(
-            chordal_distance(cp.point, q.point) > tol.tau_match for q in out
-        ):
-            out.append(cp)
-    return PointSet(out, tol.tau_match).sorted_canonical()
+    return PointSet(_dedupe(found, tol.tau_match), tol.tau_match).sorted_canonical()
 
 
 def lefschetz_trace(
@@ -216,6 +211,18 @@ def fermat_translations(
     return a, b
 
 
+def _permutation_images(T: ProjectiveTransform, points: PointSet) -> list[int]:
+    """images[i] = j when the transform carries points[i] to points[j].
+
+    Raises InputError unless the images match the set bijectively within
+    its tolerance.
+    """
+    images = [points.index_of(act_on_point(T, cp.point)) for cp in points]
+    if None in images or len(set(images)) != len(points):
+        raise InputError("the transform does not permute the point set")
+    return images
+
+
 class OrbitReport:
     """How a finite matrix group permutes a finite invariant point set."""
 
@@ -247,35 +254,12 @@ def orbit_decomposition(
     not being the identity in PGL therefore also destroys freeness.
     """
     n = len(points)
-    perms: list[list[int]] = []
-    free = True
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for T in group:
-        images = [act_on_point(T, cp.point) for cp in points]
-        perm: list[int] = []
-        for img in images:
-            j = points.index_of(img)
-            if j is None:
-                raise InputError("the point set is not invariant under the group")
-            perm.append(j)
-        if len(set(perm)) != n:
-            raise InputError("group action collapses points within tolerance")
-        perms.append(perm)
-        if not T.is_identity() and any(perm[i] == i for i in range(n)):
-            free = False
-        for i, j in enumerate(perm):
-            parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    orbits = sorted(groups.values())
+    perms = [_permutation_images(T, points) for T in group]
+    free = not any(
+        not T.is_identity() and any(perm[i] == i for i in range(n))
+        for T, perm in zip(group, perms)
+    )
+    orbits = _components(n, ((i, j) for perm in perms for i, j in enumerate(perm)))
     return OrbitReport(perms, orbits, free)
 
 

@@ -158,9 +158,6 @@ class TriPoly:
             C[key[others[0]], key[others[1]]] += c
         return C
 
-    def scaled(self, s: complex) -> "TriPoly":
-        return self * s
-
     def proportionality_residual(self, other: "TriPoly") -> float:
         """Relative distance from self to the complex line spanned by other."""
         keys = sorted(set(self.coeffs) | set(other.coeffs))

@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from cubicpoints import ParameterPath, fermat_cubic, hesse_cubic
+from cubicpoints import ParameterPath, elliptic, fermat_cubic, hesse_cubic
 from cubicpoints.cli import main
 from cubicpoints.serialize import (
     canonical_dumps,
@@ -102,6 +102,15 @@ class TestArithmeticCommands:
         obj = json.loads(out)
         assert obj["sizes"] == [9, 27, 36, 72, 81, 99, 108, 117, 135, 144, 180]
         assert obj["witnesses"]["36"] == [1, 2]
+
+    def test_sizes_builds_one_table(self, capsys, monkeypatch):
+        calls = []
+        real = elliptic._size_table
+        monkeypatch.setattr(elliptic, "_size_table", lambda m: calls.append(m) or real(m))
+        for fmt in ("json", "csv"):
+            rc, _, _ = run_cli(capsys, "--format", fmt, "sizes", "--bound", "2000")
+            assert rc == 0
+        assert calls == [222, 222]
 
     def test_verdicts(self, capsys):
         rc, out, _ = run_cli(capsys, "verdict", "18")

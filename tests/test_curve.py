@@ -24,6 +24,7 @@ from cubicpoints import (
     require_smooth,
     smoothness,
 )
+from cubicpoints import curve
 
 from oracles import fermat_inflection_rows
 
@@ -67,7 +68,7 @@ class TestTriPoly:
 
     def test_proportionality_residual(self, rng):
         p = _random_poly(rng, 3)
-        assert p.proportionality_residual(p.scaled(2.0 - 1.0j)) < 1e-14
+        assert p.proportionality_residual(p * (2.0 - 1.0j)) < 1e-14
         q = TriPoly(3, {(3, 0, 0): 1.0})
         r = TriPoly(3, {(0, 3, 0): 1.0})
         assert q.proportionality_residual(r) == 1.0
@@ -110,6 +111,27 @@ class TestSmoothness:
         assert not rep.smooth
         d = chordal_distance(rep.witness.array, np.array([1.0, 1.0, 1.0]))
         assert d < 1e-6
+
+    @pytest.mark.parametrize(
+        "coeffs, smooth",
+        [
+            ({(2, 1, 0): 1.0, (1, 2, 0): 1.0}, False),
+            ({(2, 1, 0): 1.0, (1, 2, 0): 1.0, (0, 0, 3): 1.0}, True),
+        ],
+    )
+    def test_pair_of_partials_free_of_the_fiber_variable(self, coeffs, smooth, tol):
+        f = CubicForm.from_coeffs(coeffs)
+        # in the chart y = 1 (u = x, v = z) neither f_x nor f_y involves v;
+        # their u-roots share no zero there, so the pair yields no candidate
+        fx, fy, fz = (curve._grid_trim(f.poly.partial(i).chart(1)) for i in range(3))
+        assert fx.shape[1] == fy.shape[1] == 1
+        assert curve._pair_candidates(fx, fy, fz, tol) == []
+        rep = smoothness(f)
+        assert rep.smooth is smooth
+        if smooth:
+            assert abs(rep.margin - 0.75) < 1e-9
+        else:
+            assert chordal_distance(rep.witness.array, np.array([0.0, 0.0, 1.0])) < 1e-12
 
     def test_require_smooth_raises(self):
         with pytest.raises(SingularCurveError):

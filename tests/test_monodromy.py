@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from cubicpoints import (
+    CurvePoint,
     DiscriminantPathError,
     InputError,
+    NumericalError,
     ParameterPath,
     Permutation,
+    PointSet,
     ProjectiveTransform,
+    TrackingAmbiguityError,
     act_on_cubic,
     canonical_section,
     fermat_cubic,
@@ -16,11 +20,14 @@ from cubicpoints import (
     generate_group,
     hesse_cubic,
     inflection_points,
+    normalize_point,
     permutation_of_automorphism,
     section_verdict,
     track,
     verify_free_K_action,
 )
+from cubicpoints import cli
+from cubicpoints.serialize import canonical_dumps, path_to_obj
 
 
 class TestPermutation:
@@ -214,3 +221,66 @@ class TestFreeAction:
         assert rep.free
         assert rep.point_count == 9
         assert rep.orbit_sizes == (9,)
+
+
+def _stub_points(rows) -> PointSet:
+    return PointSet([CurvePoint(normalize_point(r), 0.0) for r in rows], 1e-6)
+
+
+_THREE = [np.array([1.0, w, 0.5]) for w in np.exp(2j * np.pi * np.arange(3) / 3)]
+
+
+def _counting_section(later):
+    """Section that returns three fixed points on its first call and later(k) on call k > 0."""
+    calls = [0]
+
+    def sec(f):
+        k = calls[0]
+        calls[0] += 1
+        return _stub_points(_THREE) if k == 0 else later(k)
+
+    return sec
+
+
+def _failing_after_start(k):
+    raise NumericalError("stub section cannot be recomputed")
+
+
+def _collapsing_after_one_step(k):
+    # first step fine, then the second point sits on the first
+    return _stub_points(_THREE) if k == 1 else _stub_points([_THREE[0], _THREE[0], _THREE[2]])
+
+
+def _drifting(k):
+    # each call turns the points a little, so a closed loop cannot come home
+    return _stub_points([r * np.array([1.0, np.exp(0.05j * k), 1.0]) for r in _THREE])
+
+
+class TestTrackingAmbiguity:
+    def test_section_that_cannot_be_recomputed(self, fermat):
+        path = ParameterPath([fermat, fermat], steps=4)
+        with pytest.raises(TrackingAmbiguityError, match="could not be recomputed"):
+            track(path, _counting_section(_failing_after_start))
+
+    def test_points_collapsing_mid_path(self, fermat):
+        path = ParameterPath([fermat, fermat], steps=4)
+        with pytest.raises(TrackingAmbiguityError, match="matching stayed ambiguous"):
+            track(path, _counting_section(_collapsing_after_one_step))
+
+    def test_closed_path_that_does_not_come_home(self, fermat):
+        path = ParameterPath([fermat, fermat], steps=4)
+        with pytest.raises(TrackingAmbiguityError, match="did not return the section"):
+            track(path, _counting_section(_drifting))
+
+    def test_cli_exit_code_five(self, fermat, tmp_path, capsys, monkeypatch):
+        pf = tmp_path / "loop.json"
+        path = ParameterPath([fermat, fermat], steps=4)
+        pf.write_text(canonical_dumps(path_to_obj(path)), encoding="utf-8")
+        monkeypatch.setattr(
+            cli, "canonical_section", lambda name, tol: _counting_section(_drifting)
+        )
+        rc = cli.main(["track", "--path", str(pf)])
+        captured = capsys.readouterr()
+        assert rc == 5
+        assert captured.out == ""
+        assert "did not return the section" in captured.err
