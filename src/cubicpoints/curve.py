@@ -580,6 +580,15 @@ def inflection_points(
     chart union does not settle on exactly nine certified points.
     """
     require_smooth(f, tol)
+    return _flexes_of_smooth(f, tol)
+
+
+def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
+    """inflection_points for a curve the caller has already certified smooth.
+
+    On a singular curve the elimination does not settle on nine points and
+    this raises NumericalError rather than SingularCurveError.
+    """
     h = f.hessian()
     found: list[CurvePoint] = []
     hess_res: list[float] = []

@@ -4,6 +4,11 @@ A path is piecewise linear in coefficient space.  Tracking recomputes the
 section from scratch at every step and matches points by nearest neighbor,
 which is sound exactly when the step is small against the section's
 separation; ambiguous matches trigger step bisection rather than guesswork.
+
+track certifies every curve it visits against smoothness_margin, once, and
+only then evaluates the section there.  The sections of canonical_section
+therefore expect a curve the caller has certified and skip the weaker
+smoothness check of inflection_points.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .curve import (
     CubicForm,
     PointSet,
+    _flexes_of_smooth,
     inflection_points,
     smoothness,
 )
@@ -172,10 +178,11 @@ def track(
 ) -> TrackResult:
     """Continue a section along the path by recomputation and matching.
 
-    The section argument maps a CubicForm to a PointSet.  Raises
-    DiscriminantPathError when any visited curve is singular or within
-    smoothness_margin of it, and TrackingAmbiguityError when matching stays
-    ambiguous at the minimal step size.
+    The section argument maps a CubicForm to a PointSet; it runs only on
+    curves already certified here, one smoothness certificate per visited
+    curve.  Raises DiscriminantPathError when any visited curve is singular
+    or within smoothness_margin of it, and TrackingAmbiguityError when
+    matching stays ambiguous at the minimal step size.
     """
     base = 1.0 / (steps if steps is not None else path.steps)
     f0 = path.at(0.0)
@@ -269,9 +276,13 @@ def canonical_section(name: str, tol: Tolerances = DEFAULT_TOLERANCES):
     Supported names: "inflections", and "type3k:K" for a positive integer
     K, which marks the first inflection in canonical order as identity (the
     resulting set does not depend on that choice).
+
+    A section expects a curve the caller has certified smooth, as track
+    certifies every curve it visits; it does not certify again.  Called on
+    a singular curve it raises NumericalError, not SingularCurveError.
     """
     if name == "inflections":
-        return lambda f: inflection_points(f, tol)
+        return lambda f: _flexes_of_smooth(f, tol)
     if name.startswith("type3k:"):
         tail = name.split(":", 1)[1]
         try:
@@ -282,7 +293,7 @@ def canonical_section(name: str, tol: Tolerances = DEFAULT_TOLERANCES):
             raise InputError("the type index must be a positive integer")
 
         def sec(f: CubicForm) -> PointSet:
-            flexes = inflection_points(f, tol)
+            flexes = _flexes_of_smooth(f, tol)
             chart = make_chart(f, flexes[0].point, tol)
             return points_of_type(chart, k, certify=False)
 

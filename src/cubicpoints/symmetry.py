@@ -173,7 +173,8 @@ def generate_group(
     return elems
 
 
-_translations_checked = False
+# tolerances under which fermat_translations has passed its self-check
+_translations_checked: set[Tolerances] = set()
 
 
 def fermat_translations(
@@ -182,14 +183,14 @@ def fermat_translations(
     """Generators of the nine translations of the Fermat cubic in PGL(3, C).
 
     The first cycles the coordinates, the second scales them by cube roots
-    of unity.  On first use four properties are verified numerically and the
-    result cached: each generator preserves the curve, each has order three,
-    the two commute in PGL, and no nonidentity product fixes a curve point.
+    of unity.  On first use under each tolerance four properties are verified
+    numerically and the pass cached: each generator preserves the curve, each
+    has order three, the two commute in PGL, and no nonidentity product fixes
+    a curve point.
     """
-    global _translations_checked
     a = ProjectiveTransform([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     b = ProjectiveTransform(np.diag([1.0, _OMEGA, _OMEGA**2]))
-    if not _translations_checked:
+    if tol not in _translations_checked:
         f = fermat_cubic()
         for g, name in ((a, "cycle"), (b, "scale")):
             if not preserves_cubic(g, f, tol):
@@ -207,7 +208,7 @@ def fermat_translations(
                 continue
             if len(fixed_points_on_curve(g, f, tol)) != 0:
                 raise NumericalError("a nonidentity translation fixes a curve point")
-        _translations_checked = True
+        _translations_checked.add(tol)
     return a, b
 
 

@@ -115,8 +115,23 @@ class TriPoly:
         return TriPoly(self.degree - 1, out)
 
     def gradient(self, point) -> np.ndarray:
+        """The three partial derivatives at a point, without building them.
+
+        Sums (c * e) * v^(key - unit) over the coefficients in dict order,
+        skipping e == 0: the terms and the order of partial(i)(v), with the
+        powers from numpy's complex power, so the result is bit-identical.
+        """
         v = np.asarray(point, dtype=complex).reshape(3)
-        return np.array([self.partial(i)(v) for i in range(3)], dtype=complex)
+        p0, p1, p2 = (v[:, None] ** np.arange(self.degree)).tolist()
+        g0 = g1 = g2 = 0j
+        for (i, j, k), c in self.coeffs.items():
+            if i:
+                g0 += c * i * p0[i - 1] * p1[j] * p2[k]
+            if j:
+                g1 += c * j * p0[i] * p1[j - 1] * p2[k]
+            if k:
+                g2 += c * k * p0[i] * p1[j] * p2[k - 1]
+        return np.array([g0, g1, g2], dtype=complex)
 
     def compose_linear(self, matrix) -> "TriPoly":
         """Substitute coordinates by rows of matrix: returns p(M x)."""

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,4 +240,15 @@ class TestSelftest:
             [exe, "j2", "--max-k", "3"], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0
+        assert json.loads(proc.stdout)["j2"]["3"] == 8
+
+    def test_module_entry_point_runs_as_a_whole_process(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubicpoints", "j2", "--max-k", "3"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["j2"]["3"] == 8

@@ -26,7 +26,7 @@ from cubicpoints import (
     track,
     verify_free_K_action,
 )
-from cubicpoints import cli
+from cubicpoints import cli, curve, monodromy
 from cubicpoints.serialize import canonical_dumps, path_to_obj
 
 
@@ -175,6 +175,34 @@ class TestSections:
             canonical_section("type3k:x")
         with pytest.raises(InputError):
             canonical_section("type3k:0")
+
+
+class TestOneCertificatePerCurve:
+    def test_track_certifies_each_section_evaluation_once(self, monkeypatch):
+        counts = {"smoothness": 0, "section": 0}
+        real_smoothness = curve.smoothness
+        section = canonical_section("inflections")
+
+        def counting_smoothness(*args, **kwargs):
+            counts["smoothness"] += 1
+            return real_smoothness(*args, **kwargs)
+
+        def counting_section(f):
+            counts["section"] += 1
+            return section(f)
+
+        # both homes of the function, so a section that certifies again is counted
+        monkeypatch.setattr(curve, "smoothness", counting_smoothness)
+        monkeypatch.setattr(monodromy, "smoothness", counting_smoothness)
+        res = track(_hesse_loop(-3.0, 1.0, steps=8), counting_section)
+        assert res.permutation is not None and res.permutation.is_identity()
+        assert counts["section"] > 8
+        assert counts["smoothness"] == counts["section"]
+
+    @pytest.mark.parametrize("name", ["inflections", "type3k:2"])
+    def test_sections_expect_a_certified_curve(self, name):
+        with pytest.raises(NumericalError, match="degenerate elimination"):
+            canonical_section(name)(hesse_cubic(-3.0))
 
 
 class TestAutomorphismPermutations:

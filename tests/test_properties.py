@@ -1,17 +1,24 @@
-"""Property tests: each shared point-set primitive against the code it replaced.
+"""Property tests: each shared primitive and fast kernel against the code it replaced.
 
 The references below are the earlier implementations, kept verbatim in
 spirit: the scalar cross-product chordal distance, the greedy dedupe loop
-over scalar distances, and brute-force subset sums of the layer counts.
+over scalar distances, brute-force subset sums of the layer counts, the
+root solver's per-root polish through UniPoly.derivative and polyval, and
+the gradient through the three partial polynomials.
 """
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicpoints import (
+    DEFAULT_TOLERANCES,
     CurvePoint,
+    NumericalError,
+    TriPoly,
+    UniPoly,
     constructible_sizes,
     jordan_totient_2,
     normalize_point,
@@ -19,7 +26,7 @@ from cubicpoints import (
 )
 from cubicpoints.curve import _dedupe
 from cubicpoints.elliptic import _witnesses_up_to
-from cubicpoints.numeric import chordal_matrix
+from cubicpoints.numeric import _cluster, _residual_scale, chordal_matrix, solve_univariate
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -147,3 +154,103 @@ def test_size_table_matches_brute_force(bound):
 @given(st.integers(1, 2000))
 def test_size_witness_matches_brute_force(n):
     assert size_witness(n) == (BRUTE.get(n // 9) if n % 9 == 0 else None)
+
+
+def reference_newton(p, z, iters=40):
+    """The per-root Newton polish that solve_univariate used."""
+    dp = p.derivative()
+    for _ in range(iters):
+        d = dp(z)
+        if d == 0:
+            return z
+        step = p(z) / d
+        z = z - step
+        if abs(step) <= 1e-16 * max(1.0, abs(z)):
+            break
+    return z
+
+
+def reference_solve(p, tol):
+    """solve_univariate with its earlier polish: a derivative chain per root."""
+    raw = np.roots(p.coeffs[::-1])
+
+    def polish(z, m):
+        target = p
+        for _ in range(m - 1):
+            target = target.derivative()
+        return reference_newton(target, z)
+
+    roots = [(polish(complex(np.mean(raw[g])), len(g)), len(g)) for g in _cluster(raw, tol.tau_cluster)]
+    merged = []
+    for g in _cluster(np.array([z for z, _ in roots]), tol.tau_cluster):
+        mult = sum(roots[i][1] for i in g)
+        z = complex(np.mean([roots[i][0] for i in g]))
+        if len(g) > 1:
+            z = polish(z, mult)
+        merged.append((z, mult))
+    for z, m in merged:
+        res = abs(p(z))
+        if res > tol.tau_root * _residual_scale(p, z):
+            raise NumericalError(
+                f"root polishing failed: residual {res:.3g} at {z:.6g} "
+                f"exceeds {tol.tau_root:g} relative"
+            )
+    merged.sort(key=lambda zm: (zm[0].real, zm[0].imag))
+    return merged
+
+
+disc_point = st.complex_numbers(max_magnitude=2.0, allow_subnormal=False)
+
+
+@st.composite
+def root_lists(draw):
+    """Roots of degree 1 to 18: simple, doubled, tripled, and pairs about 1e-8 apart."""
+    roots = []
+    for _ in range(draw(st.integers(1, 12))):
+        r = draw(disc_point)
+        kind = draw(st.sampled_from(["simple", "double", "triple", "near pair"]))
+        if kind == "near pair":
+            group = [r, r + 1e-8 * np.exp(1j * draw(st.floats(0, 6.3))) * draw(st.floats(0.5, 2.0))]
+        else:
+            group = [r] * {"simple": 1, "double": 2, "triple": 3}[kind]
+        roots.extend(group[: 18 - len(roots)])
+    lead = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_subnormal=False))
+    return roots, lead
+
+
+@PROPERTY
+@given(root_lists())
+def test_solver_polish_is_bit_identical_to_the_per_root_polish(case):
+    roots, lead = case
+    p = UniPoly.from_roots(roots, lead)
+    try:
+        want = reference_solve(p, DEFAULT_TOLERANCES)
+    except NumericalError as err:
+        with pytest.raises(NumericalError) as got:
+            solve_univariate(p)
+        assert str(got.value) == str(err)
+        return
+    got = solve_univariate(p)
+    assert [m for _, m in got] == [m for _, m in want]
+    assert [z for z, _ in got] == [z for z, _ in want]
+
+
+monomial_coeff = st.complex_numbers(max_magnitude=10.0, allow_subnormal=False)
+point_coord = st.complex_numbers(max_magnitude=3.0, allow_subnormal=False) | st.just(0j)
+
+
+@st.composite
+def forms_and_points(draw):
+    degree = draw(st.sampled_from([1, 2, 3, 3, 3, 4]))
+    keys = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=len(keys), unique=True))
+    poly = TriPoly(degree, {key: draw(monomial_coeff) for key in chosen})
+    return poly, np.array(draw(st.lists(point_coord, min_size=3, max_size=3)), dtype=complex)
+
+
+@PROPERTY
+@given(forms_and_points())
+def test_gradient_is_bit_identical_to_evaluating_the_partials(case):
+    poly, v = case
+    want = np.array([poly.partial(i)(v) for i in range(3)], dtype=complex)
+    assert np.array_equal(poly.gradient(v), want)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cubicpoints import (
+    DEFAULT_TOLERANCES,
     CubicForm,
     InputError,
+    NumericalError,
     PointSet,
     ProjectiveTransform,
     act_on_cubic,
@@ -96,6 +98,12 @@ class TestFermatTranslations:
                 continue
             assert len(fixed_points_on_curve(g, fermat)) == 0
             assert lefschetz_trace(g, fermat) == 2
+
+    def test_self_check_runs_again_under_a_new_tolerance(self):
+        # a pass under the default tolerance must not excuse a stricter one
+        fermat_translations()
+        with pytest.raises(NumericalError, match="moves the curve"):
+            fermat_translations(DEFAULT_TOLERANCES.with_(tau_match=1e-300))
 
 
 class TestFixedPoints:
