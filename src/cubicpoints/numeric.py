@@ -8,8 +8,8 @@ projective points carry a canonical normalized representative.
 The root polish is scalar: each derivative a solve needs is taken once,
 and Newton evaluates it by Horner's rule on Python complex numbers, in the
 order np.polynomial.polynomial.polyval uses, dividing in np.complex128.
-That gives the same bits as polyval at about half the cost of a solve;
-the polynomials are too small for batched array evaluation to pay off.
+That gives the same bits as polyval without its per-call overhead; the
+polynomials are too small for batched array evaluation to pay off.
 
 Conventions:
 - polynomial coefficients are stored lowest degree first;
