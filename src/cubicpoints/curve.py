@@ -548,16 +548,19 @@ def polish_onto_curve(
 def _newton_pair(
     F: np.ndarray, H: np.ndarray, u: complex, v: complex, iters: int = 30
 ) -> tuple[complex, complex] | None:
-    Fu, Fv = _grid_partial(F, 0), _grid_partial(F, 1)
-    Hu, Hv = _grid_partial(H, 0), _grid_partial(H, 1)
+    grids = [F, H]
+    grids += [_grid_partial(C, axis) for C in (F, H) for axis in (0, 1)]
+    rows = np.arange(max(F.shape[0], H.shape[0]))
+    cols = np.arange(max(F.shape[1], H.shape[1]))
     for _ in range(iters):
-        vals = np.array([_grid_eval(F, u, v), _grid_eval(H, u, v)])
-        J = np.array(
-            [
-                [_grid_eval(Fu, u, v), _grid_eval(Fv, u, v)],
-                [_grid_eval(Hu, u, v), _grid_eval(Hv, u, v)],
-            ]
+        # one pair of power vectors per step; each grid reads a prefix of
+        # each, which gives the bits of _grid_eval
+        vu, vv = u**rows, v**cols
+        f, h, fu, fv, hu, hv = (
+            complex(vu[: C.shape[0]] @ C @ vv[: C.shape[1]]) for C in grids
         )
+        vals = np.array([f, h])
+        J = np.array([[fu, fv], [hu, hv]])
         try:
             step = np.linalg.solve(J, -vals)
         except np.linalg.LinAlgError:

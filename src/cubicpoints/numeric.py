@@ -5,11 +5,20 @@ out here, so the routines certify their own output: roots are Newton
 polished and rejected unless the relative residual clears tau_root, and
 projective points carry a canonical normalized representative.
 
-The root polish is scalar: each derivative a solve needs is taken once,
-and Newton evaluates it by Horner's rule on Python complex numbers, in the
-order np.polynomial.polynomial.polyval uses, dividing in np.complex128.
-That gives the same bits as polyval without its per-call overhead; the
-polynomials are too small for batched array evaluation to pay off.
+The solver works on Python lists, because its polynomials (degree at
+most 18) are too small for numpy's per-call overhead to pay off. Only the
+companion matrix, the one np.roots builds, goes to numpy for its
+eigenvalues. Clustering is a loop over pairs of roots, and a cluster's
+mean goes through numpy only when it has more than one member. Each
+derivative a solve needs is taken once, as polyder forms it. Newton and
+the residual check evaluate by one Horner loop on Python complex numbers,
+in the order np.polynomial.polynomial.polyval uses, and Newton divides in
+np.complex128. The residual bound takes max|coeff| once per solve. Roots,
+multiplicities and error messages have the same bits as np.roots,
+vectorized clustering and polyval would give. The one exception is abs:
+numpy's vectorized abs and Python's hypot can differ in the last bit, so
+a pair whose distance lies within one ulp of the cluster radius could be
+judged differently.
 
 Conventions:
 - polynomial coefficients are stored lowest degree first;
@@ -20,6 +29,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,31 +196,64 @@ def chordal_matrix(A, B) -> np.ndarray:
     return np.minimum(1.0, np.linalg.norm(cross, axis=2) / (na[:, None] * nb[None, :]))
 
 
+def _horner(h: list[complex], z: complex) -> complex:
+    """Value at z of the polynomial with coefficients h, highest degree first.
+
+    Horner's rule on Python complex numbers in the order polyval uses, so
+    the result has polyval's bits without its per-call overhead.
+    """
+    v = h[0] + z * 0
+    for c in h[1:]:
+        v = c + v * z
+    return v
+
+
+def _derivative(h: list[complex]) -> list[complex]:
+    """Coefficients of the derivative, highest degree first, as polyder forms them.
+
+    polyder scales by 1 before multiplying by the exponent; the two
+    products keep its bits, signed zeros included.
+    """
+    d = len(h) - 1
+    dh = [h[i] * 1 * (d - i) for i in range(d)]
+    if not all(map(cmath.isfinite, dh)):
+        raise InputError("non-finite polynomial coefficient")
+    return dh
+
+
 def _newton(h: list[complex], dh: list[complex], z: complex, iters: int = 40) -> complex:
     """Newton's method for the polynomial with coefficients h, derivative dh.
 
-    Both lists hold Python complex numbers, highest degree first, and are
-    evaluated by Horner's rule in the order polyval uses; only the division
-    goes through np.complex128, whose rounding differs from Python's.
+    Both lists hold Python complex numbers, highest degree first; only the
+    division goes through np.complex128, whose rounding differs from
+    Python's.
     """
     for _ in range(iters):
-        d = dh[0] + z * 0
-        for c in dh[1:]:
-            d = c + d * z
+        d = _horner(dh, z)
         if d == 0:
             return z
-        v = h[0] + z * 0
-        for c in h[1:]:
-            v = c + v * z
-        step = complex(np.complex128(v) / d)
+        step = complex(np.complex128(_horner(h, z)) / d)
         z = z - step
         if abs(step) <= 1e-16 * max(1.0, abs(z)):
             break
     return z
 
 
-def _residual_scale(p: UniPoly, z: complex) -> float:
-    return float(np.max(np.abs(p.coeffs))) * max(1.0, abs(z)) ** p.degree
+def _companion_roots(c: np.ndarray) -> list[complex]:
+    """Eigenvalues of the companion matrix of c (highest degree first, c[-1] != 0).
+
+    The matrix is the one np.roots builds. A first row that overflows
+    raises NumericalError instead of numpy's LinAlgError.
+    """
+    if len(c) == 1:
+        return []
+    A = np.diag(np.ones(len(c) - 2, c.dtype), -1)
+    with np.errstate(all="ignore"):
+        A[0, :] = -c[1:] / c[0]
+    try:
+        return np.linalg.eigvals(A).tolist()
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"companion matrix eigenvalues failed: {err}") from None
 
 
 def _components(n: int, pairs) -> list[list[int]]:
@@ -235,11 +278,26 @@ def _components(n: int, pairs) -> list[list[int]]:
     return list(groups.values())
 
 
-def _cluster(values: np.ndarray, radius: float) -> list[list[int]]:
-    # pairwise closeness; the radius scales with the root size
-    lim = radius * np.maximum(1.0, np.abs(values))
-    close = np.abs(values[:, None] - values[None, :]) <= lim[:, None]
-    return _components(len(values), zip(*np.nonzero(np.triu(close, 1))))
+def _cluster(values: list[complex], radius: float) -> list[list[int]]:
+    # pairwise closeness; the radius scales with the size of the earlier root
+    n = len(values)
+    pairs = []
+    for i in range(n):
+        vi = values[i]
+        lim = radius * max(1.0, abs(vi))
+        pairs.extend((i, j) for j in range(i + 1, n) if abs(vi - values[j]) <= lim)
+    return _components(n, pairs)
+
+
+def _centre(values: list[complex], group: list[int]) -> complex:
+    """Mean of the group's values, with the bits of complex(np.mean(...)).
+
+    A single value skips numpy: np.mean sums from +0, which turns a
+    negative zero positive, and adding 0j does the same.
+    """
+    if len(group) == 1:
+        return values[group[0]] + 0j
+    return complex(np.mean([values[i] for i in group]))
 
 
 def solve_univariate(
@@ -247,46 +305,52 @@ def solve_univariate(
 ) -> list[tuple[complex, int]]:
     """All complex roots of p with multiplicities, certified by residual.
 
-    Companion-matrix eigenvalues seed the roots, clusters within
-    tau_cluster merge into multiple roots, and each representative is
-    Newton polished (on the (m-1)-th derivative for an m-fold root).
-    Raises NumericalError if any polished root fails the relative
-    residual bound tau_root, InputError on constants.
+    Companion-matrix eigenvalues seed the roots (the matrix np.roots
+    builds, with one zero root per vanishing low coefficient), clusters
+    within tau_cluster merge into multiple roots, and each representative
+    is Newton polished (on the (m-1)-th derivative for an m-fold root).
+    Roots stay a list of Python complex numbers: clustering is a pair loop
+    and the residual check reuses the Horner loop against one max|coeff|
+    per solve. Raises NumericalError if the companion matrix overflows or
+    a polished root fails the relative residual bound tau_root, InputError
+    on constants.
     """
     if p.is_zero():
         raise InputError("cannot solve the zero polynomial")
     if p.degree == 0:
         raise InputError("cannot solve a constant polynomial")
-    raw = np.roots(p.coeffs[::-1])
+    top = p.coeffs[::-1]
+    h = top.tolist()
+    # as in np.roots, each vanishing low coefficient is a root at zero
+    nz = len(h)
+    while h[nz - 1] == 0:
+        nz -= 1
+    raw = _companion_roots(top[:nz]) + [0j] * (len(h) - nz)
     # chain[k] is the k-th derivative of p, highest degree first, built once
     # per solve; an m-fold root is polished on derivative m - 1
-    chain = [p.coeffs[::-1].tolist()]
-    last = p
+    chain = [h]
 
     def polish(z: complex, m: int) -> complex:
-        nonlocal last
         while len(chain) <= m:
-            last = last.derivative()
-            chain.append(last.coeffs[::-1].tolist())
+            chain.append(_derivative(chain[-1]))
         return _newton(chain[m - 1], chain[m], z)
 
     roots = [
-        (polish(complex(np.mean(raw[g])), len(g)), len(g))
-        for g in _cluster(raw, tol.tau_cluster)
+        (polish(_centre(raw, g), len(g)), len(g)) for g in _cluster(raw, tol.tau_cluster)
     ]
     # Polishing can reunite a cluster the first pass split; merge again.
-    vals = np.array([z for z, _ in roots])
-    regrouped = _cluster(vals, tol.tau_cluster)
+    vals = [z for z, _ in roots]
     merged: list[tuple[complex, int]] = []
-    for g in regrouped:
+    for g in _cluster(vals, tol.tau_cluster):
         mult = sum(roots[i][1] for i in g)
-        z = complex(np.mean([roots[i][0] for i in g]))
+        z = _centre(vals, g)
         if len(g) > 1:
             z = polish(z, mult)
         merged.append((z, mult))
+    scale = float(np.max(np.abs(p.coeffs)))
     for z, m in merged:
-        res = abs(p(z))
-        if res > tol.tau_root * _residual_scale(p, z):
+        res = abs(_horner(h, z))
+        if res > tol.tau_root * (scale * max(1.0, abs(z)) ** p.degree):
             raise NumericalError(
                 f"root polishing failed: residual {res:.3g} at {z:.6g} "
                 f"exceeds {tol.tau_root:g} relative"

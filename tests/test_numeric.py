@@ -5,6 +5,7 @@ import pytest
 
 from cubicpoints import (
     InputError,
+    NumericalError,
     UniPoly,
     chordal_distance,
     normalize_point,
@@ -139,6 +140,16 @@ class TestSolveUnivariate:
     def test_constant_is_rejected(self, tol):
         with pytest.raises(InputError):
             solve_univariate(UniPoly([3.0]), tol)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "coeffs", [[1e10, 1.0, 1e-300], [1.0, 0.0, 1e-320], [1e300, 1e300, 1e-10]]
+    )
+    def test_overflowing_companion_is_a_numerical_error(self, coeffs, tol):
+        # the companion row -c[1:] / lead overflows; numpy's LinAlgError and
+        # overflow warnings must not escape
+        with pytest.raises(NumericalError, match="companion"):
+            solve_univariate(UniPoly(coeffs), tol)
 
 
 class TestResultant:

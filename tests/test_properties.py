@@ -3,19 +3,24 @@
 The references below are the earlier implementations, kept verbatim in
 spirit: the scalar cross-product chordal distance, the greedy dedupe loop
 over scalar distances, brute-force subset sums of the layer counts, the
-root solver's per-root polish through UniPoly.derivative and polyval, and
-the gradient through the three partial polynomials.
+root solver as np.roots, vectorized clustering and a per-root polish
+through UniPoly.derivative and polyval, the gradient through the three
+partial polynomials, and the flex polish through six grid evaluations per
+Newton step.  The references copy the code they replaced rather than
+import it, so rewriting a kernel cannot rewrite its reference too.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubicpoints import (
     DEFAULT_TOLERANCES,
+    CubicForm,
     CurvePoint,
+    InputError,
     NumericalError,
     TriPoly,
     UniPoly,
@@ -24,9 +29,9 @@ from cubicpoints import (
     normalize_point,
     size_witness,
 )
-from cubicpoints.curve import _dedupe
+from cubicpoints.curve import _dedupe, _grid_is_zero, _grid_partial, _grid_trim, _newton_pair
 from cubicpoints.elliptic import _witnesses_up_to
-from cubicpoints.numeric import _cluster, _residual_scale, chordal_matrix, solve_univariate
+from cubicpoints.numeric import chordal_matrix, solve_univariate
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -170,8 +175,33 @@ def reference_newton(p, z, iters=40):
     return z
 
 
+def reference_components(n, pairs):
+    """Components of range(n) under the pairs, by repeated relabelling to the smallest index."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in pairs:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    return [[i for i in range(n) if label[i] == root] for root in sorted(set(label))]
+
+
+def reference_cluster(values, radius):
+    """The vectorized clustering solve_univariate used."""
+    lim = radius * np.maximum(1.0, np.abs(values))
+    close = np.abs(values[:, None] - values[None, :]) <= lim[:, None]
+    return reference_components(len(values), list(zip(*np.nonzero(np.triu(close, 1)))))
+
+
+def reference_residual_scale(p, z):
+    return float(np.max(np.abs(p.coeffs))) * max(1.0, abs(z)) ** p.degree
+
+
 def reference_solve(p, tol):
-    """solve_univariate with its earlier polish: a derivative chain per root."""
+    """solve_univariate as it was: np.roots, numpy clustering and means, a derivative chain per root."""
     raw = np.roots(p.coeffs[::-1])
 
     def polish(z, m):
@@ -180,9 +210,9 @@ def reference_solve(p, tol):
             target = target.derivative()
         return reference_newton(target, z)
 
-    roots = [(polish(complex(np.mean(raw[g])), len(g)), len(g)) for g in _cluster(raw, tol.tau_cluster)]
+    roots = [(polish(complex(np.mean(raw[g])), len(g)), len(g)) for g in reference_cluster(raw, tol.tau_cluster)]
     merged = []
-    for g in _cluster(np.array([z for z, _ in roots]), tol.tau_cluster):
+    for g in reference_cluster(np.array([z for z, _ in roots]), tol.tau_cluster):
         mult = sum(roots[i][1] for i in g)
         z = complex(np.mean([roots[i][0] for i in g]))
         if len(g) > 1:
@@ -190,7 +220,7 @@ def reference_solve(p, tol):
         merged.append((z, mult))
     for z, m in merged:
         res = abs(p(z))
-        if res > tol.tau_root * _residual_scale(p, z):
+        if res > tol.tau_root * reference_residual_scale(p, z):
             raise NumericalError(
                 f"root polishing failed: residual {res:.3g} at {z:.6g} "
                 f"exceeds {tol.tau_root:g} relative"
@@ -200,11 +230,24 @@ def reference_solve(p, tol):
 
 
 disc_point = st.complex_numbers(max_magnitude=2.0, allow_subnormal=False)
+unit_disc = st.complex_numbers(max_magnitude=1.0, allow_subnormal=False)
+unit_lead = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0, allow_subnormal=False)
 
 
 @st.composite
 def root_lists(draw):
-    """Roots of degree 1 to 18: simple, doubled, tripled, and pairs about 1e-8 apart."""
+    """Polynomials of degree 1 to 18, from roots or from unit-disc coefficients.
+
+    Root lists hold simple, doubled and tripled roots and pairs about 1e-8
+    apart.  Coefficient vectors have some lowest-degree coefficients exactly
+    zero, so that roots at zero are split off before the companion matrix.
+    """
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 18))
+        coeffs = draw(st.lists(unit_disc, min_size=degree, max_size=degree))
+        zeros = draw(st.integers(0, degree))
+        coeffs[:zeros] = [0j] * zeros
+        return UniPoly(coeffs + [draw(unit_lead)])
     roots = []
     for _ in range(draw(st.integers(1, 12))):
         r = draw(disc_point)
@@ -215,14 +258,17 @@ def root_lists(draw):
             group = [r] * {"simple": 1, "double": 2, "triple": 3}[kind]
         roots.extend(group[: 18 - len(roots)])
     lead = draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0, allow_subnormal=False))
-    return roots, lead
+    return UniPoly.from_roots(roots, lead)
 
 
-@PROPERTY
+def bits(z: complex) -> tuple[str, str]:
+    """Exact bits of a complex number, signed zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(PROPERTY, max_examples=200)
 @given(root_lists())
-def test_solver_polish_is_bit_identical_to_the_per_root_polish(case):
-    roots, lead = case
-    p = UniPoly.from_roots(roots, lead)
+def test_solver_polish_is_bit_identical_to_the_per_root_polish(p):
     try:
         want = reference_solve(p, DEFAULT_TOLERANCES)
     except NumericalError as err:
@@ -232,7 +278,7 @@ def test_solver_polish_is_bit_identical_to_the_per_root_polish(case):
         return
     got = solve_univariate(p)
     assert [m for _, m in got] == [m for _, m in want]
-    assert [z for z, _ in got] == [z for z, _ in want]
+    assert [bits(z) for z, _ in got] == [bits(z) for z, _ in want]
 
 
 monomial_coeff = st.complex_numbers(max_magnitude=10.0, allow_subnormal=False)
@@ -254,3 +300,76 @@ def test_gradient_is_bit_identical_to_evaluating_the_partials(case):
     poly, v = case
     want = np.array([poly.partial(i)(v) for i in range(3)], dtype=complex)
     assert np.array_equal(poly.gradient(v), want)
+
+
+def reference_grid_eval(C, u, v):
+    """curve._grid_eval: fresh power vectors for every grid."""
+    vu = u ** np.arange(C.shape[0])
+    vv = v ** np.arange(C.shape[1])
+    return complex(vu @ C @ vv)
+
+
+def reference_newton_pair(F, H, u, v, iters=30):
+    """The flex polish as it was: six grid evaluations per Newton step."""
+    Fu, Fv = _grid_partial(F, 0), _grid_partial(F, 1)
+    Hu, Hv = _grid_partial(H, 0), _grid_partial(H, 1)
+    for _ in range(iters):
+        vals = np.array([reference_grid_eval(F, u, v), reference_grid_eval(H, u, v)])
+        J = np.array(
+            [
+                [reference_grid_eval(Fu, u, v), reference_grid_eval(Fv, u, v)],
+                [reference_grid_eval(Hu, u, v), reference_grid_eval(Hv, u, v)],
+            ]
+        )
+        try:
+            step = np.linalg.solve(J, -vals)
+        except np.linalg.LinAlgError:
+            return None
+        u += complex(step[0])
+        v += complex(step[1])
+        if max(abs(u), abs(v)) > 1e7:
+            return None
+        if np.abs(step).max() <= 1e-15 * max(1.0, abs(u), abs(v)):
+            break
+    return u, v
+
+
+CUBIC_KEYS = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
+start_coord = st.complex_numbers(max_magnitude=2.0, allow_subnormal=False) | st.just(0.0) | st.just(0j)
+
+
+@st.composite
+def flex_polish_cases(draw):
+    """A chart of a random unit-disc cubic, the same chart of its Hessian, and a start point.
+
+    Some coefficients may be zero, so charts come in several trimmed shapes;
+    a real 0.0 start is the value _pair_candidates gives a degenerate fiber.
+    """
+    coeffs = draw(st.lists(unit_disc, min_size=10, max_size=10))
+    for i in draw(st.sets(st.integers(0, 9), max_size=6)):
+        coeffs[i] = 0j
+    assume(any(coeffs))
+    f = CubicForm.from_coeffs(dict(zip(CUBIC_KEYS, coeffs)))
+    try:
+        h = f.hessian()
+    except InputError:  # a cubic in fewer than three variables has a zero Hessian
+        assume(False)
+    chart = draw(st.integers(0, 2))
+    F = _grid_trim(f.poly.chart(chart))
+    H = _grid_trim(h.poly.chart(chart))
+    # the flex search skips a chart where either grid vanishes
+    assume(not _grid_is_zero(F) and not _grid_is_zero(H))
+    return F, H, draw(start_coord), draw(start_coord)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(flex_polish_cases())
+def test_flex_polish_is_bit_identical_to_six_grid_evaluations(case):
+    F, H, u, v = case
+    want = reference_newton_pair(F, H, u, v)
+    got = _newton_pair(F, H, u, v)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert [bits(complex(z)) for z in got] == [bits(complex(z)) for z in want]
