@@ -151,6 +151,11 @@ class TestSolveUnivariate:
         with pytest.raises(NumericalError, match="companion"):
             solve_univariate(UniPoly(coeffs), tol)
 
+    def test_overflowing_derivative_is_an_input_error(self, tol):
+        # 2 * 1e308 overflows in the derivative the polish needs
+        with pytest.raises(InputError, match="non-finite"):
+            solve_univariate(UniPoly([1.0, 1.0, 1e308]), tol)
+
 
 class TestResultant:
     def test_frozen_linear_pair(self):

@@ -31,7 +31,7 @@ from cubicpoints import (
 )
 from cubicpoints.curve import _dedupe, _grid_is_zero, _grid_partial, _grid_trim, _newton_pair
 from cubicpoints.elliptic import _witnesses_up_to
-from cubicpoints.numeric import chordal_matrix, solve_univariate
+from cubicpoints.numeric import _cluster, _derivative, chordal_matrix, solve_univariate
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -281,6 +281,37 @@ def test_solver_polish_is_bit_identical_to_the_per_root_polish(p):
     assert [bits(z) for z, _ in got] == [bits(z) for z, _ in want]
 
 
+signed_part = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@PROPERTY
+@given(st.lists(st.builds(complex, signed_part, signed_part), min_size=2, max_size=19))
+def test_derivative_has_the_bits_of_polyder(coeffs):
+    """Signed zeros included: zero parts are drawn with both signs."""
+    assume(coeffs[-1] != 0)
+    want = UniPoly(coeffs).derivative().coeffs[::-1].tolist()
+    assert [bits(c) for c in _derivative(coeffs[::-1])] == [bits(c) for c in want]
+
+
+@st.composite
+def root_clouds(draw):
+    """Points up to modulus 10 and copies of them near the cluster radius, in any direction."""
+    radius = DEFAULT_TOLERANCES.tau_cluster
+    values = draw(st.lists(st.complex_numbers(max_magnitude=10.0, allow_subnormal=False), min_size=1, max_size=5))
+    for v in draw(st.lists(st.sampled_from(values), max_size=6)):
+        # 1 + 1e-6 brackets both the radius of v and that of the copy
+        reach = radius * max(1.0, abs(v)) * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+        values.append(v + reach * np.exp(1j * draw(st.floats(0, 6.3))))
+    return draw(st.permutations(values))
+
+
+@PROPERTY
+@given(root_clouds())
+def test_cluster_matches_the_vectorized_rule_at_the_radius(values):
+    radius = DEFAULT_TOLERANCES.tau_cluster
+    assert _cluster(values, radius) == reference_cluster(np.array(values), radius)
+
+
 monomial_coeff = st.complex_numbers(max_magnitude=10.0, allow_subnormal=False)
 point_coord = st.complex_numbers(max_magnitude=3.0, allow_subnormal=False) | st.just(0j)
 
@@ -352,7 +383,7 @@ def flex_polish_cases(draw):
     f = CubicForm.from_coeffs(dict(zip(CUBIC_KEYS, coeffs)))
     try:
         h = f.hessian()
-    except InputError:  # a cubic in fewer than three variables has a zero Hessian
+    except InputError:  # a cone (two variables after a change of coordinates) has a zero Hessian
         assume(False)
     chart = draw(st.integers(0, 2))
     F = _grid_trim(f.poly.chart(chart))
@@ -368,8 +399,6 @@ def test_flex_polish_is_bit_identical_to_six_grid_evaluations(case):
     F, H, u, v = case
     want = reference_newton_pair(F, H, u, v)
     got = _newton_pair(F, H, u, v)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None
+    assert (got is None) == (want is None)
+    if want is not None:
         assert [bits(complex(z)) for z in got] == [bits(complex(z)) for z in want]
