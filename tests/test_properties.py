@@ -30,7 +30,7 @@ from cubicpoints import (
     size_witness,
 )
 from cubicpoints.curve import _dedupe, _grid_is_zero, _grid_partial, _grid_trim, _newton_pair
-from cubicpoints.elliptic import _witnesses_up_to
+from cubicpoints.elliptic import _division_polys, _witnesses_up_to
 from cubicpoints.numeric import _cluster, _derivative, chordal_matrix, solve_univariate
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -236,14 +236,16 @@ unit_lead = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0, allow_subn
 
 @st.composite
 def root_lists(draw):
-    """Polynomials of degree 1 to 18, from roots or from unit-disc coefficients.
+    """Polynomials from roots (degree 1 to 18) or from unit-disc coefficients (degree 1 to 70).
 
     Root lists hold simple, doubled and tripled roots and pairs about 1e-8
-    apart.  Coefficient vectors have some lowest-degree coefficients exactly
-    zero, so that roots at zero are split off before the companion matrix.
+    apart.  Coefficient vectors reach the degree of the largest division
+    polynomial torsion_points solves, so both clustering rules run, and
+    have some lowest-degree coefficients exactly zero, so that np.roots
+    splits off roots at zero.
     """
     if draw(st.booleans()):
-        degree = draw(st.integers(1, 18))
+        degree = draw(st.integers(1, 70))
         coeffs = draw(st.lists(unit_disc, min_size=degree, max_size=degree))
         zeros = draw(st.integers(0, degree))
         coeffs[:zeros] = [0j] * zeros
@@ -281,11 +283,22 @@ def test_solver_polish_is_bit_identical_to_the_per_root_polish(p):
     assert [bits(z) for z, _ in got] == [bits(z) for z, _ in want]
 
 
+@pytest.mark.parametrize("A, B", [(0.0, -1.0), (1.0, 0.0), (0.3 + 0.2j, -0.7 + 0.1j)])
+@pytest.mark.parametrize("m", range(3, 13))
+def test_solver_is_bit_identical_on_division_polynomials(m, A, B):
+    """The polynomials torsion_points solves, up to degree 70; (0, -1) is the Fermat chart."""
+    p = _division_polys(m, A, B)[m]
+    want = reference_solve(p, DEFAULT_TOLERANCES)
+    got = solve_univariate(p)
+    assert [k for _, k in got] == [k for _, k in want]
+    assert [bits(z) for z, _ in got] == [bits(z) for z, _ in want]
+
+
 signed_part = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
 @PROPERTY
-@given(st.lists(st.builds(complex, signed_part, signed_part), min_size=2, max_size=19))
+@given(st.lists(st.builds(complex, signed_part, signed_part), min_size=2, max_size=71))
 def test_derivative_has_the_bits_of_polyder(coeffs):
     """Signed zeros included: zero parts are drawn with both signs."""
     assume(coeffs[-1] != 0)
@@ -295,10 +308,13 @@ def test_derivative_has_the_bits_of_polyder(coeffs):
 
 @st.composite
 def root_clouds(draw):
-    """Points up to modulus 10 and copies of them near the cluster radius, in any direction."""
+    """Points up to modulus 10 and copies of them near the cluster radius, in any direction.
+
+    Up to 19 values, so both the pair loop and the vectorized pass run.
+    """
     radius = DEFAULT_TOLERANCES.tau_cluster
     values = draw(st.lists(st.complex_numbers(max_magnitude=10.0, allow_subnormal=False), min_size=1, max_size=5))
-    for v in draw(st.lists(st.sampled_from(values), max_size=6)):
+    for v in draw(st.lists(st.sampled_from(values), max_size=14)):
         # 1 + 1e-6 brackets both the radius of v and that of the copy
         reach = radius * max(1.0, abs(v)) * (1.0 + draw(st.floats(-1e-6, 1e-6)))
         values.append(v + reach * np.exp(1j * draw(st.floats(0, 6.3))))
