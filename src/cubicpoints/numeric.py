@@ -5,22 +5,23 @@ out here, so the routines certify their own output: roots are Newton
 polished and rejected unless the relative residual clears tau_root, and
 projective points carry a canonical normalized representative.
 
-The solver seeds its roots with np.roots and then works on Python lists:
-the polynomials of the tracking loops have degree at most 9, too small
-for numpy's per-call overhead to pay off. Clustering up to twelve roots
-is a loop over pairs; larger sets, such as the roots of the division
-polynomials behind torsion_points (degree up to 70), take numpy's one
-pass over all pairs, which is faster there. A cluster's mean goes
-through numpy only when it has more than one member. Each derivative a
-solve needs is taken once, as polyder forms it. Newton and the residual
-check evaluate by one Horner loop on Python complex numbers, in the order
+The solver works on Python lists: the polynomials of the tracking loops
+have degree at most 9, too small for numpy's per-call overhead to pay
+off. Only the companion matrix, the one np.roots builds, goes to numpy
+for its eigenvalues. Clustering up to twelve roots is a loop over pairs;
+larger sets, such as the roots of the division polynomials behind
+torsion_points (degree up to 70), take numpy's one pass over all pairs,
+which is faster there. A cluster's mean goes through numpy only when it
+has more than one member. Each derivative a solve needs is taken once,
+as polyder forms it. Newton and the residual check evaluate by one
+Horner loop on Python complex numbers, in the order
 np.polynomial.polynomial.polyval uses, and Newton divides in
-np.complex128. The residual bound takes max|coeff| once per solve. Roots,
-multiplicities and error messages have the same bits as vectorized
-clustering and polyval would give. The one exception is abs in the pair
-loop: numpy's vectorized abs and Python's hypot can differ in the last
-bit, so a pair whose distance lies within one ulp of the cluster radius
-could be judged differently.
+np.complex128. The residual bound takes max|coeff| once per solve.
+Roots, multiplicities and error messages have the same bits as np.roots,
+vectorized clustering and polyval would give. The one exception is abs
+in the pair loop: numpy's vectorized abs and Python's hypot can differ
+in the last bit, so a pair whose distance lies within one ulp of the
+cluster radius could be judged differently.
 
 Conventions:
 - polynomial coefficients are stored lowest degree first;
@@ -245,6 +246,25 @@ def _newton(h: list[complex], dh: list[complex], z: complex, iters: int = 40) ->
     return z
 
 
+def _companion_roots(c: np.ndarray) -> list[complex]:
+    """Eigenvalues of the companion matrix of c (highest degree first, c[-1] != 0).
+
+    The matrix is the one np.roots builds, without np.roots' own
+    trimming and stacking, which cost the monodromy_loops benchmark about
+    7% of its op time (BENCH_4.json). A first row that overflows raises
+    NumericalError instead of numpy's LinAlgError.
+    """
+    if len(c) == 1:
+        return []
+    A = np.diag(np.ones(len(c) - 2, c.dtype), -1)
+    with np.errstate(all="ignore"):
+        A[0, :] = -c[1:] / c[0]
+    try:
+        return np.linalg.eigvals(A).tolist()
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"companion matrix eigenvalues failed: {err}") from None
+
+
 def _components(n: int, pairs) -> list[list[int]]:
     """Connected components of range(n) joined by the given index pairs.
 
@@ -299,26 +319,27 @@ def solve_univariate(
 ) -> list[tuple[complex, int]]:
     """All complex roots of p with multiplicities, certified by residual.
 
-    np.roots seeds the roots, clusters within tau_cluster merge into
-    multiple roots, and each representative is Newton polished (on the
-    (m-1)-th derivative for an m-fold root). Roots stay a list of Python
-    complex numbers: clustering is a pair loop up to _PAIR_LOOP_MAX roots
-    and vectorized above, and the residual check reuses the Horner loop
-    against one max|coeff| per solve. Raises NumericalError if the
-    companion matrix overflows or a polished root fails the relative
-    residual bound tau_root, InputError on constants.
+    Companion-matrix eigenvalues seed the roots (the matrix np.roots
+    builds, with one zero root per vanishing low coefficient), clusters
+    within tau_cluster merge into multiple roots, and each representative
+    is Newton polished (on the (m-1)-th derivative for an m-fold root).
+    Roots stay a list of Python complex numbers: clustering is a pair loop
+    up to _PAIR_LOOP_MAX roots and vectorized above, and the residual
+    check reuses the Horner loop against one max|coeff| per solve. Raises
+    NumericalError if the companion matrix overflows or a polished root
+    fails the relative residual bound tau_root, InputError on constants.
     """
     if p.is_zero():
         raise InputError("cannot solve the zero polynomial")
     if p.degree == 0:
         raise InputError("cannot solve a constant polynomial")
-    h = p.coeffs[::-1].tolist()
-    # an overflowing companion row makes eigvals raise LinAlgError
-    with np.errstate(all="ignore"):
-        try:
-            raw = np.roots(p.coeffs[::-1]).tolist()
-        except np.linalg.LinAlgError as err:
-            raise NumericalError(f"companion matrix eigenvalues failed: {err}") from None
+    top = p.coeffs[::-1]
+    h = top.tolist()
+    # as in np.roots, each vanishing low coefficient is a root at zero
+    nz = len(h)
+    while h[nz - 1] == 0:
+        nz -= 1
+    raw = _companion_roots(top[:nz]) + [0j] * (len(h) - nz)
     # chain[k] is the k-th derivative of p, highest degree first, built once
     # per solve; an m-fold root is polished on derivative m - 1
     chain = [h]
