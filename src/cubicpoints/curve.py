@@ -1,12 +1,20 @@
 """Smooth plane cubics: evaluation, smoothness certification, inflections.
 
-The projective plane is covered by the three coordinate charts (one
-coordinate set to 1). Intersection problems are solved per chart by
-eliminating one chart variable with a resultant, solving the resulting
-univariate polynomial, polishing candidates with Newton on the full
-system, then merging the charts' candidates by chordal distance. Points
-at infinity of one chart are finite in another, so the union misses
-nothing.
+Intersection problems are solved in affine charts: eliminate one chart
+variable with a resultant, solve the resulting univariate polynomial,
+and polish candidates with Newton on the full system.
+
+The flexes are found in one chart of a fixed generic unitary frame, where
+all nine are finite unless the curve is specially placed, so one
+elimination replaces three. A flex on that frame's line at infinity sends
+the search on to the next of three frames, whose lines at infinity share
+no point, and their candidates are merged by chordal distance.
+
+Smoothness keeps the three coordinate charts (one coordinate set to 1)
+and merges their candidates. Its margin is a minimum over candidates that
+depend on the chart, such as fiber roots where only one partial vanishes,
+so it is reported and compared by value: moving it to another frame would
+change the number, not just the speed.
 """
 from __future__ import annotations
 
@@ -42,6 +50,11 @@ __all__ = [
 ]
 
 _REL_TRIM = 1e-12
+
+_MONOMIALS = [
+    (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
+    (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
+]
 
 
 @dataclass(frozen=True)
@@ -579,54 +592,108 @@ def inflection_points(
 ) -> PointSet:
     """The nine inflection points: intersection of the curve with its Hessian.
 
+    Smoothness is certified in the three coordinate charts, whose margin
+    callers see; the flexes are found in one generic unitary frame, and in
+    the next ones only when a flex lies on a frame's line at infinity.
     Raises SingularCurveError on singular input and NumericalError if the
-    chart union does not settle on exactly nine certified points.
+    frames do not settle on exactly nine certified points.
     """
     require_smooth(f, tol)
     return _flexes_of_smooth(f, tol)
 
 
+def _frame_map(U: np.ndarray) -> np.ndarray:
+    """Linear map from cubic coefficients (in _MONOMIALS order) to the grid of f(U x).
+
+    Column m holds the chart z = 1 grid of monomial m composed with U,
+    flattened: each monomial is sampled at U @ (u, v, 1) for u and v on
+    the fourth roots of unity, and fft2 interpolates the 4 x 4 grid.
+    """
+    w = np.exp(0.5j * np.pi * np.arange(4))
+    uu, vv = np.meshgrid(w, w, indexing="ij")
+    X = uu.reshape(-1, 1) * U[:, 0] + vv.reshape(-1, 1) * U[:, 1] + U[:, 2]
+    cols = [np.prod(X ** np.array(m), axis=1).reshape(4, 4) for m in _MONOMIALS]
+    return np.stack([np.fft.fft2(c).reshape(-1) / 16.0 for c in cols], axis=1)
+
+
+# Fixed unitary frames for the flex search: the QR factor of a fixed matrix
+# and its two cyclic column shifts. Their lines at infinity meet in no
+# common point, so every flex is finite in at least one of them.
+_FRAME_BASE, _ = np.linalg.qr(
+    np.array(
+        [
+            [0.82 + 0.31j, -0.27 + 0.55j, 0.44 - 0.19j],
+            [0.13 - 0.68j, 0.71 + 0.22j, -0.35 + 0.47j],
+            [-0.52 + 0.09j, 0.38 - 0.41j, 0.66 + 0.58j],
+        ]
+    )
+)
+_FRAMES = tuple(
+    (U, _frame_map(U)) for U in (_FRAME_BASE[:, [i, (i + 1) % 3, (i + 2) % 3]] for i in range(3))
+)
+
+
+def _frame_grid(g: CubicForm, M: np.ndarray) -> np.ndarray:
+    c = np.array([g.poly.coeff(*m) for m in _MONOMIALS])
+    return _grid_trim((M @ c).reshape(4, 4))
+
+
+def _flexes_in_frame(
+    f: CubicForm, h: CubicForm, frame: tuple[np.ndarray, np.ndarray], tol: Tolerances
+) -> tuple[list[CurvePoint], list[float]]:
+    """Certified flexes in chart z = 1 of the frame, with their joint residuals."""
+    U, M = frame
+    F = _frame_grid(f, M)
+    H = _frame_grid(h, M)
+    found: list[CurvePoint] = []
+    hess_res: list[float] = []
+    if _grid_is_zero(F) or _grid_is_zero(H):
+        return found, hess_res
+    cands = _pair_candidates(F, H, F, tol)
+    if cands is None:
+        return found, hess_res
+    hs = float(np.abs(H).max())
+    for u0, v0 in cands:
+        box = max(1.0, abs(u0), abs(v0)) ** 3
+        if abs(_grid_eval(H, u0, v0)) > 1e-2 * hs * box:
+            continue
+        polished = _newton_pair(F, H, u0, v0)
+        if polished is None:
+            continue
+        u1, v1 = polished
+        P = normalize_point(U @ np.array([u1, v1, 1.0]))
+        rf = abs(f.evaluate(P)) / f.norm_inf
+        rh = abs(h.evaluate(P)) / h.norm_inf
+        if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
+            found.append(CurvePoint(P, rf))
+            hess_res.append(max(rf, rh))
+    return found, hess_res
+
+
 def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
     """inflection_points for a curve the caller has already certified smooth.
 
-    On a singular curve the elimination does not settle on nine points and
-    this raises NumericalError rather than SingularCurveError.
+    Eliminates in the first frame and goes on to the next only while the
+    points found so far do not settle on nine, as when a flex lies on a
+    frame's line at infinity. On a singular curve the elimination does
+    not settle on nine points and this raises NumericalError rather than
+    SingularCurveError.
     """
     h = f.hessian()
     found: list[CurvePoint] = []
     hess_res: list[float] = []
-    for chart in range(3):
-        F = _grid_trim(f.poly.chart(chart))
-        H = _grid_trim(h.poly.chart(chart))
-        if _grid_is_zero(F) or _grid_is_zero(H):
-            continue
-        cands = _pair_candidates(F, H, F, tol)
-        if cands is None:
-            continue
-        fs = float(np.abs(F).max())
-        hs = float(np.abs(H).max())
-        for u0, v0 in cands:
-            box = max(1.0, abs(u0), abs(v0)) ** 3
-            if abs(_grid_eval(H, u0, v0)) > 1e-2 * hs * box:
-                continue
-            polished = _newton_pair(F, H, u0, v0)
-            if polished is None:
-                continue
-            u1, v1 = polished
-            P = normalize_point(_chart_point(chart, u1, v1))
-            rf = abs(f.evaluate(P)) / f.norm_inf
-            rh = abs(h.evaluate(P)) / h.norm_inf
-            if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
-                found.append(CurvePoint(P, rf))
-                hess_res.append(max(rf, rh))
-    # rank by the joint residual: a root of f alone can sit a hair off the
-    # Hessian and would otherwise shadow a fully converged duplicate
-    merged = _dedupe(found, tol.tau_match, ranks=hess_res)
-    if len(merged) != 9:
-        raise NumericalError(
-            f"degenerate elimination: expected 9 inflections, settled on {len(merged)}"
-        )
-    return PointSet(merged, tol.tau_match).sorted_canonical()
+    for frame in _FRAMES:
+        points, ranks = _flexes_in_frame(f, h, frame, tol)
+        found += points
+        hess_res += ranks
+        # rank by the joint residual: a root of f alone can sit a hair off
+        # the Hessian and would otherwise shadow a fully converged duplicate
+        merged = _dedupe(found, tol.tau_match, ranks=hess_res)
+        if len(merged) == 9:
+            return PointSet(merged, tol.tau_match).sorted_canonical()
+    raise NumericalError(
+        f"degenerate elimination: expected 9 inflections, settled on {len(merged)}"
+    )
 
 
 def _dedupe(
@@ -688,12 +755,6 @@ def _unit_disc(rng: np.random.Generator, n: int) -> np.ndarray:
         out[have : have + len(z)] = z
         have += len(z)
     return out
-
-
-_MONOMIALS = [
-    (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
-    (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
-]
 
 
 def random_smooth_cubic(

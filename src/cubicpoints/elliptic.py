@@ -232,17 +232,13 @@ def make_chart(
     nn = float(np.linalg.norm(n))
     if nn == 0.0:
         raise InputError("singular point cannot serve as the identity")
-    _, _, vh = np.linalg.svd(O.reshape(1, 3))
-    best_row = None
-    best_det = -1.0
-    for row in vh[1:]:
-        cand = np.conj(row)
-        M = np.stack([cand, np.conj(O) / np.linalg.norm(O), n / nn])
-        dt = abs(np.linalg.det(M))
-        if dt > best_det:
-            best_det, best_row = dt, cand
-    M1 = np.stack([best_row, np.conj(O) / np.linalg.norm(O), n / nn])
-    if best_det <= 1e-8:
+    # The first row vanishes at O. n x O moves smoothly with the identity, so
+    # roundoff in a zero coordinate of O cannot flip the sign of b; its frame
+    # has |det| >= |n . n| / |n|^2 and degenerates when the tangent line is
+    # isotropic. There the row O x conj(n) takes over, with |det| = 1.
+    r = np.cross(n, O) if abs(n @ n) > 1e-3 * nn * nn else np.cross(O, np.conj(n))
+    M1 = np.stack([r / np.linalg.norm(r), np.conj(O) / np.linalg.norm(O), n / nn])
+    if abs(np.linalg.det(M1)) <= 1e-8:
         raise NumericalError("frame at the identity is numerically degenerate")
     g1 = f.poly.compose_linear(np.linalg.inv(M1))
     top = g1.norm_inf()

@@ -77,7 +77,7 @@ class UniPoly:
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
         if c.ndim != 1 or c.size == 0:
             raise InputError("coefficients must form a nonempty 1-d sequence")
-        if not np.all(np.isfinite(c.real)) or not np.all(np.isfinite(c.imag)):
+        if not np.isfinite(c).all():
             raise InputError("non-finite polynomial coefficient")
         nz = np.nonzero(c)[0]
         c = c[: nz[-1] + 1] if nz.size else c[:1] * 0
@@ -158,7 +158,7 @@ def normalize_point(v) -> ProjectivePoint:
     a = np.asarray(v, dtype=complex).reshape(-1)
     if a.size != 3:
         raise InputError("projective point needs exactly 3 coordinates")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InputError("non-finite coordinate")
     mods = np.abs(a)
     top = mods.max()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cubicpoints import (
+    CubicForm,
     InputError,
     PointSet,
     ProjectiveTransform,
@@ -140,6 +141,25 @@ class TestChart:
         assert abs(fermat_chart.a) < 1e-12
         assert abs(fermat_chart.b + 1.0) < 1e-12
         assert abs(fermat_chart.j_invariant()) < 1e-12
+
+    @pytest.mark.parametrize("noise", [1e-16, -2e-17 + 1e-16j, -1e-16j])
+    def test_roundoff_in_the_identity_keeps_the_model(self, fermat, noise):
+        """(0:1:-1) with roundoff in its zero coordinate, as a flex search may return it."""
+        clean = make_chart(fermat, np.array([0.0, 1.0, -1.0]))
+        chart = make_chart(fermat, np.array([noise, 1.0, -1.0]))
+        assert abs(chart.a - clean.a) < 1e-12
+        assert abs(chart.b - clean.b) < 1e-12
+
+    def test_isotropic_tangent_at_the_identity(self, fermat):
+        """A flex whose tangent n has n . n = 0 still gets a chart."""
+        B = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 0.0], [0.5, 1j, 0.0]])
+        g = CubicForm(fermat.poly.compose_linear(B))
+        identity = np.linalg.solve(B, [0.0, 1.0, -1.0])
+        n = g.gradient(identity)
+        assert abs(n @ n) < 1e-15 * np.linalg.norm(n) ** 2
+        chart = make_chart(g, identity)
+        assert abs(chart.j_invariant()) < 1e-12
+        assert chordal_distance(chart.to_weierstrass(identity).array, [0.0, 1.0, 0.0]) < 1e-12
 
     def test_identity_maps_to_infinity(self, fermat_chart):
         W = fermat_chart.to_weierstrass(fermat_chart.identity)

@@ -5,8 +5,8 @@ spirit: the scalar cross-product chordal distance, the greedy dedupe loop
 over scalar distances, brute-force subset sums of the layer counts, the
 root solver as np.roots, vectorized clustering and a per-root polish
 through UniPoly.derivative and polyval, the gradient through the three
-partial polynomials, and the flex polish through six grid evaluations per
-Newton step.  The references copy the code they replaced rather than
+partial polynomials, the flex polish through six grid evaluations per
+Newton step, and the flex search in all three coordinate charts.  The references copy the code they replaced rather than
 import it, so rewriting a kernel cannot rewrite its reference too.
 """
 from __future__ import annotations
@@ -22,14 +22,31 @@ from cubicpoints import (
     CurvePoint,
     InputError,
     NumericalError,
+    PointSet,
     TriPoly,
     UniPoly,
     constructible_sizes,
+    fermat_cubic,
+    hesse_cubic,
     jordan_totient_2,
     normalize_point,
     size_witness,
+    smoothness,
 )
-from cubicpoints.curve import _dedupe, _grid_is_zero, _grid_partial, _grid_trim, _newton_pair
+from cubicpoints import curve
+from cubicpoints.curve import (
+    _FRAMES,
+    _chart_point,
+    _dedupe,
+    _flexes_in_frame,
+    _flexes_of_smooth,
+    _grid_eval,
+    _grid_is_zero,
+    _grid_partial,
+    _grid_trim,
+    _newton_pair,
+    _pair_candidates,
+)
 from cubicpoints.elliptic import _division_polys, _witnesses_up_to
 from cubicpoints.numeric import _cluster, _derivative, chordal_matrix, solve_univariate
 
@@ -418,3 +435,119 @@ def test_flex_polish_is_bit_identical_to_six_grid_evaluations(case):
     assert (got is None) == (want is None)
     if want is not None:
         assert [bits(complex(z)) for z in got] == [bits(complex(z)) for z in want]
+
+
+def reference_flexes(f, tol=DEFAULT_TOLERANCES):
+    """The flex search as it was: the same elimination in all three coordinate charts, merged.
+
+    The elimination, polish and dedupe helpers it calls are shared with
+    the one-frame search, which changed only the charts they run in.
+    """
+    h = f.hessian()
+    found = []
+    hess_res = []
+    for chart in range(3):
+        F = _grid_trim(f.poly.chart(chart))
+        H = _grid_trim(h.poly.chart(chart))
+        if _grid_is_zero(F) or _grid_is_zero(H):
+            continue
+        cands = _pair_candidates(F, H, F, tol)
+        if cands is None:
+            continue
+        hs = float(np.abs(H).max())
+        for u0, v0 in cands:
+            box = max(1.0, abs(u0), abs(v0)) ** 3
+            if abs(_grid_eval(H, u0, v0)) > 1e-2 * hs * box:
+                continue
+            polished = _newton_pair(F, H, u0, v0)
+            if polished is None:
+                continue
+            u1, v1 = polished
+            P = normalize_point(_chart_point(chart, u1, v1))
+            rf = abs(f.evaluate(P)) / f.norm_inf
+            rh = abs(h.evaluate(P)) / h.norm_inf
+            if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
+                found.append(CurvePoint(P, rf))
+                hess_res.append(max(rf, rh))
+    merged = _dedupe(found, tol.tau_match, ranks=hess_res)
+    if len(merged) != 9:
+        raise NumericalError(
+            f"degenerate elimination: expected 9 inflections, settled on {len(merged)}"
+        )
+    return PointSet(merged, tol.tau_match).sorted_canonical()
+
+
+def assert_same_flexes(got, want):
+    """The same nine points in the same canonical order, within 1e-12 chordal."""
+    assert len(got) == len(want) == 9
+    assert np.diag(chordal_matrix(got.arrays, want.arrays)).max() <= 1e-12
+
+
+@st.composite
+def smooth_unit_disc_cubics(draw):
+    """Unit-disc coefficients, some of them zero, smooth with random_smooth_cubic's margin."""
+    coeffs = draw(st.lists(unit_disc, min_size=10, max_size=10))
+    for i in draw(st.sets(st.integers(0, 9), max_size=6)):
+        coeffs[i] = 0j
+    assume(any(coeffs))
+    f = CubicForm.from_coeffs(dict(zip(CUBIC_KEYS, coeffs)))
+    assume(smoothness(f).margin >= 1e-3)
+    return f
+
+
+@PROPERTY
+@given(smooth_unit_disc_cubics())
+def test_one_frame_flexes_match_the_three_chart_search(f):
+    assert_same_flexes(_flexes_of_smooth(f, DEFAULT_TOLERANCES), reference_flexes(f))
+
+
+@pytest.mark.parametrize("pencil", [None, 0.5, 1j, -2.9, 5.0])
+def test_one_frame_flexes_match_on_the_hesse_pencil(pencil):
+    f = fermat_cubic() if pencil is None else hesse_cubic(pencil)
+    assert_same_flexes(_flexes_of_smooth(f, DEFAULT_TOLERANCES), reference_flexes(f))
+
+
+def test_singular_pencil_member_raises_under_both():
+    f = hesse_cubic(-3.0)
+    with pytest.raises(NumericalError) as want:
+        reference_flexes(f)
+    with pytest.raises(NumericalError) as got:
+        _flexes_of_smooth(f, DEFAULT_TOLERANCES)
+    assert str(got.value) == str(want.value)
+
+
+def pushed_hesse_member(S):
+    """hesse_cubic(0.5) moved by U0 @ S, U0 the first frame: its flex (0:1:-1) goes to U0 @ S @ (0, 1, -1)."""
+    A = _FRAMES[0][0] @ S
+    return CubicForm(hesse_cubic(0.5).poly.compose_linear(np.linalg.inv(A)))
+
+
+# S sends (0, 1, -1) to (0.5, -1.5, 0), so that flex lies on the first frame's line at infinity
+GENERIC_PUSH = np.array([[0.3, 1.2, 0.7], [0.5, -0.4, 1.1], [0.9, 0.6, 0.6]])
+# S sends the base points with x + y + z = 0, with y = 0 and with z = 0 (three
+# each) to the lines at infinity of the first, second and third frame
+HESSE_PUSH = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+
+
+def frame_count(f, frame):
+    found, ranks = _flexes_in_frame(f, f.hessian(), frame, DEFAULT_TOLERANCES)
+    return len(_dedupe(found, DEFAULT_TOLERANCES.tau_match, ranks))
+
+
+def test_flex_at_infinity_of_the_first_frame_falls_back_to_the_second():
+    f = pushed_hesse_member(GENERIC_PUSH)
+    assert [frame_count(f, frame) for frame in _FRAMES[:2]] == [8, 9]
+    assert_same_flexes(_flexes_of_smooth(f, DEFAULT_TOLERANCES), reference_flexes(f))
+
+
+def test_frames_missing_three_flexes_each_settle_on_their_union():
+    f = pushed_hesse_member(HESSE_PUSH)
+    assert [frame_count(f, frame) for frame in _FRAMES] == [6, 6, 6]
+    assert_same_flexes(_flexes_of_smooth(f, DEFAULT_TOLERANCES), reference_flexes(f))
+
+
+def test_message_when_no_frame_settles(monkeypatch):
+    monkeypatch.setattr(curve, "_FRAMES", _FRAMES[:1])
+    with pytest.raises(NumericalError) as err:
+        _flexes_of_smooth(pushed_hesse_member(GENERIC_PUSH), DEFAULT_TOLERANCES)
+    assert str(err.value) == "degenerate elimination: expected 9 inflections, settled on 8"
