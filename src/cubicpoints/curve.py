@@ -18,6 +18,8 @@ change the number, not just the speed.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,6 @@ from .numeric import (
     normalize_point,
     solve_univariate,
 )
-from .trivariate import TriPoly
 
 __all__ = [
     "CubicForm",
@@ -51,40 +52,95 @@ __all__ = [
 
 _REL_TRIM = 1e-12
 
+# The ten cubic monomials x^i y^j z^k, in the order of CubicForm.coeffs.
 _MONOMIALS = [
     (3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
     (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3),
 ]
 
+# The one index map between the coefficient vector and 3x3x3 tensors:
+# entry (a, b, c) of a tensor belongs to the monomial x_a x_b x_c, at
+# position _TENSOR_INDEX[a, b, c] of _MONOMIALS. _FOLD sums a tensor's
+# entries onto their monomials, so a cubic's symmetric tensor spreads each
+# coefficient evenly over the entries that fold back onto it.
+_TENSOR_INDEX = np.array(
+    [_MONOMIALS.index(tuple(t.count(v) for v in range(3))) for t in itertools.product(range(3), repeat=3)]
+)
+_FOLD = (np.arange(10)[:, None] == _TENSOR_INDEX).astype(complex)
+_TENSOR_COUNT = _FOLD.real.sum(axis=1)
 
-@dataclass(frozen=True)
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i, _j, _k in itertools.permutations(range(3)):
+    _LEVI_CIVITA[_i, _j, _k] = (_j - _i) * (_k - _i) * (_k - _j) / 2
+
+
+@dataclass(frozen=True, eq=False)
 class CubicForm:
-    """Homogeneous cubic in three variables, considered up to scale."""
+    """Homogeneous cubic in three variables, considered up to scale.
 
-    poly: TriPoly
+    coeffs is a read-only vector of ten complex coefficients, one for each
+    monomial of _MONOMIALS in that order. The symmetric tensor T with
+    f(x) = sum T_ijk x_i x_j x_k is built from it on demand.
+    """
+
+    coeffs: np.ndarray
     label: str | None = None
 
     def __post_init__(self) -> None:
-        if self.poly.degree != 3:
-            raise InputError("a cubic form must be homogeneous of degree 3")
-        if self.poly.is_zero():
+        c = np.array(self.coeffs, dtype=complex)
+        if c.shape != (10,):
+            raise InputError("a cubic form needs ten coefficients, one per cubic monomial")
+        if not np.isfinite(c).all():
+            raise InputError("non-finite coefficient")
+        if not c.any():
             raise InputError("the zero polynomial does not define a curve")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_coeffs(cls, coeffs: dict[tuple[int, int, int], complex], label=None) -> "CubicForm":
-        return cls(TriPoly(3, coeffs), label)
+        vec = np.zeros(10, dtype=complex)
+        for key, val in coeffs.items():
+            i, j, k = key
+            if i < 0 or j < 0 or k < 0 or i + j + k != 3:
+                raise InputError(f"exponent triple {key} does not match degree 3")
+            vec[_MONOMIALS.index((i, j, k))] = complex(val)
+        return cls(vec, label)
+
+    def coeff(self, i: int, j: int, k: int) -> complex:
+        """Coefficient of x^i y^j z^k."""
+        return complex(self.coeffs[_MONOMIALS.index((i, j, k))])
 
     @property
     def norm_inf(self) -> float:
-        return self.poly.norm_inf()
+        return max(map(abs, self.coeffs.tolist()))
+
+    def _tensor(self) -> np.ndarray:
+        """The symmetric 3x3x3 tensor T with f(x) = sum T_ijk x_i x_j x_k."""
+        return (self.coeffs / _TENSOR_COUNT)[_TENSOR_INDEX].reshape(3, 3, 3)
 
     def evaluate(self, point) -> complex:
-        v = point.array if isinstance(point, ProjectivePoint) else point
-        return self.poly(v)
+        x, y, z = _xyz(point)
+        c = self.coeffs.tolist()
+        xx, yy, zz = x * x, y * y, z * z
+        return (
+            x * (c[0] * xx + c[1] * x * y + c[2] * x * z + c[3] * yy + c[4] * y * z + c[5] * zz)
+            + y * (c[6] * yy + c[7] * y * z + c[8] * zz)
+            + c[9] * zz * z
+        )
 
     def gradient(self, point) -> np.ndarray:
-        v = point.array if isinstance(point, ProjectivePoint) else point
-        return self.poly.gradient(v)
+        """The three partial derivatives at a point, from the quadratic monomials."""
+        x, y, z = _xyz(point)
+        c = self.coeffs.tolist()
+        xx, xy, xz, yy, yz, zz = x * x, x * y, x * z, y * y, y * z, z * z
+        return np.array(
+            [
+                3 * c[0] * xx + 2 * c[1] * xy + 2 * c[2] * xz + c[3] * yy + c[4] * yz + c[5] * zz,
+                c[1] * xx + 2 * c[3] * xy + c[4] * xz + 3 * c[6] * yy + 2 * c[7] * yz + c[8] * zz,
+                c[2] * xx + c[4] * xy + 2 * c[5] * xz + c[7] * yy + 2 * c[8] * yz + 3 * c[9] * zz,
+            ]
+        )
 
     def residual_at(self, point) -> float:
         """Relative curve residual at a normalized representative."""
@@ -92,18 +148,46 @@ class CubicForm:
         return abs(self.evaluate(p)) / self.norm_inf
 
     def hessian(self) -> "CubicForm":
-        """Determinant of the matrix of second partials (again a cubic)."""
-        d = [[self.poly.partial(i).partial(j) for j in range(3)] for i in range(3)]
-        det = (
-            d[0][0] * (d[1][1] * d[2][2] - d[1][2] * d[2][1])
-            - d[0][1] * (d[1][0] * d[2][2] - d[1][2] * d[2][0])
-            + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0])
-        )
-        return CubicForm(det, None)
+        """Determinant of the matrix of second partials (again a cubic).
+
+        Entry (i, j) of that matrix is the linear form 6 T_ij., so the
+        determinant is 216 times a Levi-Civita contraction of T's three
+        slices. The factor comes last, in one rounding, which keeps the
+        coefficients of a curve symmetric under permuting coordinates
+        (the Hesse pencil) symmetric in the last bit.
+        """
+        T = self._tensor()
+        D = np.einsum("pqr,pa,qb,rc->abc", _LEVI_CIVITA, T[0], T[1], T[2])
+        return CubicForm(216.0 * (_FOLD @ D.reshape(27)))
+
+    def compose_linear(self, matrix) -> "CubicForm":
+        """The cubic x -> f(M x): each tensor axis contracted with M in turn.
+
+        Each turn contracts the leading axis and appends the new one, so
+        after three turns the axes are back in order.
+        """
+        M = np.asarray(matrix, dtype=complex).reshape(3, 3)
+        T = self._tensor()
+        for _ in range(3):
+            T = T.reshape(3, 9).T @ M
+        return CubicForm(_FOLD @ T.reshape(27))
+
+    def proportionality_residual(self, other: "CubicForm") -> float:
+        """Relative distance from self to the complex line spanned by other."""
+        a, b = self.coeffs, other.coeffs
+        nb = np.linalg.norm(b)
+        s = np.vdot(b, a) / (nb * nb)
+        return float(np.linalg.norm(a - s * b) / np.linalg.norm(a))
 
     def __repr__(self) -> str:
+        terms = [f"({c:.4g})*x^{i}y^{j}z^{k}" for (i, j, k), c in zip(_MONOMIALS, self.coeffs) if c != 0]
         name = f" {self.label!r}" if self.label else ""
-        return f"CubicForm({self.poly!r}{name})"
+        return f"CubicForm({' + '.join(terms)}{name})"
+
+
+def _xyz(point) -> list[complex]:
+    v = point.array if isinstance(point, ProjectivePoint) else point
+    return np.asarray(v, dtype=complex).reshape(3).tolist()
 
 
 @dataclass(frozen=True)
@@ -244,6 +328,37 @@ def _grid_eval(C: np.ndarray, u: complex, v: complex) -> complex:
     vu = u ** np.arange(C.shape[0])
     vv = v ** np.arange(C.shape[1])
     return complex(vu @ C @ vv)
+
+
+def _partial_map(chart: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each coefficient lands in the chart grids of the three partials.
+
+    Monomial m with exponent e > 0 in coordinate i gives the term e * c_m
+    of the partial f_i, at the entry of grid i indexed by the exponents of
+    m - e_i in the two coordinates other than the chart's.
+    """
+    others = [i for i in range(3) if i != chart]
+    src, mult, dst = [], [], []
+    for i in range(3):
+        for n, m in enumerate(_MONOMIALS):
+            if m[i]:
+                d = list(m)
+                d[i] -= 1
+                src.append(n)
+                mult.append(m[i])
+                dst.append(9 * i + 3 * d[others[0]] + d[others[1]])
+    return np.array(src), np.array(mult), np.array(dst)
+
+
+_PARTIAL_MAPS = [_partial_map(chart) for chart in range(3)]
+
+
+def _partial_grids(f: CubicForm, chart: int) -> np.ndarray:
+    """The 3x3 chart grids of f_x, f_y and f_z, with coordinate chart set to 1."""
+    src, mult, dst = _PARTIAL_MAPS[chart]
+    out = np.zeros(27, dtype=complex)
+    out[dst] = f.coeffs[src] * mult
+    return out.reshape(3, 3, 3)
 
 
 def _stack_grids(grids: list[np.ndarray]) -> np.ndarray:
@@ -467,11 +582,10 @@ def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> Smoothness
     it well above tau_singular, a singular one drives it to roundoff.
     """
     scale = f.norm_inf
-    partials = [f.poly.partial(i) for i in range(3)]
     best_margin = np.inf
     best_witnesses: list[ProjectivePoint] = []
     for chart in range(3):
-        grids = [_grid_trim(p.chart(chart)) for p in partials]
+        grids = [_grid_trim(g) for g in _partial_grids(f, chart)]
         nonzero = [g for g in grids if not _grid_is_zero(g)]
         if not nonzero:
             continue
@@ -547,8 +661,8 @@ def polish_onto_curve(
     v = np.asarray(coords, dtype=complex).copy()
     v = v / np.abs(v).max()
     for _ in range(iters):
-        val = f.poly(v)
-        grad = f.poly.gradient(v)
+        val = f.evaluate(v)
+        grad = f.gradient(v)
         d = np.conj(grad)
         denom = grad @ d
         if denom == 0:
@@ -616,26 +730,31 @@ def _frame_map(U: np.ndarray) -> np.ndarray:
     return np.stack([np.fft.fft2(c).reshape(-1) / 16.0 for c in cols], axis=1)
 
 
-# Fixed unitary frames for the flex search: the QR factor of a fixed matrix
-# and its two cyclic column shifts. Their lines at infinity meet in no
-# common point, so every flex is finite in at least one of them.
-_FRAME_BASE, _ = np.linalg.qr(
-    np.array(
-        [
-            [0.82 + 0.31j, -0.27 + 0.55j, 0.44 - 0.19j],
-            [0.13 - 0.68j, 0.71 + 0.22j, -0.35 + 0.47j],
-            [-0.52 + 0.09j, 0.38 - 0.41j, 0.66 + 0.58j],
-        ]
+@functools.cache
+def _frames() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Fixed unitary frames for the flex search, each with its _frame_map.
+
+    The QR factor of a fixed matrix and its two cyclic column shifts. Their
+    lines at infinity meet in no common point, so every flex is finite in
+    at least one of them. Built on first use: a process that never looks
+    for flexes does not pay for them.
+    """
+    base, _ = np.linalg.qr(
+        np.array(
+            [
+                [0.82 + 0.31j, -0.27 + 0.55j, 0.44 - 0.19j],
+                [0.13 - 0.68j, 0.71 + 0.22j, -0.35 + 0.47j],
+                [-0.52 + 0.09j, 0.38 - 0.41j, 0.66 + 0.58j],
+            ]
+        )
     )
-)
-_FRAMES = tuple(
-    (U, _frame_map(U)) for U in (_FRAME_BASE[:, [i, (i + 1) % 3, (i + 2) % 3]] for i in range(3))
-)
+    return tuple(
+        (U, _frame_map(U)) for U in (base[:, [i, (i + 1) % 3, (i + 2) % 3]] for i in range(3))
+    )
 
 
 def _frame_grid(g: CubicForm, M: np.ndarray) -> np.ndarray:
-    c = np.array([g.poly.coeff(*m) for m in _MONOMIALS])
-    return _grid_trim((M @ c).reshape(4, 4))
+    return _grid_trim((M @ g.coeffs).reshape(4, 4))
 
 
 def _flexes_in_frame(
@@ -682,7 +801,7 @@ def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
     h = f.hessian()
     found: list[CurvePoint] = []
     hess_res: list[float] = []
-    for frame in _FRAMES:
+    for frame in _frames():
         points, ranks = _flexes_in_frame(f, h, frame, tol)
         found += points
         hess_res += ranks
@@ -727,10 +846,14 @@ def _dedupe(
 def line_curve_points(
     f: CubicForm, p, q, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> list[CurvePoint]:
-    """Intersection points of the line through p and q with the curve."""
+    """Intersection points of the line through p and q with the curve.
+
+    t -> f(P + t Q) has the coefficients f(P), grad f(P).Q, grad f(Q).P
+    and f(Q), lowest degree first, by the polarization identity.
+    """
     P = np.asarray(p, dtype=complex).reshape(3)
     Q = np.asarray(q, dtype=complex).reshape(3)
-    coeffs = f.poly.restrict_to_line(P, Q)
+    coeffs = np.array([f.evaluate(P), f.gradient(P) @ Q, f.gradient(Q) @ P, f.evaluate(Q)])
     top = np.abs(coeffs).max()
     if top == 0.0:
         raise InputError("the line lies on the curve, which no smooth cubic allows")
@@ -764,8 +887,7 @@ def random_smooth_cubic(
 ) -> CubicForm:
     """Cubic with unit-disc coefficients, rejection sampled for smoothness."""
     for _ in range(200):
-        c = _unit_disc(rng, 10)
-        f = CubicForm.from_coeffs({m: c[i] for i, m in enumerate(_MONOMIALS)})
+        f = CubicForm(_unit_disc(rng, 10))
         rep = smoothness(f, tol)
         if rep.smooth and rep.margin >= min_margin:
             return f

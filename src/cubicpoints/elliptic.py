@@ -31,7 +31,6 @@ from .numeric import (
     solve_univariate,
 )
 from .symmetry import ProjectiveTransform, act_on_point
-from .trivariate import TriPoly
 
 __all__ = [
     "EllipticChart",
@@ -240,8 +239,8 @@ def make_chart(
     M1 = np.stack([r / np.linalg.norm(r), np.conj(O) / np.linalg.norm(O), n / nn])
     if abs(np.linalg.det(M1)) <= 1e-8:
         raise NumericalError("frame at the identity is numerically degenerate")
-    g1 = f.poly.compose_linear(np.linalg.inv(M1))
-    top = g1.norm_inf()
+    g1 = f.compose_linear(np.linalg.inv(M1))
+    top = g1.norm_inf
     for key in ((0, 3, 0), (1, 2, 0), (2, 1, 0)):
         if abs(g1.coeff(*key)) > 1e-6 * top:
             raise NumericalError(
@@ -275,8 +274,8 @@ def make_chart(
     W = ProjectiveTransform(T5 @ T4 @ T3 @ T2 @ M1)
     chart = EllipticChart(f, cp.point, A, B, W, tol)
     model = chart.weierstrass_form()
-    pushed = f.poly.compose_linear(W.inverse().matrix)
-    if TriPoly.proportionality_residual(pushed, model.poly) > 1e-6:
+    pushed = f.compose_linear(W.inverse().matrix)
+    if pushed.proportionality_residual(model) > 1e-6:
         raise NumericalError("Weierstrass reduction failed the invariant check")
     if chordal_distance(chart.to_weierstrass(cp.point), np.array([0, 1, 0])) > tol.tau_match:
         raise NumericalError("identity did not land at the point at infinity")

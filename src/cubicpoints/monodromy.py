@@ -111,6 +111,11 @@ class Permutation:
         return "Permutation(" + ("".join(parts) if parts else "id") + ")"
 
 
+# Two waypoints meet when their coefficient vectors are proportional up to
+# this relative residual: a few roundings of the same curve, nothing more.
+_MEET_TOL = 1e-9
+
+
 class ParameterPath:
     """Piecewise-linear path through cubic coefficient space."""
 
@@ -129,22 +134,18 @@ class ParameterPath:
         x = t * nseg
         i = min(int(np.floor(x)), nseg - 1)
         s = x - i
-        p = self.waypoints[i].poly
-        q = self.waypoints[i + 1].poly
+        p = self.waypoints[i].coeffs
+        q = self.waypoints[i + 1].coeffs
         return CubicForm(p * (1.0 - s) + q * s)
 
-    def is_closed(self, tol: float = 1e-9) -> bool:
-        first = self.waypoints[0].poly
-        last = self.waypoints[-1].poly
-        return first.proportionality_residual(last) <= tol
+    def is_closed(self, tol: float = _MEET_TOL) -> bool:
+        return self.waypoints[0].proportionality_residual(self.waypoints[-1]) <= tol
 
     def reversed(self) -> "ParameterPath":
         return ParameterPath(list(reversed(self.waypoints)), self.steps)
 
     def concatenate(self, other: "ParameterPath") -> "ParameterPath":
-        a = self.waypoints[-1].poly
-        b = other.waypoints[0].poly
-        if a.proportionality_residual(b) > 1e-9:
+        if self.waypoints[-1].proportionality_residual(other.waypoints[0]) > _MEET_TOL:
             raise InputError("paths do not meet end to start")
         return ParameterPath(
             self.waypoints + other.waypoints[1:], self.steps + other.steps

@@ -25,8 +25,8 @@ cluster radius could be judged differently.
 
 Conventions:
 - polynomial coefficients are stored lowest degree first;
-- resultant(p, q) = lead(q)^deg(p) * prod of p over the roots of q, the
-  Sylvester determinant with the q block on top (so resultant(x, x-1) = 1);
+- Sylvester matrices put the q block on top, so their determinant is
+  lead(q)^deg(p) * prod of p over the roots of q (1 for p = x, q = x - 1);
 - the projective metric is the chordal one, sqrt(1 - |<P,Q>|^2 / (|P|^2 |Q|^2)),
   evaluated as |P x Q| / (|P| |Q|) so that nearby points keep full accuracy.
 """
@@ -44,7 +44,6 @@ __all__ = [
     "UniPoly",
     "ProjectivePoint",
     "solve_univariate",
-    "resultant",
     "chordal_distance",
     "chordal_matrix",
     "normalize_point",
@@ -395,17 +394,3 @@ def _sylvester_dets(pvals: np.ndarray, qvals: np.ndarray) -> tuple[np.ndarray, f
     hadamard = float(np.prod(np.linalg.norm(S, axis=2), axis=1).max())
     return np.linalg.det(S), hadamard
 
-
-def resultant(p: UniPoly, q: UniPoly) -> complex:
-    """Sylvester resultant, q block on top.
-
-    Equals lead(q)^deg(p) times the product of p over the roots of q;
-    zero exactly when p and q share a root. Both inputs must have
-    degree >= 1.
-    """
-    if p.is_zero() or q.is_zero():
-        raise InputError("resultant of the zero polynomial is undefined")
-    if p.degree < 1 or q.degree < 1:
-        raise InputError("resultant needs two polynomials of degree >= 1")
-    dets, _ = _sylvester_dets(p.coeffs[None, :], q.coeffs[None, :])
-    return complex(dets[0])

@@ -12,11 +12,10 @@ import json
 
 import numpy as np
 
-from .curve import CubicForm, PointSet
+from .curve import _MONOMIALS, CubicForm, PointSet
 from .errors import InputError
-from .monodromy import ParameterPath
+from .monodromy import _MEET_TOL, ParameterPath
 from .numeric import ProjectivePoint, normalize_point
-from .trivariate import TriPoly
 
 __all__ = [
     "canonical_dumps",
@@ -52,9 +51,9 @@ def _from_pair(v, what: str) -> complex:
 
 
 def cubic_to_obj(f: CubicForm) -> dict:
-    coeffs = {}
-    for (i, j, k), c in f.poly.items():
-        coeffs[f"{i}{j}{k}"] = _pair(c)
+    coeffs = {
+        f"{i}{j}{k}": _pair(c) for (i, j, k), c in zip(_MONOMIALS, f.coeffs.tolist()) if c != 0
+    }
     return {"coeffs": coeffs}
 
 
@@ -76,7 +75,7 @@ def cubic_from_obj(obj) -> CubicForm:
         if i + j + k != 3:
             raise InputError(f"monomial key {key!r} is not of total degree 3")
         coeffs[(i, j, k)] = _from_pair(val, f"coefficient {key!r}")
-    return CubicForm(TriPoly(3, coeffs))
+    return CubicForm.from_coeffs(coeffs)
 
 
 def points_to_obj(points) -> dict:
@@ -137,9 +136,7 @@ def path_from_obj(obj) -> ParameterPath:
         end = cubic_from_obj(seg["to"])
         if not waypoints:
             waypoints.append(start)
-        else:
-            prev = waypoints[-1].poly
-            if prev.proportionality_residual(start.poly) > 1e-9:
-                raise InputError(f"segment {idx} does not start where segment {idx - 1} ends")
+        elif waypoints[-1].proportionality_residual(start) > _MEET_TOL:
+            raise InputError(f"segment {idx} does not start where segment {idx - 1} ends")
         waypoints.append(end)
     return ParameterPath(waypoints, steps)

@@ -80,15 +80,14 @@ def act_on_point(T: ProjectiveTransform, point) -> ProjectivePoint:
 
 def act_on_cubic(T: ProjectiveTransform, f: CubicForm) -> CubicForm:
     """Push the curve forward: the result vanishes on T(P) for P on f."""
-    N = T.inverse().matrix
-    return CubicForm(f.poly.compose_linear(N), label=None)
+    return f.compose_linear(T.inverse().matrix)
 
 
 def preserves_cubic(
     T: ProjectiveTransform, f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> bool:
     g = act_on_cubic(T, f)
-    return g.poly.proportionality_residual(f.poly) <= tol.tau_match
+    return g.proportionality_residual(f) <= tol.tau_match
 
 
 def _require_automorphism(
@@ -326,11 +325,8 @@ def hesse_normalize(
         raise NumericalError("inflection frame is numerically degenerate")
     Mp_inv = np.linalg.inv(Mp)
     base = hesse_base_points()
-    fermat = fermat_cubic()
-    keys = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
-    fvec = np.array([fermat.poly.coeff(*k) for k in keys])
-    xvec = np.array([1.0 + 0.0j if k == (1, 1, 1) else 0.0 for k in keys])
-    A = np.stack([fvec, xvec], axis=1)
+    xyz = CubicForm.from_coeffs({(1, 1, 1): 1.0})
+    A = np.stack([fermat_cubic().coeffs, xyz.coeffs], axis=1)
     for quad in itertools.permutations(range(9), 4):
         vs = [base[i] for i in quad]
         if not _no_three_collinear(vs):
@@ -342,8 +338,7 @@ def hesse_normalize(
             T = ProjectiveTransform(Mq @ Mp_inv)
         except InputError:
             continue
-        g = act_on_cubic(T, f)
-        gvec = np.array([g.poly.coeff(*k) for k in keys])
+        gvec = act_on_cubic(T, f).coeffs
         sol, *_ = np.linalg.lstsq(A, gvec, rcond=None)
         resid = float(np.linalg.norm(A @ sol - gvec) / np.linalg.norm(gvec))
         if resid <= tol.tau_hesse and abs(sol[0]) > 1e-12 * abs(sol[1]):

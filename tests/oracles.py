@@ -4,7 +4,9 @@ Everything here is deliberately implemented from first principles with none
 of the package's machinery: affine Weierstrass addition by the textbook
 slope formulas, point counts by brute-force enumeration, and closed-form
 special points.  Agreement between these and the package is the evidence
-the tests rely on.
+the tests rely on.  The one exception is resultant, a thin wrapper over the
+package's Sylvester builder, which pins the sign convention that the
+sampled resultants of the flex search rely on.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from cubicpoints.numeric import UniPoly, _sylvester_dets
 
 # Affine points are (x, y) pairs; None is the point at infinity.
 Affine = tuple[complex, complex] | None
@@ -123,3 +127,9 @@ def subset_sums_upto(values: list[int], bound: int) -> set[int]:
     for v in values:
         sums |= {s + v for s in sums if s + v <= bound}
     return sums - {0}
+
+
+def resultant(p: UniPoly, q: UniPoly) -> complex:
+    """Sylvester resultant with the q block on top: lead(q)^deg(p) times p over the roots of q."""
+    dets, _ = _sylvester_dets(p.coeffs[None, :], q.coeffs[None, :])
+    return complex(dets[0])

@@ -355,7 +355,7 @@ def test_c11_pencil_normalization_of_random_curves():
         f = random_smooth_cubic(rng)
         T, lam = hesse_normalize(f)
         target = hesse_cubic(lam)
-        resid = act_on_cubic(T, f).poly.proportionality_residual(target.poly)
+        resid = act_on_cubic(T, f).proportionality_residual(target)
         if resid > 1e-6:
             ok, detail = False, f"curve {i}: fit residual {resid:.2e}"
             break

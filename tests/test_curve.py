@@ -9,7 +9,6 @@ from cubicpoints import (
     PointSet,
     ProjectiveTransform,
     SingularCurveError,
-    TriPoly,
     act_on_cubic,
     act_on_point,
     chordal_distance,
@@ -29,48 +28,53 @@ from cubicpoints import curve
 from oracles import fermat_inflection_rows
 
 
-def _random_poly(rng, degree: int) -> TriPoly:
-    coeffs = {}
-    for i in range(degree + 1):
-        for j in range(degree + 1 - i):
-            coeffs[(i, j, degree - i - j)] = complex(
-                rng.standard_normal(), rng.standard_normal()
-            )
-    return TriPoly(degree, coeffs)
+def _random_poly(rng) -> CubicForm:
+    return CubicForm(rng.standard_normal(10) + 1j * rng.standard_normal(10))
+
+
+def _line_coeffs(f: CubicForm, P, Q) -> list[complex]:
+    """t -> f(P + t Q), lowest degree first, by the polarization identity."""
+    return [f.evaluate(P), f.gradient(P) @ Q, f.gradient(Q) @ P, f.evaluate(Q)]
 
 
 class TestTriPoly:
+    """Cubic arithmetic: composition, the line restriction, the gradient, proportionality.
+
+    The class keeps the name of the sparse polynomial type these checks
+    were first written for; they now run on CubicForm's coefficient vector.
+    """
+
     def test_compose_linear_matches_pointwise(self, rng):
-        p = _random_poly(rng, 3)
+        p = _random_poly(rng)
         M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         q = p.compose_linear(M)
         for _ in range(5):
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            assert abs(q(x) - p(M @ x)) < 1e-10 * max(1.0, abs(p(M @ x)))
+            assert abs(q.evaluate(x) - p.evaluate(M @ x)) < 1e-10 * max(1.0, abs(p.evaluate(M @ x)))
 
     def test_restrict_to_line_matches_pointwise(self, rng):
-        p = _random_poly(rng, 3)
+        p = _random_poly(rng)
         P = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         Q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        c = p.restrict_to_line(P, Q)
+        c = _line_coeffs(p, P, Q)
         for t in (0.0, 0.5, -1.25, 2.0 + 1.0j):
-            direct = p(P + t * Q)
+            direct = p.evaluate(P + t * Q)
             horner = sum(c[k] * t**k for k in range(len(c)))
             assert abs(direct - horner) < 1e-9 * max(1.0, abs(direct))
 
     def test_gradient_euler_identity(self, rng):
         # x.grad p = deg * p for homogeneous p
-        p = _random_poly(rng, 3)
+        p = _random_poly(rng)
         for _ in range(5):
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lhs = np.dot(x, p.gradient(x))
-            assert abs(lhs - 3.0 * p(x)) < 1e-9 * max(1.0, abs(p(x)))
+            assert abs(lhs - 3.0 * p.evaluate(x)) < 1e-9 * max(1.0, abs(p.evaluate(x)))
 
     def test_proportionality_residual(self, rng):
-        p = _random_poly(rng, 3)
-        assert p.proportionality_residual(p * (2.0 - 1.0j)) < 1e-14
-        q = TriPoly(3, {(3, 0, 0): 1.0})
-        r = TriPoly(3, {(0, 3, 0): 1.0})
+        p = _random_poly(rng)
+        assert p.proportionality_residual(CubicForm(p.coeffs * (2.0 - 1.0j))) < 1e-14
+        q = CubicForm.from_coeffs({(3, 0, 0): 1.0})
+        r = CubicForm.from_coeffs({(0, 3, 0): 1.0})
         assert q.proportionality_residual(r) == 1.0
 
 
@@ -82,11 +86,32 @@ class TestCubicForm:
 
     def test_hessian_of_fermat_is_diagonal_product(self, fermat):
         h = fermat.hessian()
-        assert h.poly.coeffs == {(1, 1, 1): 216.0 + 0.0j}
+        want = [216.0 if m == (1, 1, 1) else 0.0 for m in curve._MONOMIALS]
+        assert h.coeffs.tolist() == want
+
+    def test_from_coeffs_rejects_a_bad_exponent_triple(self):
+        with pytest.raises(InputError, match=r"exponent triple \(2, 2, 0\) does not match degree 3"):
+            CubicForm.from_coeffs({(3, 0, 0): 1.0, (2, 2, 0): 1.0})
+        with pytest.raises(InputError, match="does not match degree 3"):
+            CubicForm.from_coeffs({(4, -1, 0): 1.0})
+
+    def test_from_coeffs_rejects_a_non_finite_coefficient(self):
+        with pytest.raises(InputError, match="non-finite coefficient"):
+            CubicForm.from_coeffs({(3, 0, 0): 1.0, (0, 3, 0): complex(0.0, float("nan"))})
+        with pytest.raises(InputError, match="non-finite coefficient"):
+            CubicForm.from_coeffs({(0, 0, 3): float("inf")})
+
+    def test_from_coeffs_rejects_the_zero_polynomial(self):
+        with pytest.raises(InputError, match="the zero polynomial does not define a curve"):
+            CubicForm.from_coeffs({(3, 0, 0): 0.0, (1, 1, 1): 0j})
+
+    def test_coefficients_are_read_only(self, fermat):
+        with pytest.raises(ValueError):
+            fermat.coeffs[0] = 2.0
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(InputError):
-            CubicForm(TriPoly(2, {(2, 0, 0): 1.0}))
+            CubicForm.from_coeffs({(2, 0, 0): 1.0})
         with pytest.raises(InputError):
             CubicForm.from_coeffs({})
 
@@ -123,7 +148,7 @@ class TestSmoothness:
         f = CubicForm.from_coeffs(coeffs)
         # in the chart y = 1 (u = x, v = z) neither f_x nor f_y involves v;
         # their u-roots share no zero there, so the pair yields no candidate
-        fx, fy, fz = (curve._grid_trim(f.poly.partial(i).chart(1)) for i in range(3))
+        fx, fy, fz = (curve._grid_trim(g) for g in curve._partial_grids(f, 1))
         assert fx.shape[1] == fy.shape[1] == 1
         assert curve._pair_candidates(fx, fy, fz, tol) == []
         rep = smoothness(f)
@@ -207,7 +232,7 @@ class TestLineCurve:
             # a second point of the tangent line grad.X = 0
             _, _, vh = np.linalg.svd(g.reshape(1, 3))
             v = np.conj(vh[2])
-            c = fermat.poly.restrict_to_line(P, v)
+            c = _line_coeffs(fermat, P, v)
             top = abs(c[3])
             assert top > 0
             assert max(abs(c[0]), abs(c[1]), abs(c[2])) < 1e-9 * top

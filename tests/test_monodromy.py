@@ -58,9 +58,9 @@ class TestPermutation:
 class TestParameterPath:
     def test_endpoints_and_midpoint(self):
         p = ParameterPath([hesse_cubic(0.0), hesse_cubic(4.0)])
-        assert p.at(0.0).poly.proportionality_residual(hesse_cubic(0.0).poly) < 1e-14
-        assert p.at(1.0).poly.proportionality_residual(hesse_cubic(4.0).poly) < 1e-14
-        assert p.at(0.5).poly.proportionality_residual(hesse_cubic(2.0).poly) < 1e-14
+        assert p.at(0.0).proportionality_residual(hesse_cubic(0.0)) < 1e-14
+        assert p.at(1.0).proportionality_residual(hesse_cubic(4.0)) < 1e-14
+        assert p.at(0.5).proportionality_residual(hesse_cubic(2.0)) < 1e-14
 
     def test_closed_detection(self):
         loop = ParameterPath([hesse_cubic(0.0), hesse_cubic(1.0), hesse_cubic(0.0)])
@@ -71,8 +71,8 @@ class TestParameterPath:
     def test_reversed_and_concatenate(self):
         a = ParameterPath([hesse_cubic(0.0), hesse_cubic(1.0)], steps=8)
         b = ParameterPath([hesse_cubic(1.0), hesse_cubic(0.0)], steps=8)
-        assert a.reversed().at(0.0).poly.proportionality_residual(
-            hesse_cubic(1.0).poly
+        assert a.reversed().at(0.0).proportionality_residual(
+            hesse_cubic(1.0)
         ) < 1e-14
         loop = a.concatenate(b)
         assert loop.is_closed()

@@ -9,9 +9,10 @@ from cubicpoints import (
     UniPoly,
     chordal_distance,
     normalize_point,
-    resultant,
     solve_univariate,
 )
+
+from oracles import resultant
 
 
 class TestUniPoly:

@@ -4,12 +4,15 @@ The references below are the earlier implementations, kept verbatim in
 spirit: the scalar cross-product chordal distance, the greedy dedupe loop
 over scalar distances, brute-force subset sums of the layer counts, the
 root solver as np.roots, vectorized clustering and a per-root polish
-through UniPoly.derivative and polyval, the gradient through the three
-partial polynomials, the flex polish through six grid evaluations per
-Newton step, and the flex search in all three coordinate charts.  The references copy the code they replaced rather than
+through UniPoly.derivative and polyval, the flex polish through six grid
+evaluations per Newton step, and the flex search in all three coordinate
+charts.  The dense cubic's gradient and Hessian are checked against
+monomial sums written out here.  The references copy the code they replaced rather than
 import it, so rewriting a kernel cannot rewrite its reference too.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -23,7 +26,6 @@ from cubicpoints import (
     InputError,
     NumericalError,
     PointSet,
-    TriPoly,
     UniPoly,
     constructible_sizes,
     fermat_cubic,
@@ -35,11 +37,11 @@ from cubicpoints import (
 )
 from cubicpoints import curve
 from cubicpoints.curve import (
-    _FRAMES,
     _chart_point,
     _dedupe,
     _flexes_in_frame,
     _flexes_of_smooth,
+    _frames,
     _grid_eval,
     _grid_is_zero,
     _grid_partial,
@@ -345,25 +347,70 @@ def test_cluster_matches_the_vectorized_rule_at_the_radius(values):
     assert _cluster(values, radius) == reference_cluster(np.array(values), radius)
 
 
-monomial_coeff = st.complex_numbers(max_magnitude=10.0, allow_subnormal=False)
 point_coord = st.complex_numbers(max_magnitude=3.0, allow_subnormal=False) | st.just(0j)
+CUBIC_KEYS = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
+UNITS = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 @st.composite
-def forms_and_points(draw):
-    degree = draw(st.sampled_from([1, 2, 3, 3, 3, 4]))
-    keys = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=len(keys), unique=True))
-    poly = TriPoly(degree, {key: draw(monomial_coeff) for key in chosen})
-    return poly, np.array(draw(st.lists(point_coord, min_size=3, max_size=3)), dtype=complex)
+def cubic_dicts_and_points(draw):
+    """Unit-disc coefficients keyed by exponent triple, some zero, and a point with some zero coordinates."""
+    coeffs = draw(st.lists(unit_disc, min_size=10, max_size=10))
+    for i in draw(st.sets(st.integers(0, 9), max_size=6)):
+        coeffs[i] = 0j
+    assume(any(coeffs))
+    v = draw(st.lists(point_coord, min_size=3, max_size=3))
+    return dict(zip(CUBIC_KEYS, coeffs)), np.array(v, dtype=complex)
+
+
+def monomial_terms(coeffs, v, derivs):
+    """The terms of the partial derivative along the unit vectors derivs, at v, one per surviving monomial."""
+    out = []
+    for key, c in coeffs.items():
+        exps = list(key)
+        scale = c
+        for unit in derivs:
+            i = unit.index(1)
+            scale *= exps[i]
+            exps[i] -= 1
+        if scale != 0:
+            out.append(scale * v[0] ** exps[0] * v[1] ** exps[1] * v[2] ** exps[2])
+    return out
 
 
 @PROPERTY
-@given(forms_and_points())
-def test_gradient_is_bit_identical_to_evaluating_the_partials(case):
-    poly, v = case
-    want = np.array([poly.partial(i)(v) for i in range(3)], dtype=complex)
-    assert np.array_equal(poly.gradient(v), want)
+@given(cubic_dicts_and_points())
+def test_gradient_matches_the_monomial_sum(case):
+    # each partial is a sum of at most six products of at most four factors,
+    # so roundoff stays below 1e-14 of the sum of the terms' moduli
+    coeffs, v = case
+    got = CubicForm.from_coeffs(coeffs).gradient(v)
+    for i, unit in enumerate(UNITS):
+        terms = monomial_terms(coeffs, v, [unit])
+        assert abs(got[i] - sum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
+
+
+@PROPERTY
+@given(cubic_dicts_and_points())
+def test_hessian_is_the_determinant_of_the_second_partials(case):
+    # every product in the determinant's expansion is bounded by the
+    # permanent of the termwise moduli, and so is the roundoff of both sides
+    coeffs, v = case
+    f = CubicForm.from_coeffs(coeffs)
+    S = np.zeros((3, 3), dtype=complex)
+    A = np.zeros((3, 3))
+    for i, ui in enumerate(UNITS):
+        for j, uj in enumerate(UNITS):
+            terms = monomial_terms(coeffs, v, [ui, uj])
+            S[i, j] = sum(terms)
+            A[i, j] = sum(abs(t) for t in terms)
+    perm = sum(A[0, p[0]] * A[1, p[1]] * A[2, p[2]] for p in itertools.permutations(range(3)))
+    try:
+        h = f.hessian()
+    except InputError:  # a cone has a zero Hessian
+        assert np.abs(np.linalg.det(S)) <= 1e-13 * perm
+        return
+    assert abs(h.evaluate(v) - np.linalg.det(S)) <= 1e-13 * perm
 
 
 def reference_grid_eval(C, u, v):
@@ -398,7 +445,6 @@ def reference_newton_pair(F, H, u, v, iters=30):
     return u, v
 
 
-CUBIC_KEYS = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
 start_coord = st.complex_numbers(max_magnitude=2.0, allow_subnormal=False) | st.just(0.0) | st.just(0j)
 
 
@@ -419,8 +465,8 @@ def flex_polish_cases(draw):
     except InputError:  # a cone (two variables after a change of coordinates) has a zero Hessian
         assume(False)
     chart = draw(st.integers(0, 2))
-    F = _grid_trim(f.poly.chart(chart))
-    H = _grid_trim(h.poly.chart(chart))
+    F = _grid_trim(chart_grid(f, chart))
+    H = _grid_trim(chart_grid(h, chart))
     # the flex search skips a chart where either grid vanishes
     assume(not _grid_is_zero(F) and not _grid_is_zero(H))
     return F, H, draw(start_coord), draw(start_coord)
@@ -437,6 +483,15 @@ def test_flex_polish_is_bit_identical_to_six_grid_evaluations(case):
         assert [bits(complex(z)) for z in got] == [bits(complex(z)) for z in want]
 
 
+def chart_grid(f, chart):
+    """C[a, b] = coefficient of u^a v^b with coordinate chart set to 1, (u, v) the other two in order."""
+    others = [i for i in range(3) if i != chart]
+    C = np.zeros((4, 4), dtype=complex)
+    for key, c in dict(zip(curve._MONOMIALS, f.coeffs)).items():
+        C[key[others[0]], key[others[1]]] += c
+    return C
+
+
 def reference_flexes(f, tol=DEFAULT_TOLERANCES):
     """The flex search as it was: the same elimination in all three coordinate charts, merged.
 
@@ -447,8 +502,8 @@ def reference_flexes(f, tol=DEFAULT_TOLERANCES):
     found = []
     hess_res = []
     for chart in range(3):
-        F = _grid_trim(f.poly.chart(chart))
-        H = _grid_trim(h.poly.chart(chart))
+        F = _grid_trim(chart_grid(f, chart))
+        H = _grid_trim(chart_grid(h, chart))
         if _grid_is_zero(F) or _grid_is_zero(H):
             continue
         cands = _pair_candidates(F, H, F, tol)
@@ -518,8 +573,8 @@ def test_singular_pencil_member_raises_under_both():
 
 def pushed_hesse_member(S):
     """hesse_cubic(0.5) moved by U0 @ S, U0 the first frame: its flex (0:1:-1) goes to U0 @ S @ (0, 1, -1)."""
-    A = _FRAMES[0][0] @ S
-    return CubicForm(hesse_cubic(0.5).poly.compose_linear(np.linalg.inv(A)))
+    A = _frames()[0][0] @ S
+    return hesse_cubic(0.5).compose_linear(np.linalg.inv(A))
 
 
 # S sends (0, 1, -1) to (0.5, -1.5, 0), so that flex lies on the first frame's line at infinity
@@ -536,18 +591,18 @@ def frame_count(f, frame):
 
 def test_flex_at_infinity_of_the_first_frame_falls_back_to_the_second():
     f = pushed_hesse_member(GENERIC_PUSH)
-    assert [frame_count(f, frame) for frame in _FRAMES[:2]] == [8, 9]
+    assert [frame_count(f, frame) for frame in _frames()[:2]] == [8, 9]
     assert_same_flexes(_flexes_of_smooth(f, DEFAULT_TOLERANCES), reference_flexes(f))
 
 
 def test_frames_missing_three_flexes_each_settle_on_their_union():
     f = pushed_hesse_member(HESSE_PUSH)
-    assert [frame_count(f, frame) for frame in _FRAMES] == [6, 6, 6]
+    assert [frame_count(f, frame) for frame in _frames()] == [6, 6, 6]
     assert_same_flexes(_flexes_of_smooth(f, DEFAULT_TOLERANCES), reference_flexes(f))
 
 
 def test_message_when_no_frame_settles(monkeypatch):
-    monkeypatch.setattr(curve, "_FRAMES", _FRAMES[:1])
+    monkeypatch.setattr(curve, "_frames", lambda: _frames()[:1])
     with pytest.raises(NumericalError) as err:
         _flexes_of_smooth(pushed_hesse_member(GENERIC_PUSH), DEFAULT_TOLERANCES)
     assert str(err.value) == "degenerate elimination: expected 9 inflections, settled on 8"

@@ -33,7 +33,11 @@ class TestCubicCodec:
 
         f = CubicForm.from_coeffs(coeffs)
         g = cubic_from_obj(cubic_to_obj(f))
-        assert f.poly.proportionality_residual(g.poly) < 1e-15
+        assert f.proportionality_residual(g) < 1e-15
+
+    def test_zero_coefficients_are_omitted(self):
+        obj = cubic_to_obj(hesse_cubic(0.0))
+        assert sorted(obj["coeffs"]) == ["003", "030", "300"]
 
     def test_rejects_malformed(self):
         with pytest.raises(InputError):
@@ -81,7 +85,7 @@ class TestPathCodec:
         assert back.steps == 12
         assert back.is_closed()
         for t in np.linspace(0.0, 1.0, 7):
-            r = back.at(float(t)).poly.proportionality_residual(path.at(float(t)).poly)
+            r = back.at(float(t)).proportionality_residual(path.at(float(t)))
             assert r < 1e-12
 
     def test_text_round_trip_is_byte_stable(self):
