@@ -29,7 +29,11 @@ from oracles import fermat_inflection_rows
 
 
 def _random_poly(rng) -> CubicForm:
-    return CubicForm(rng.standard_normal(10) + 1j * rng.standard_normal(10))
+    coeffs = {}
+    for i in range(4):
+        for j in range(4 - i):
+            coeffs[(i, j, 3 - i - j)] = complex(rng.standard_normal(), rng.standard_normal())
+    return CubicForm.from_coeffs(coeffs)
 
 
 def _line_coeffs(f: CubicForm, P, Q) -> list[complex]:
