@@ -21,8 +21,14 @@ class Tolerances:
     tau_hesse: relative coefficient residual accepted when fitting a
         transformed cubic to the diagonal-plus-product pencil form.
     smoothness_margin: minimum smoothness margin a sampled cubic on a
-        tracked path must keep.
-    tau_singular: margin below which a cubic is declared singular.
+        tracked path must keep. The margin is sigma_min / sigma_max of the
+        discriminant gate matrix of curve.smoothness: 1 on the Fermat
+        cubic, about the relative coefficient distance to the nearest
+        singular cubic near the discriminant, and unchanged by a unitary
+        change of coordinates.
+    tau_singular: gate margin at or below which a cubic is declared
+        singular; only then does the three-chart gradient hunt run, to find
+        a singular point as the witness.
     max_torsion_order: largest torsion order the univariate solver is
         trusted with (division polynomial degree grows ~ order^2 / 2).
     """

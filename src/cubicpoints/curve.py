@@ -10,16 +10,20 @@ elimination replaces three. A flex on that frame's line at infinity sends
 the search on to the next of three frames, whose lines at infinity share
 no point, and their candidates are merged by chordal distance.
 
-Smoothness keeps the three coordinate charts (one coordinate set to 1)
-and merges their candidates. Its margin is a minimum over candidates that
-depend on the chart, such as fiber roots where only one partial vanishes,
-so it is reported and compared by value: moving it to another frame would
-change the number, not just the speed.
+Smoothness is certified by one determinantal gate for the discriminant:
+a 6x6 matrix of the three partials of f and of its Hessian, in Bombieri-
+weighted quadratic coefficients, is singular exactly when f is. Its margin
+sigma_min / sigma_max is invariant under unitary changes of coordinates,
+so every frame and chart reads the same number. Only a curve the gate
+calls singular goes on to the gradient hunt in the three coordinate
+charts (one coordinate set to 1), and only to find a singular point to
+report as the witness.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,15 +154,28 @@ class CubicForm:
     def hessian(self) -> "CubicForm":
         """Determinant of the matrix of second partials (again a cubic).
 
-        Entry (i, j) of that matrix is the linear form 6 T_ij., so the
-        determinant is 216 times a Levi-Civita contraction of T's three
-        slices. The factor comes last, in one rounding, which keeps the
-        coefficients of a curve symmetric under permuting coordinates
-        (the Hesse pencil) symmetric in the last bit.
+        Raises InputError on a cone, a union of concurrent lines such as
+        x^3 + y^3, whose Hessian vanishes identically.
+        """
+        h = self._hessian_coeffs()
+        if not h.any():
+            raise InputError(
+                "the Hessian vanishes identically: the curve is a union of concurrent lines"
+            )
+        return CubicForm(h)
+
+    def _hessian_coeffs(self) -> np.ndarray:
+        """Coefficients of the Hessian; the zero vector on a cone.
+
+        Entry (i, j) of the matrix of second partials is the linear form
+        6 T_ij., so the determinant is 216 times a Levi-Civita contraction
+        of T's three slices. The factor comes last, in one rounding, which
+        keeps the coefficients of a curve symmetric under permuting
+        coordinates (the Hesse pencil) symmetric in the last bit.
         """
         T = self._tensor()
         D = np.einsum("pqr,pa,qb,rc->abc", _LEVI_CIVITA, T[0], T[1], T[2])
-        return CubicForm(216.0 * (_FOLD @ D.reshape(27)))
+        return 216.0 * (_FOLD @ D.reshape(27))
 
     def compose_linear(self, matrix) -> "CubicForm":
         """The cubic x -> f(M x): each tensor axis contracted with M in turn.
@@ -574,15 +591,77 @@ def _grid_on_line(g: np.ndarray, alpha: complex, beta: complex) -> UniPoly:
     return UniPoly(acc)
 
 
-def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> SmoothnessReport:
-    """Certify smoothness by hunting the gradient system in all three charts.
+# The six quadratic monomials x^i y^j z^k, in the order of the gate's columns.
+_QUADRATICS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
 
-    The margin is the smallest normalized gradient norm over all polished
-    candidates where two partial derivatives vanish; a smooth cubic keeps
-    it well above tau_singular, a singular one drives it to roundoff.
+
+def _gate_map() -> np.ndarray:
+    """Linear map from cubic coefficients to the weighted 3x6 block of its partials.
+
+    Monomial m with exponent e > 0 in coordinate i gives the term e * c_m
+    of f_i at the quadratic monomial m - e_i. Each column is weighted by
+    the inverse square root of its monomial's multinomial coefficient
+    (Bombieri), so that a unitary change of coordinates acts on the
+    weighted coefficients of a quadratic by a unitary matrix.
+    """
+    out = np.zeros((3, 6, 10))
+    for n, m in enumerate(_MONOMIALS):
+        for i in range(3):
+            if m[i]:
+                q = list(m)
+                q[i] -= 1
+                out[i, _QUADRATICS.index(tuple(q)), n] = m[i]
+    bombieri = np.sqrt([math.prod(map(math.factorial, q)) / 2.0 for q in _QUADRATICS])
+    return (out * bombieri[:, None]).reshape(18, 10)
+
+
+_GATE_MAP = _gate_map()
+
+
+def _discriminant_margin(f: CubicForm) -> float:
+    """sigma_min / sigma_max of the gate matrix of f; zero exactly on singular curves.
+
+    The rows are the weighted quadratic coefficients of f_x, f_y, f_z and
+    of H_x, H_y, H_z, H the Hessian; at a singular point p all six vanish,
+    so the vector of quadratic monomials at p is in the kernel, and the
+    determinant is proportional to the discriminant of f (Gelfand,
+    Kapranov and Zelevinsky). Each block is divided by its Frobenius
+    norm, so the ratio depends neither on the scale of f nor, by the
+    Bombieri weights, on a unitary change of coordinates. A cone has
+    H = 0 and margin 0.
+    """
+    blocks = _GATE_MAP @ np.stack([f.coeffs, f._hessian_coeffs()], axis=1)
+    norms = np.linalg.norm(blocks, axis=0)
+    if norms[1] == 0.0:
+        return 0.0
+    s = np.linalg.svd((blocks / norms).T.reshape(6, 6), compute_uv=False)
+    return float(s[-1] / s[0])
+
+
+def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> SmoothnessReport:
+    """Certify smoothness by the discriminant gate; hunt a witness only if singular.
+
+    The margin is sigma_min / sigma_max of the gate matrix (see
+    _discriminant_margin): 1 on the Fermat cubic, about the coefficient
+    distance to the nearest singular cubic near the discriminant, and the
+    same number in every unitary frame. The curve is smooth when the
+    margin exceeds tau_singular. Otherwise the gradient hunt in the three
+    coordinate charts runs to pick the witness, a singular point.
+    """
+    margin = _discriminant_margin(f)
+    if margin > tol.tau_singular:
+        return SmoothnessReport(True, margin, None)
+    return SmoothnessReport(False, margin, _singular_witness(f, tol))
+
+
+def _singular_witness(f: CubicForm, tol: Tolerances) -> ProjectivePoint:
+    """The point of smallest normalized gradient, hunted in all three charts.
+
+    The candidates are the polished points where two partial derivatives
+    vanish; ties in the gradient norm go to the largest canonical key.
     """
     scale = f.norm_inf
-    best_margin = np.inf
+    best_gradient = np.inf
     best_witnesses: list[ProjectivePoint] = []
     for chart in range(3):
         grids = [_grid_trim(g) for g in _partial_grids(f, chart)]
@@ -622,17 +701,14 @@ def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> Smoothness
                     continue
                 P = normalize_point(_chart_point(chart, u1, v1))
                 g = float(np.linalg.norm(f.gradient(P)) / scale)
-            if g < best_margin - 1e-15:
-                best_margin = float(g)
+            if g < best_gradient - 1e-15:
+                best_gradient = float(g)
                 best_witnesses = [P]
-            elif abs(g - best_margin) <= 1e-12 + 1e-6 * best_margin:
+            elif abs(g - best_gradient) <= 1e-12 + 1e-6 * best_gradient:
                 best_witnesses.append(P)
-    if not np.isfinite(best_margin):
+    if not np.isfinite(best_gradient):
         raise NumericalError("gradient elimination produced no candidates")
-    if best_margin > tol.tau_singular:
-        return SmoothnessReport(True, best_margin, None)
-    witness = max(best_witnesses, key=_canonical_key)
-    return SmoothnessReport(False, best_margin, witness)
+    return max(best_witnesses, key=_canonical_key)
 
 
 def is_smooth(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -706,11 +782,13 @@ def inflection_points(
 ) -> PointSet:
     """The nine inflection points: intersection of the curve with its Hessian.
 
-    Smoothness is certified in the three coordinate charts, whose margin
-    callers see; the flexes are found in one generic unitary frame, and in
-    the next ones only when a flex lies on a frame's line at infinity.
-    Raises SingularCurveError on singular input and NumericalError if the
-    frames do not settle on exactly nine certified points.
+    Smoothness is certified first by the discriminant gate of smoothness,
+    whose margin is the same in every unitary frame; on a singular curve
+    the three-chart gradient hunt names the point in the SingularCurveError
+    raised. The flexes are found in one generic unitary frame, and in the
+    next ones only when a flex lies on a frame's line at infinity. Raises
+    NumericalError if the frames do not settle on exactly nine certified
+    points.
     """
     require_smooth(f, tol)
     return _flexes_of_smooth(f, tol)

@@ -6,9 +6,12 @@ which is sound exactly when the step is small against the section's
 separation; ambiguous matches trigger step bisection rather than guesswork.
 
 track certifies every curve it visits against smoothness_margin, once, and
-only then evaluates the section there.  The sections of canonical_section
-therefore expect a curve the caller has certified and skip the weaker
-smoothness check of inflection_points.
+only then evaluates the section there.  The certificate is the discriminant
+gate of curve.smoothness, whose margin does not depend on the frame the
+path is written in; the three-chart gradient hunt runs only on a curve the
+gate finds singular, to name the singular point.  The sections of
+canonical_section therefore expect a curve the caller has certified and
+skip the weaker smoothness check of inflection_points.
 """
 
 from __future__ import annotations
@@ -181,9 +184,11 @@ def track(
 
     The section argument maps a CubicForm to a PointSet; it runs only on
     curves already certified here, one smoothness certificate per visited
-    curve.  Raises DiscriminantPathError when any visited curve is singular
-    or within smoothness_margin of it, and TrackingAmbiguityError when
-    matching stays ambiguous at the minimal step size.
+    curve.  min_margin is the smallest discriminant-gate margin over the
+    accepted curves, a unitary invariant (1 on the Fermat cubic).  Raises
+    DiscriminantPathError when any visited curve has a gate margin at or
+    below smoothness_margin, and TrackingAmbiguityError when matching stays
+    ambiguous at the minimal step size.
     """
     base = 1.0 / (steps if steps is not None else path.steps)
     f0 = path.at(0.0)

@@ -3,18 +3,25 @@
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/record.py
+    PYTHONPATH=src python tests/golden/record.py fermat_smooth track_hesse_loop
 
-It writes the input files (cubics and a path), one ``<case>.out`` file per
-command with the command's stdout, and ``cases.json``, which lists every
-case with its argv and exit code.  In an argv, the value after ``--curve``
-or ``--path`` names a file in this directory.  tests/test_golden_cli.py
-replays the cases against ``cubicpoints.cli.main``; no test runs this
-script, so the files only change when someone records them on purpose.
+With no arguments it writes the input files (cubics and a path), one
+``<case>.out`` file per command with the command's stdout, and
+``cases.json``, which lists every case with its argv and exit code.  Given
+case names, it re-runs only those cases against the input files already
+here, rewrites their ``.out`` files and their exit codes in ``cases.json``,
+and leaves every input file and every other case as it is.  In an argv, the
+value after ``--curve`` or ``--path`` names a file in this directory.
+tests/test_golden_cli.py replays the cases against ``cubicpoints.cli.main``;
+no test runs this script, so the files only change when someone records
+them on purpose.
 """
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,16 +86,36 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def record_case(case: dict) -> None:
+    """Run one manifest entry, write its output file and set its exit code."""
+    code, text = run(case["argv"])
+    (HERE / f"{case['name']}.out").write_text(text, encoding="utf-8")
+    case["exit"] = code
+
+
 def record() -> None:
     for name, obj in INPUTS.items():
         (HERE / name).write_text(canonical_dumps(obj), encoding="utf-8")
-    manifest = []
-    for name, argv in cases():
-        code, text = run(argv)
-        (HERE / f"{name}.out").write_text(text, encoding="utf-8")
-        manifest.append({"name": name, "argv": argv, "exit": code})
+    manifest = [{"name": name, "argv": argv} for name, argv in cases()]
+    for case in manifest:
+        record_case(case)
+    (HERE / "cases.json").write_text(canonical_dumps({"cases": manifest}), encoding="utf-8")
+
+
+def rerecord(names: list[str]) -> None:
+    """Re-record the named cases of cases.json; inputs and other cases stay."""
+    manifest = json.loads((HERE / "cases.json").read_text(encoding="utf-8"))["cases"]
+    by_name = {case["name"]: case for case in manifest}
+    unknown = sorted(set(names) - set(by_name))
+    if unknown:
+        raise SystemExit(f"unknown case names: {', '.join(unknown)}")
+    for name in names:
+        record_case(by_name[name])
     (HERE / "cases.json").write_text(canonical_dumps({"cases": manifest}), encoding="utf-8")
 
 
 if __name__ == "__main__":
-    record()
+    if sys.argv[1:]:
+        rerecord(sys.argv[1:])
+    else:
+        record()

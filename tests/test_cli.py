@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicpoints import ParameterPath, elliptic, fermat_cubic, hesse_cubic
+from cubicpoints import CubicForm, ParameterPath, elliptic, fermat_cubic, hesse_cubic
 from cubicpoints.cli import main
 from cubicpoints.serialize import (
     canonical_dumps,
@@ -137,7 +137,7 @@ class TestCurveCommands:
         assert rc == 0
         obj = json.loads(out)
         assert obj["smooth"] is True
-        assert abs(obj["margin"] - 3.0) < 1e-9
+        assert abs(obj["margin"] - 1.0) < 1e-9
         assert obj["witness"] is None
 
     def test_smooth_reports_witness(self, capsys, singular_file):
@@ -146,6 +146,16 @@ class TestCurveCommands:
         obj = json.loads(out)
         assert obj["smooth"] is False
         assert obj["witness"] is not None
+
+    def test_smooth_on_a_cone_reports_its_vertex(self, capsys, tmp_path):
+        p = tmp_path / "cone.json"
+        cone = CubicForm.from_coeffs({(3, 0, 0): 1.0, (0, 3, 0): 1.0})
+        p.write_text(canonical_dumps(cubic_to_obj(cone)), encoding="utf-8")
+        rc, out, _ = run_cli(capsys, "smooth", "--curve", str(p))
+        assert rc == 0
+        obj = json.loads(out)
+        assert obj["smooth"] is False and obj["margin"] == 0.0
+        assert obj["witness"] == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
     def test_hesse_of_fermat(self, capsys, fermat_file):
         rc, out, _ = run_cli(capsys, "hesse", "--curve", fermat_file)

@@ -109,6 +109,11 @@ class TestCubicForm:
         with pytest.raises(InputError, match="the zero polynomial does not define a curve"):
             CubicForm.from_coeffs({(3, 0, 0): 0.0, (1, 1, 1): 0j})
 
+    def test_hessian_of_a_cone_names_the_cause(self):
+        cone = CubicForm.from_coeffs({(3, 0, 0): 1.0, (0, 3, 0): 1.0})
+        with pytest.raises(InputError, match="the Hessian vanishes identically"):
+            cone.hessian()
+
     def test_coefficients_are_read_only(self, fermat):
         with pytest.raises(ValueError):
             fermat.coeffs[0] = 2.0
@@ -125,7 +130,7 @@ class TestSmoothness:
         rep = smoothness(fermat)
         assert rep.smooth
         assert rep.witness is None
-        assert abs(rep.margin - 3.0) < 1e-9
+        assert abs(rep.margin - 1.0) < 1e-9
 
     def test_triangle_of_lines_is_singular(self):
         rep = smoothness(CubicForm.from_coeffs({(1, 1, 1): 1.0}))
@@ -158,9 +163,25 @@ class TestSmoothness:
         rep = smoothness(f)
         assert rep.smooth is smooth
         if smooth:
-            assert abs(rep.margin - 0.75) < 1e-9
+            assert abs(rep.margin - 1.0 / 3.0) < 1e-9
         else:
             assert chordal_distance(rep.witness.array, np.array([0.0, 0.0, 1.0])) < 1e-12
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {(3, 0, 0): 1.0, (0, 3, 0): 1.0},  # cone: its Hessian vanishes
+            {(0, 2, 1): 1.0, (3, 0, 0): -1.0, (2, 0, 1): -1.0},  # node
+            {(0, 2, 1): 1.0, (3, 0, 0): -1.0},  # cusp
+        ],
+        ids=["cone", "node", "cusp"],
+    )
+    def test_witness_is_the_singular_point(self, coeffs):
+        f = CubicForm.from_coeffs(coeffs)
+        rep = smoothness(f)
+        assert not rep.smooth and not is_smooth(f)
+        assert rep.margin < 1e-15
+        assert chordal_distance(rep.witness.array, np.array([0.0, 0.0, 1.0])) < 1e-12
 
     def test_require_smooth_raises(self):
         with pytest.raises(SingularCurveError):

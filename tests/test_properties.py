@@ -606,3 +606,47 @@ def test_message_when_no_frame_settles(monkeypatch):
     with pytest.raises(NumericalError) as err:
         _flexes_of_smooth(pushed_hesse_member(GENERIC_PUSH), DEFAULT_TOLERANCES)
     assert str(err.value) == "degenerate elimination: expected 9 inflections, settled on 8"
+
+
+# The smoothness gate against oracles that do not run it: a singular point
+# planted by construction, the unitary invariance of its margin, and the
+# linear growth of its margin off two known singular cubics.
+
+PLANT_ZEROS = [curve._MONOMIALS.index(m) for m in ((1, 0, 2), (0, 1, 2), (0, 0, 3))]
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_planted_singular_point_is_found(seed):
+    # zero z^3, xz^2 and yz^2 coefficients put a node at (0:0:1); the
+    # pull-back by A moves it to A^-1 (0, 0, 1)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+    coeffs[PLANT_ZEROS] = 0.0
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    rep = smoothness(CubicForm(coeffs).compose_linear(A))
+    assert not rep.smooth
+    planted = np.linalg.solve(A, np.array([0.0, 0.0, 1.0]))
+    assert chordal_matrix(rep.witness.array.reshape(1, 3), planted.reshape(1, 3))[0, 0] <= DEFAULT_TOLERANCES.tau_match
+
+
+@PROPERTY
+@given(smooth_unit_disc_cubics(), st.lists(unit_disc, min_size=9, max_size=9))
+def test_margin_is_invariant_under_a_unitary_change_of_coordinates(f, entries):
+    U, _ = np.linalg.qr(np.array(entries).reshape(3, 3))
+    margin = smoothness(f).margin
+    assert abs(smoothness(f.compose_linear(U)).margin - margin) <= 1e-12 * margin
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda eps: hesse_cubic(-3.0 + eps),
+        lambda eps: CubicForm.from_coeffs({(3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): eps}),
+    ],
+    ids=["hesse_pencil", "cone_plus_z3"],
+)
+def test_margin_grows_linearly_off_the_discriminant(family, eps):
+    margin = smoothness(family(eps)).margin
+    assert 0.1 * eps <= margin <= 10.0 * eps
