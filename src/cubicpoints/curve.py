@@ -8,7 +8,10 @@ The flexes are found in one chart of a fixed generic unitary frame, where
 all nine are finite unless the curve is specially placed, so one
 elimination replaces three. A flex on that frame's line at infinity sends
 the search on to the next of three frames, whose lines at infinity share
-no point, and their candidates are merged by chordal distance.
+no point, and their candidates are merged by chordal distance. Along a
+tracked path the flexes of the previous curve seed _correct_flexes
+instead, one batched Newton correction of all nine, and the elimination
+runs again only when that correction cannot show it found all nine.
 
 Smoothness is certified by one determinantal gate for the discriminant:
 a 6x6 matrix of the three partials of f and of its Hessian, in Bombieri-
@@ -859,12 +862,26 @@ def _flexes_in_frame(
             continue
         u1, v1 = polished
         P = normalize_point(U @ np.array([u1, v1, 1.0]))
-        rf = abs(f.evaluate(P)) / f.norm_inf
-        rh = abs(h.evaluate(P)) / h.norm_inf
+        rf, rh = _flex_residuals(f, h, P)
         if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
             found.append(CurvePoint(P, rf))
             hess_res.append(max(rf, rh))
     return found, hess_res
+
+
+def _flex_residuals(f: CubicForm, h: CubicForm, P: ProjectivePoint) -> tuple[float, float]:
+    """Relative residuals of a normalized point on the curve and on its Hessian."""
+    return abs(f.evaluate(P)) / f.norm_inf, abs(h.evaluate(P)) / h.norm_inf
+
+
+def _hessian_of_smooth(f: CubicForm) -> CubicForm:
+    """The Hessian of a curve the caller has certified; NumericalError on a cone."""
+    h = f._hessian_coeffs()
+    if not h.any():
+        raise NumericalError(
+            "the Hessian vanishes identically: the curve is a union of concurrent lines"
+        )
+    return CubicForm(h)
 
 
 def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
@@ -873,10 +890,10 @@ def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
     Eliminates in the first frame and goes on to the next only while the
     points found so far do not settle on nine, as when a flex lies on a
     frame's line at infinity. On a singular curve the elimination does
-    not settle on nine points and this raises NumericalError rather than
-    SingularCurveError.
+    not settle on nine points, or the Hessian of a cone vanishes, and this
+    raises NumericalError rather than SingularCurveError.
     """
-    h = f.hessian()
+    h = _hessian_of_smooth(f)
     found: list[CurvePoint] = []
     hess_res: list[float] = []
     for frame in _frames():
@@ -891,6 +908,86 @@ def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
     raise NumericalError(
         f"degenerate elimination: expected 9 inflections, settled on {len(merged)}"
     )
+
+
+# A row has converged once its Newton step is this small: every step at
+# most halved the one before, so the flex lies closer than this, six orders
+# below tau_match.
+_CORRECTOR_DONE = 1e-12
+# Inside the basin of a simple root each Newton step at least halves; a row
+# that contracts more slowly is left to the full elimination.
+_CORRECTOR_CONTRACTION = 0.5
+# Quadratic convergence reaches _CORRECTOR_DONE in about five steps from a
+# start 0.1 away; a row still moving after twice that many is re-solved.
+_CORRECTOR_ITERS = 10
+# For a row whose pivot (the coordinate held at 1) is i, the two it moves.
+_FREE = np.array([[1, 2], [0, 2], [0, 1]])
+
+
+def _forms_at(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values (n, m) and gradients (n, m, 3) of m cubics at the n rows of X.
+
+    T stacks the symmetric tensors (m, 3, 3, 3). The gradient of
+    sum T_ijk x_i x_j x_k is 3 sum_jk T_ijk x_j x_k, and by Euler's
+    identity the value is a third of x . gradient.
+    """
+    G = 3.0 * np.einsum("aijk,nj,nk->nai", T, X, X)
+    return (G * X[:, None, :]).sum(axis=2) / 3.0, G
+
+
+def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
+    """The nine flexes by Newton on (f, H) = 0 from the rows of near, or None.
+
+    near is the (9, 3) stack of the flexes of a nearby curve. All nine rows
+    move at once, each in its own chart with its largest-modulus coordinate
+    held at 1, by a Cramer solve of the 2x2 Newton system. The corrected
+    set comes back in near's order only when every step at most halved the
+    one before, every row converged within _CORRECTOR_ITERS steps, every
+    point passes the residual test of _flexes_in_frame, and the nine lie
+    pairwise farther apart than 2 tau_match; otherwise None. The curve
+    meets its Hessian in nine points counted with multiplicity (Bezout),
+    each simple on a smooth cubic, so nine distinct common points are all
+    the flexes. Raises NumericalError on a cone, as _flexes_of_smooth does.
+    """
+    h = _hessian_of_smooth(f)
+    X = np.array(near, dtype=complex).reshape(9, 3)
+    rows = np.arange(9)
+    pivot = np.abs(X).argmax(axis=1)
+    X /= X[rows, pivot][:, None]
+    X[rows, pivot] = 1.0
+    q, r = _FREE[pivot].T
+    T = np.stack([f._tensor(), h._tensor()])
+    last = np.full(9, np.inf)
+    moving = np.ones(9, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_CORRECTOR_ITERS):
+            V, G = _forms_at(T, X)
+            a, b = G[rows, 0, q], G[rows, 0, r]
+            c, d = G[rows, 1, q], G[rows, 1, r]
+            det = a * d - b * c
+            du = np.where(moving, (b * V[:, 1] - d * V[:, 0]) / det, 0.0)
+            dv = np.where(moving, (c * V[:, 0] - a * V[:, 1]) / det, 0.0)
+            size = np.maximum(np.abs(du), np.abs(dv))
+            # a NaN step fails the comparison too
+            if not (size <= _CORRECTOR_CONTRACTION * last).all():
+                return None
+            X[rows, q] += du
+            X[rows, r] += dv
+            last = size
+            moving &= size > _CORRECTOR_DONE
+            if not moving.any():
+                break
+        else:
+            return None
+    points = []
+    for row in X:
+        P = normalize_point(row)
+        rf, rh = _flex_residuals(f, h, P)
+        if rf > tol.tau_on_curve or rh > tol.tau_on_curve:
+            return None
+        points.append(CurvePoint(P, rf))
+    out = PointSet(points, tol.tau_match)
+    return out if out.min_separation() > 2.0 * tol.tau_match else None
 
 
 def _dedupe(

@@ -1,9 +1,15 @@
 """Tracking labeled point sections along paths of smooth cubics.
 
-A path is piecewise linear in coefficient space.  Tracking recomputes the
-section from scratch at every step and matches points by nearest neighbor,
-which is sound exactly when the step is small against the section's
-separation; ambiguous matches trigger step bisection rather than guesswork.
+A path is piecewise linear in coefficient space.  Tracking evaluates the
+section at every step and matches points by nearest neighbor, which is
+sound exactly when the step is small against the section's separation;
+ambiguous matches trigger step bisection rather than guesswork.  A section
+whose signature has a near parameter receives the previous accepted
+points there and may continue them instead of recomputing: the
+inflections section corrects the nine flexes by Newton
+(curve._correct_flexes) and eliminates again only when the correction
+cannot prove it found all nine.  Other sections are recomputed from
+scratch at every step.
 
 track certifies every curve it visits against smoothness_margin, once, and
 only then evaluates the section there.  The certificate is the discriminant
@@ -16,6 +22,7 @@ skip the weaker smoothness check of inflection_points.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +31,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .curve import (
     CubicForm,
     PointSet,
+    _correct_flexes,
     _flexes_of_smooth,
     inflection_points,
     smoothness,
@@ -180,12 +188,17 @@ def track(
     tol: Tolerances = DEFAULT_TOLERANCES,
     steps: int | None = None,
 ) -> TrackResult:
-    """Continue a section along the path by recomputation and matching.
+    """Continue a section along the path, matching each step's points to the last.
 
     The section argument maps a CubicForm to a PointSet; it runs only on
     curves already certified here, one smoothness certificate per visited
-    curve.  min_margin is the smallest discriminant-gate margin over the
-    accepted curves, a unitary invariant (1 on the Fermat cubic).  Raises
+    curve.  When inspect.signature(section) has a near parameter (it
+    follows functools.wraps), every call after the start passes the last
+    accepted points, a (n, 3) array in label order, as near; otherwise the
+    section is called on the curve alone.  Either way the returned set goes
+    through the same matching and step halving.  min_margin is the
+    smallest discriminant-gate margin over the accepted curves, a unitary
+    invariant (1 on the Fermat cubic).  Raises
     DiscriminantPathError when any visited curve has a gate margin at or
     below smoothness_margin, and TrackingAmbiguityError when matching stays
     ambiguous at the minimal step size.
@@ -202,6 +215,7 @@ def track(
         raise InputError("cannot track an empty section")
     if start.min_separation() <= 2.0 * tol.tau_match:
         raise NumericalError("section points start closer than the matching scale")
+    continues = "near" in inspect.signature(section).parameters
     current = start.arrays.copy()
     ordered = list(start.points)
     t = 0.0
@@ -216,7 +230,7 @@ def track(
                 f"path meets the discriminant near parameter {t2:.6g}"
             )
         try:
-            S2 = section(f2)
+            S2 = section(f2, near=current) if continues else section(f2)
         except NumericalError:
             dt *= 0.5
             if dt < _MIN_STEP:
@@ -285,10 +299,25 @@ def canonical_section(name: str, tol: Tolerances = DEFAULT_TOLERANCES):
 
     A section expects a curve the caller has certified smooth, as track
     certifies every curve it visits; it does not certify again.  Called on
-    a singular curve it raises NumericalError, not SingularCurveError.
+    a singular curve, a cone included, it raises NumericalError, not
+    SingularCurveError.
+
+    The inflections section also takes a keyword near, the (9, 3) stack of
+    the flexes of a nearby curve, as track passes it.  It then returns
+    curve._correct_flexes's Newton correction of those points, in near's
+    order, and falls back to the full elimination (canonical order) when
+    the correction returns None.
     """
     if name == "inflections":
-        return lambda f: _flexes_of_smooth(f, tol)
+
+        def flexes(f: CubicForm, near=None) -> PointSet:
+            if near is not None:
+                corrected = _correct_flexes(f, near, tol)
+                if corrected is not None:
+                    return corrected
+            return _flexes_of_smooth(f, tol)
+
+        return flexes
     if name.startswith("type3k:"):
         tail = name.split(":", 1)[1]
         try:

@@ -51,7 +51,7 @@ __all__ = [
 
 # Slack (in units of machine epsilon) for the max-modulus pivot search in
 # normalize_point; keeps renormalization bitwise idempotent on exact ties.
-_PIVOT_SLACK = 4.0 * np.finfo(float).eps
+_PIVOT_SLACK = 4.0 * float(np.finfo(float).eps)
 
 # component i of a x b is a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]]
 _NEXT = np.array([1, 2, 0])
@@ -153,20 +153,24 @@ def normalize_point(v) -> ProjectivePoint:
 
     Ties go to the lowest coordinate index; the comparison carries a few
     ulps of slack so the map is idempotent even on exact modulus ties.
+    The moduli and the division stay numpy's, whose last bits Python's
+    abs and complex division do not always reproduce; only the pivot
+    search runs on Python floats.
     """
     a = np.asarray(v, dtype=complex).reshape(-1)
     if a.size != 3:
         raise InputError("projective point needs exactly 3 coordinates")
     if not np.isfinite(a).all():
         raise InputError("non-finite coordinate")
-    mods = np.abs(a)
-    top = mods.max()
+    m0, m1, m2 = np.abs(a).tolist()
+    top = max(m0, m1, m2)
     if top == 0.0:
         raise InputError("the zero vector is not a projective point")
-    pivot = int(np.nonzero(mods >= top * (1.0 - _PIVOT_SLACK))[0][0])
+    bound = top * (1.0 - _PIVOT_SLACK)
+    pivot = 0 if m0 >= bound else 1 if m1 >= bound else 2
     w = a / a[pivot]
     w[pivot] = 1.0
-    return ProjectivePoint((complex(w[0]), complex(w[1]), complex(w[2])))
+    return ProjectivePoint(tuple(w.tolist()))
 
 
 def _rows(points) -> np.ndarray:

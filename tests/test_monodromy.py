@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
 from cubicpoints import (
+    CubicForm,
     CurvePoint,
     DiscriminantPathError,
     InputError,
@@ -22,12 +26,18 @@ from cubicpoints import (
     inflection_points,
     normalize_point,
     permutation_of_automorphism,
+    random_smooth_cubic,
     section_verdict,
+    solve_univariate,
     track,
     verify_free_K_action,
 )
 from cubicpoints import cli, curve, monodromy
+from cubicpoints.numeric import UniPoly
 from cubicpoints.serialize import canonical_dumps, path_to_obj
+
+# x^3 + y^3: three concurrent lines, whose Hessian vanishes identically
+_CONE = CubicForm.from_coeffs({(3, 0, 0): 1.0, (0, 3, 0): 1.0})
 
 
 class TestPermutation:
@@ -179,7 +189,7 @@ class TestSections:
 
 class TestOneCertificatePerCurve:
     def test_track_certifies_each_section_evaluation_once(self, monkeypatch):
-        counts = {"smoothness": 0, "section": 0}
+        counts = {"smoothness": 0, "section": 0, "near": 0}
         real_smoothness = curve.smoothness
         section = canonical_section("inflections")
 
@@ -187,9 +197,10 @@ class TestOneCertificatePerCurve:
             counts["smoothness"] += 1
             return real_smoothness(*args, **kwargs)
 
-        def counting_section(f):
+        def counting_section(f, near=None):
             counts["section"] += 1
-            return section(f)
+            counts["near"] += near is not None
+            return section(f, near=near)
 
         # both homes of the function, so a section that certifies again is counted
         monkeypatch.setattr(curve, "smoothness", counting_smoothness)
@@ -197,12 +208,157 @@ class TestOneCertificatePerCurve:
         res = track(_hesse_loop(-3.0, 1.0, steps=8), counting_section)
         assert res.permutation is not None and res.permutation.is_identity()
         assert counts["section"] > 8
+        assert counts["near"] == counts["section"] - 1
         assert counts["smoothness"] == counts["section"]
 
     @pytest.mark.parametrize("name", ["inflections", "type3k:2"])
     def test_sections_expect_a_certified_curve(self, name):
         with pytest.raises(NumericalError, match="degenerate elimination"):
             canonical_section(name)(hesse_cubic(-3.0))
+
+    @pytest.mark.parametrize("name", ["inflections", "type3k:2"])
+    def test_sections_on_a_cone_raise_numerical_error(self, name):
+        with pytest.raises(NumericalError, match="Hessian vanishes"):
+            canonical_section(name)(_CONE)
+
+
+class TestFlexCorrector:
+    @pytest.mark.parametrize(
+        "make_path", [lambda: _hesse_loop(-3.0, 1.0), _translation_path], ids=["hesse_pencil", "translation"]
+    )
+    def test_corrected_sets_match_the_full_elimination(self, make_path, tol):
+        seeds = []
+        section = canonical_section("inflections")
+
+        def recording(f, near=None):
+            if near is not None:
+                seeds.append((f, near))
+            return section(f, near=near)
+
+        track(make_path(), recording)
+        assert len(seeds) > 20
+        for f, near in seeds:
+            corrected = curve._correct_flexes(f, near, tol)
+            assert corrected is not None
+            assert corrected.setwise_equal(curve._flexes_of_smooth(f, tol))
+
+    @pytest.mark.parametrize("spoil", ["two rows on one flex", "one row far from any flex"])
+    def test_a_bad_seed_falls_back_to_the_full_nine(self, spoil, tol):
+        f = random_smooth_cubic(np.random.default_rng(3))
+        full = curve._flexes_of_smooth(f, tol)
+        near = full.arrays.copy()
+        if spoil == "two rows on one flex":
+            near[1] = near[0]
+        else:
+            near[4] = [0.2 + 0.1j, 1.0, -0.4]
+        assert curve._correct_flexes(f, near, tol) is None
+        got = canonical_section("inflections")(f, near=near)
+        assert len(got) == 9 and got.setwise_equal(full)
+
+    def test_a_wrapped_section_still_continues(self, monkeypatch):
+        # inspect.signature follows __wrapped__, so track still passes near
+        # and the full elimination runs only at the start
+        calls = [0]
+        real = monodromy._flexes_of_smooth
+
+        def counting(f, tol):
+            calls[0] += 1
+            return real(f, tol)
+
+        monkeypatch.setattr(monodromy, "_flexes_of_smooth", counting)
+        section = canonical_section("inflections")
+
+        @functools.wraps(section)
+        def wrapped(*args, **kwargs):
+            return section(*args, **kwargs)
+
+        res = track(_hesse_loop(-3.0, 1.0), wrapped)
+        assert res.permutation is not None and res.permutation.is_identity()
+        assert calls[0] == 1
+
+    def test_a_cone_is_a_numerical_error(self, fermat_flexes, tol):
+        with pytest.raises(NumericalError, match="Hessian vanishes"):
+            curve._correct_flexes(_CONE, fermat_flexes.arrays, tol)
+        with pytest.raises(NumericalError, match="Hessian vanishes"):
+            canonical_section("inflections")(_CONE, near=fermat_flexes.arrays)
+
+
+def _crossings(f0: CubicForm, f1: CubicForm) -> list[complex]:
+    """The t where f0 + t f1 is singular: the roots of the unnormalized gate determinant.
+
+    The f-block of the gate matrix is linear in t and the Hessian block is
+    cubic, so the determinant has degree 12. Its values at 32 points of
+    the unit circle give its coefficients by one FFT, as in
+    curve._sampled_resultant.
+    """
+    ts = np.exp(2j * np.pi * np.arange(32) / 32)
+    dets = []
+    for t in ts:
+        f = CubicForm(f0.coeffs + t * f1.coeffs)
+        blocks = curve._GATE_MAP @ np.stack([f.coeffs, f._hessian_coeffs()], axis=1)
+        dets.append(np.linalg.det(blocks.T.reshape(6, 6)))
+    coeffs = np.fft.fft(dets) / 32
+    assert np.abs(coeffs[13:]).max() <= 1e-12 * np.abs(coeffs).max()
+    return [z for z, _ in solve_univariate(UniPoly(coeffs[:13]))]
+
+
+def _lasso(f0: CubicForm, f1: CubicForm, base: complex, c: complex, radius: float) -> ParameterPath:
+    """Out from base to the circle of the given radius about c, once around it, and back."""
+    out = (base - c) / abs(base - c)
+    ring = [c + radius * out * np.exp(2j * np.pi * j / 8) for j in range(9)]
+    ts = [base, *ring, base]
+    return ParameterPath([CubicForm(f0.coeffs + t * f1.coeffs) for t in ts], steps=40)
+
+
+def _group_order(generators: list[Permutation]) -> int:
+    seen = {tuple(range(9))}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for s in generators:
+                h = tuple(s.images[i] for i in g)
+                if h not in seen:
+                    seen.add(h)
+                    fresh.append(h)
+        frontier = fresh
+    return len(seen)
+
+
+class TestFlexMonodromyGroup:
+    def test_lassos_about_the_discriminant_generate_the_hessian_group(self):
+        # Harris, "Galois groups of enumerative problems" (1979): a loop about a
+        # nodal member fixes three flexes and turns two triples, and the loops of
+        # a generic line generate the order-216 group of the flexes' affine plane
+        rng = np.random.default_rng(7)
+        f0, f1 = (CubicForm(curve._unit_disc(rng, 10)) for _ in range(2))
+        crossings = _crossings(f0, f1)
+        assert len(crossings) == 12
+        for c in crossings:
+            assert curve._discriminant_margin(CubicForm(f0.coeffs + c * f1.coeffs)) <= 1e-10
+        base = 0.0
+        section = canonical_section("inflections")
+        start = section(f0)
+        perms = []
+        for k, c in enumerate(crossings):
+            # a quarter of the way to the nearest other crossing or to the base
+            radius = 0.25 * min([abs(c - base)] + [abs(c - o) for j, o in enumerate(crossings) if j != k])
+            res = track(_lasso(f0, f1, base, c, radius), section)
+            assert np.array_equal(res.start.arrays, start.arrays)
+            assert res.permutation.cycle_type() == (3, 3, 1, 1, 1), f"crossing {c:.6g}"
+            perms.append(res.permutation)
+        assert _group_order(perms) == 216
+        P = start.arrays / np.linalg.norm(start.arrays, axis=1)[:, None]
+        lines = {
+            frozenset(t)
+            for t in itertools.combinations(range(9), 3)
+            if abs(np.linalg.det(P[list(t)])) <= 1e-9
+        }
+        assert len(lines) == 12
+        for pair in itertools.combinations(range(9), 2):
+            assert sum(set(pair) <= line for line in lines) == 1
+        for p in perms:
+            assert {frozenset(p(i) for i in line) for line in lines} == lines
 
 
 class TestAutomorphismPermutations:

@@ -5,10 +5,13 @@ spirit: the scalar cross-product chordal distance, the greedy dedupe loop
 over scalar distances, brute-force subset sums of the layer counts, the
 root solver as np.roots, vectorized clustering and a per-root polish
 through UniPoly.derivative and polyval, the flex polish through six grid
-evaluations per Newton step, and the flex search in all three coordinate
-charts.  The dense cubic's gradient and Hessian are checked against
-monomial sums written out here.  The references copy the code they replaced rather than
-import it, so rewriting a kernel cannot rewrite its reference too.
+evaluations per Newton step, the flex search in all three coordinate
+charts, and normalize_point's pivot search on numpy arrays.  The dense
+cubic's gradient and Hessian are checked against monomial sums written
+out here, and the flex corrector's batched values and gradients against
+evaluate and gradient, within a bound taken from those sums.  The
+references copy the code they replaced rather than import it, so
+rewriting a kernel cannot rewrite its reference too.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from cubicpoints.curve import (
     _dedupe,
     _flexes_in_frame,
     _flexes_of_smooth,
+    _forms_at,
     _frames,
     _grid_eval,
     _grid_is_zero,
@@ -390,6 +394,34 @@ def test_gradient_matches_the_monomial_sum(case):
         assert abs(got[i] - sum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
 
 
+# 128 times the smallest subnormal: one half for each of the at most 256
+# roundings behind an entry of _forms_at or of evaluate and gradient
+UNDERFLOW = 128 * 2.0**-1074
+
+
+@PROPERTY
+@given(st.lists(cubic_dicts_and_points(), min_size=1, max_size=3))
+def test_batched_forms_match_evaluate_and_gradient(cases):
+    # every cubic at every point in one call, within the bound above: the
+    # value is a third of x . gradient, whose terms are three times those
+    # of the monomial sum, so the same sum of moduli bounds its roundoff.
+    # Products that underflow lose up to half the smallest subnormal each,
+    # which no relative bound covers; UNDERFLOW allows for them.
+    cubics = [CubicForm.from_coeffs(coeffs) for coeffs, _ in cases]
+    points = np.array([v for _, v in cases])
+    values, grads = _forms_at(np.stack([f._tensor() for f in cubics]), points)
+    for col, ((coeffs, _), f) in enumerate(zip(cases, cubics)):
+        for n, v in enumerate(points):
+            terms = monomial_terms(coeffs, v, [])
+            bound = 1e-14 * sum(abs(t) for t in terms) + UNDERFLOW
+            assert abs(values[n, col] - f.evaluate(v)) <= bound
+            want = f.gradient(v)
+            for i, unit in enumerate(UNITS):
+                terms = monomial_terms(coeffs, v, [unit])
+                bound = 1e-14 * sum(abs(t) for t in terms) + UNDERFLOW
+                assert abs(grads[n, col, i] - want[i]) <= bound
+
+
 @PROPERTY
 @given(cubic_dicts_and_points())
 def test_hessian_is_the_determinant_of_the_second_partials(case):
@@ -650,3 +682,62 @@ def test_margin_is_invariant_under_a_unitary_change_of_coordinates(f, entries):
 def test_margin_grows_linearly_off_the_discriminant(family, eps):
     margin = smoothness(family(eps)).margin
     assert 0.1 * eps <= margin <= 10.0 * eps
+
+
+def reference_normalize(v) -> tuple[complex, complex, complex]:
+    """normalize_point as it was while its pivot search ran on numpy arrays."""
+    a = np.asarray(v, dtype=complex).reshape(-1)
+    mods = np.abs(a)
+    top = mods.max()
+    pivot = int(np.nonzero(mods >= top * (1.0 - 4.0 * np.finfo(float).eps))[0][0])
+    w = a / a[pivot]
+    w[pivot] = 1.0
+    return (complex(w[0]), complex(w[1]), complex(w[2]))
+
+
+EPS = float(np.finfo(float).eps)
+coord_part = st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0, allow_subnormal=False)
+coord = st.builds(complex, coord_part, coord_part)
+EXACT_TURNS = [lambda z: z, lambda z: -z, lambda z: 1j * z, lambda z: -1j * z, lambda z: z.conjugate()]
+
+
+@st.composite
+def pivot_cases(draw):
+    """A triple and k: two coordinates tied in modulus up to a factor 1 + k eps / 4, or k = None.
+
+    The partner is an exact-modulus copy (turned by a sign, by i or by
+    conjugation) scaled by 1 + k eps / 4 for |k| <= 24. The pivot slack is
+    4 eps, so |k| = 16 is its edge and both sides of it are drawn.
+    """
+    if draw(st.booleans()):
+        v, k = draw(st.lists(coord, min_size=3, max_size=3)), None
+    else:
+        a, other = draw(coord), draw(coord)
+        k = draw(st.integers(-24, 24))
+        v = draw(st.permutations([a, draw(st.sampled_from(EXACT_TURNS))(a) * (1.0 + k * EPS / 4), other]))
+    assume(any(v))
+    return np.array(v), k
+
+
+@settings(PROPERTY, max_examples=400)
+@given(pivot_cases())
+def test_normalize_point_has_the_bits_of_the_frozen_copy(case):
+    v, _ = case
+    assert [bits(z) for z in normalize_point(v).coords] == [bits(z) for z in reference_normalize(v)]
+
+
+@settings(PROPERTY, max_examples=400)
+@given(pivot_cases())
+def test_normalize_point_is_idempotent(case):
+    v, k = case
+    p = normalize_point(v).coords
+    q = normalize_point(p).coords
+    assert normalize_point(q).coords == q
+    if k in (None, 0):
+        assert q == p
+    elif q != p:
+        # the rounding of the division can lift a coordinate before the pivot
+        # into the slack once; the pivot then moves to it, for the same point
+        old, new = p.index(1), q.index(1)
+        assert new < old and abs(p[new]) >= 1.0 - 8.0 * EPS
+        assert chordal_matrix(np.array(p), np.array(q))[0, 0] <= 1e-15
