@@ -17,6 +17,7 @@ from cubicpoints import (
     PointSet,
     ProjectiveTransform,
     TrackingAmbiguityError,
+    UniPoly,
     act_on_cubic,
     canonical_section,
     fermat_cubic,
@@ -33,7 +34,6 @@ from cubicpoints import (
     verify_free_K_action,
 )
 from cubicpoints import cli, curve, monodromy
-from cubicpoints.numeric import UniPoly
 from cubicpoints.serialize import canonical_dumps, path_to_obj
 
 # x^3 + y^3: three concurrent lines, whose Hessian vanishes identically
