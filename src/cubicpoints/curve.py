@@ -18,9 +18,9 @@ a 6x6 matrix of the three partials of f and of its Hessian, in Bombieri-
 weighted quadratic coefficients, is singular exactly when f is. Its margin
 sigma_min / sigma_max is invariant under unitary changes of coordinates,
 so every frame and chart reads the same number. Only a curve the gate
-calls singular goes on to the gradient hunt in the three coordinate
-charts (one coordinate set to 1), and only to find a singular point to
-report as the witness.
+calls singular goes on to _singular_witness, which names a singular point
+with the flex search's grid helpers: in each coordinate chart, the common
+zeros of the two chart partials, polished by Gauss-Newton on the gradient.
 """
 from __future__ import annotations
 
@@ -350,47 +350,6 @@ def _grid_eval(C: np.ndarray, u: complex, v: complex) -> complex:
     return complex(vu @ C @ vv)
 
 
-def _partial_map(chart: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each coefficient lands in the chart grids of the three partials.
-
-    Monomial m with exponent e > 0 in coordinate i gives the term e * c_m
-    of the partial f_i, at the entry of grid i indexed by the exponents of
-    m - e_i in the two coordinates other than the chart's.
-    """
-    others = [i for i in range(3) if i != chart]
-    src, mult, dst = [], [], []
-    for i in range(3):
-        for n, m in enumerate(_MONOMIALS):
-            if m[i]:
-                d = list(m)
-                d[i] -= 1
-                src.append(n)
-                mult.append(m[i])
-                dst.append(9 * i + 3 * d[others[0]] + d[others[1]])
-    return np.array(src), np.array(mult), np.array(dst)
-
-
-_PARTIAL_MAPS = [_partial_map(chart) for chart in range(3)]
-
-
-def _partial_grids(f: CubicForm, chart: int) -> np.ndarray:
-    """The 3x3 chart grids of f_x, f_y and f_z, with coordinate chart set to 1."""
-    src, mult, dst = _PARTIAL_MAPS[chart]
-    out = np.zeros(27, dtype=complex)
-    out[dst] = f.coeffs[src] * mult
-    return out.reshape(3, 3, 3)
-
-
-def _stack_grids(grids: list[np.ndarray]) -> np.ndarray:
-    """Zero-pad grids of mixed shape into one (k, rows, cols) array."""
-    rows = max(g.shape[0] for g in grids)
-    cols = max(g.shape[1] for g in grids)
-    out = np.zeros((len(grids), rows, cols), dtype=complex)
-    for i, g in enumerate(grids):
-        out[i, : g.shape[0], : g.shape[1]] = g
-    return out
-
-
 def _grid_partial(C: np.ndarray, axis: int) -> np.ndarray:
     if C.shape[axis] == 1:
         return np.zeros((1, 1), dtype=complex)
@@ -457,15 +416,6 @@ def _sampled_resultant(A: np.ndarray, B: np.ndarray) -> UniPoly | None:
     return poly
 
 
-def _chart_point(chart_index: int, u: complex, v: complex) -> np.ndarray:
-    coords = np.empty(3, dtype=complex)
-    others = [i for i in range(3) if i != chart_index]
-    coords[chart_index] = 1.0
-    coords[others[0]] = u
-    coords[others[1]] = v
-    return coords
-
-
 def _roots_simple(poly: UniPoly, tol: Tolerances) -> list[complex]:
     try:
         return [z for z, _ in solve_univariate(poly, tol)]
@@ -475,56 +425,6 @@ def _roots_simple(poly: UniPoly, tol: Tolerances) -> list[complex]:
 
 # ---------------------------------------------------------------------------
 # smoothness
-
-
-def _newton_system(
-    funcs: list[np.ndarray], u: complex, v: complex, iters: int = 30
-) -> tuple[complex, complex]:
-    """Least-squares Newton for a list of bivariate grids, from (u, v).
-
-    The system may be inconsistent (more equations than unknowns with no
-    common zero); Gauss-Newton then stalls at a pseudo-solution, so the
-    loop stops once the residual norm stops improving and returns the best
-    iterate seen.
-    """
-    F = _stack_grids(funcs)
-    Gu = _stack_grids([_grid_partial(C, 0) for C in funcs])
-    Gv = _stack_grids([_grid_partial(C, 1) for C in funcs])
-    nr, nc = F.shape[1], F.shape[2]
-
-    def residuals(uu: complex, vv: complex) -> np.ndarray:
-        pu = uu ** np.arange(nr)
-        pv = vv ** np.arange(nc)
-        return pu, pv, (F @ pv) @ pu
-
-    best = np.inf
-    bu, bv = u, v
-    stalls = 0
-    for _ in range(iters):
-        pu, pv, vals = residuals(u, v)
-        rn = float(np.linalg.norm(vals))
-        if rn < 0.9 * best:
-            stalls = 0
-        else:
-            stalls += 1
-            if stalls >= 2:
-                break
-        if rn < best:
-            best, bu, bv = rn, u, v
-        ju = (Gu @ pv[: Gu.shape[2]]) @ pu[: Gu.shape[1]]
-        jv = (Gv @ pv[: Gv.shape[2]]) @ pu[: Gv.shape[1]]
-        J = np.stack([ju, jv], axis=1)
-        step, *_ = np.linalg.lstsq(J, -vals, rcond=None)
-        u += complex(step[0])
-        v += complex(step[1])
-        if np.abs(step).max() <= 1e-15 * max(1.0, abs(u), abs(v)):
-            break
-        if max(abs(u), abs(v)) > 1e8:
-            return bu, bv
-    _, _, vals = residuals(u, v)
-    if float(np.linalg.norm(vals)) < best:
-        return u, v
-    return bu, bv
 
 
 def _pair_candidates(
@@ -548,22 +448,9 @@ def _pair_candidates(
                 continue
             cands.extend((u0, v0) for v0 in _roots_simple(fiber, tol))
         return cands
-    # one side free of v: its u-roots fix the fibers of the other
     if va == 0 and vb == 0:
-        ua = UniPoly(A[:, 0]) if A.shape[0] > 1 else None
-        ub = UniPoly(B[:, 0]) if B.shape[0] > 1 else None
-        if ua is None or ub is None:
-            return None
-        scale_b = float(np.abs(B).max())
-        for u0 in _roots_simple(ua, tol):
-            if abs(_grid_eval(B, u0, 0.0)) > 1e-6 * scale_b * max(1.0, abs(u0)) ** 2:
-                continue
-            fiber = _fiber_poly(third, u0)
-            if fiber.degree >= 1:
-                cands.extend((u0, v0) for v0 in _roots_simple(fiber, tol))
-            else:
-                cands.append((u0, 0.0))
-        return cands
+        return None  # only a cone's grids, or a pair with a nonzero constant
+    # one side free of v: its u-roots fix the fibers of the other
     flat, curved = (B, A) if vb == 0 else (A, B)
     if flat.shape[0] == 1:
         return None  # nonzero constant, no common zeros through this pair
@@ -642,14 +529,14 @@ def _discriminant_margin(f: CubicForm) -> float:
 
 
 def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> SmoothnessReport:
-    """Certify smoothness by the discriminant gate; hunt a witness only if singular.
+    """Certify smoothness by the discriminant gate; find a witness only if singular.
 
     The margin is sigma_min / sigma_max of the gate matrix (see
     _discriminant_margin): 1 on the Fermat cubic, about the coefficient
     distance to the nearest singular cubic near the discriminant, and the
     same number in every unitary frame. The curve is smooth when the
-    margin exceeds tau_singular. Otherwise the gradient hunt in the three
-    coordinate charts runs to pick the witness, a singular point.
+    margin exceeds tau_singular. Otherwise _singular_witness picks the
+    witness, a singular point.
     """
     margin = _discriminant_margin(f)
     if margin > tol.tau_singular:
@@ -657,61 +544,93 @@ def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> Smoothness
     return SmoothnessReport(False, margin, _singular_witness(f, tol))
 
 
-def _singular_witness(f: CubicForm, tol: Tolerances) -> ProjectivePoint:
-    """The point of smallest normalized gradient, hunted in all three charts.
+# Chart i sets coordinate i + 2 (mod 3) to 1, as a (U, M) pair of _frames: U @ (u, v, 1)
+# puts u and v in coordinates i and i + 1, and M sends each monomial exactly to the
+# grid entry of its exponents of u and v, so a coordinate vertex is a root at 0.
+_CHARTS = tuple(
+    (
+        np.eye(3)[:, [i, (i + 1) % 3, (i + 2) % 3]],
+        (np.arange(16)[:, None] == [4 * m[i] + m[(i + 1) % 3] for m in _MONOMIALS]).astype(float),
+    )
+    for i in range(3)
+)
+# Chart coordinates beyond this carry too few digits; another chart has the point.
+_WITNESS_BOX = 1e7
+# Only near-zero raw gradients are polished: every near-singularity is among them.
+_WITNESS_POLISH_GATE = 1e-2
+# Beating the best by more than roundoff wins; within the slack it ties, so
+# that a point found in several charts is chosen by key, not by chart.
+_WITNESS_BETTER = 1e-15
+_WITNESS_TIE_ABS, _WITNESS_TIE_REL = 1e-12, 1e-6
 
-    The candidates are the polished points where two partial derivatives
-    vanish; ties in the gradient norm go to the largest canonical key.
+
+def _singular_witness(f: CubicForm, tol: Tolerances) -> ProjectivePoint:
+    """The candidate of smallest normalized gradient; ties go to the largest canonical key.
+
+    In each coordinate chart the candidates are the common zeros of the two
+    chart partials or, where one vanishes or the pair shares a factor, the
+    zeros of the nonzero ones on _FALLBACK_LINES.
     """
     scale = f.norm_inf
+    T = f._tensor()
     best_gradient = np.inf
     best_witnesses: list[ProjectivePoint] = []
-    for chart in range(3):
-        grids = [_grid_trim(g) for g in _partial_grids(f, chart)]
-        nonzero = [g for g in grids if not _grid_is_zero(g)]
-        if not nonzero:
-            continue
-        cands: list[tuple[complex, complex]] = []
-        got_pair = False
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            A, B = grids[i], grids[j]
-            if _grid_is_zero(A) or _grid_is_zero(B):
-                continue
-            third = grids[3 - i - j]
-            pair = _pair_candidates(A, B, third, tol)
-            if pair is not None:
-                got_pair = True
-                cands.extend(pair)
-        if not got_pair:
-            # positive-dimensional pairs everywhere: scan fixed lines
-            for alpha, beta in _FALLBACK_LINES:
-                for g in nonzero:
-                    upoly = _grid_on_line(g, alpha, beta)
-                    if upoly.degree < 1:
-                        continue
-                    for u0 in _roots_simple(upoly, tol):
-                        cands.append((u0, alpha * u0 + beta))
+    for U, M in _CHARTS:
+        G = _frame_grid(f, M)
+        partials = [_grid_trim(_grid_partial(G, axis)) for axis in (0, 1)]
+        nonzero = [g for g in partials if not _grid_is_zero(g)]
+        cands = _pair_candidates(*partials, G, tol) if len(nonzero) == 2 else None
+        if cands is None:
+            cands = [
+                (u0, alpha * u0 + beta)
+                for alpha, beta in _FALLBACK_LINES
+                for g in nonzero
+                for u0 in _roots_simple(_grid_on_line(g, alpha, beta), tol)
+            ]
         for u0, v0 in cands:
-            if max(abs(u0), abs(v0)) > 1e7:
+            if max(abs(u0), abs(v0)) > _WITNESS_BOX:
                 continue
-            P = normalize_point(_chart_point(chart, u0, v0))
+            x = U @ np.array([u0, v0, 1.0])
+            P = normalize_point(x)
             g = float(np.linalg.norm(f.gradient(P)) / scale)
-            if g <= 1e-2:
-                # only near-zero raw gradients need refining; every true
-                # near-singularity appears among the raw candidates anyway
-                u1, v1 = _newton_system(grids, u0, v0)
-                if max(abs(u1), abs(v1)) > 1e7:
-                    continue
-                P = normalize_point(_chart_point(chart, u1, v1))
+            if g <= _WITNESS_POLISH_GATE:
+                P = normalize_point(_polish_singular(T, x))
                 g = float(np.linalg.norm(f.gradient(P)) / scale)
-            if g < best_gradient - 1e-15:
-                best_gradient = float(g)
+            if g < best_gradient - _WITNESS_BETTER:
+                best_gradient = g
                 best_witnesses = [P]
-            elif abs(g - best_gradient) <= 1e-12 + 1e-6 * best_gradient:
+            elif abs(g - best_gradient) <= _WITNESS_TIE_ABS + _WITNESS_TIE_REL * best_gradient:
                 best_witnesses.append(P)
     if not np.isfinite(best_gradient):
         raise NumericalError("gradient elimination produced no candidates")
     return max(best_witnesses, key=_canonical_key)
+
+
+def _polish_singular(T: np.ndarray, x: np.ndarray, iters: int = 30) -> np.ndarray:
+    """Gauss-Newton on grad f = 3 T x x, Jacobian 6 T x, in the max-modulus chart of x.
+
+    The three partials need not share a zero near x; Gauss-Newton then
+    stalls, so the loop stops once the residual stops improving and
+    returns the best iterate seen.
+    """
+    pivot = int(np.abs(x).argmax())
+    x, free = x / x[pivot], _FREE[pivot]
+    best, best_x, stalls, size = np.inf, x, 0, np.inf
+    for _ in range(iters + 1):
+        grad = 3.0 * np.einsum("ijk,j,k->i", T, x, x)
+        rn = float(np.linalg.norm(grad))
+        stalls = 0 if rn < 0.9 * best else stalls + 1
+        if rn < best:
+            best, best_x = rn, x
+        if stalls >= 2 or size <= 1e-15 * np.abs(x).max():
+            break
+        step = np.linalg.lstsq(6.0 * np.einsum("ijk,k->ij", T, x)[:, free], -grad, rcond=None)[0]
+        x = x.copy()
+        x[free] += step
+        size = np.abs(step).max()
+        if np.abs(x).max() > _WITNESS_BOX:
+            break
+    return best_x
 
 
 def is_smooth(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -787,9 +706,9 @@ def inflection_points(
 
     Smoothness is certified first by the discriminant gate of smoothness,
     whose margin is the same in every unitary frame; on a singular curve
-    the three-chart gradient hunt names the point in the SingularCurveError
-    raised. The flexes are found in one generic unitary frame, and in the
-    next ones only when a flex lies on a frame's line at infinity. Raises
+    the SingularCurveError raised names the witness of _singular_witness.
+    The flexes are found in one generic unitary frame, and in the next
+    ones only when a flex lies on a frame's line at infinity. Raises
     NumericalError if the frames do not settle on exactly nine certified
     points.
     """

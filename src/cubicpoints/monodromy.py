@@ -14,8 +14,8 @@ scratch at every step.
 track certifies every curve it visits against smoothness_margin, once, and
 only then evaluates the section there.  The certificate is the discriminant
 gate of curve.smoothness, whose margin does not depend on the frame the
-path is written in; the three-chart gradient hunt runs only on a curve the
-gate finds singular, to name the singular point.  The sections of
+path is written in; the search for a singular point runs only on a curve
+the gate finds singular, to name that point.  The sections of
 canonical_section therefore expect a curve the caller has certified and
 skip the weaker smoothness check of inflection_points.
 """

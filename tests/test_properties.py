@@ -40,7 +40,7 @@ from cubicpoints import (
 )
 from cubicpoints import curve
 from cubicpoints.curve import (
-    _chart_point,
+    _canonical_key,
     _dedupe,
     _flexes_in_frame,
     _flexes_of_smooth,
@@ -524,6 +524,16 @@ def chart_grid(f, chart):
     return C
 
 
+def chart_point(chart, u, v):
+    """The point with coordinate chart set to 1 and (u, v) in the other two, in order."""
+    coords = np.empty(3, dtype=complex)
+    others = [i for i in range(3) if i != chart]
+    coords[chart] = 1.0
+    coords[others[0]] = u
+    coords[others[1]] = v
+    return coords
+
+
 def reference_flexes(f, tol=DEFAULT_TOLERANCES):
     """The flex search as it was: the same elimination in all three coordinate charts, merged.
 
@@ -550,7 +560,7 @@ def reference_flexes(f, tol=DEFAULT_TOLERANCES):
             if polished is None:
                 continue
             u1, v1 = polished
-            P = normalize_point(_chart_point(chart, u1, v1))
+            P = normalize_point(chart_point(chart, u1, v1))
             rf = abs(f.evaluate(P)) / f.norm_inf
             rh = abs(h.evaluate(P)) / h.norm_inf
             if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
@@ -660,6 +670,88 @@ def test_planted_singular_point_is_found(seed):
     assert not rep.smooth
     planted = np.linalg.solve(A, np.array([0.0, 0.0, 1.0]))
     assert chordal_matrix(rep.witness.array.reshape(1, 3), planted.reshape(1, 3))[0, 0] <= DEFAULT_TOLERANCES.tau_match
+
+
+# The witness against singular points known by construction: planted cusps,
+# the vertices of a triangle and the two points where a line cuts a conic,
+# and the singular line of a cubic with a repeated line.
+
+
+def random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def product_of_lines(*lines):
+    """The cubic l1 l2 l3, expanded monomial by monomial."""
+    coeffs = {}
+    for picks in itertools.product(range(3), repeat=3):
+        key = tuple(picks.count(v) for v in range(3))
+        coeffs[key] = coeffs.get(key, 0) + np.prod([l[i] for l, i in zip(lines, picks)])
+    return CubicForm.from_coeffs(coeffs)
+
+
+def chordal(a, b) -> float:
+    return float(chordal_matrix(np.reshape(a, (1, 3)), np.reshape(b, (1, 3)))[0, 0])
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_planted_cusp_is_found(seed):
+    # z l(x, y)^2 + c(x, y) has a cusp at (0:0:1) with tangent l = 0 unless
+    # l divides c; the pull-back by A moves it to A^-1 (0, 0, 1)
+    rng = np.random.default_rng(seed)
+    a, b = random_complex(rng, 2)
+    c = random_complex(rng, 4)
+    f = CubicForm.from_coeffs(
+        {(2, 0, 1): a * a, (1, 1, 1): 2 * a * b, (0, 2, 1): b * b}
+        | dict(zip([(3, 0, 0), (2, 1, 0), (1, 2, 0), (0, 3, 0)], c))
+    )
+    A = random_complex(rng, 3, 3)
+    rep = smoothness(f.compose_linear(A))
+    assert not rep.smooth
+    assert chordal(rep.witness.array, np.linalg.solve(A, [0.0, 0.0, 1.0])) <= DEFAULT_TOLERANCES.tau_match
+
+
+TRIANGLE = product_of_lines([1, 0, 0], [0, 1, 0], [0, 0, 1])
+# the conic xz - y^2 times the line y = 0, which cuts it at (1:0:0) and (0:0:1)
+CONIC_TIMES_SECANT = CubicForm.from_coeffs({(1, 1, 1): 1.0, (0, 3, 0): -1.0})
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["triangle", "conic_times_secant"]))
+def test_witness_is_the_singular_point_of_largest_canonical_key(seed, name):
+    f, singular = {
+        "triangle": (TRIANGLE, np.eye(3)),
+        "conic_times_secant": (CONIC_TIMES_SECANT, np.eye(3)[[0, 2]]),
+    }[name]
+    A = random_complex(np.random.default_rng(seed), 3, 3)
+    g = f.compose_linear(A)
+    rep = smoothness(g)
+    assert not rep.smooth
+    want = max((normalize_point(np.linalg.solve(A, p)) for p in singular), key=_canonical_key)
+    assert chordal(rep.witness.array, want.array) <= DEFAULT_TOLERANCES.tau_match
+    # Gauss-Newton converges quadratically at a node, down to roundoff
+    assert np.linalg.norm(g.gradient(rep.witness.array)) <= 1e-14 * g.norm_inf
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["l2m", "l3", "yz2"]))
+def test_witness_of_a_repeated_line_lies_on_it(seed, name):
+    # every point of the line l = 0 is singular on l^2 m and on l^3
+    rng = np.random.default_rng(seed)
+    l, m = random_complex(rng, 3), random_complex(rng, 3)
+    if name == "yz2":
+        l, m = np.array([0, 0, 1]), np.array([0, 1, 0])
+    g = product_of_lines(l, l, l if name == "l3" else m)
+    w = smoothness(g).witness.array
+    assert abs(l @ w) <= DEFAULT_TOLERANCES.tau_match * np.linalg.norm(l) * np.linalg.norm(w)
+    assert np.linalg.norm(g.gradient(w)) <= 1e-12 * g.norm_inf
+
+
+def test_witness_near_a_cone_is_its_vertex():
+    rep = smoothness(CubicForm.from_coeffs({(3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1e-9}))
+    assert not rep.smooth
+    assert rep.witness.coords == (0, 0, 1)
 
 
 @PROPERTY
