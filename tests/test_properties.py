@@ -30,6 +30,7 @@ from cubicpoints import (
     NumericalError,
     PointSet,
     UniPoly,
+    chordal_distance,
     constructible_sizes,
     fermat_cubic,
     hesse_cubic,
@@ -690,10 +691,6 @@ def product_of_lines(*lines):
     return CubicForm.from_coeffs(coeffs)
 
 
-def chordal(a, b) -> float:
-    return float(chordal_matrix(np.reshape(a, (1, 3)), np.reshape(b, (1, 3)))[0, 0])
-
-
 @PROPERTY
 @given(st.integers(0, 2**32 - 1))
 def test_planted_cusp_is_found(seed):
@@ -709,7 +706,7 @@ def test_planted_cusp_is_found(seed):
     A = random_complex(rng, 3, 3)
     rep = smoothness(f.compose_linear(A))
     assert not rep.smooth
-    assert chordal(rep.witness.array, np.linalg.solve(A, [0.0, 0.0, 1.0])) <= DEFAULT_TOLERANCES.tau_match
+    assert chordal_distance(rep.witness.array, np.linalg.solve(A, [0.0, 0.0, 1.0])) <= DEFAULT_TOLERANCES.tau_match
 
 
 TRIANGLE = product_of_lines([1, 0, 0], [0, 1, 0], [0, 0, 1])
@@ -729,7 +726,7 @@ def test_witness_is_the_singular_point_of_largest_canonical_key(seed, name):
     rep = smoothness(g)
     assert not rep.smooth
     want = max((normalize_point(np.linalg.solve(A, p)) for p in singular), key=_canonical_key)
-    assert chordal(rep.witness.array, want.array) <= DEFAULT_TOLERANCES.tau_match
+    assert chordal_distance(rep.witness.array, want.array) <= DEFAULT_TOLERANCES.tau_match
     # Gauss-Newton converges quadratically at a node, down to roundoff
     assert np.linalg.norm(g.gradient(rep.witness.array)) <= 1e-14 * g.norm_inf
 
