@@ -1,17 +1,18 @@
 """Smooth plane cubics: evaluation, smoothness certification, inflections.
 
 Intersection problems are solved in affine charts: eliminate one chart
-variable with a resultant, solve the resulting univariate polynomial,
-and polish candidates with Newton on the full system.
+variable with a resultant and solve the resulting univariate polynomial.
 
 The flexes are found in one chart of a fixed generic unitary frame, where
 all nine are finite unless the curve is specially placed, so one
 elimination replaces three. A flex on that frame's line at infinity sends
 the search on to the next of three frames, whose lines at infinity share
-no point, and their candidates are merged by chordal distance. Along a
-tracked path the flexes of the previous curve seed _correct_flexes
-instead, one batched Newton correction of all nine, and the elimination
-runs again only when that correction cannot show it found all nine.
+no point, and their candidates are merged by chordal distance. One
+batched Newton on (f, H) = 0, _newton_flexes, polishes every candidate
+in the candidate's own max-modulus projective chart. Along a tracked path
+the flexes of the previous curve seed the same Newton instead
+(_correct_flexes), and the elimination runs again only when that
+correction cannot show it found all nine.
 
 Smoothness is certified by one determinantal gate for the discriminant:
 a 6x6 matrix of the three partials of f and of its Hessian, in Bombieri-
@@ -36,6 +37,7 @@ from .errors import InputError, NumericalError, SingularCurveError
 from .numeric import (
     ProjectivePoint,
     UniPoly,
+    _point_array,
     _sylvester_dets,
     chordal_matrix,
     normalize_point,
@@ -127,7 +129,7 @@ class CubicForm:
         return (self.coeffs / _TENSOR_COUNT)[_TENSOR_INDEX].reshape(3, 3, 3)
 
     def evaluate(self, point) -> complex:
-        x, y, z = _xyz(point)
+        x, y, z = _point_array(point).reshape(3).tolist()
         c = self.coeffs.tolist()
         xx, yy, zz = x * x, y * y, z * z
         return (
@@ -138,7 +140,7 @@ class CubicForm:
 
     def gradient(self, point) -> np.ndarray:
         """The three partial derivatives at a point, from the quadratic monomials."""
-        x, y, z = _xyz(point)
+        x, y, z = _point_array(point).reshape(3).tolist()
         c = self.coeffs.tolist()
         xx, xy, xz, yy, yz, zz = x * x, x * y, x * z, y * y, y * z, z * z
         return np.array(
@@ -205,11 +207,6 @@ class CubicForm:
         return f"CubicForm({' + '.join(terms)}{name})"
 
 
-def _xyz(point) -> list[complex]:
-    v = point.array if isinstance(point, ProjectivePoint) else point
-    return np.asarray(v, dtype=complex).reshape(3).tolist()
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     """A projective point together with its relative curve residual."""
@@ -259,8 +256,7 @@ class PointSet:
         """Index of the member within tolerance of the given point, else None."""
         if not self.points:
             return None
-        v = point.array if hasattr(point, "array") else np.asarray(point, dtype=complex)
-        d = chordal_matrix(v.reshape(1, 3), self.arrays)[0]
+        d = chordal_matrix(point, self.arrays)[0]
         i = int(np.argmin(d))
         return i if d[i] <= self.tolerance else None
 
@@ -362,12 +358,9 @@ def _grid_partial(C: np.ndarray, axis: int) -> np.ndarray:
 
 def _fiber_poly(C: np.ndarray, u: complex) -> UniPoly:
     """Specialize u; returns polynomial in v with relative trimming."""
-    vu = u ** np.arange(C.shape[0])
-    vec = vu @ C
-    top = np.abs(vec).max()
-    if top > 0.0:
-        vec = np.where(np.abs(vec) > _REL_TRIM * top, vec, 0.0)
-    return UniPoly(vec)
+    vec = (u ** np.arange(C.shape[0])) @ C
+    mods = np.abs(vec)
+    return UniPoly(np.where(mods > _REL_TRIM * mods.max(), vec, 0.0))
 
 
 _SAMPLES = 32
@@ -656,7 +649,7 @@ def polish_onto_curve(
     Moves along the conjugate gradient direction, which keeps the step
     well conditioned for smooth curves.
     """
-    v = np.asarray(coords, dtype=complex).copy()
+    v = _point_array(coords)
     v = v / np.abs(v).max()
     for _ in range(iters):
         val = f.evaluate(v)
@@ -668,35 +661,6 @@ def polish_onto_curve(
         v = v - (val / denom) * d
     P = normalize_point(v)
     return CurvePoint(P, f.residual_at(P))
-
-
-def _newton_pair(
-    F: np.ndarray, H: np.ndarray, u: complex, v: complex, iters: int = 30
-) -> tuple[complex, complex] | None:
-    grids = [F, H]
-    grids += [_grid_partial(C, axis) for C in (F, H) for axis in (0, 1)]
-    rows = np.arange(max(F.shape[0], H.shape[0]))
-    cols = np.arange(max(F.shape[1], H.shape[1]))
-    for _ in range(iters):
-        # one pair of power vectors per step; each grid reads a prefix of
-        # each, which gives the bits of _grid_eval
-        vu, vv = u**rows, v**cols
-        f, h, fu, fv, hu, hv = (
-            complex(vu[: C.shape[0]] @ C @ vv[: C.shape[1]]) for C in grids
-        )
-        vals = np.array([f, h])
-        J = np.array([[fu, fv], [hu, hv]])
-        try:
-            step = np.linalg.solve(J, -vals)
-        except np.linalg.LinAlgError:
-            return None
-        u += complex(step[0])
-        v += complex(step[1])
-        if max(abs(u), abs(v)) > 1e7:
-            return None
-        if np.abs(step).max() <= 1e-15 * max(1.0, abs(u), abs(v)):
-            break
-    return u, v
 
 
 def inflection_points(
@@ -757,40 +721,36 @@ def _frame_grid(g: CubicForm, M: np.ndarray) -> np.ndarray:
     return _grid_trim((M @ g.coeffs).reshape(4, 4))
 
 
+# An elimination candidate where |H| exceeds this share of H's scale (times the
+# chart box) is a root of f alone on its fiber, far off the Hessian; the share is
+# loose so that a roughly placed flex candidate still reaches Newton.
+_HESSIAN_PREFILTER = 1e-2
+
+
 def _flexes_in_frame(
     f: CubicForm, h: CubicForm, frame: tuple[np.ndarray, np.ndarray], tol: Tolerances
 ) -> tuple[list[CurvePoint], list[float]]:
-    """Certified flexes in chart z = 1 of the frame, with their joint residuals."""
+    """Certified flexes from chart z = 1 of the frame, with their joint residuals.
+
+    The candidates of the elimination that pass the Hessian prefilter are
+    mapped to U @ (u, v, 1) and polished by _newton_flexes, the tracker's
+    corrector, which keeps only the rows that converge onto f and H.
+    """
     U, M = frame
     F = _frame_grid(f, M)
     H = _frame_grid(h, M)
-    found: list[CurvePoint] = []
-    hess_res: list[float] = []
     if _grid_is_zero(F) or _grid_is_zero(H):
-        return found, hess_res
+        return [], []
     cands = _pair_candidates(F, H, F, tol)
     if cands is None:
-        return found, hess_res
+        return [], []
     hs = float(np.abs(H).max())
-    for u0, v0 in cands:
-        box = max(1.0, abs(u0), abs(v0)) ** 3
-        if abs(_grid_eval(H, u0, v0)) > 1e-2 * hs * box:
-            continue
-        polished = _newton_pair(F, H, u0, v0)
-        if polished is None:
-            continue
-        u1, v1 = polished
-        P = normalize_point(U @ np.array([u1, v1, 1.0]))
-        rf, rh = _flex_residuals(f, h, P)
-        if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
-            found.append(CurvePoint(P, rf))
-            hess_res.append(max(rf, rh))
-    return found, hess_res
-
-
-def _flex_residuals(f: CubicForm, h: CubicForm, P: ProjectivePoint) -> tuple[float, float]:
-    """Relative residuals of a normalized point on the curve and on its Hessian."""
-    return abs(f.evaluate(P)) / f.norm_inf, abs(h.evaluate(P)) / h.norm_inf
+    starts = [
+        U @ np.array([u0, v0, 1.0])
+        for u0, v0 in cands
+        if abs(_grid_eval(H, u0, v0)) <= _HESSIAN_PREFILTER * hs * max(1.0, abs(u0), abs(v0)) ** 3
+    ]
+    return _newton_flexes(f, h, starts, tol)
 
 
 def _hessian_of_smooth(f: CubicForm) -> CubicForm:
@@ -806,7 +766,8 @@ def _hessian_of_smooth(f: CubicForm) -> CubicForm:
 def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
     """inflection_points for a curve the caller has already certified smooth.
 
-    Eliminates in the first frame and goes on to the next only while the
+    Eliminates in the first frame, polishing the candidates with the batched
+    Newton of _newton_flexes, and goes on to the next frame only while the
     points found so far do not settle on nine, as when a flex lies on a
     frame's line at infinity. On a singular curve the elimination does
     not settle on nine points, or the Hessian of a cone vanishes, and this
@@ -834,10 +795,12 @@ def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
 # below tau_match.
 _CORRECTOR_DONE = 1e-12
 # Inside the basin of a simple root each Newton step at least halves; a row
-# that contracts more slowly is left to the full elimination.
+# that contracts more slowly is dropped, so the tracker falls back to the
+# elimination and the elimination to its other candidates and frames.
 _CORRECTOR_CONTRACTION = 0.5
 # Quadratic convergence reaches _CORRECTOR_DONE in about five steps from a
-# start 0.1 away; a row still moving after twice that many is re-solved.
+# start 0.1 away, as a tracked flex or an elimination candidate is; a row
+# still moving after twice that many is dropped.
 _CORRECTOR_ITERS = 10
 # For a row whose pivot (the coordinate held at 1) is i, the two it moves.
 _FREE = np.array([[1, 2], [0, 2], [0, 1]])
@@ -854,32 +817,32 @@ def _forms_at(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (G * X[:, None, :]).sum(axis=2) / 3.0, G
 
 
-def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
-    """The nine flexes by Newton on (f, H) = 0 from the rows of near, or None.
+def _newton_flexes(
+    f: CubicForm, h: CubicForm, starts, tol: Tolerances
+) -> tuple[list[CurvePoint], list[float]]:
+    """Flexes by Newton on (f, h) = 0 from the rows of starts, with their joint residuals.
 
-    near is the (9, 3) stack of the flexes of a nearby curve. All nine rows
-    move at once, each in its own chart with its largest-modulus coordinate
-    held at 1, by a Cramer solve of the 2x2 Newton system. The corrected
-    set comes back in near's order only when every step at most halved the
-    one before, every row converged within _CORRECTOR_ITERS steps, every
-    point passes the residual test of _flexes_in_frame, and the nine lie
-    pairwise farther apart than 2 tau_match; otherwise None. The curve
-    meets its Hessian in nine points counted with multiplicity (Bezout),
-    each simple on a smooth cubic, so nine distinct common points are all
-    the flexes. Raises NumericalError on a cone, as _flexes_of_smooth does.
+    All rows move at once, each in its own chart with its largest-modulus
+    coordinate held at 1, by a Cramer solve of the 2x2 Newton system. A row
+    is kept when every step at most halved the one before, it converged
+    within _CORRECTOR_ITERS steps, and its point lies on f and on h within
+    tau_on_curve; the joint residual is the larger of the two. A row that
+    fails stops moving and is dropped. Kept rows come back in start order.
     """
-    h = _hessian_of_smooth(f)
-    X = np.array(near, dtype=complex).reshape(9, 3)
-    rows = np.arange(9)
+    X = np.array(starts, dtype=complex).reshape(-1, 3)
+    rows = np.arange(len(X))
     pivot = np.abs(X).argmax(axis=1)
     X /= X[rows, pivot][:, None]
     X[rows, pivot] = 1.0
     q, r = _FREE[pivot].T
     T = np.stack([f._tensor(), h._tensor()])
-    last = np.full(9, np.inf)
-    moving = np.ones(9, dtype=bool)
+    last = np.full(len(X), np.inf)
+    kept = np.ones(len(X), dtype=bool)
+    moving = kept.copy()
     with np.errstate(all="ignore"):
         for _ in range(_CORRECTOR_ITERS):
+            if not moving.any():
+                break
             V, G = _forms_at(T, X)
             a, b = G[rows, 0, q], G[rows, 0, r]
             c, d = G[rows, 1, q], G[rows, 1, r]
@@ -887,24 +850,40 @@ def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
             du = np.where(moving, (b * V[:, 1] - d * V[:, 0]) / det, 0.0)
             dv = np.where(moving, (c * V[:, 0] - a * V[:, 1]) / det, 0.0)
             size = np.maximum(np.abs(du), np.abs(dv))
-            # a NaN step fails the comparison too
-            if not (size <= _CORRECTOR_CONTRACTION * last).all():
-                return None
+            # a NaN step fails the comparison too; a failed row takes its
+            # step, which moves no other row, and then stops
+            kept &= size <= _CORRECTOR_CONTRACTION * last
             X[rows, q] += du
             X[rows, r] += dv
             last = size
-            moving &= size > _CORRECTOR_DONE
-            if not moving.any():
-                break
-        else:
-            return None
-    points = []
-    for row in X:
+            moving = kept & (size > _CORRECTOR_DONE)
+    kept &= ~moving
+    points: list[CurvePoint] = []
+    joint: list[float] = []
+    for row in X[kept]:
         P = normalize_point(row)
-        rf, rh = _flex_residuals(f, h, P)
-        if rf > tol.tau_on_curve or rh > tol.tau_on_curve:
-            return None
-        points.append(CurvePoint(P, rf))
+        rf = abs(f.evaluate(P)) / f.norm_inf
+        rh = abs(h.evaluate(P)) / h.norm_inf
+        if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
+            points.append(CurvePoint(P, rf))
+            joint.append(max(rf, rh))
+    return points, joint
+
+
+def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
+    """The nine flexes by _newton_flexes from the rows of near, or None.
+
+    near is the (9, 3) stack of the flexes of a nearby curve. The corrected
+    set comes back in near's order only when all nine rows are kept and the
+    nine lie pairwise farther apart than 2 tau_match; otherwise None. The
+    curve meets its Hessian in nine points counted with multiplicity
+    (Bezout), each simple on a smooth cubic, so nine distinct common points
+    are all the flexes. Raises NumericalError on a cone, as _flexes_of_smooth
+    does.
+    """
+    points, _ = _newton_flexes(f, _hessian_of_smooth(f), near, tol)
+    if len(points) != 9:
+        return None
     out = PointSet(points, tol.tau_match)
     return out if out.min_separation() > 2.0 * tol.tau_match else None
 
@@ -945,8 +924,8 @@ def line_curve_points(
     t -> f(P + t Q) has the coefficients f(P), grad f(P).Q, grad f(Q).P
     and f(Q), lowest degree first, by the polarization identity.
     """
-    P = np.asarray(p, dtype=complex).reshape(3)
-    Q = np.asarray(q, dtype=complex).reshape(3)
+    P = _point_array(p).reshape(3)
+    Q = _point_array(q).reshape(3)
     coeffs = np.array([f.evaluate(P), f.gradient(P) @ Q, f.gradient(Q) @ P, f.evaluate(Q)])
     top = np.abs(coeffs).max()
     if top == 0.0:

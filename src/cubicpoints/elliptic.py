@@ -26,6 +26,7 @@ from .errors import InputError, NumericalError
 from .numeric import (
     ProjectivePoint,
     UniPoly,
+    _point_array,
     chordal_distance,
     normalize_point,
     solve_univariate,
@@ -46,10 +47,8 @@ __all__ = [
 
 
 def _coords(p) -> np.ndarray:
-    if hasattr(p, "array"):
-        return np.asarray(p.array, dtype=complex).reshape(3)
-    v = np.asarray(p, dtype=complex).reshape(3)
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    v = _point_array(p).reshape(3)
+    if not np.isfinite(v).all():
         raise InputError("point coordinates must be finite")
     return v
 

@@ -8,8 +8,9 @@ whose signature has a near parameter receives the previous accepted
 points there and may continue them instead of recomputing: the
 inflections section corrects the nine flexes by Newton
 (curve._correct_flexes) and eliminates again only when the correction
-cannot prove it found all nine.  Other sections are recomputed from
-scratch at every step.
+cannot prove it found all nine.  The correction and the elimination's
+polish are one batched Newton, curve._newton_flexes.  Other sections are
+recomputed from scratch at every step.
 
 track certifies every curve it visits against smoothness_margin, once, and
 only then evaluates the section there.  The certificate is the discriminant

@@ -148,6 +148,11 @@ class ProjectivePoint:
         return f"({x:.6g} : {y:.6g} : {z:.6g})"
 
 
+def _point_array(point) -> np.ndarray:
+    """The coordinates of a point: the .array of a ProjectivePoint or CurvePoint, else the input, as complex."""
+    return np.asarray(point.array if hasattr(point, "array") else point, dtype=complex)
+
+
 def normalize_point(v) -> ProjectivePoint:
     """Canonical representative: max-modulus coordinate rescaled to exactly 1.
 
@@ -157,7 +162,7 @@ def normalize_point(v) -> ProjectivePoint:
     abs and complex division do not always reproduce; only the pivot
     search runs on Python floats.
     """
-    a = np.asarray(v, dtype=complex).reshape(-1)
+    a = _point_array(v).reshape(-1)
     if a.size != 3:
         raise InputError("projective point needs exactly 3 coordinates")
     if not np.isfinite(a).all():
@@ -173,16 +178,10 @@ def normalize_point(v) -> ProjectivePoint:
     return ProjectivePoint(tuple(w.tolist()))
 
 
-def _rows(points) -> np.ndarray:
-    if isinstance(points, ProjectivePoint):
-        return points.array.reshape(1, 3)
-    return np.asarray(points, dtype=complex).reshape(-1, 3)
-
-
 def chordal_distance(p, q) -> float:
     """Chordal (Fubini-Study sine) distance between two projective points.
 
-    Takes ProjectivePoint or raw coordinate triples; scale invariant,
+    Takes ProjectivePoint, CurvePoint or raw coordinate triples; scale invariant,
     symmetric, range [0, 1], and a metric on the projective plane.
     """
     return float(chordal_matrix(p, q)[0, 0])
@@ -191,9 +190,10 @@ def chordal_distance(p, q) -> float:
 def chordal_matrix(A, B) -> np.ndarray:
     """Pairwise chordal distances between two stacks of coordinate rows.
 
-    Either side may also be a single ProjectivePoint or coordinate triple.
+    Either side may also be a single ProjectivePoint, CurvePoint or
+    coordinate triple.
     """
-    A, B = _rows(A), _rows(B)
+    A, B = _point_array(A).reshape(-1, 3), _point_array(B).reshape(-1, 3)
     na = np.linalg.norm(A, axis=1)
     nb = np.linalg.norm(B, axis=1)
     if not (na.all() and nb.all()):

@@ -15,7 +15,7 @@ import numpy as np
 from .curve import _MONOMIALS, CubicForm, PointSet
 from .errors import InputError
 from .monodromy import _MEET_TOL, ParameterPath
-from .numeric import ProjectivePoint, normalize_point
+from .numeric import ProjectivePoint, _point_array, normalize_point
 
 __all__ = [
     "canonical_dumps",
@@ -81,8 +81,7 @@ def cubic_from_obj(obj) -> CubicForm:
 def points_to_obj(points) -> dict:
     rows = []
     for p in points:
-        v = p.array if hasattr(p, "array") else np.asarray(p, dtype=complex)
-        rows.append([_pair(complex(c)) for c in v.reshape(3)])
+        rows.append([_pair(complex(c)) for c in _point_array(p).reshape(3)])
     return {"xyz": rows}
 
 
@@ -106,8 +105,7 @@ def points_from_obj(obj) -> list[ProjectivePoint]:
 def points_to_csv(points) -> str:
     lines = ["x_re,x_im,y_re,y_im,z_re,z_im"]
     for p in points:
-        v = p.array if hasattr(p, "array") else np.asarray(p, dtype=complex)
-        v = v.reshape(3)
+        v = _point_array(p).reshape(3)
         lines.append(",".join(repr(float(x)) for c in v for x in (c.real, c.imag)))
     return "\n".join(lines) + "\n"
 

@@ -24,7 +24,7 @@ from .curve import (
     polish_onto_curve,
 )
 from .errors import InputError, NumericalError
-from .numeric import ProjectivePoint, _components, chordal_distance, normalize_point
+from .numeric import ProjectivePoint, _components, _point_array, chordal_distance, normalize_point
 
 _OMEGA = np.exp(2j * np.pi / 3)
 
@@ -74,8 +74,7 @@ class ProjectiveTransform:
 
 
 def act_on_point(T: ProjectiveTransform, point) -> ProjectivePoint:
-    v = point.array if hasattr(point, "array") else np.asarray(point, dtype=complex)
-    return normalize_point(T.matrix @ v.reshape(3))
+    return normalize_point(T.matrix @ _point_array(point).reshape(3))
 
 
 def act_on_cubic(T: ProjectiveTransform, f: CubicForm) -> CubicForm:

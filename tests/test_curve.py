@@ -291,6 +291,32 @@ class TestPointSet:
         assert [p.point.coords for p in s1] == [p.point.coords for p in s2]
 
 
+class TestPointInput:
+    """A CurvePoint is accepted wherever a coordinate triple is, with the same result."""
+
+    def test_evaluate(self, fermat, fermat_flexes):
+        cp = fermat_flexes[0]
+        assert fermat.evaluate(cp) == fermat.evaluate(cp.array)
+
+    def test_gradient(self, fermat, fermat_flexes):
+        cp = fermat_flexes[0]
+        assert np.array_equal(fermat.gradient(cp), fermat.gradient(cp.array))
+
+    def test_residual_at(self, fermat, fermat_flexes):
+        cp = fermat_flexes[0]
+        assert fermat.residual_at(cp) == fermat.residual_at(cp.point)
+
+    def test_polish_onto_curve(self, fermat, fermat_flexes):
+        cp = fermat_flexes[0]
+        assert polish_onto_curve(fermat, cp) == polish_onto_curve(fermat, cp.array)
+
+    def test_line_curve_points(self, fermat, fermat_flexes):
+        p, q = fermat_flexes[0], fermat_flexes[1]
+        got = line_curve_points(fermat, p, q)
+        want = line_curve_points(fermat, p.array, q.array)
+        assert [c.point for c in got] == [c.point for c in want]
+
+
 class TestPolishAndSampling:
     def test_polish_recovers_perturbed_point(self, fermat, fermat_flexes, rng):
         for cp in fermat_flexes.points[:3]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cubicpoints import (
+    CurvePoint,
     InputError,
     NumericalError,
     UniPoly,
@@ -67,6 +68,10 @@ class TestNormalizePoint:
         p = normalize_point([1.0j, -1.0, 0.0])
         assert p.coords[0] == 1.0
 
+    def test_takes_a_curve_point(self):
+        p = normalize_point([0.2j, 1.0, 0.5])
+        assert normalize_point(CurvePoint(p, 0.0)) == p
+
     def test_rejects_zero_vector(self):
         with pytest.raises(InputError):
             normalize_point([0.0, 0.0, 0.0])
@@ -94,6 +99,11 @@ class TestChordalDistance:
             d1 = chordal_distance(a, b)
             d2 = chordal_distance(s * a, b)
             assert abs(d1 - d2) < 1e-12
+
+    def test_takes_a_curve_point(self):
+        a = CurvePoint(normalize_point([1.0, 0.3 - 0.2j, -0.7j]), 0.0)
+        b = np.array([0.2j, 1.0, 0.5])
+        assert chordal_distance(a, b) == chordal_distance(a.array, b)
 
     def test_symmetry_and_range(self, rng):
         for _ in range(20):

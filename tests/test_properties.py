@@ -4,14 +4,16 @@ The references below are the earlier implementations, kept verbatim in
 spirit: the scalar cross-product chordal distance, the greedy dedupe loop
 over scalar distances, brute-force subset sums of the layer counts, the
 root solver as np.roots, vectorized clustering and a per-root polish
-through UniPoly.derivative and polyval, the flex polish through six grid
-evaluations per Newton step, the flex search in all three coordinate
-charts, and normalize_point's pivot search on numpy arrays.  The dense
-cubic's gradient and Hessian are checked against monomial sums written
-out here, and the flex corrector's batched values and gradients against
-evaluate and gradient, within a bound taken from those sums.  The
-references copy the code they replaced rather than import it, so
-rewriting a kernel cannot rewrite its reference too.
+through UniPoly.derivative and polyval, the fiber trim with its branch
+for the zero fiber, the flex search in all three coordinate charts with
+its Newton on chart grids, the flex corrector with its own Newton loop,
+and normalize_point's pivot search on numpy arrays.  The dense cubic's
+gradient and Hessian are checked against monomial sums written out here,
+the flex Newton's batched values and gradients against evaluate and
+gradient, within a bound taken from those sums, and the flex Newton's
+kept rows against the three-chart search.  The references copy the code
+they replaced rather than import it, so rewriting a kernel cannot rewrite
+its reference too.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from cubicpoints.curve import (
     _grid_is_zero,
     _grid_partial,
     _grid_trim,
-    _newton_pair,
+    _newton_flexes,
     _pair_candidates,
 )
 from cubicpoints.elliptic import _division_polys, _witnesses_up_to
@@ -446,6 +448,44 @@ def test_hessian_is_the_determinant_of_the_second_partials(case):
     assert abs(h.evaluate(v) - np.linalg.det(S)) <= 1e-13 * perm
 
 
+def reference_fiber_poly(C, u):
+    """curve._fiber_poly as it was: np.abs twice, and a branch that leaves the zero fiber alone."""
+    vu = u ** np.arange(C.shape[0])
+    vec = vu @ C
+    top = np.abs(vec).max()
+    if top > 0.0:
+        vec = np.where(np.abs(vec) > 1e-12 * top, vec, 0.0)
+    return UniPoly(vec)
+
+
+@st.composite
+def fiber_cases(draw):
+    """A grid up to 4 x 4 and a fiber u, with entries near the trimming threshold and zero fibers.
+
+    One column may be scaled by 1e-14 to 1e-10, so that its entries fall
+    on both sides of the relative trim; a zero first row at u = 0 gives
+    the zero fiber.
+    """
+    shape = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    C = np.array(draw(st.lists(unit_disc | st.just(0j), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])))
+    C = C.reshape(shape)
+    if draw(st.booleans()):
+        C[:, draw(st.integers(0, shape[1] - 1))] *= 10.0 ** draw(st.integers(-14, -10))
+    if draw(st.booleans()):
+        C[0] = 0.0
+    u = draw(st.complex_numbers(max_magnitude=1e3, allow_subnormal=False) | st.sampled_from([0.0, -0.0, 0j]))
+    return C, u
+
+
+@settings(PROPERTY, max_examples=300)
+@given(fiber_cases())
+def test_fiber_poly_has_the_bits_of_the_frozen_copy(case):
+    C, u = case
+    got = curve._fiber_poly(C, u).coeffs
+    want = reference_fiber_poly(C, u).coeffs
+    assert [bits(complex(c)) for c in got] == [bits(complex(c)) for c in want]
+
+
 def reference_grid_eval(C, u, v):
     """curve._grid_eval: fresh power vectors for every grid."""
     vu = u ** np.arange(C.shape[0])
@@ -454,7 +494,7 @@ def reference_grid_eval(C, u, v):
 
 
 def reference_newton_pair(F, H, u, v, iters=30):
-    """The flex polish as it was: six grid evaluations per Newton step."""
+    """The elimination's flex polish as it was: Newton on chart grids, six grid evaluations per step."""
     Fu, Fv = _grid_partial(F, 0), _grid_partial(F, 1)
     Hu, Hv = _grid_partial(H, 0), _grid_partial(H, 1)
     for _ in range(iters):
@@ -476,44 +516,6 @@ def reference_newton_pair(F, H, u, v, iters=30):
         if np.abs(step).max() <= 1e-15 * max(1.0, abs(u), abs(v)):
             break
     return u, v
-
-
-start_coord = st.complex_numbers(max_magnitude=2.0, allow_subnormal=False) | st.just(0.0) | st.just(0j)
-
-
-@st.composite
-def flex_polish_cases(draw):
-    """A chart of a random unit-disc cubic, the same chart of its Hessian, and a start point.
-
-    Some coefficients may be zero, so charts come in several trimmed shapes;
-    a real 0.0 start is the value _pair_candidates gives a degenerate fiber.
-    """
-    coeffs = draw(st.lists(unit_disc, min_size=10, max_size=10))
-    for i in draw(st.sets(st.integers(0, 9), max_size=6)):
-        coeffs[i] = 0j
-    assume(any(coeffs))
-    f = CubicForm.from_coeffs(dict(zip(CUBIC_KEYS, coeffs)))
-    try:
-        h = f.hessian()
-    except InputError:  # a cone (two variables after a change of coordinates) has a zero Hessian
-        assume(False)
-    chart = draw(st.integers(0, 2))
-    F = _grid_trim(chart_grid(f, chart))
-    H = _grid_trim(chart_grid(h, chart))
-    # the flex search skips a chart where either grid vanishes
-    assume(not _grid_is_zero(F) and not _grid_is_zero(H))
-    return F, H, draw(start_coord), draw(start_coord)
-
-
-@settings(PROPERTY, max_examples=200)
-@given(flex_polish_cases())
-def test_flex_polish_is_bit_identical_to_six_grid_evaluations(case):
-    F, H, u, v = case
-    want = reference_newton_pair(F, H, u, v)
-    got = _newton_pair(F, H, u, v)
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert [bits(complex(z)) for z in got] == [bits(complex(z)) for z in want]
 
 
 def chart_grid(f, chart):
@@ -538,8 +540,9 @@ def chart_point(chart, u, v):
 def reference_flexes(f, tol=DEFAULT_TOLERANCES):
     """The flex search as it was: the same elimination in all three coordinate charts, merged.
 
-    The elimination, polish and dedupe helpers it calls are shared with
-    the one-frame search, which changed only the charts they run in.
+    The elimination and dedupe helpers it calls are shared with the
+    one-frame search, which changed the charts they run in; the polish is
+    the chart-grid Newton the search used before it took the tracker's.
     """
     h = f.hessian()
     found = []
@@ -557,7 +560,7 @@ def reference_flexes(f, tol=DEFAULT_TOLERANCES):
             box = max(1.0, abs(u0), abs(v0)) ** 3
             if abs(_grid_eval(H, u0, v0)) > 1e-2 * hs * box:
                 continue
-            polished = _newton_pair(F, H, u0, v0)
+            polished = reference_newton_pair(F, H, u0, v0)
             if polished is None:
                 continue
             u1, v1 = polished
@@ -618,6 +621,132 @@ def pushed_hesse_member(S):
     """hesse_cubic(0.5) moved by U0 @ S, U0 the first frame: its flex (0:1:-1) goes to U0 @ S @ (0, 1, -1)."""
     A = _frames()[0][0] @ S
     return hesse_cubic(0.5).compose_linear(np.linalg.inv(A))
+
+
+def reference_correct_flexes(f, near, tol=DEFAULT_TOLERANCES):
+    """curve._correct_flexes as it was: its own Newton loop, abandoned at the first bad row."""
+    h = f.hessian()
+    X = np.array(near, dtype=complex).reshape(9, 3)
+    rows = np.arange(9)
+    pivot = np.abs(X).argmax(axis=1)
+    X /= X[rows, pivot][:, None]
+    X[rows, pivot] = 1.0
+    q, r = np.array([[1, 2], [0, 2], [0, 1]])[pivot].T
+    T = np.stack([f._tensor(), h._tensor()])
+    last = np.full(9, np.inf)
+    moving = np.ones(9, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(10):
+            G = 3.0 * np.einsum("aijk,nj,nk->nai", T, X, X)
+            V = (G * X[:, None, :]).sum(axis=2) / 3.0
+            a, b = G[rows, 0, q], G[rows, 0, r]
+            c, d = G[rows, 1, q], G[rows, 1, r]
+            det = a * d - b * c
+            du = np.where(moving, (b * V[:, 1] - d * V[:, 0]) / det, 0.0)
+            dv = np.where(moving, (c * V[:, 0] - a * V[:, 1]) / det, 0.0)
+            size = np.maximum(np.abs(du), np.abs(dv))
+            if not (size <= 0.5 * last).all():
+                return None
+            X[rows, q] += du
+            X[rows, r] += dv
+            last = size
+            moving &= size > 1e-12
+            if not moving.any():
+                break
+        else:
+            return None
+    points = []
+    for row in X:
+        P = normalize_point(row)
+        rf, rh = abs(f.evaluate(P)) / f.norm_inf, abs(h.evaluate(P)) / h.norm_inf
+        if rf > tol.tau_on_curve or rh > tol.tau_on_curve:
+            return None
+        points.append(CurvePoint(P, rf))
+    out = PointSet(points, tol.tau_match)
+    return out if out.min_separation() > 2.0 * tol.tau_match else None
+
+
+def noise(draw, shape):
+    """Complex entries with real and imaginary parts in [-1, 1]."""
+    n = 2 * int(np.prod(shape))
+    parts = np.array(draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+    return (parts[::2] + 1j * parts[1::2]).reshape(shape)
+
+
+@st.composite
+def flex_stacks(draw):
+    """The flexes of a smooth cubic, each row moved by relative noise from 1e-8 to 1e-2.
+
+    Some stacks then have one row copied onto another, or one row replaced
+    by a point far from every flex.
+    """
+    f = draw(smooth_unit_disc_cubics())
+    X = _flexes_of_smooth(f, DEFAULT_TOLERANCES).arrays
+    X = X + 10.0 ** draw(st.floats(-8, -2)) * noise(draw, (9, 3))
+    i, j = draw(st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True))
+    spoil = draw(st.sampled_from(["none", "duplicate row", "far row"]))
+    if spoil == "duplicate row":
+        X[j] = X[i]
+    elif spoil == "far row":
+        X[i] = np.asarray(draw(row), dtype=complex)
+    return f, X
+
+
+@PROPERTY
+@given(flex_stacks())
+def test_flex_corrector_has_the_bits_of_the_frozen_copy(case):
+    f, near = case
+    want = reference_correct_flexes(f, near)
+    got = curve._correct_flexes(f, near, DEFAULT_TOLERANCES)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert [bits(z) for cp in got for z in cp.point.coords] == [bits(z) for cp in want for z in cp.point.coords]
+        assert [cp.residual for cp in got] == [cp.residual for cp in want]
+
+
+@st.composite
+def elimination_starts(draw):
+    """A smooth cubic, its reference flexes, and starts the way the elimination hands them over.
+
+    The starts mix points near flexes (relative noise from 1e-12 to 1e-3),
+    roots of f on fibers of the first frame's chart, which lie on the curve
+    and mostly far off the Hessian, and random points, in a random order.
+    """
+    f = draw(smooth_unit_disc_cubics())
+    flexes = reference_flexes(f).arrays
+    starts = [
+        flexes[i] + 10.0 ** draw(st.floats(-12, -3)) * noise(draw, 3)
+        for i in draw(st.lists(st.integers(0, 8), max_size=9))
+    ]
+    U, M = _frames()[0]
+    F = curve._frame_grid(f, M)
+    for u in draw(st.lists(disc_point, max_size=3)):
+        fiber = curve._fiber_poly(F, u)
+        starts += [U @ np.array([u, v, 1.0]) for v in np.roots(fiber.coeffs[::-1])]
+    starts += [np.asarray(v, dtype=complex) for v in draw(st.lists(row, max_size=5))]
+    return f, flexes, [starts[k] for k in draw(st.permutations(range(len(starts))))]
+
+
+@PROPERTY
+@given(elimination_starts())
+def test_newton_flexes_keeps_only_flexes_and_every_near_start(case):
+    f, flexes, starts = case
+    h = f.hessian()
+    points, joint = _newton_flexes(f, h, starts, DEFAULT_TOLERANCES)
+    assert len(joint) == len(points)
+    if points:
+        assert chordal_matrix(np.stack([cp.array for cp in points]), flexes).min(axis=1).max() <= 1e-12
+    # rows move independently: the batch keeps what each start keeps alone, in start order
+    alone = [_newton_flexes(f, h, [s], DEFAULT_TOLERANCES)[0] for s in starts]
+    assert [cp.point for cp in points] == [cp.point for kept in alone for cp in kept]
+    for s, kept in zip(starts, alone):
+        if chordal_matrix(s, flexes).min() <= 1e-3:
+            assert len(kept) == 1
+
+
+def test_newton_flexes_of_no_starts_is_empty():
+    f = fermat_cubic()
+    assert _newton_flexes(f, f.hessian(), [], DEFAULT_TOLERANCES) == ([], [])
 
 
 # S sends (0, 1, -1) to (0.5, -1.5, 0), so that flex lies on the first frame's line at infinity
