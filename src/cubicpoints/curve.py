@@ -1,31 +1,22 @@
 """Smooth plane cubics: evaluation, smoothness certification, inflections.
 
-Intersection problems are solved in affine charts: eliminate one chart
-variable with a resultant and solve the resulting univariate polynomial.
+The flexes come from the Hesse pencil s f + t H of f and its Hessian, which
+taking the Hessian maps to itself. One of its four triangles gives the
+coordinates in which f joins the pencil x^3 + y^3 + z^3 + lam xyz, and the
+flexes are the preimages of that pencil's nine base points, polished by one
+batched Newton on (f, H) = 0 (_newton_flexes). Along a tracked path the
+flexes of the previous curve seed the same Newton instead (_correct_flexes).
 
-The flexes are found in one chart of a fixed generic unitary frame, where
-all nine are finite unless the curve is specially placed, so one
-elimination replaces three. A flex on that frame's line at infinity sends
-the search on to the next of three frames, whose lines at infinity share
-no point, and their candidates are merged by chordal distance. One
-batched Newton on (f, H) = 0, _newton_flexes, polishes every candidate
-in the candidate's own max-modulus projective chart. Along a tracked path
-the flexes of the previous curve seed the same Newton instead
-(_correct_flexes), and the elimination runs again only when that
-correction cannot show it found all nine.
-
-Smoothness is certified by one determinantal gate for the discriminant:
-a 6x6 matrix of the three partials of f and of its Hessian, in Bombieri-
-weighted quadratic coefficients, is singular exactly when f is. Its margin
-sigma_min / sigma_max is invariant under unitary changes of coordinates,
-so every frame and chart reads the same number. Only a curve the gate
-calls singular goes on to _singular_witness, which names a singular point
-with the flex search's grid helpers: in each coordinate chart, the common
-zeros of the two chart partials, polished by Gauss-Newton on the gradient.
+Smoothness is certified by one determinantal gate for the discriminant: a
+6x6 matrix of the partials of f and of its Hessian, in Bombieri-weighted
+quadratic coefficients, singular exactly when f is, whose margin
+sigma_min / sigma_max is the same in every unitary frame. Only a curve the
+gate calls singular goes on to _singular_witness, which names a singular
+point: in each coordinate chart, the common zeros of the two chart
+partials by a sampled resultant, polished by Gauss-Newton on the gradient.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -220,9 +211,13 @@ class CurvePoint:
 
 
 def _canonical_key(p: ProjectivePoint) -> tuple:
-    return tuple(
-        (round(c.real, 9) + 0.0, round(c.imag, 9) + 0.0) for c in p.coords
-    )
+    """The coordinates to nine decimals, divided by the first within 1e-9 of the largest modulus.
+
+    That is normalize_point's pivot, except on ties, which last-bit noise breaks for it.
+    """
+    mods = [abs(c) for c in p.coords]
+    pivot = p.coords[next(i for i, m in enumerate(mods) if m >= (1.0 - 1e-9) * max(mods))]
+    return tuple((round((c / pivot).real, 9) + 0.0, round((c / pivot).imag, 9) + 0.0) for c in p.coords)
 
 
 class PointSet:
@@ -338,12 +333,6 @@ def _grid_trim(C: np.ndarray) -> np.ndarray:
 
 def _grid_is_zero(C: np.ndarray) -> bool:
     return bool(np.abs(C).max() == 0.0) if C.size else True
-
-
-def _grid_eval(C: np.ndarray, u: complex, v: complex) -> complex:
-    vu = u ** np.arange(C.shape[0])
-    vv = v ** np.arange(C.shape[1])
-    return complex(vu @ C @ vv)
 
 
 def _grid_partial(C: np.ndarray, axis: int) -> np.ndarray:
@@ -537,7 +526,11 @@ def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> Smoothness
     return SmoothnessReport(False, margin, _singular_witness(f, tol))
 
 
-# Chart i sets coordinate i + 2 (mod 3) to 1, as a (U, M) pair of _frames: U @ (u, v, 1)
+def _frame_grid(g: CubicForm, M: np.ndarray) -> np.ndarray:
+    return _grid_trim((M @ g.coeffs).reshape(4, 4))
+
+
+# Chart i sets coordinate i + 2 (mod 3) to 1, as a (U, M) pair: U @ (u, v, 1)
 # puts u and v in coordinates i and i + 1, and M sends each monomial exactly to the
 # grid entry of its exponents of u and v, so a coordinate vertex is a root at 0.
 _CHARTS = tuple(
@@ -668,89 +661,13 @@ def inflection_points(
 ) -> PointSet:
     """The nine inflection points: intersection of the curve with its Hessian.
 
-    Smoothness is certified first by the discriminant gate of smoothness,
-    whose margin is the same in every unitary frame; on a singular curve
-    the SingularCurveError raised names the witness of _singular_witness.
-    The flexes are found in one generic unitary frame, and in the next
-    ones only when a flex lies on a frame's line at infinity. Raises
-    NumericalError if the frames do not settle on exactly nine certified
-    points.
+    Smoothness is certified first by the discriminant gate; on a singular
+    curve the SingularCurveError raised names the witness of
+    _singular_witness. The flexes are _labelled_flexes'; NumericalError
+    unless they converge to nine distinct certified points.
     """
     require_smooth(f, tol)
     return _flexes_of_smooth(f, tol)
-
-
-def _frame_map(U: np.ndarray) -> np.ndarray:
-    """Linear map from cubic coefficients (in _MONOMIALS order) to the grid of f(U x).
-
-    Column m holds the chart z = 1 grid of monomial m composed with U,
-    flattened: each monomial is sampled at U @ (u, v, 1) for u and v on
-    the fourth roots of unity, and fft2 interpolates the 4 x 4 grid.
-    """
-    w = np.exp(0.5j * np.pi * np.arange(4))
-    uu, vv = np.meshgrid(w, w, indexing="ij")
-    X = uu.reshape(-1, 1) * U[:, 0] + vv.reshape(-1, 1) * U[:, 1] + U[:, 2]
-    cols = [np.prod(X ** np.array(m), axis=1).reshape(4, 4) for m in _MONOMIALS]
-    return np.stack([np.fft.fft2(c).reshape(-1) / 16.0 for c in cols], axis=1)
-
-
-@functools.cache
-def _frames() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Fixed unitary frames for the flex search, each with its _frame_map.
-
-    The QR factor of a fixed matrix and its two cyclic column shifts. Their
-    lines at infinity meet in no common point, so every flex is finite in
-    at least one of them. Built on first use: a process that never looks
-    for flexes does not pay for them.
-    """
-    base, _ = np.linalg.qr(
-        np.array(
-            [
-                [0.82 + 0.31j, -0.27 + 0.55j, 0.44 - 0.19j],
-                [0.13 - 0.68j, 0.71 + 0.22j, -0.35 + 0.47j],
-                [-0.52 + 0.09j, 0.38 - 0.41j, 0.66 + 0.58j],
-            ]
-        )
-    )
-    return tuple(
-        (U, _frame_map(U)) for U in (base[:, [i, (i + 1) % 3, (i + 2) % 3]] for i in range(3))
-    )
-
-
-def _frame_grid(g: CubicForm, M: np.ndarray) -> np.ndarray:
-    return _grid_trim((M @ g.coeffs).reshape(4, 4))
-
-
-# An elimination candidate where |H| exceeds this share of H's scale (times the
-# chart box) is a root of f alone on its fiber, far off the Hessian; the share is
-# loose so that a roughly placed flex candidate still reaches Newton.
-_HESSIAN_PREFILTER = 1e-2
-
-
-def _flexes_in_frame(
-    f: CubicForm, h: CubicForm, frame: tuple[np.ndarray, np.ndarray], tol: Tolerances
-) -> tuple[list[CurvePoint], list[float]]:
-    """Certified flexes from chart z = 1 of the frame, with their joint residuals.
-
-    The candidates of the elimination that pass the Hessian prefilter are
-    mapped to U @ (u, v, 1) and polished by _newton_flexes, the tracker's
-    corrector, which keeps only the rows that converge onto f and H.
-    """
-    U, M = frame
-    F = _frame_grid(f, M)
-    H = _frame_grid(h, M)
-    if _grid_is_zero(F) or _grid_is_zero(H):
-        return [], []
-    cands = _pair_candidates(F, H, F, tol)
-    if cands is None:
-        return [], []
-    hs = float(np.abs(H).max())
-    starts = [
-        U @ np.array([u0, v0, 1.0])
-        for u0, v0 in cands
-        if abs(_grid_eval(H, u0, v0)) <= _HESSIAN_PREFILTER * hs * max(1.0, abs(u0), abs(v0)) ** 3
-    ]
-    return _newton_flexes(f, h, starts, tol)
 
 
 def _hessian_of_smooth(f: CubicForm) -> CubicForm:
@@ -763,31 +680,100 @@ def _hessian_of_smooth(f: CubicForm) -> CubicForm:
     return CubicForm(h)
 
 
-def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
-    """inflection_points for a curve the caller has already certified smooth.
+# The nine base points of the Hesse pencil x^3 + y^3 + z^3 + lam xyz, the
+# flexes of each smooth member: -w^k in coordinate i and 1 in coordinate i + 1.
+_HESSE_BASE = np.array(
+    [np.roll([-(np.exp(2j * np.pi / 3) ** k), 1.0, 0.0], i) for i in range(3) for k in range(3)]
+)
+_HESSE_BASE.setflags(write=False)
+# Two fixed generic lines P + u Q, each meeting the three lines of a triangle apart.
+_CUTS = (
+    (np.array([0.31 - 0.47j, 0.86 + 0.12j, -0.19 + 0.38j]), np.array([-0.58 + 0.27j, 0.14 - 0.66j, 0.41 + 0.09j])),
+    (np.array([0.72 + 0.18j, -0.23 + 0.51j, 0.35 - 0.62j]), np.array([0.09 + 0.44j, 0.67 - 0.21j, -0.52 - 0.16j])),
+)
 
-    Eliminates in the first frame, polishing the candidates with the batched
-    Newton of _newton_flexes, and goes on to the next frame only while the
-    points found so far do not settle on nine, as when a flex lies on a
-    frame's line at infinity. On a singular curve the elimination does
-    not settle on nine points, or the Hessian of a cone vanishes, and this
-    raises NumericalError rather than SingularCurveError.
+
+def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
+    """The triangle of the Hesse pencil s f + t h best separated from the other three.
+
+    With f and h at unit norm, Hess(s f + t h) = A(s, t) f + B(s, t) h: the
+    coefficient of s^(3-d) t^d is the sum of the Levi-Civita contractions,
+    as in CubicForm._hessian_coeffs, that take d of the three slices from h.
+    The triangles are the members the Hessian fixes, the roots of the binary
+    quartic t A - s B, taken homogeneously (on the Fermat cubic h is one).
+    Near the discriminant three roots close up and lose digits.
+    """
+    F, G = f.coeffs / np.linalg.norm(f.coeffs), h.coeffs / np.linalg.norm(h.coeffs)
+    S = (np.stack([F, G]) / _TENSOR_COUNT)[:, _TENSOR_INDEX].reshape(2, 3, 3, 3)
+    E = np.einsum("pqr,ipa,jqb,krc->ijkabc", _LEVI_CIVITA, S[:, 0], S[:, 1], S[:, 2]).reshape(8, 27)
+    from_h = np.array([sum(ijk) for ijk in itertools.product(range(2), repeat=3)])
+    C = 216.0 * np.stack([E[from_h == d].sum(axis=0) for d in range(4)]) @ _FOLD.T
+    (A, B), _, rank, _ = np.linalg.lstsq(np.stack([F, G], axis=1), C.T, rcond=None)
+    if rank < 2:
+        raise NumericalError("the curve and its Hessian are proportional: no triangle to split")
+    quartic = UniPoly(np.append(0.0, A) - np.append(B, 0.0))  # in u = t / s
+    R = [[1.0, u] for u, m in solve_univariate(quartic, tol) for _ in range(m)]
+    R = np.array(R + [[0.0, 1.0]] * (4 - len(R)))
+    R /= np.linalg.norm(R, axis=1)[:, None]
+    gaps = np.abs(np.outer(R[:, 0], R[:, 1]) - np.outer(R[:, 1], R[:, 0])) + np.diag([np.inf] * 4)
+    s, t = R[gaps.min(axis=1).argmax()]
+    return CubicForm(s * F + t * G)
+
+
+def _triangle_lines(g: CubicForm, tol: Tolerances) -> np.ndarray:
+    """The three lines of a triangle g, as the rows of a matrix.
+
+    Each line of _CUTS meets g once on each of its lines, and a point of the
+    first cut shares a line of g with a point of the second when g vanishes
+    at their midpoint.
+    """
+    cuts = []
+    for P, Q in _CUTS:
+        cubic = UniPoly([g.evaluate(P), g.gradient(P) @ Q, g.gradient(Q) @ P, g.evaluate(Q)])
+        cuts.append([P + u * Q for u, m in solve_univariate(cubic, tol) for _ in range(m)])
+    first, second = (np.array(c) / np.linalg.norm(c, axis=1)[:, None] for c in cuts)
+    pairs = np.abs([[g.evaluate(p + q) for q in second] for p in first]).argmin(axis=1)
+    if len(first) != 3 or sorted(pairs.tolist()) != [0, 1, 2]:
+        raise NumericalError("the cuts of the Hesse pencil's triangle do not pair up")
+    return np.cross(first, second[pairs])
+
+
+def _hesse_frame(f: CubicForm, h: CubicForm, tol: Tolerances) -> np.ndarray:
+    """T0 with f(T0^-1 x) proportional to x^3 + y^3 + z^3 + lam xyz for some lam.
+
+    In the coordinates X = M x of the lines of a triangle of its Hesse pencil
+    f reads a X^3 + b Y^3 + c Z^3 + d XYZ (Artebani and Dolgachev, "The Hesse
+    pencil of plane cubic curves"), so T0 = diag(a, b, c)^(1/3) M, with any
+    cube roots: they differ by diag(1, w^j, w^k), which permutes the base points.
+    """
+    M = _triangle_lines(_pencil_triangle(f, h, tol), tol)
+    # pinv: lines through one point leave a frame that fails the flex test, not an exception
+    cubes = f.compose_linear(np.linalg.pinv(M)).coeffs[[0, 6, 9]]
+    if not cubes.all():
+        raise NumericalError("the lines of the Hesse pencil's triangle are not a frame")
+    return (cubes ** (1.0 / 3.0))[:, None] * M
+
+
+def _labelled_flexes(f: CubicForm, tol: Tolerances) -> tuple[PointSet, list[int]]:
+    """The nine flexes in canonical order, from the base points pulled back by _hesse_frame.
+
+    labels[i] is the row of _HESSE_BASE whose preimage became flex i.
     """
     h = _hessian_of_smooth(f)
-    found: list[CurvePoint] = []
-    hess_res: list[float] = []
-    for frame in _frames():
-        points, ranks = _flexes_in_frame(f, h, frame, tol)
-        found += points
-        hess_res += ranks
-        # rank by the joint residual: a root of f alone can sit a hair off
-        # the Hessian and would otherwise shadow a fully converged duplicate
-        merged = _dedupe(found, tol.tau_match, ranks=hess_res)
-        if len(merged) == 9:
-            return PointSet(merged, tol.tau_match).sorted_canonical()
-    raise NumericalError(
-        f"degenerate elimination: expected 9 inflections, settled on {len(merged)}"
-    )
+    flexes = _correct_flexes(f, np.linalg.solve(_hesse_frame(f, h, tol), _HESSE_BASE.T).T, tol)
+    if flexes is None:
+        raise NumericalError("the Hesse pencil's triangle did not give nine distinct flexes")
+    labels = sorted(range(9), key=lambda i: _canonical_key(flexes[i].point))
+    return PointSet([flexes[i] for i in labels], tol.tau_match), labels
+
+
+def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
+    """inflection_points for a curve the caller has certified smooth.
+
+    On a singular curve, a cone included, this raises NumericalError rather
+    than SingularCurveError.
+    """
+    return _labelled_flexes(f, tol)[0]
 
 
 # A row has converged once its Newton step is this small: every step at
@@ -796,10 +782,10 @@ def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
 _CORRECTOR_DONE = 1e-12
 # Inside the basin of a simple root each Newton step at least halves; a row
 # that contracts more slowly is dropped, so the tracker falls back to the
-# elimination and the elimination to its other candidates and frames.
+# Hesse pencil's triangle, and the triangle's flexes fail as a set.
 _CORRECTOR_CONTRACTION = 0.5
 # Quadratic convergence reaches _CORRECTOR_DONE in about five steps from a
-# start 0.1 away, as a tracked flex or an elimination candidate is; a row
+# start 0.1 away, as a tracked flex is; a row
 # still moving after twice that many is dropped.
 _CORRECTOR_ITERS = 10
 # For a row whose pivot (the coordinate held at 1) is i, the two it moves.
@@ -873,13 +859,12 @@ def _newton_flexes(
 def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
     """The nine flexes by _newton_flexes from the rows of near, or None.
 
-    near is the (9, 3) stack of the flexes of a nearby curve. The corrected
-    set comes back in near's order only when all nine rows are kept and the
+    near is a (9, 3) stack of points near the flexes. The corrected set
+    comes back in near's order only when all nine rows are kept and the
     nine lie pairwise farther apart than 2 tau_match; otherwise None. The
     curve meets its Hessian in nine points counted with multiplicity
     (Bezout), each simple on a smooth cubic, so nine distinct common points
-    are all the flexes. Raises NumericalError on a cone, as _flexes_of_smooth
-    does.
+    are all the flexes. Raises NumericalError on a cone.
     """
     points, _ = _newton_flexes(f, _hessian_of_smooth(f), near, tol)
     if len(points) != 9:
@@ -888,21 +873,15 @@ def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
     return out if out.min_separation() > 2.0 * tol.tau_match else None
 
 
-def _dedupe(
-    points: list[CurvePoint],
-    tolerance: float,
-    ranks: list[float] | None = None,
-) -> list[CurvePoint]:
-    """Greedy dedupe in rank order (the residual unless ranks are given).
+def _dedupe(points: list[CurvePoint], tolerance: float) -> list[CurvePoint]:
+    """Greedy dedupe in residual order.
 
     Walks the points best first and keeps each one that lies farther than
     tolerance from every point already kept.
     """
-    if ranks is None:
-        ranks = [cp.residual for cp in points]
     if not points:
         return []
-    ranked = [points[i] for i in sorted(range(len(points)), key=ranks.__getitem__)]
+    ranked = sorted(points, key=lambda cp: cp.residual)
     rows = np.stack([cp.array for cp in ranked])
     D = chordal_matrix(rows, rows)
     kept: list[int] = []

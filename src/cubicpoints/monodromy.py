@@ -7,10 +7,10 @@ ambiguous matches trigger step bisection rather than guesswork.  A section
 whose signature has a near parameter receives the previous accepted
 points there and may continue them instead of recomputing: the
 inflections section corrects the nine flexes by Newton
-(curve._correct_flexes) and eliminates again only when the correction
-cannot prove it found all nine.  The correction and the elimination's
-polish are one batched Newton, curve._newton_flexes.  Other sections are
-recomputed from scratch at every step.
+(curve._correct_flexes) and computes them afresh, from a triangle of the
+curve's Hesse pencil, only when the correction cannot prove it found all
+nine.  Both polish with one batched Newton, curve._newton_flexes.  Other
+sections are recomputed from scratch at every step.
 
 track certifies every curve it visits against smoothness_margin, once, and
 only then evaluates the section there.  The certificate is the discriminant
@@ -306,7 +306,7 @@ def canonical_section(name: str, tol: Tolerances = DEFAULT_TOLERANCES):
     The inflections section also takes a keyword near, the (9, 3) stack of
     the flexes of a nearby curve, as track passes it.  It then returns
     curve._correct_flexes's Newton correction of those points, in near's
-    order, and falls back to the full elimination (canonical order) when
+    order, and falls back to the full computation (canonical order) when
     the correction returns None.
     """
     if name == "inflections":

@@ -135,10 +135,6 @@ class ProjectivePoint:
 
     coords: tuple[complex, complex, complex]
 
-    @classmethod
-    def from_array(cls, v) -> "ProjectivePoint":
-        return normalize_point(v)
-
     @property
     def array(self) -> np.ndarray:
         return np.array(self.coords, dtype=complex)

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .curve import _MONOMIALS, CubicForm, PointSet
+from .curve import _MONOMIALS, CubicForm
 from .errors import InputError
 from .monodromy import _MEET_TOL, ParameterPath
 from .numeric import ProjectivePoint, _point_array, normalize_point

@@ -8,23 +8,26 @@ cube root of unity, which pgl_equal quotients away.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .curve import (
+    _HESSE_BASE,
     CubicForm,
     CurvePoint,
     PointSet,
     _dedupe,
+    _labelled_flexes,
     fermat_cubic,
-    inflection_points,
     line_curve_points,
     polish_onto_curve,
+    require_smooth,
 )
 from .errors import InputError, NumericalError
-from .numeric import ProjectivePoint, _components, _point_array, chordal_distance, normalize_point
+from .numeric import ProjectivePoint, _components, _point_array, chordal_distance, chordal_matrix, normalize_point
 
 _OMEGA = np.exp(2j * np.pi / 3)
 
@@ -266,37 +269,36 @@ def orbit_decomposition(
 # Hesse normalization
 
 
-def _no_three_collinear(vs: list[np.ndarray], rel: float = 1e-8) -> bool:
-    for trio in itertools.combinations(vs, 3):
-        M = np.stack(trio)
-        bound = float(np.prod(np.linalg.norm(M, axis=1)))
-        if abs(np.linalg.det(M)) <= rel * bound:
-            return False
-    return True
-
-
-def _through_four(vs: list[np.ndarray]) -> np.ndarray | None:
-    """Matrix sending the standard frame e1, e2, e3, (1,1,1) to the four points."""
+def _through_four(vs: list[np.ndarray]) -> np.ndarray:
+    """Matrix sending the standard frame e1, e2, e3, (1,1,1) to four points, no three collinear."""
     B = np.stack(vs[:3], axis=1)
-    try:
-        c = np.linalg.solve(B, vs[3])
-    except np.linalg.LinAlgError:
-        return None
-    if np.abs(c).min() <= 1e-10 * np.abs(c).max():
-        return None
-    return B * c
+    return B * np.linalg.solve(B, vs[3])
 
 
 def hesse_base_points() -> list[np.ndarray]:
     """The nine points shared by every member of the Hesse pencil."""
-    out = []
-    for i in range(3):
-        for k in range(3):
-            v = np.zeros(3, dtype=complex)
-            v[i] = -(_OMEGA**k)
-            v[(i + 1) % 3] = 1.0
-            out.append(v)
-    return out
+    return [v.copy() for v in _HESSE_BASE]
+
+
+@functools.cache
+def _hessian_group() -> tuple[np.ndarray, frozenset]:
+    """The Hessian group as its 216 permutations of the base points, and the 12 lines.
+
+    G216, the projective transforms that permute the base points, is
+    generated by the coordinate cycle, diag(1, w, w^2), [[1, 1, 1],
+    [1, w, w^2], [1, w^2, w]] and diag(1, 1, w). The lines through three
+    base points are the images of z = 0, through points 0, 1 and 2. Built
+    on first use.
+    """
+    gens = [np.roll(np.eye(3), 1, axis=0), np.diag([1, _OMEGA, _OMEGA**2])]
+    gens += [np.vander([1, _OMEGA, _OMEGA**2], 3, increasing=True), np.diag([1, 1, _OMEGA])]
+    moves = [chordal_matrix(_HESSE_BASE @ g.T, _HESSE_BASE).argmin(axis=1) for g in gens]
+    perms, frontier = {tuple(range(9))}, [tuple(range(9))]
+    while frontier:
+        frontier = list({tuple(move[list(p)].tolist()) for p in frontier for move in moves} - perms)
+        perms.update(frontier)
+    table = np.array(sorted(perms))
+    return table, frozenset(frozenset(p[:3]) for p in table.tolist())
 
 
 def hesse_normalize(
@@ -305,41 +307,24 @@ def hesse_normalize(
     """Coordinates in which the curve joins the Hesse pencil.
 
     Returns (T, lam) with act_on_cubic(T, f) proportional to
-    x^3 + y^3 + z^3 + lam*x*y*z within tau_hesse.  The search maps a frame
-    of four inflection points, no three collinear, onto frames of the nine
-    pencil base points until the coefficient fit succeeds.
+    x^3 + y^3 + z^3 + lam*x*y*z within tau_hesse.  T sends the first four
+    flexes in canonical order with no three collinear to the lexicographically
+    first of their images under the Hessian group, read on the base-point
+    labels of curve._labelled_flexes; lam comes from a coefficient fit, and
+    NumericalError from a fit beyond tau_hesse.
     """
-    flexes = inflection_points(f, tol)
-    coords = [cp.point.array for cp in flexes]
-    src = None
-    for quad in itertools.permutations(range(9), 4):
-        vs = [coords[i] for i in quad]
-        if _no_three_collinear(vs):
-            src = vs
-            break
-    if src is None:
-        raise NumericalError("no spanning frame among the inflection points")
-    Mp = _through_four(src)
-    if Mp is None:
-        raise NumericalError("inflection frame is numerically degenerate")
-    Mp_inv = np.linalg.inv(Mp)
-    base = hesse_base_points()
-    xyz = CubicForm.from_coeffs({(1, 1, 1): 1.0})
-    A = np.stack([fermat_cubic().coeffs, xyz.coeffs], axis=1)
-    for quad in itertools.permutations(range(9), 4):
-        vs = [base[i] for i in quad]
-        if not _no_three_collinear(vs):
-            continue
-        Mq = _through_four(vs)
-        if Mq is None:
-            continue
-        try:
-            T = ProjectiveTransform(Mq @ Mp_inv)
-        except InputError:
-            continue
-        gvec = act_on_cubic(T, f).coeffs
-        sol, *_ = np.linalg.lstsq(A, gvec, rcond=None)
-        resid = float(np.linalg.norm(A @ sol - gvec) / np.linalg.norm(gvec))
-        if resid <= tol.tau_hesse and abs(sol[0]) > 1e-12 * abs(sol[1]):
-            return T, complex(sol[1] / sol[0])
-    raise NumericalError("no Hesse normalization found within tolerance")
+    require_smooth(f, tol)
+    flexes, labels = _labelled_flexes(f, tol)
+    perms, lines = _hessian_group()
+    flex_lines = [frozenset(labels.index(j) for j in line) for line in lines]
+    src = next(q for q in itertools.combinations(range(9), 4) if not any(ln <= set(q) for ln in flex_lines))
+    target = min(perms[:, [labels[i] for i in src]].tolist())
+    Mp = _through_four([flexes[i].array for i in src])
+    T = ProjectiveTransform(_through_four([_HESSE_BASE[j] for j in target]) @ np.linalg.inv(Mp))
+    A = np.stack([fermat_cubic().coeffs, CubicForm.from_coeffs({(1, 1, 1): 1.0}).coeffs], axis=1)
+    gvec = act_on_cubic(T, f).coeffs
+    sol, *_ = np.linalg.lstsq(A, gvec, rcond=None)
+    resid = float(np.linalg.norm(A @ sol - gvec) / np.linalg.norm(gvec))
+    if resid > tol.tau_hesse or abs(sol[0]) <= 1e-12 * abs(sol[1]):
+        raise NumericalError("no Hesse normalization found within tolerance")
+    return T, complex(sol[1] / sol[0])

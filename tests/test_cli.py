@@ -265,17 +265,17 @@ class TestSelftest:
 
 
 class TestImportCost:
-    def test_sizes_builds_no_flex_frame(self):
-        # the flex frames are built on first use, so a fresh process that
-        # only does size arithmetic never builds them
+    def test_sizes_builds_no_hessian_group(self):
+        # the Hessian group's label table is built on first use, so a fresh
+        # process that only does size arithmetic never builds it
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
-            "from cubicpoints import curve\n"
+            "from cubicpoints import symmetry\n"
             "from cubicpoints.cli import main\n"
             "assert main(['sizes', '--bound', '2000']) == 0\n"
-            "assert curve._frames.cache_info().currsize == 0, 'a flex frame was built'\n"
+            "assert symmetry._hessian_group.cache_info().currsize == 0, 'the Hessian group was built'\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env

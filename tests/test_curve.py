@@ -5,6 +5,7 @@ import pytest
 
 from cubicpoints import (
     CubicForm,
+    CurvePoint,
     InputError,
     PointSet,
     ProjectiveTransform,
@@ -17,6 +18,7 @@ from cubicpoints import (
     inflection_points,
     is_smooth,
     line_curve_points,
+    normalize_point,
     polish_onto_curve,
     random_points_on_curve,
     random_smooth_cubic,
@@ -235,6 +237,78 @@ class TestInflections:
         with pytest.raises(SingularCurveError):
             inflection_points(hesse_cubic(-3.0))
 
+    def test_nine_flexes_near_the_discriminant(self, tol):
+        # a triangle and a conic with a transversal line, each in a random
+        # frame, scaled to unit norm and moved by unit-disc coefficient noise
+        # of size 10^U(-7, -1): every curve track would accept has nine flexes
+        rng = np.random.default_rng(8)
+        kept = 0
+        for base in (_TRIANGLE, _CONIC_PLUS_LINE):
+            for _ in range(150):
+                A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                c = base.compose_linear(A).coeffs
+                f = CubicForm(c / np.linalg.norm(c) + 10.0 ** rng.uniform(-7, -1) * curve._unit_disc(rng, 10))
+                if smoothness(f, tol).margin >= tol.smoothness_margin:
+                    kept += 1
+                    assert len(inflection_points(f, tol)) == 9
+        assert kept >= 120
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nine_flexes_next_to_the_nodal_pencil_member(self, seed, tol):
+        # gate margin 3.1e-4; in the unitary frame Q the flexes are Q^-1 times the base points
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        flexes = inflection_points(hesse_cubic(-2.999).compose_linear(Q), tol)
+        want = np.linalg.solve(Q, curve._HESSE_BASE.T).T
+        assert len(flexes) == 9
+        assert curve.chordal_matrix(flexes.arrays, want).min(axis=1).max() <= 1e-12
+
+
+_TRIANGLE = CubicForm.from_coeffs({(1, 1, 1): 1.0})
+# the conic x^2 + y^2 + z^2 times the line z = 0, which meets it twice
+_CONIC_PLUS_LINE = CubicForm.from_coeffs({(2, 0, 1): 1.0, (0, 2, 1): 1.0, (0, 0, 3): 1.0})
+
+
+def _sampled_triangles(f: CubicForm) -> list[CubicForm]:
+    """The four triangles of f's Hesse pencil, from Hessians sampled along it.
+
+    Hess(f + t H) = A(t) f + B(t) H with cubics A and B: four sampled
+    Hessians, each projected onto f and H by least squares, fix them by
+    interpolation, and the triangles are the roots of t A(t) - B(t).
+    """
+    F = f.coeffs / np.linalg.norm(f.coeffs)
+    h = f.hessian().coeffs
+    G = h / np.linalg.norm(h)
+    ts = np.array([0.0, 1.0, -1.0, 1j])
+    samples = [CubicForm(F + t * G).hessian().coeffs for t in ts]
+    AB = np.linalg.lstsq(np.stack([F, G], axis=1), np.stack(samples, axis=1), rcond=None)[0]
+    A, B = np.linalg.solve(np.vander(ts, 4), AB.T).T  # highest power first
+    roots = np.roots(np.append(A, 0.0) - np.insert(B, 0, 0.0))
+    assert len(roots) == 4
+    return [CubicForm(F + t * G) for t in roots]
+
+
+class TestHessePencilTriangles:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_twelve_triangle_lines_are_the_flex_lines(self, seed, tol):
+        f = random_smooth_cubic(np.random.default_rng(seed))
+        flexes = inflection_points(f, tol).arrays
+        flexes = flexes / np.linalg.norm(flexes, axis=1)[:, None]
+        triangles = _sampled_triangles(f)
+        lines = np.concatenate([curve._triangle_lines(g, tol) for g in triangles])
+        lines /= np.linalg.norm(lines, axis=1)[:, None]
+        # twelve distinct lines, each through exactly three flexes, four
+        # through each flex, and each pair of flexes on exactly one of them
+        D = curve.chordal_matrix(lines, lines)
+        np.fill_diagonal(D, 1.0)
+        assert D.min() > 1e-3
+        on = np.abs(lines @ flexes.T) <= 1e-10
+        assert on.sum(axis=1).tolist() == [3] * 12
+        assert (on.T.astype(int) @ on.astype(int) == 1 + 3 * np.eye(9, dtype=int)).all()
+        # the triangle the flex search uses is one of the four
+        picked = curve._pencil_triangle(f, f.hessian(), tol)
+        assert min(picked.proportionality_residual(g) for g in triangles) <= 1e-10
+
 
 class TestLineCurve:
     def test_chord_through_two_flexes_hits_a_third(self, fermat, fermat_flexes):
@@ -289,6 +363,21 @@ class TestPointSet:
         s1 = fermat_flexes.sorted_canonical()
         s2 = s1.sorted_canonical()
         assert [p.point.coords for p in s1] == [p.point.coords for p in s2]
+
+    @pytest.mark.parametrize("pencil", [None, 0.5, 1j, -2.9, 5.0, -2.999])
+    def test_canonical_order_ignores_last_bit_noise(self, pencil, rng):
+        # the base points have coordinates of equal modulus, ties that
+        # relative noise of 1e-14 breaks either way
+        f = fermat_cubic() if pencil is None else hesse_cubic(pencil)
+        flexes = inflection_points(f)
+        for _ in range(20):
+            noise = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+            moved = [
+                CurvePoint(normalize_point(cp.array * (1.0 + 1e-14 * e)), float(i))
+                for i, (cp, e) in enumerate(zip(flexes, noise))
+            ]
+            order = [cp.residual for cp in PointSet(moved[::-1], 1e-6).sorted_canonical()]
+            assert order == list(range(9))
 
 
 class TestPointInput:

@@ -45,11 +45,8 @@ from cubicpoints import curve
 from cubicpoints.curve import (
     _canonical_key,
     _dedupe,
-    _flexes_in_frame,
     _flexes_of_smooth,
     _forms_at,
-    _frames,
-    _grid_eval,
     _grid_is_zero,
     _grid_partial,
     _grid_trim,
@@ -131,17 +128,15 @@ def candidate_lists(draw):
             rows.append(np.asarray(draw(row), dtype=complex))
     # coarse residuals, so that ties in rank occur
     residuals = draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-10]), min_size=len(rows), max_size=len(rows)))
-    ranks = draw(st.none() | st.lists(st.floats(0, 1), min_size=len(rows), max_size=len(rows)))
-    return [CurvePoint(normalize_point(v), r) for v, r in zip(rows, residuals)], ranks
+    return [CurvePoint(normalize_point(v), r) for v, r in zip(rows, residuals)]
 
 
 @PROPERTY
 @given(candidate_lists(), st.sampled_from([1e-8, 1e-6, 1e-4]))
-def test_dedupe_keeps_what_the_greedy_loop_kept(cands, tolerance):
-    points, ranks = cands
+def test_dedupe_keeps_what_the_greedy_loop_kept(points, tolerance):
     index = {id(cp): i for i, cp in enumerate(points)}
-    got = [index[id(cp)] for cp in _dedupe(points, tolerance, ranks)]
-    want = [index[id(cp)] for cp in greedy_dedupe(points, tolerance, ranks)]
+    got = [index[id(cp)] for cp in _dedupe(points, tolerance)]
+    want = [index[id(cp)] for cp in greedy_dedupe(points, tolerance)]
     assert got == want
 
 
@@ -487,7 +482,7 @@ def test_fiber_poly_has_the_bits_of_the_frozen_copy(case):
 
 
 def reference_grid_eval(C, u, v):
-    """curve._grid_eval: fresh power vectors for every grid."""
+    """A chart grid's value at (u, v), from fresh power vectors."""
     vu = u ** np.arange(C.shape[0])
     vv = v ** np.arange(C.shape[1])
     return complex(vu @ C @ vv)
@@ -538,11 +533,11 @@ def chart_point(chart, u, v):
 
 
 def reference_flexes(f, tol=DEFAULT_TOLERANCES):
-    """The flex search as it was: the same elimination in all three coordinate charts, merged.
+    """The flex search as it was: an elimination in all three coordinate charts, merged.
 
-    The elimination and dedupe helpers it calls are shared with the
-    one-frame search, which changed the charts they run in; the polish is
-    the chart-grid Newton the search used before it took the tracker's.
+    The elimination helpers it calls are the singular-point search's; the
+    polish is the chart-grid Newton, and the merge the greedy dedupe ranked
+    by the larger of the f and H residuals.
     """
     h = f.hessian()
     found = []
@@ -558,7 +553,7 @@ def reference_flexes(f, tol=DEFAULT_TOLERANCES):
         hs = float(np.abs(H).max())
         for u0, v0 in cands:
             box = max(1.0, abs(u0), abs(v0)) ** 3
-            if abs(_grid_eval(H, u0, v0)) > 1e-2 * hs * box:
+            if abs(reference_grid_eval(H, u0, v0)) > 1e-2 * hs * box:
                 continue
             polished = reference_newton_pair(F, H, u0, v0)
             if polished is None:
@@ -570,7 +565,7 @@ def reference_flexes(f, tol=DEFAULT_TOLERANCES):
             if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
                 found.append(CurvePoint(P, rf))
                 hess_res.append(max(rf, rh))
-    merged = _dedupe(found, tol.tau_match, ranks=hess_res)
+    merged = greedy_dedupe(found, tol.tau_match, hess_res)
     if len(merged) != 9:
         raise NumericalError(
             f"degenerate elimination: expected 9 inflections, settled on {len(merged)}"
@@ -609,18 +604,32 @@ def test_one_frame_flexes_match_on_the_hesse_pencil(pencil):
 
 
 def test_singular_pencil_member_raises_under_both():
+    # at lam = -3 the Hessian is proportional to f, so the pencil has no triangle
     f = hesse_cubic(-3.0)
-    with pytest.raises(NumericalError) as want:
+    assert f.hessian().proportionality_residual(f) <= 1e-15
+    with pytest.raises(NumericalError):
         reference_flexes(f)
-    with pytest.raises(NumericalError) as got:
+    with pytest.raises(NumericalError):
         _flexes_of_smooth(f, DEFAULT_TOLERANCES)
-    assert str(got.value) == str(want.value)
+
+
+# The unitary frame the flex elimination once searched first, frozen here: the
+# QR factor of a fixed matrix. Curves placed against it have flexes on its
+# line at infinity, where that search had to fall back on other frames.
+U0 = np.linalg.qr(
+    np.array(
+        [
+            [0.82 + 0.31j, -0.27 + 0.55j, 0.44 - 0.19j],
+            [0.13 - 0.68j, 0.71 + 0.22j, -0.35 + 0.47j],
+            [-0.52 + 0.09j, 0.38 - 0.41j, 0.66 + 0.58j],
+        ]
+    )
+)[0]
 
 
 def pushed_hesse_member(S):
-    """hesse_cubic(0.5) moved by U0 @ S, U0 the first frame: its flex (0:1:-1) goes to U0 @ S @ (0, 1, -1)."""
-    A = _frames()[0][0] @ S
-    return hesse_cubic(0.5).compose_linear(np.linalg.inv(A))
+    """hesse_cubic(0.5) moved by U0 @ S: its flex (0:1:-1) goes to U0 @ S @ (0, 1, -1)."""
+    return hesse_cubic(0.5).compose_linear(np.linalg.inv(U0 @ S))
 
 
 def reference_correct_flexes(f, near, tol=DEFAULT_TOLERANCES):
@@ -709,8 +718,9 @@ def elimination_starts(draw):
     """A smooth cubic, its reference flexes, and starts the way the elimination hands them over.
 
     The starts mix points near flexes (relative noise from 1e-12 to 1e-3),
-    roots of f on fibers of the first frame's chart, which lie on the curve
-    and mostly far off the Hessian, and random points, in a random order.
+    roots of f on fibers of the chart z = 1 of the frame U0, which lie on
+    the curve and mostly far off the Hessian, and random points, in a
+    random order.
     """
     f = draw(smooth_unit_disc_cubics())
     flexes = reference_flexes(f).arrays
@@ -718,11 +728,10 @@ def elimination_starts(draw):
         flexes[i] + 10.0 ** draw(st.floats(-12, -3)) * noise(draw, 3)
         for i in draw(st.lists(st.integers(0, 8), max_size=9))
     ]
-    U, M = _frames()[0]
-    F = curve._frame_grid(f, M)
+    F = _grid_trim(chart_grid(f.compose_linear(U0), 2))
     for u in draw(st.lists(disc_point, max_size=3)):
         fiber = curve._fiber_poly(F, u)
-        starts += [U @ np.array([u, v, 1.0]) for v in np.roots(fiber.coeffs[::-1])]
+        starts += [U0 @ np.array([u, v, 1.0]) for v in np.roots(fiber.coeffs[::-1])]
     starts += [np.asarray(v, dtype=complex) for v in draw(st.lists(row, max_size=5))]
     return f, flexes, [starts[k] for k in draw(st.permutations(range(len(starts))))]
 
@@ -749,35 +758,17 @@ def test_newton_flexes_of_no_starts_is_empty():
     assert _newton_flexes(f, f.hessian(), [], DEFAULT_TOLERANCES) == ([], [])
 
 
-# S sends (0, 1, -1) to (0.5, -1.5, 0), so that flex lies on the first frame's line at infinity
+# S sends (0, 1, -1) to (0.5, -1.5, 0), so that flex lies on U0's line at infinity
 GENERIC_PUSH = np.array([[0.3, 1.2, 0.7], [0.5, -0.4, 1.1], [0.9, 0.6, 0.6]])
 # S sends the base points with x + y + z = 0, with y = 0 and with z = 0 (three
-# each) to the lines at infinity of the first, second and third frame
+# each) to the lines at infinity of U0 and of its two cyclic column shifts
 HESSE_PUSH = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
 
 
-def frame_count(f, frame):
-    found, ranks = _flexes_in_frame(f, f.hessian(), frame, DEFAULT_TOLERANCES)
-    return len(_dedupe(found, DEFAULT_TOLERANCES.tau_match, ranks))
-
-
-def test_flex_at_infinity_of_the_first_frame_falls_back_to_the_second():
-    f = pushed_hesse_member(GENERIC_PUSH)
-    assert [frame_count(f, frame) for frame in _frames()[:2]] == [8, 9]
+@pytest.mark.parametrize("push", [GENERIC_PUSH, HESSE_PUSH], ids=["generic", "hesse"])
+def test_pushed_hesse_members_match_the_three_chart_search(push):
+    f = pushed_hesse_member(push)
     assert_same_flexes(_flexes_of_smooth(f, DEFAULT_TOLERANCES), reference_flexes(f))
-
-
-def test_frames_missing_three_flexes_each_settle_on_their_union():
-    f = pushed_hesse_member(HESSE_PUSH)
-    assert [frame_count(f, frame) for frame in _frames()] == [6, 6, 6]
-    assert_same_flexes(_flexes_of_smooth(f, DEFAULT_TOLERANCES), reference_flexes(f))
-
-
-def test_message_when_no_frame_settles(monkeypatch):
-    monkeypatch.setattr(curve, "_frames", lambda: _frames()[:1])
-    with pytest.raises(NumericalError) as err:
-        _flexes_of_smooth(pushed_hesse_member(GENERIC_PUSH), DEFAULT_TOLERANCES)
-    assert str(err.value) == "degenerate elimination: expected 9 inflections, settled on 8"
 
 
 # The smoothness gate against oracles that do not run it: a singular point

@@ -155,6 +155,26 @@ class TestHesse:
         target = hesse_cubic(lam)
         assert act_on_cubic(T, f).proportionality_residual(target) < 1e-6
 
+    def test_hessian_group_permutes_the_base_points_and_their_lines(self):
+        from cubicpoints.symmetry import _hessian_group
+
+        perms, lines = _hessian_group()
+        assert len({tuple(p) for p in perms.tolist()}) == 216
+        # closed under composition, and every element keeps the twelve lines
+        assert {tuple(p[q]) for p in perms for q in perms[:12]} <= {tuple(p) for p in perms.tolist()}
+        assert all({frozenset(p[list(line)]) for line in lines} == lines for p in perms)
+        pts = np.array(hesse_base_points())
+        assert len(lines) == 12
+        assert all(abs(np.linalg.det(pts[sorted(line)])) < 1e-12 for line in lines)
+
+    @pytest.mark.parametrize("lam0", [2.0, 1.25 + 0.5j, -2.9, 0.5, 1j, 5.0])
+    def test_pencil_members_keep_their_parameter(self, lam0):
+        # the flexes of a member are the base points themselves, and the
+        # first quadruple the Hessian group reaches is the source's own
+        T, lam = hesse_normalize(hesse_cubic(lam0))
+        assert abs(lam - lam0) <= 1e-12 * max(1.0, abs(lam0))
+        assert act_on_cubic(T, hesse_cubic(lam0)).proportionality_residual(hesse_cubic(lam)) <= 1e-12
+
     def test_random_cubic_enters_the_pencil(self, rng):
         f = random_smooth_cubic(rng)
         T, lam = hesse_normalize(f)
