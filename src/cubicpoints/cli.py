@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 bad input, 3 singular curve (including paths that
 meet the discriminant), 4 numerical failure, 5 unresolvable tracking
 ambiguity.  Output is fully assembled before anything is written, so a
 failing run never leaves partial output behind.
+
+Only the stdlib and the integer size arithmetic are imported up front, so
+counts, j2, sizes and verdict start without numpy; the curve subcommands
+import the numeric stack when they run.
 """
 
 from __future__ import annotations
@@ -12,42 +16,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .curve import (
-    CubicForm,
-    fermat_cubic,
-    inflection_points,
-    random_smooth_cubic,
-    smoothness,
-)
-from .elliptic import (
-    _witnesses_up_to,
-    constructible_sizes,
-    jordan_totient_2,
-    make_chart,
-    points_of_type,
-    size_witness,
-    torsion_points,
-)
-from .errors import (
-    InputError,
-    NumericalError,
-    SingularCurveError,
-    TrackingAmbiguityError,
-)
-from .monodromy import canonical_section, section_verdict, track
-from .serialize import (
-    _pair,
-    canonical_dumps,
-    cubic_from_obj,
-    cubic_to_obj,
-    path_from_obj,
-    points_to_csv,
-    points_to_obj,
-)
-from .symmetry import hesse_normalize
+from .errors import InputError, NumericalError, SingularCurveError, TrackingAmbiguityError
+from .sizes import _witnesses_up_to, canonical_dumps, jordan_totient_2, section_verdict
 
 _EXIT_INPUT = 2
 _EXIT_SINGULAR = 3
@@ -65,7 +36,9 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_cubic(path: str) -> CubicForm:
+def _load_cubic(path: str):
+    from .serialize import cubic_from_obj
+
     return cubic_from_obj(_load_json(path))
 
 
@@ -83,12 +56,17 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
 
 
 def _emit_points(points, args: argparse.Namespace) -> str:
+    from .serialize import points_to_csv, points_to_obj
+
     if args.format == "csv":
         return points_to_csv(points)
     return canonical_dumps(points_to_obj(points))
 
 
-def _chart_for(args, f: CubicForm, tol: Tolerances):
+def _chart_for(args, f, tol: Tolerances):
+    from .curve import inflection_points
+    from .elliptic import make_chart
+
     flexes = inflection_points(f, tol)
     idx = getattr(args, "identity_index", 0) or 0
     if not 0 <= idx < len(flexes):
@@ -97,12 +75,16 @@ def _chart_for(args, f: CubicForm, tol: Tolerances):
 
 
 def _cmd_inflections(args) -> str:
+    from .curve import inflection_points
+
     tol = _tolerances(args)
     f = _load_cubic(args.curve)
     return _emit_points(inflection_points(f, tol), args)
 
 
 def _cmd_type3k(args) -> str:
+    from .elliptic import points_of_type
+
     tol = _tolerances(args)
     f = _load_cubic(args.curve)
     chart = _chart_for(args, f, tol)
@@ -110,6 +92,8 @@ def _cmd_type3k(args) -> str:
 
 
 def _cmd_torsion(args) -> str:
+    from .elliptic import torsion_points
+
     tol = _tolerances(args)
     f = _load_cubic(args.curve)
     chart = _chart_for(args, f, tol)
@@ -167,6 +151,9 @@ def _cmd_verdict(args) -> str:
 def _cmd_hesse(args) -> str:
     if args.format == "csv":
         raise InputError("the hesse subcommand only writes JSON")
+    from .serialize import _pair
+    from .symmetry import hesse_normalize
+
     tol = _tolerances(args)
     f = _load_cubic(args.curve)
     T, lam = hesse_normalize(f, tol)
@@ -177,6 +164,9 @@ def _cmd_hesse(args) -> str:
 def _cmd_track(args) -> str:
     if args.format == "csv":
         raise InputError("the track subcommand only writes JSON")
+    from .monodromy import canonical_section, track
+    from .serialize import path_from_obj, points_to_obj
+
     tol = _tolerances(args)
     path = path_from_obj(_load_json(args.path))
     sec = canonical_section(args.section, tol)
@@ -198,6 +188,9 @@ def _cmd_track(args) -> str:
 def _cmd_smooth(args) -> str:
     if args.format == "csv":
         raise InputError("the smooth subcommand only writes JSON")
+    from .curve import smoothness
+    from .serialize import _pair
+
     tol = _tolerances(args)
     f = _load_cubic(args.curve)
     rep = smoothness(f, tol)
@@ -210,13 +203,20 @@ def _cmd_smooth(args) -> str:
 
 
 def _selftest_cases(seed: int, tol: Tolerances):
+    import numpy as np
+
+    from .curve import CubicForm, fermat_cubic, hesse_cubic, inflection_points, random_smooth_cubic, smoothness
+    from .elliptic import make_chart, points_of_type, torsion_points
+    from .monodromy import verify_free_K_action
+    from .numeric import chordal_distance, normalize_point
+    from .sizes import constructible_sizes, size_witness
+    from .symmetry import hesse_normalize
+
     w = np.exp(2j * np.pi / 3)
 
     def flexes_closed_form():
         f = fermat_cubic()
         pts = inflection_points(f, tol)
-        from .numeric import chordal_distance, normalize_point
-
         worst = 0.0
         for i in range(3):
             for k in range(3):
@@ -236,8 +236,6 @@ def _selftest_cases(seed: int, tol: Tolerances):
 
     def group_law():
         f = fermat_cubic()
-        from .numeric import chordal_distance
-
         flexes = inflection_points(f, tol)
         chart = make_chart(f, flexes[0].point, tol)
         P, Q = flexes[3].point, flexes[5].point
@@ -265,14 +263,10 @@ def _selftest_cases(seed: int, tol: Tolerances):
         assert size_witness(18) is None
 
     def translation_action():
-        from .monodromy import verify_free_K_action
-
         rep = verify_free_K_action(1, tol)
         assert rep.free and rep.point_count == 9 and rep.orbit_sizes == (9,)
 
     def hesse_fit():
-        from .curve import hesse_cubic
-
         lam0 = 1.25 + 0.5j
         _, lam = hesse_normalize(hesse_cubic(lam0), tol)
         assert abs(lam - lam0) <= 1e-6, f"lambda came back as {lam}"

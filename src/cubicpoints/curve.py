@@ -805,15 +805,15 @@ def _forms_at(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _newton_flexes(
     f: CubicForm, h: CubicForm, starts, tol: Tolerances
-) -> tuple[list[CurvePoint], list[float]]:
-    """Flexes by Newton on (f, h) = 0 from the rows of starts, with their joint residuals.
+) -> list[CurvePoint]:
+    """Flexes by Newton on (f, h) = 0 from the rows of starts.
 
     All rows move at once, each in its own chart with its largest-modulus
     coordinate held at 1, by a Cramer solve of the 2x2 Newton system. A row
     is kept when every step at most halved the one before, it converged
     within _CORRECTOR_ITERS steps, and its point lies on f and on h within
-    tau_on_curve; the joint residual is the larger of the two. A row that
-    fails stops moving and is dropped. Kept rows come back in start order.
+    tau_on_curve. A row that fails stops moving and is dropped. Kept rows
+    come back in start order, each with its residual on f.
     """
     X = np.array(starts, dtype=complex).reshape(-1, 3)
     rows = np.arange(len(X))
@@ -845,15 +845,13 @@ def _newton_flexes(
             moving = kept & (size > _CORRECTOR_DONE)
     kept &= ~moving
     points: list[CurvePoint] = []
-    joint: list[float] = []
     for row in X[kept]:
         P = normalize_point(row)
         rf = abs(f.evaluate(P)) / f.norm_inf
         rh = abs(h.evaluate(P)) / h.norm_inf
         if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
             points.append(CurvePoint(P, rf))
-            joint.append(max(rf, rh))
-    return points, joint
+    return points
 
 
 def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
@@ -866,7 +864,7 @@ def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
     (Bezout), each simple on a smooth cubic, so nine distinct common points
     are all the flexes. Raises NumericalError on a cone.
     """
-    points, _ = _newton_flexes(f, _hessian_of_smooth(f), near, tol)
+    points = _newton_flexes(f, _hessian_of_smooth(f), near, tol)
     if len(points) != 9:
         return None
     out = PointSet(points, tol.tau_match)

@@ -7,7 +7,9 @@ polarization identity
 
 so a chord's third intersection needs no elimination.  Torsion is found in a
 Weierstrass chart via division polynomials and mapped back, then certified
-against the group law itself.
+against the group law itself.  The layer counts 9 J_2(k) and the sizes they
+realize are integer arithmetic and live in sizes.py; jordan_totient_2,
+constructible_sizes and size_witness are imported from there.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .numeric import (
     normalize_point,
     solve_univariate,
 )
+from .sizes import constructible_sizes, jordan_totient_2, size_witness
 from .symmetry import ProjectiveTransform, act_on_point
 
 __all__ = [
@@ -45,6 +48,25 @@ __all__ = [
     "translation_certificate",
 ]
 
+# A point this far off the curve (relative residual) is another point, not roundoff.
+_ON_CURVE_GATE = 1e-3
+# A tangent direction this short once P is projected out is P itself.
+_TANGENT_COLLAPSE = 1e-8
+# A third intersection this small against its terms is cancellation, not a point.
+_CHORD_CANCEL = 1e-10
+# A discriminant this small against its terms belongs to a singular curve.
+_DISCRIMINANT_CANCEL = 1e-12
+# Floor for the scales of those two tests, so that all-zero terms still compare.
+_SCALE_FLOOR = 1e-300
+# The identity may miss the Hessian by this many tau_on_curve: H rounds a triple product.
+_FLEX_SLACK = 1e2
+# Below this |n . n| / |n|^2 the tangent line is nearly isotropic (see make_chart).
+_ISOTROPIC = 1e-3
+# A frame determinant or leading Weierstrass coefficient this small is degenerate.
+_FRAME_DEGENERATE = 1e-8
+# A leftover cross term or model misfit this large means the reduction went wrong.
+_REDUCTION_CHECK = 1e-6
+
 
 def _coords(p) -> np.ndarray:
     v = _point_array(p).reshape(3)
@@ -55,7 +77,7 @@ def _coords(p) -> np.ndarray:
 
 def _on_curve(f: CubicForm, v: np.ndarray, tol: Tolerances) -> CurvePoint:
     P = normalize_point(v)
-    if f.residual_at(P) > 1e-3:
+    if f.residual_at(P) > _ON_CURVE_GATE:
         raise InputError("point is not on the curve")
     cp = polish_onto_curve(f, P.array, tol)
     if cp.residual > tol.tau_on_curve:
@@ -83,7 +105,7 @@ def _tangent_direction(f: CubicForm, P: np.ndarray) -> np.ndarray:
         n = float(np.linalg.norm(v))
         if n > best_norm:
             best, best_norm = v, n
-    if best_norm <= 1e-8:
+    if best_norm <= _TANGENT_COLLAPSE:
         raise NumericalError("tangent direction collapsed onto the point")
     return best / best_norm
 
@@ -117,7 +139,7 @@ def third_intersection(
         g2 = complex(f.gradient(Q) @ P)
         R = g2 * P - g1 * Q
         scale = max(abs(g1), abs(g2)) * max(np.abs(P).max(), np.abs(Q).max())
-    if float(np.abs(R).max()) <= 1e-10 * max(scale, 1e-300):
+    if float(np.abs(R).max()) <= _CHORD_CANCEL * max(scale, _SCALE_FLOOR):
         raise NumericalError("third intersection is numerically indeterminate")
     out = polish_onto_curve(f, R, tol)
     if out.residual > tol.tau_on_curve:
@@ -171,7 +193,7 @@ class EllipticChart:
         num = 4.0 * self.a**3
         den = num + 27.0 * self.b**2
         scale = max(abs(num), abs(27.0 * self.b**2))
-        if abs(den) <= 1e-12 * max(scale, 1e-300):
+        if abs(den) <= _DISCRIMINANT_CANCEL * max(scale, _SCALE_FLOOR):
             raise NumericalError("vanishing discriminant: the curve is singular")
         return complex(1728.0 * num / den)
 
@@ -223,7 +245,7 @@ def make_chart(
     """
     cp = _on_curve(f, _coords(identity), tol)
     h = f.hessian()
-    if h.residual_at(cp.point) > 1e2 * tol.tau_on_curve:
+    if h.residual_at(cp.point) > _FLEX_SLACK * tol.tau_on_curve:
         raise InputError("the identity must be an inflection point of the curve")
     O = cp.array
     n = f.gradient(O)
@@ -234,20 +256,20 @@ def make_chart(
     # roundoff in a zero coordinate of O cannot flip the sign of b; its frame
     # has |det| >= |n . n| / |n|^2 and degenerates when the tangent line is
     # isotropic. There the row O x conj(n) takes over, with |det| = 1.
-    r = np.cross(n, O) if abs(n @ n) > 1e-3 * nn * nn else np.cross(O, np.conj(n))
+    r = np.cross(n, O) if abs(n @ n) > _ISOTROPIC * nn * nn else np.cross(O, np.conj(n))
     M1 = np.stack([r / np.linalg.norm(r), np.conj(O) / np.linalg.norm(O), n / nn])
-    if abs(np.linalg.det(M1)) <= 1e-8:
+    if abs(np.linalg.det(M1)) <= _FRAME_DEGENERATE:
         raise NumericalError("frame at the identity is numerically degenerate")
     g1 = f.compose_linear(np.linalg.inv(M1))
     top = g1.norm_inf
     for key in ((0, 3, 0), (1, 2, 0), (2, 1, 0)):
-        if abs(g1.coeff(*key)) > 1e-6 * top:
+        if abs(g1.coeff(*key)) > _REDUCTION_CHECK * top:
             raise NumericalError(
                 "the marked point does not behave like an inflection"
             )
     c = g1.coeff(0, 2, 1)
     a3 = g1.coeff(3, 0, 0)
-    if abs(c) <= 1e-8 * top or abs(a3) <= 1e-8 * top:
+    if abs(c) <= _FRAME_DEGENERATE * top or abs(a3) <= _FRAME_DEGENERATE * top:
         raise NumericalError("degenerate tangent frame at the identity")
     d = g1.coeff(1, 1, 1)
     e = g1.coeff(0, 1, 2)
@@ -274,7 +296,7 @@ def make_chart(
     chart = EllipticChart(f, cp.point, A, B, W, tol)
     model = chart.weierstrass_form()
     pushed = f.compose_linear(W.inverse().matrix)
-    if pushed.proportionality_residual(model) > 1e-6:
+    if pushed.proportionality_residual(model) > _REDUCTION_CHECK:
         raise NumericalError("Weierstrass reduction failed the invariant check")
     if chordal_distance(chart.to_weierstrass(cp.point), np.array([0, 1, 0])) > tol.tau_match:
         raise NumericalError("identity did not land at the point at infinity")
@@ -406,76 +428,6 @@ def points_of_type(
     return out.sorted_canonical()
 
 
-# ---------------------------------------------------------------------------
-# admissible sizes
-
-
-def jordan_totient_2(k: int) -> int:
-    """J_2(k) = k^2 prod_{p | k} (1 - 1/p^2), computed exactly."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InputError("the Jordan totient needs a positive integer")
-    n = int(k)
-    result = n * n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            result = result // (p * p) * (p * p - 1)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        result = result // (n * n) * (n * n - 1)
-    return result
-
-
-def _totient_terms(m: int) -> list[tuple[int, int]]:
-    # J_2(k) > 0.6 k^2, so k stays below sqrt(m / 0.6) + 2
-    out = []
-    k = 1
-    while k * k * 3 <= 5 * m + 30:
-        j = jordan_totient_2(k)
-        if j <= m:
-            out.append((k, j))
-        k += 1
-    return out
-
-
-def _size_table(m: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The subset-sum DP behind every size question, for sums up to m.
-
-    Returns (terms, reach): terms lists (k, J_2(k)) for J_2(k) <= m in
-    increasing k, and reach[i] is a bitset whose bit s is set when s is a
-    sum of distinct J_2 values from terms[i:].
-    """
-    terms = _totient_terms(m)
-    mask = (1 << (m + 1)) - 1
-    reach = [1] * (len(terms) + 1)
-    for i in range(len(terms) - 1, -1, -1):
-        r = reach[i + 1]
-        reach[i] = (r | r << terms[i][1]) & mask
-    return terms, reach
-
-
-def _witness(table: tuple[list[tuple[int, int]], list[int]], s: int) -> list[int] | None:
-    """Lexicographically smallest distinct orders whose J_2 values sum to s."""
-    terms, reach = table
-    if not reach[0] >> s & 1:
-        return None
-    out: list[int] = []
-    for i, (k, j) in enumerate(terms):
-        if s == 0:
-            break
-        if j <= s and reach[i + 1] >> (s - j) & 1:
-            out.append(k)
-            s -= j
-    return out
-
-
-def constructible_sizes(bound: int) -> list[int]:
-    """All sizes up to the bound of the form 9 * sum of J_2 over distinct orders."""
-    return list(_witnesses_up_to(bound))
-
-
 def translation_certificate(
     chart: EllipticChart,
     T: ProjectiveTransform,
@@ -495,28 +447,3 @@ def translation_certificate(
     ]
     base = diffs[0].array
     return max(chordal_distance(base, d.array) for d in diffs)
-
-
-def size_witness(n: int) -> list[int] | None:
-    """Lexicographically smallest set of distinct orders k with 9 sum J_2(k) = n.
-
-    Returns None when no such set exists (including all n not divisible by
-    nine).
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError("the size must be a positive integer")
-    if n % 9:
-        return None
-    m = int(n) // 9
-    return _witness(_size_table(m), m)
-
-
-def _witnesses_up_to(bound: int) -> dict[int, list[int]]:
-    """Every constructible size up to the bound, in increasing order, mapped
-    to its witness.  One table serves them all.
-    """
-    if not isinstance(bound, (int, np.integer)) or bound < 1:
-        raise InputError("the bound must be a positive integer")
-    m = int(bound) // 9
-    table = _size_table(m)
-    return {9 * s: _witness(table, s) for s in range(1, m + 1) if table[1][0] >> s & 1}

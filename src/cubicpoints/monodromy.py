@@ -19,6 +19,9 @@ path is written in; the search for a singular point runs only on a curve
 the gate finds singular, to name that point.  The sections of
 canonical_section therefore expect a curve the caller has certified and
 skip the weaker smoothness check of inflection_points.
+
+The verdicts on requested section sizes, SizeVerdict and section_verdict,
+are integer arithmetic and live in sizes.py; they are imported from there.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .curve import (
     inflection_points,
     smoothness,
 )
-from .elliptic import make_chart, points_of_type, size_witness
+from .elliptic import make_chart, points_of_type
 from .errors import (
     DiscriminantPathError,
     InputError,
@@ -45,6 +48,7 @@ from .errors import (
     TrackingAmbiguityError,
 )
 from .numeric import chordal_matrix
+from .sizes import SizeVerdict, section_verdict
 from .symmetry import ProjectiveTransform, _permutation_images
 
 __all__ = [
@@ -335,53 +339,6 @@ def canonical_section(name: str, tol: Tolerances = DEFAULT_TOLERANCES):
 
         return sec
     raise InputError(f"unknown section name: {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# verdicts for requested section sizes
-
-
-@dataclass(frozen=True)
-class SizeVerdict:
-    n: int
-    status: str
-    witness: list[int] | None
-    detail: str
-
-
-def section_verdict(n: int) -> SizeVerdict:
-    """Classify a requested section size as obstructed, constructible, or open.
-
-    Sizes not divisible by nine are obstructed.  Divisible sizes are
-    constructible when they split as nine times a sum of second Jordan
-    totients over distinct orders, witnessed by the lexicographically
-    smallest such set; the rest stay open.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InputError("the section size must be a positive integer")
-    n = int(n)
-    if n % 9:
-        return SizeVerdict(
-            n,
-            "obstructed",
-            None,
-            "not divisible by nine, so no consistent choice of this size exists",
-        )
-    w = size_witness(n)
-    if w is not None:
-        return SizeVerdict(
-            n,
-            "constructible",
-            w,
-            "realized by the union of the type-3k layers for k in "
-            + "{" + ", ".join(str(k) for k in w) + "}",
-        )
-    return SizeVerdict(
-        n,
-        "open",
-        None,
-        "divisible by nine but not a sum of distinct layer counts; not settled either way",
-    )
 
 
 @dataclass(frozen=True)

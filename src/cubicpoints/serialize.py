@@ -2,13 +2,12 @@
 
 Complex numbers are stored as [re, im] pairs.  Monomials are keyed by the
 three exponents concatenated, "300" for x^3 and so on.  canonical_dumps
-fixes key order and indentation so that load/dump round trips are byte
-identical.
+(defined in sizes.py, which the integer CLI subcommands import without
+numpy) fixes key order and indentation so that load/dump round trips are
+byte identical.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -16,6 +15,7 @@ from .curve import _MONOMIALS, CubicForm
 from .errors import InputError
 from .monodromy import _MEET_TOL, ParameterPath
 from .numeric import ProjectivePoint, _point_array, normalize_point
+from .sizes import canonical_dumps
 
 __all__ = [
     "canonical_dumps",
@@ -27,10 +27,6 @@ __all__ = [
     "path_to_obj",
     "path_from_obj",
 ]
-
-
-def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _pair(z: complex) -> list[float]:

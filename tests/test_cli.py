@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cubicpoints import CubicForm, ParameterPath, elliptic, fermat_cubic, hesse_cubic
+from cubicpoints import CubicForm, ParameterPath, fermat_cubic, hesse_cubic, sizes
 from cubicpoints.cli import main
 from cubicpoints.serialize import (
     canonical_dumps,
@@ -108,8 +108,8 @@ class TestArithmeticCommands:
 
     def test_sizes_builds_one_table(self, capsys, monkeypatch):
         calls = []
-        real = elliptic._size_table
-        monkeypatch.setattr(elliptic, "_size_table", lambda m: calls.append(m) or real(m))
+        real = sizes._size_table
+        monkeypatch.setattr(sizes, "_size_table", lambda m: calls.append(m) or real(m))
         for fmt in ("json", "csv"):
             rc, _, _ = run_cli(capsys, "--format", fmt, "sizes", "--bound", "2000")
             assert rc == 0
@@ -124,6 +124,21 @@ class TestArithmeticCommands:
         assert json.loads(out)["status"] == "obstructed"
         rc, out, _ = run_cli(capsys, "verdict", "72")
         assert json.loads(out)["witness"] == [3]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sizes", "--bound", "0"], "the bound must be a positive integer"),
+            (["verdict", "0"], "the section size must be a positive integer"),
+            (["counts", "--max-k", "0"], "--max-k must be a positive integer"),
+            (["j2", "--max-k", "0"], "--max-k must be a positive integer"),
+        ],
+    )
+    def test_zero_is_bad_input(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_verdict_rejects_csv(self, capsys):
         rc, _, err = run_cli(capsys, "--format", "csv", "verdict", "9")
@@ -276,6 +291,28 @@ class TestImportCost:
             "from cubicpoints.cli import main\n"
             "assert main(['sizes', '--bound', '2000']) == 0\n"
             "assert symmetry._hessian_group.cache_info().currsize == 0, 'the Hessian group was built'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_integer_subcommands_import_no_numpy(self):
+        # sizes, verdict, counts and j2 are integer arithmetic: a fresh
+        # process that runs only them never imports numpy or the curve layer
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from cubicpoints.cli import main\n"
+            "assert main(['sizes', '--bound', '2000']) == 0\n"
+            "assert main(['verdict', '36']) == 0\n"
+            "assert main(['counts']) == 0\n"
+            "assert main(['j2']) == 0\n"
+            "assert main(['verdict', '0']) == 2\n"
+            "loaded = [m for m in ('numpy', 'cubicpoints.curve') if m in sys.modules]\n"
+            "assert not loaded, f'imported {loaded}'\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env

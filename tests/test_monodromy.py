@@ -497,7 +497,7 @@ class TestTrackingAmbiguity:
         path = ParameterPath([fermat, fermat], steps=4)
         pf.write_text(canonical_dumps(path_to_obj(path)), encoding="utf-8")
         monkeypatch.setattr(
-            cli, "canonical_section", lambda name, tol: _counting_section(_drifting)
+            monodromy, "canonical_section", lambda name, tol: _counting_section(_drifting)
         )
         rc = cli.main(["track", "--path", str(pf)])
         captured = capsys.readouterr()

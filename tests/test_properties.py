@@ -6,8 +6,9 @@ over scalar distances, brute-force subset sums of the layer counts, the
 root solver as np.roots, vectorized clustering and a per-root polish
 through UniPoly.derivative and polyval, the fiber trim with its branch
 for the zero fiber, the flex search in all three coordinate charts with
-its Newton on chart grids, the flex corrector with its own Newton loop,
-and normalize_point's pivot search on numpy arrays.  The dense cubic's
+its Newton on chart grids (then polished in mpmath at 50 digits), the flex
+corrector with its own Newton loop, and normalize_point's pivot search on
+numpy arrays.  The dense cubic's
 gradient and Hessian are checked against monomial sums written out here,
 the flex Newton's batched values and gradients against evaluate and
 gradient, within a bound taken from those sums, and the flex Newton's
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -36,6 +38,7 @@ from cubicpoints import (
     constructible_sizes,
     fermat_cubic,
     hesse_cubic,
+    inflection_points,
     jordan_totient_2,
     normalize_point,
     size_witness,
@@ -53,8 +56,9 @@ from cubicpoints.curve import (
     _newton_flexes,
     _pair_candidates,
 )
-from cubicpoints.elliptic import _division_polys, _witnesses_up_to
+from cubicpoints.elliptic import _division_polys
 from cubicpoints.numeric import _cluster, _derivative, chordal_matrix, solve_univariate
+from cubicpoints.sizes import _witnesses_up_to
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -537,7 +541,9 @@ def reference_flexes(f, tol=DEFAULT_TOLERANCES):
 
     The elimination helpers it calls are the singular-point search's; the
     polish is the chart-grid Newton, and the merge the greedy dedupe ranked
-    by the larger of the f and H residuals.
+    by the larger of the f and H residuals. The search alone is good to
+    about 1e-12, so each merged point is then polished in mpmath (mp_flex)
+    and the reference is as accurate as a double can hold.
     """
     h = f.hessian()
     found = []
@@ -570,13 +576,66 @@ def reference_flexes(f, tol=DEFAULT_TOLERANCES):
         raise NumericalError(
             f"degenerate elimination: expected 9 inflections, settled on {len(merged)}"
         )
-    return PointSet(merged, tol.tau_match).sorted_canonical()
+    polished = [mp_flex(f, cp.array) for cp in merged]
+    points = [CurvePoint(P, abs(f.evaluate(P)) / f.norm_inf) for P in polished]
+    return PointSet(points, tol.tau_match).sorted_canonical()
 
 
-def assert_same_flexes(got, want):
-    """The same nine points in the same canonical order, within 1e-12 chordal."""
+def mp_partial(f, X, axes):
+    """The partial derivative of f along the coordinates in axes, at the mpmath point X."""
+    total = mpmath.mpc(0)
+    for e, c in zip(curve._MONOMIALS, f.coeffs):
+        e, factor = list(e), 1
+        for a in axes:
+            factor *= e[a]
+            e[a] -= 1
+        if factor and c:
+            total += factor * mpmath.mpc(complex(c)) * X[0] ** e[0] * X[1] ** e[1] * X[2] ** e[2]
+    return total
+
+
+def det3(M):
+    """The determinant of a 3x3 nested list, by cyclic cofactors along the first row."""
+    i, j, k = (0, 1, 2), (1, 2, 0), (2, 0, 1)
+    return sum(M[0][a] * (M[1][b] * M[2][c] - M[1][c] * M[2][b]) for a, b, c in zip(i, j, k))
+
+
+def mp_flex(f, v, dps=50, iters=8):
+    """The flex near v, by Newton on (f, H) = 0 in mpmath at dps digits.
+
+    H(X) is the determinant of f's second partials at X, and its partials
+    come from Jacobi's formula one row at a time (the third partials of a
+    cubic are constants), so no Hessian coefficient is ever rounded to a
+    double. The largest coordinate of v stays at 1.
+    """
+    pivot = int(np.abs(v).argmax())
+    q, r = (i for i in range(3) if i != pivot)
+    with mpmath.workdps(dps):
+        X = [mpmath.mpc(complex(c)) for c in v / v[pivot]]
+        X[pivot] = mpmath.mpc(1)
+        third = [[[mp_partial(f, X, (a, b, k)) for b in range(3)] for a in range(3)] for k in range(3)]
+        for _ in range(iters):
+            M = [[mp_partial(f, X, (a, b)) for b in range(3)] for a in range(3)]
+
+            def dH(k):
+                return sum(det3(M[:a] + [third[k][a]] + M[a + 1:]) for a in range(3))
+
+            F, H = mp_partial(f, X, ()), det3(M)
+            a, b = mp_partial(f, X, (q,)), mp_partial(f, X, (r,))
+            c, d = dH(q), dH(r)
+            det = a * d - b * c
+            du, dv = (b * H - d * F) / det, (c * F - a * H) / det
+            X[q] += du
+            X[r] += dv
+            if max(abs(du), abs(dv)) < mpmath.mpf(10) ** (5 - dps):
+                break
+        return normalize_point(np.array([complex(x) for x in X]))
+
+
+def assert_same_flexes(got, want, bound=1e-12):
+    """The same nine points in the same canonical order, within bound chordal."""
     assert len(got) == len(want) == 9
-    assert np.diag(chordal_matrix(got.arrays, want.arrays)).max() <= 1e-12
+    assert np.diag(chordal_matrix(got.arrays, want.arrays)).max() <= bound
 
 
 @st.composite
@@ -601,6 +660,18 @@ def test_one_frame_flexes_match_the_three_chart_search(f):
 def test_one_frame_flexes_match_on_the_hesse_pencil(pencil):
     f = fermat_cubic() if pencil is None else hesse_cubic(pencil)
     assert_same_flexes(_flexes_of_smooth(f, DEFAULT_TOLERANCES), reference_flexes(f))
+
+
+# A flex of this cubic sits 1.7e-12 off the line z = 0, where the three-chart
+# search alone put it at 4e-13: without the mpmath polish the reference is
+# itself off by 1.2e-12.
+NEAR_LINE = {(2, 1, 0): 1.0, (1, 2, 0): 0.5, (1, 1, 1): 0.25, (0, 3, 0): 1e-11, (0, 0, 3): 0.5}
+
+
+def test_flexes_match_the_polished_reference_to_1e_14():
+    f = CubicForm.from_coeffs(NEAR_LINE)
+    assert smoothness(f).margin >= 1e-3
+    assert_same_flexes(inflection_points(f), reference_flexes(f), 1e-14)
 
 
 def test_singular_pencil_member_raises_under_both():
@@ -741,12 +812,11 @@ def elimination_starts(draw):
 def test_newton_flexes_keeps_only_flexes_and_every_near_start(case):
     f, flexes, starts = case
     h = f.hessian()
-    points, joint = _newton_flexes(f, h, starts, DEFAULT_TOLERANCES)
-    assert len(joint) == len(points)
+    points = _newton_flexes(f, h, starts, DEFAULT_TOLERANCES)
     if points:
         assert chordal_matrix(np.stack([cp.array for cp in points]), flexes).min(axis=1).max() <= 1e-12
     # rows move independently: the batch keeps what each start keeps alone, in start order
-    alone = [_newton_flexes(f, h, [s], DEFAULT_TOLERANCES)[0] for s in starts]
+    alone = [_newton_flexes(f, h, [s], DEFAULT_TOLERANCES) for s in starts]
     assert [cp.point for cp in points] == [cp.point for kept in alone for cp in kept]
     for s, kept in zip(starts, alone):
         if chordal_matrix(s, flexes).min() <= 1e-3:
@@ -755,7 +825,7 @@ def test_newton_flexes_keeps_only_flexes_and_every_near_start(case):
 
 def test_newton_flexes_of_no_starts_is_empty():
     f = fermat_cubic()
-    assert _newton_flexes(f, f.hessian(), [], DEFAULT_TOLERANCES) == ([], [])
+    assert _newton_flexes(f, f.hessian(), [], DEFAULT_TOLERANCES) == []
 
 
 # S sends (0, 1, -1) to (0.5, -1.5, 0), so that flex lies on U0's line at infinity
