@@ -662,9 +662,9 @@ def test_one_frame_flexes_match_on_the_hesse_pencil(pencil):
     assert_same_flexes(_flexes_of_smooth(f, DEFAULT_TOLERANCES), reference_flexes(f))
 
 
-# A flex of this cubic sits 1.7e-12 off the line z = 0, where the three-chart
-# search alone put it at 4e-13: without the mpmath polish the reference is
-# itself off by 1.2e-12.
+# A flex of this cubic, near (0 : 1 : 0), has z = -1.67e-12; the three-chart
+# search alone puts it at z = -4.2e-13, 1.25e-12 chordal away, so only the
+# polished reference can hold the program to 1e-14.
 NEAR_LINE = {(2, 1, 0): 1.0, (1, 2, 0): 0.5, (1, 1, 1): 0.25, (0, 3, 0): 1e-11, (0, 0, 3): 0.5}
 
 
