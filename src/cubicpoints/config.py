@@ -27,8 +27,8 @@ class Tolerances:
         singular cubic near the discriminant, and unchanged by a unitary
         change of coordinates.
     tau_singular: gate margin at or below which a cubic is declared
-        singular; only then is a singular point searched for, in the three
-        coordinate charts, to report as the witness.
+        singular; only then is a singular point searched for, among the
+        common zeros of the partials, to report as the witness.
     max_torsion_order: largest torsion order the univariate solver is
         trusted with (division polynomial degree grows ~ order^2 / 2).
     """

@@ -12,8 +12,9 @@ Smoothness is certified by one determinantal gate for the discriminant: a
 quadratic coefficients, singular exactly when f is, whose margin
 sigma_min / sigma_max is the same in every unitary frame. Only a curve the
 gate calls singular goes on to _singular_witness, which names a singular
-point: in each coordinate chart, the common zeros of the two chart
-partials by a sampled resultant, polished by Gauss-Newton on the gradient.
+point: the partials are conics, two of them meet where the lines of the
+singular members of their pencil cut one of them, and the best of those
+points, polished by Gauss-Newton on the gradient, is the witness.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .numeric import (
     ProjectivePoint,
     UniPoly,
     _point_array,
-    _sylvester_dets,
     chordal_matrix,
     normalize_point,
     solve_univariate,
@@ -43,6 +43,8 @@ __all__ = [
     "fermat_cubic",
     "hesse_cubic",
     "smoothness",
+    "is_smooth",
+    "require_smooth",
     "inflection_points",
     "random_smooth_cubic",
     "random_points_on_curve",
@@ -316,151 +318,7 @@ def hesse_cubic(pencil: complex) -> CubicForm:
 
 
 # ---------------------------------------------------------------------------
-# bivariate helpers (dense grids C[a, b] = coefficient of u^a v^b)
-
-
-def _grid_trim(C: np.ndarray) -> np.ndarray:
-    top = np.abs(C).max() if C.size else 0.0
-    if top == 0.0:
-        return np.zeros((1, 1), dtype=complex)
-    keep = np.abs(C) > _REL_TRIM * top
-    rows = np.nonzero(keep.any(axis=1))[0]
-    cols = np.nonzero(keep.any(axis=0))[0]
-    out = C[: rows[-1] + 1, : cols[-1] + 1].copy()
-    out[np.abs(out) <= _REL_TRIM * top] = 0.0
-    return out
-
-
-def _grid_is_zero(C: np.ndarray) -> bool:
-    return bool(np.abs(C).max() == 0.0) if C.size else True
-
-
-def _grid_partial(C: np.ndarray, axis: int) -> np.ndarray:
-    if C.shape[axis] == 1:
-        return np.zeros((1, 1), dtype=complex)
-    if axis == 0:
-        mult = np.arange(1, C.shape[0]).reshape(-1, 1)
-        return C[1:, :] * mult
-    mult = np.arange(1, C.shape[1]).reshape(1, -1)
-    return C[:, 1:] * mult
-
-
-def _fiber_poly(C: np.ndarray, u: complex) -> UniPoly:
-    """Specialize u; returns polynomial in v with relative trimming."""
-    vec = (u ** np.arange(C.shape[0])) @ C
-    mods = np.abs(vec)
-    return UniPoly(np.where(mods > _REL_TRIM * mods.max(), vec, 0.0))
-
-
-_SAMPLES = 32
-_PHASE = 0.5
-
-
-def _sampled_resultant(A: np.ndarray, B: np.ndarray) -> UniPoly | None:
-    """Resultant of two bivariate grids with respect to v, as a polynomial in u.
-
-    Evaluates the Sylvester determinant at 32 points on the unit circle
-    and recovers coefficients by inverse FFT (the true degree here is at
-    most 18). Returns None when the resultant is identically ~ zero,
-    which signals a shared factor or degenerate pair.
-    """
-    pa = A.shape[1] - 1
-    qb = B.shape[1] - 1
-    if pa < 1 or qb < 1:
-        raise InputError("sampled resultant needs v-degree >= 1 on both sides")
-    ts = np.exp(1j * (2.0 * np.pi * np.arange(_SAMPLES) / _SAMPLES + _PHASE))
-    powsA = ts[:, None] ** np.arange(A.shape[0])[None, :]
-    powsB = ts[:, None] ** np.arange(B.shape[0])[None, :]
-    va = powsA @ A
-    vb = powsB @ B
-    dets, scale = _sylvester_dets(va, vb)
-    # dets[t] = sum_k c_k exp(i k phase) zeta^{t k}; the forward FFT over N
-    # inverts that expansion (numpy's ifft flips the frequency sign).
-    coeffs = np.fft.fft(dets) / _SAMPLES
-    k = np.arange(_SAMPLES)
-    coeffs = coeffs / np.exp(1j * _PHASE * k)
-    top = np.abs(coeffs).max()
-    if top == 0.0 or not np.isfinite(top):
-        return None
-    if top <= 1e-9 * scale:
-        return None  # identically zero up to roundoff: shared factor
-    coeffs = np.where(np.abs(coeffs) > 1e-11 * top, coeffs, 0.0)
-    nz = np.nonzero(coeffs)[0]
-    if nz.size == 0:
-        return None
-    deg = nz[-1]
-    if deg >= _SAMPLES - 4:
-        # aliasing guard; degrees here are bounded by 18 well below this
-        raise NumericalError("sampled resultant degree hit the sampling bound")
-    poly = UniPoly(coeffs[: deg + 1])
-    if poly.degree == 0:
-        return None if abs(poly.coeffs[0]) <= 1e-9 * max(1.0, top) else poly
-    return poly
-
-
-def _roots_simple(poly: UniPoly, tol: Tolerances) -> list[complex]:
-    try:
-        return [z for z, _ in solve_univariate(poly, tol)]
-    except (InputError, NumericalError):
-        return []
-
-
-# ---------------------------------------------------------------------------
 # smoothness
-
-
-def _pair_candidates(
-    A: np.ndarray, B: np.ndarray, third: np.ndarray, tol: Tolerances
-) -> list[tuple[complex, complex]] | None:
-    """Common-zero candidates of grids A and B; None when the pair degenerates."""
-    va, vb = A.shape[1] - 1, B.shape[1] - 1
-    cands: list[tuple[complex, complex]] = []
-    if va >= 1 and vb >= 1:
-        R = _sampled_resultant(A, B)
-        if R is None or R.degree == 0:
-            return None
-        for u0 in _roots_simple(R, tol):
-            fiber = _fiber_poly(A, u0)
-            if fiber.degree == 0:
-                fiber = _fiber_poly(B, u0)
-            if fiber.degree == 0:
-                fiber = _fiber_poly(third, u0)
-            if fiber.degree == 0:
-                cands.append((u0, 0.0))
-                continue
-            cands.extend((u0, v0) for v0 in _roots_simple(fiber, tol))
-        return cands
-    if va == 0 and vb == 0:
-        return None  # only a cone's grids, or a pair with a nonzero constant
-    # one side free of v: its u-roots fix the fibers of the other
-    flat, curved = (B, A) if vb == 0 else (A, B)
-    if flat.shape[0] == 1:
-        return None  # nonzero constant, no common zeros through this pair
-    for u0 in _roots_simple(UniPoly(flat[:, 0]), tol):
-        fiber = _fiber_poly(curved, u0)
-        if fiber.degree >= 1:
-            cands.extend((u0, v0) for v0 in _roots_simple(fiber, tol))
-        else:
-            cands.append((u0, 0.0))
-    return cands
-
-
-_FALLBACK_LINES = [(0.37 + 0.21j, -0.62 + 0.55j), (-0.83 + 0.47j, 0.29 - 0.71j), (1.31 - 0.09j, 0.14 + 0.88j)]
-
-
-def _grid_on_line(g: np.ndarray, alpha: complex, beta: complex) -> UniPoly:
-    """Restriction u -> g(u, alpha * u + beta) as a univariate polynomial."""
-    acc = np.zeros(g.shape[0] + g.shape[1] - 1, dtype=complex)
-    vpow = np.array([1.0 + 0.0j])
-    for b in range(g.shape[1]):
-        for a in range(g.shape[0]):
-            if g[a, b] != 0:
-                acc[a : a + len(vpow)] += g[a, b] * vpow
-        vpow = np.convolve(vpow, np.array([beta, alpha]))
-    top = np.abs(acc).max()
-    if top > 0.0:
-        acc = np.where(np.abs(acc) > _REL_TRIM * top, acc, 0.0)
-    return UniPoly(acc)
 
 
 # The six quadratic monomials x^i y^j z^k, in the order of the gate's columns.
@@ -526,69 +384,120 @@ def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> Smoothness
     return SmoothnessReport(False, margin, _singular_witness(f, tol))
 
 
-def _frame_grid(g: CubicForm, M: np.ndarray) -> np.ndarray:
-    return _grid_trim((M @ g.coeffs).reshape(4, 4))
-
-
-# Chart i sets coordinate i + 2 (mod 3) to 1, as a (U, M) pair: U @ (u, v, 1)
-# puts u and v in coordinates i and i + 1, and M sends each monomial exactly to the
-# grid entry of its exponents of u and v, so a coordinate vertex is a root at 0.
-_CHARTS = tuple(
-    (
-        np.eye(3)[:, [i, (i + 1) % 3, (i + 2) % 3]],
-        (np.arange(16)[:, None] == [4 * m[i] + m[(i + 1) % 3] for m in _MONOMIALS]).astype(float),
-    )
-    for i in range(3)
-)
-# Chart coordinates beyond this carry too few digits; another chart has the point.
+# The witness search scales each conic to a largest entry of modulus 1, so
+# what it forms from them (a coefficient of a pencil's determinant, an entry
+# of an adjugate, a value on a line) is zero up to roundoff below this.
+_CONIC_ZERO = 1e-12
+# Polish steps leaving chart coordinates beyond this carry too few digits;
+# another candidate has the point.
 _WITNESS_BOX = 1e7
 # Only near-zero raw gradients are polished: every near-singularity is among them.
 _WITNESS_POLISH_GATE = 1e-2
 # Beating the best by more than roundoff wins; within the slack it ties, so
-# that a point found in several charts is chosen by key, not by chart.
+# that a point found through several pencils is chosen by key, not by pencil.
 _WITNESS_BETTER = 1e-15
 _WITNESS_TIE_ABS, _WITNESS_TIE_REL = 1e-12, 1e-6
+# Gauss-Newton stops once its step is this small against the point.
+_POLISH_STEP_FLOOR = 1e-15
+
+
+def _adjugate(A: np.ndarray) -> np.ndarray:
+    """The adjugate of a symmetric 3x3 matrix: row i is row i + 1 cross row i + 2."""
+    return np.cross(A[[1, 2, 0]], A[[2, 0, 1]])
+
+
+def _singular_members(Q1: np.ndarray, Q2: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
+    """The singular conics of the pencil Q1 + s Q2, or [Q1] when every member is singular.
+
+    They sit at the roots of the cubic det(Q1 + s Q2), whose coefficients
+    are det Q1, <adj Q1, Q2>, <adj Q2, Q1> and det Q2; Q2 itself is one
+    when the cubic drops degree.
+    """
+    A1, A2 = _adjugate(Q1), _adjugate(Q2)
+    cubic = np.array([A1[0] @ Q1[0], (A1 * Q2).sum(), (A2 * Q1).sum(), A2[0] @ Q2[0]])
+    top = np.abs(cubic).max()
+    if top <= _CONIC_ZERO:
+        return [Q1]
+    poly = UniPoly(np.where(np.abs(cubic) > _REL_TRIM * top, cubic, 0.0))
+    members = [Q1 + s * Q2 for s, _ in solve_univariate(poly, tol)] if poly.degree else []
+    return members + [Q2] * (poly.degree < 3)
+
+
+def _conic_lines(M: np.ndarray) -> list[np.ndarray]:
+    """The lines of a singular conic M (Richter-Gebert, Perspectives on Projective Geometry, ch. 11).
+
+    For M = l m^T + m l^T the adjugate is -p p^T with p = l x m, and adding
+    the cross-product matrix of p leaves a multiple of l m^T or m l^T,
+    whose largest row and column are the two lines. A double line l l^T
+    has a vanishing adjugate and is M's largest row.
+    """
+    M = M / np.abs(M).max()
+    B = _adjugate(M)
+    i = int(np.abs(np.diag(B)).argmax())
+    if abs(B[i, i]) <= _CONIC_ZERO:
+        return [M[np.linalg.norm(M, axis=1).argmax()]]
+    p = B[:, i] / np.sqrt(-B[i, i])
+    C = M + np.array([[0.0, -p[2], p[1]], [p[2], 0.0, -p[0]], [-p[1], p[0], 0.0]])
+    i, j = np.unravel_index(np.abs(C).argmax(), C.shape)
+    return [C[i], C[:, j]]
+
+
+def _cut(line: np.ndarray, conics: list[np.ndarray]) -> list[np.ndarray]:
+    """The points where a line meets the first of the conics not vanishing on it.
+
+    On a line where every conic vanishes, each point is a common zero, and
+    one of them stands for all.
+    """
+    k = int(np.abs(line).argmax())
+    basis = np.zeros((2, 3), dtype=complex)
+    for row, j in zip(basis, _FREE[k]):
+        row[j], row[k] = 1.0, -line[j] / line[k]
+    for Q in conics:
+        (a, b), (_, c) = basis @ Q @ basis.T
+        if max(abs(a), abs(b), abs(c)) > _CONIC_ZERO:
+            break
+    else:
+        return [basis[0]]
+    # the roots (u : v) of a u^2 + 2 b u v + c v^2, the first without cancellation
+    r = np.sqrt(b * b - a * c)
+    w = -b - r if abs(b + r) >= abs(b - r) else -b + r
+    return [u * basis[0] + v * basis[1] for u, v in ((w, a), (c, w)) if u or v]
 
 
 def _singular_witness(f: CubicForm, tol: Tolerances) -> ProjectivePoint:
     """The candidate of smallest normalized gradient; ties go to the largest canonical key.
 
-    In each coordinate chart the candidates are the common zeros of the two
-    chart partials or, where one vanishes or the pair shares a factor, the
-    zeros of the nonzero ones on _FALLBACK_LINES.
+    The singular points are the common zeros of the partials, the conics
+    3 T_i of f's tensor. Each nonzero partial spans a pencil with the next
+    nonzero one (a lone one with itself), and each line of the pencil's
+    singular members is cut with the first partial, from that one on, that
+    does not vanish on the line.
     """
     scale = f.norm_inf
     T = f._tensor()
+    conics = [Q / np.abs(Q).max() for Q in T if Q.any()]
+    candidates = (
+        x
+        for i in range(len(conics))
+        for member in _singular_members(conics[i], conics[(i + 1) % len(conics)], tol)
+        for line in _conic_lines(member)
+        for x in _cut(line, conics[i:] + conics[:i])
+    )
     best_gradient = np.inf
     best_witnesses: list[ProjectivePoint] = []
-    for U, M in _CHARTS:
-        G = _frame_grid(f, M)
-        partials = [_grid_trim(_grid_partial(G, axis)) for axis in (0, 1)]
-        nonzero = [g for g in partials if not _grid_is_zero(g)]
-        cands = _pair_candidates(*partials, G, tol) if len(nonzero) == 2 else None
-        if cands is None:
-            cands = [
-                (u0, alpha * u0 + beta)
-                for alpha, beta in _FALLBACK_LINES
-                for g in nonzero
-                for u0 in _roots_simple(_grid_on_line(g, alpha, beta), tol)
-            ]
-        for u0, v0 in cands:
-            if max(abs(u0), abs(v0)) > _WITNESS_BOX:
-                continue
-            x = U @ np.array([u0, v0, 1.0])
-            P = normalize_point(x)
+    for x in candidates:
+        P = normalize_point(x)
+        g = float(np.linalg.norm(f.gradient(P)) / scale)
+        if g <= _WITNESS_POLISH_GATE:
+            P = normalize_point(_polish_singular(T, x))
             g = float(np.linalg.norm(f.gradient(P)) / scale)
-            if g <= _WITNESS_POLISH_GATE:
-                P = normalize_point(_polish_singular(T, x))
-                g = float(np.linalg.norm(f.gradient(P)) / scale)
-            if g < best_gradient - _WITNESS_BETTER:
-                best_gradient = g
-                best_witnesses = [P]
-            elif abs(g - best_gradient) <= _WITNESS_TIE_ABS + _WITNESS_TIE_REL * best_gradient:
-                best_witnesses.append(P)
+        if g < best_gradient - _WITNESS_BETTER:
+            best_gradient = g
+            best_witnesses = [P]
+        elif abs(g - best_gradient) <= _WITNESS_TIE_ABS + _WITNESS_TIE_REL * best_gradient:
+            best_witnesses.append(P)
     if not np.isfinite(best_gradient):
-        raise NumericalError("gradient elimination produced no candidates")
+        raise NumericalError("the pencils of the partials produced no candidates")
     return max(best_witnesses, key=_canonical_key)
 
 
@@ -608,7 +517,7 @@ def _polish_singular(T: np.ndarray, x: np.ndarray, iters: int = 30) -> np.ndarra
         stalls = 0 if rn < 0.9 * best else stalls + 1
         if rn < best:
             best, best_x = rn, x
-        if stalls >= 2 or size <= 1e-15 * np.abs(x).max():
+        if stalls >= 2 or size <= _POLISH_STEP_FLOOR * np.abs(x).max():
             break
         step = np.linalg.lstsq(6.0 * np.einsum("ijk,k->ij", T, x)[:, free], -grad, rcond=None)[0]
         x = x.copy()

@@ -1,4 +1,4 @@
-"""Numeric kernel: univariate polynomials, roots, resultants, projective metric.
+"""Numeric kernel: univariate polynomials, roots, projective metric.
 
 Every higher-level computation (intersection, torsion, tracking) bottoms
 out here, so the routines certify their own output: roots are Newton
@@ -25,8 +25,6 @@ cluster radius could be judged differently.
 
 Conventions:
 - polynomial coefficients are stored lowest degree first;
-- Sylvester matrices put the q block on top, so their determinant is
-  lead(q)^deg(p) * prod of p over the roots of q (1 for p = x, q = x - 1);
 - the projective metric is the chordal one, sqrt(1 - |<P,Q>|^2 / (|P|^2 |Q|^2)),
   evaluated as |P x Q| / (|P| |Q|) so that nearby points keep full accuracy.
 """
@@ -370,27 +368,4 @@ def solve_univariate(
             )
     merged.sort(key=lambda zm: (zm[0].real, zm[0].imag))
     return merged
-
-
-def _sylvester_dets(pvals: np.ndarray, qvals: np.ndarray) -> tuple[np.ndarray, float]:
-    """Batched Sylvester determinants for stacks of coefficient rows.
-
-    Rows are lowest degree first and both stacks share fixed formal
-    degrees, so every sample fills the same matrix shape (q block on top);
-    one batched det call covers all of them. Also returns the largest
-    Hadamard bound: the scale against which a computed determinant counts
-    as zero, separating structurally vanishing resultants from small ones.
-    """
-    m = pvals.shape[1] - 1
-    n = qvals.shape[1] - 1
-    size = m + n
-    S = np.zeros((pvals.shape[0], size, size), dtype=complex)
-    qd = qvals[:, ::-1]
-    pd = pvals[:, ::-1]
-    for i in range(m):
-        S[:, i, i : i + n + 1] = qd
-    for i in range(n):
-        S[:, m + i, i : i + m + 1] = pd
-    hadamard = float(np.prod(np.linalg.norm(S, axis=2), axis=1).max())
-    return np.linalg.det(S), hadamard
 

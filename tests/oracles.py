@@ -2,11 +2,9 @@
 
 Everything here is deliberately implemented from first principles with none
 of the package's machinery: affine Weierstrass addition by the textbook
-slope formulas, point counts by brute-force enumeration, and closed-form
-special points.  Agreement between these and the package is the evidence
-the tests rely on.  The one exception is resultant, a thin wrapper over the
-package's Sylvester builder, which pins the sign convention that the
-sampled resultants of the flex search rely on.
+slope formulas, point counts by brute-force enumeration, closed-form
+special points, and resultants as determinants of Sylvester matrices.
+Agreement between these and the package is the evidence the tests rely on.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import math
 
 import numpy as np
 
-from cubicpoints.numeric import UniPoly, _sylvester_dets
+from cubicpoints.numeric import UniPoly
 
 # Affine points are (x, y) pairs; None is the point at infinity.
 Affine = tuple[complex, complex] | None
@@ -129,7 +127,30 @@ def subset_sums_upto(values: list[int], bound: int) -> set[int]:
     return sums - {0}
 
 
+def sylvester_dets(pvals: np.ndarray, qvals: np.ndarray) -> tuple[np.ndarray, float]:
+    """Batched Sylvester determinants for stacks of coefficient rows.
+
+    Rows are lowest degree first and both stacks share fixed formal
+    degrees, so every sample fills the same matrix shape (q block on top);
+    one batched det call covers all of them. Also returns the largest
+    Hadamard bound: the scale against which a computed determinant counts
+    as zero, separating structurally vanishing resultants from small ones.
+    """
+    m = pvals.shape[1] - 1
+    n = qvals.shape[1] - 1
+    size = m + n
+    S = np.zeros((pvals.shape[0], size, size), dtype=complex)
+    qd = qvals[:, ::-1]
+    pd = pvals[:, ::-1]
+    for i in range(m):
+        S[:, i, i : i + n + 1] = qd
+    for i in range(n):
+        S[:, m + i, i : i + m + 1] = pd
+    hadamard = float(np.prod(np.linalg.norm(S, axis=2), axis=1).max())
+    return np.linalg.det(S), hadamard
+
+
 def resultant(p: UniPoly, q: UniPoly) -> complex:
     """Sylvester resultant with the q block on top: lead(q)^deg(p) times p over the roots of q."""
-    dets, _ = _sylvester_dets(p.coeffs[None, :], q.coeffs[None, :])
+    dets, _ = sylvester_dets(p.coeffs[None, :], q.coeffs[None, :])
     return complex(dets[0])

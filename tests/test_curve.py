@@ -155,22 +155,11 @@ class TestSmoothness:
             ({(2, 1, 0): 1.0, (1, 2, 0): 1.0, (0, 0, 3): 1.0}, True),
         ],
     )
-    def test_pair_of_partials_free_of_the_fiber_variable(self, coeffs, smooth, tol):
+    def test_pair_of_partials_free_of_the_fiber_variable(self, coeffs, smooth):
         f = CubicForm.from_coeffs(coeffs)
-        # in the chart y = 1 (u = z, v = x) the chart partial f_z is free of
-        # v: on the smooth curve its u-root u = 0 fixes the fiber of f_x,
-        # whose root v = -1/2 is the one candidate; on the singular curve
-        # f_z vanishes, so the witness search cuts fallback lines there
-        U, M = curve._CHARTS[2]
-        assert (U @ np.array([2.0, 3.0, 1.0])).tolist() == [3.0, 1.0, 2.0]
-        G = curve._frame_grid(f, M)
-        fz, fx = (curve._grid_trim(curve._grid_partial(G, axis)) for axis in (0, 1))
-        assert fz.shape[1] == 1
-        if smooth:
-            (u0, v0), = curve._pair_candidates(fz, fx, G, tol)
-            assert abs(u0) < 1e-15 and abs(v0 + 0.5) < 1e-15
-        else:
-            assert curve._grid_is_zero(fz)
+        # x^2 y + x y^2 has f_z = 0, so the witness search has only the
+        # pencil of f_x and f_y, singular in every member; with z^3 added
+        # the curve is smooth and no witness is searched for
         rep = smoothness(f)
         assert rep.smooth is smooth
         if smooth:

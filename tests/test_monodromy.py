@@ -324,8 +324,7 @@ def _crossings(f0: CubicForm, f1: CubicForm) -> list[complex]:
 
     The f-block of the gate matrix is linear in t and the Hessian block is
     cubic, so the determinant has degree 12. Its values at 32 points of
-    the unit circle give its coefficients by one FFT, as in
-    curve._sampled_resultant.
+    the unit circle give its coefficients by one FFT.
     """
     ts = np.exp(2j * np.pi * np.arange(32) / 32)
     dets = []

@@ -15,6 +15,14 @@ def test_every_public_name_is_its_home_modules_object():
             assert getattr(cubicpoints, name) is getattr(home, name), name
 
 
+def test_every_public_name_is_in_its_home_modules_all():
+    # a star import binds a module's __all__, or every public name where it has none
+    for module, names in cubicpoints._EXPORTS.items():
+        scope: dict = {}
+        exec(f"from cubicpoints.{module} import *", scope)
+        assert set(names) <= set(scope), module
+
+
 def test_each_public_name_has_one_home():
     assert sum(len(names) for names in cubicpoints._EXPORTS.values()) == len(cubicpoints._HOME)
 
