@@ -5,9 +5,11 @@ polarization identity
 
     f(sP + tQ) = s^3 f(P) + s^2 t grad_f(P).Q + s t^2 grad_f(Q).P + t^3 f(Q),
 
-so a chord's third intersection needs no elimination.  Torsion is found in a
-Weierstrass chart via division polynomials and mapped back, then certified
-against the group law itself.  The layer counts 9 J_2(k) and the sizes they
+so a chord's third intersection needs no elimination.  The law works on
+stacks of points, row by row (_third_rows); a single group operation is its
+one-row case.  Torsion is found in a Weierstrass chart via division
+polynomials and mapped back, then certified against the group law itself:
+one double-and-add ladder multiplies all m^2 candidates by m at once.  The layer counts 9 J_2(k) and the sizes they
 realize are integer arithmetic and live in sizes.py; jordan_totient_2,
 constructible_sizes and size_witness are imported from there.
 """
@@ -22,6 +24,7 @@ from .curve import (
     CurvePoint,
     PointSet,
     _dedupe,
+    _forms_at,
     polish_onto_curve,
 )
 from .errors import InputError, NumericalError
@@ -30,6 +33,7 @@ from .numeric import (
     UniPoly,
     _point_array,
     chordal_distance,
+    chordal_matrix,
     normalize_point,
     solve_univariate,
 )
@@ -50,8 +54,6 @@ __all__ = [
 
 # A point this far off the curve (relative residual) is another point, not roundoff.
 _ON_CURVE_GATE = 1e-3
-# A tangent direction this short once P is projected out is P itself.
-_TANGENT_COLLAPSE = 1e-8
 # A third intersection this small against its terms is cancellation, not a point.
 _CHORD_CANCEL = 1e-10
 # A discriminant this small against its terms belongs to a singular curve.
@@ -85,29 +87,79 @@ def _on_curve(f: CubicForm, v: np.ndarray, tol: Tolerances) -> CurvePoint:
     return cp
 
 
-def _tangent_direction(f: CubicForm, P: np.ndarray) -> np.ndarray:
-    """A vector spanning the tangent line at P together with P itself.
+def _curve_point(f: CubicForm, row: np.ndarray) -> CurvePoint:
+    P = normalize_point(row)
+    return CurvePoint(P, f.residual_at(P))
 
-    The gradient's null plane contains P (Euler identity), so project P out
-    Hermitian-orthogonally and keep the larger remainder.
+
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """Each row divided by its largest-modulus coordinate."""
+    top = X[np.arange(len(X)), np.abs(X).argmax(axis=1)]
+    if not top.all():
+        raise InputError("the zero vector is not a projective point")
+    return X / top[:, None]
+
+
+def _settle(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """polish_onto_curve's four Newton steps on every row: the unit rows, their values and gradients."""
+    X = _unit_rows(X)
+    for _ in range(4):
+        V, G = _forms_at(T, X)
+        g = G[:, 0]
+        step = V[:, 0] / np.maximum((np.abs(g) ** 2).sum(axis=1), _SCALE_FLOOR)
+        X = X - step[:, None] * np.conj(g)
+    X = _unit_rows(X)
+    V, G = _forms_at(T, X)
+    return X, V[:, 0], G[:, 0]
+
+
+def _on_curve_rows(f: CubicForm, T: np.ndarray, X, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """_on_curve's gate and polish on every row: the polished rows and their gradients."""
+    X = _unit_rows(np.asarray(X))
+    if not (np.abs(_forms_at(T, X)[0]) <= _ON_CURVE_GATE * f.norm_inf).all():
+        raise InputError("point is not on the curve")
+    X, V, G = _settle(T, X)
+    if not (np.abs(V) <= tol.tau_on_curve * f.norm_inf).all():
+        raise NumericalError("could not polish the point onto the curve")
+    return X, G
+
+
+def _third_rows(f: CubicForm, P, Q, tol: Tolerances) -> np.ndarray:
+    """Row by row, the third point in which the line through P and Q meets the cubic.
+
+    P and Q are (n, 3) stacks; every check applies to each row, and one
+    failing row raises for the stack. Each input row is gated and polished
+    onto the curve. Rows within tau_match of each other use the tangent at
+    P, spanned by P and g x conj(P) for the gradient g at P: g annihilates
+    it, and it is Hermitian-orthogonal to P, with length |g| |P| because
+    g . P = 3 f(P) = 0 (Euler). Rows that are distinct but closer than ten
+    times tau_match are rejected as an ill-conditioned chord. The output
+    rows are polished onto the curve, each scaled to a largest coordinate 1.
     """
-    g = f.gradient(P)
-    gn = float(np.linalg.norm(g))
-    if gn == 0.0:
-        raise NumericalError("vanishing gradient: the curve is singular here")
-    _, _, vh = np.linalg.svd(g.reshape(1, 3) / gn)
-    best = None
-    best_norm = -1.0
-    pp = float(np.vdot(P, P).real)
-    for row in vh[1:]:
-        v = np.conj(row)
-        v = v - (np.vdot(P, v) / pp) * P
-        n = float(np.linalg.norm(v))
-        if n > best_norm:
-            best, best_norm = v, n
-    if best_norm <= _TANGENT_COLLAPSE:
-        raise NumericalError("tangent direction collapsed onto the point")
-    return best / best_norm
+    T = f._tensor()[None]
+    P, gP = _on_curve_rows(f, T, P, tol)
+    Q, _ = _on_curve_rows(f, T, Q, tol)
+    d = np.linalg.norm(np.cross(P, Q), axis=1) / (np.linalg.norm(P, axis=1) * np.linalg.norm(Q, axis=1))
+    if ((d > tol.tau_match) & (d <= 10.0 * tol.tau_match)).any():
+        raise NumericalError("chord through nearly coincident points is ill conditioned")
+    tangent = d <= tol.tau_match
+    tdir = np.cross(gP, np.conj(P))
+    tdir /= np.maximum(np.linalg.norm(tdir, axis=1), _SCALE_FLOOR)[:, None]
+    D = np.where(tangent[:, None], tdir, Q)
+    vD, gD = _forms_at(T, D)
+    # f(sP + tD) = s^2 t g(P).D + s t^2 g(D).P + t^3 f(D) when f(P) = 0; a chord
+    # has f(D) = 0 and a tangent g(P).D = 0, so the third root is (s : t) = (a : -b).
+    gDP = (gD[:, 0] * P).sum(axis=1)
+    a = np.where(tangent, vD[:, 0], gDP)
+    b = np.where(tangent, gDP, (gP * D).sum(axis=1))
+    R = a[:, None] * P - b[:, None] * D
+    scale = np.maximum(np.abs(a), np.abs(b)) * np.maximum(np.abs(P).max(axis=1), np.abs(D).max(axis=1))
+    if (np.abs(R).max(axis=1) <= _CHORD_CANCEL * np.maximum(scale, _SCALE_FLOOR)).any():
+        raise NumericalError("third intersection is numerically indeterminate")
+    R, V, _ = _settle(T, R)
+    if not (np.abs(V) <= tol.tau_on_curve * f.norm_inf).all():
+        raise NumericalError("third intersection failed to settle on the curve")
+    return R
 
 
 def third_intersection(
@@ -117,34 +169,9 @@ def third_intersection(
 
     Coincident inputs (within tau_match) use the tangent line; inputs that
     are distinct but closer than ten times tau_match are rejected as an
-    ill-conditioned chord.
+    ill-conditioned chord. The one-row case of _third_rows.
     """
-    cp = _on_curve(f, _coords(p), tol)
-    cq = _on_curve(f, _coords(q), tol)
-    P = cp.array
-    Q = cq.array
-    d = chordal_distance(cp.point, cq.point)
-    if d <= tol.tau_match:
-        T = _tangent_direction(f, P)
-        c0 = f.evaluate(T)
-        c1 = complex(f.gradient(T) @ P)
-        R = c0 * P - c1 * T
-        scale = max(abs(c0), abs(c1)) * max(np.abs(P).max(), np.abs(T).max())
-    elif d <= 10.0 * tol.tau_match:
-        raise NumericalError(
-            "chord through nearly coincident points is ill conditioned"
-        )
-    else:
-        g1 = complex(f.gradient(P) @ Q)
-        g2 = complex(f.gradient(Q) @ P)
-        R = g2 * P - g1 * Q
-        scale = max(abs(g1), abs(g2)) * max(np.abs(P).max(), np.abs(Q).max())
-    if float(np.abs(R).max()) <= _CHORD_CANCEL * max(scale, _SCALE_FLOOR):
-        raise NumericalError("third intersection is numerically indeterminate")
-    out = polish_onto_curve(f, R, tol)
-    if out.residual > tol.tau_on_curve:
-        raise NumericalError("third intersection failed to settle on the curve")
-    return out
+    return _curve_point(f, _third_rows(f, _coords(p)[None], _coords(q)[None], tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,27 +236,34 @@ class EllipticChart:
         return third_intersection(self.curve, self.identity, p, self.tol)
 
     def add(self, p, q) -> CurvePoint:
-        s = third_intersection(self.curve, p, q, self.tol)
-        return third_intersection(self.curve, self.identity, s, self.tol)
+        return _curve_point(self.curve, self._add_rows(_coords(p)[None], _coords(q)[None])[0])
 
     def multiply(self, m: int, p) -> CurvePoint:
         if not isinstance(m, (int, np.integer)):
             raise InputError("the multiplier must be an integer")
         if m == 0:
             return polish_onto_curve(self.curve, self.identity.array, self.tol)
-        if m < 0:
-            return self.negate(self.multiply(-m, p))
-        result: CurvePoint | None = None
-        addend = _on_curve(self.curve, _coords(p), self.tol)
-        mm = int(m)
+        return _curve_point(self.curve, self._multiply_rows(int(m), _coords(p)[None])[0])
+
+    def _negate_rows(self, X: np.ndarray) -> np.ndarray:
+        O = np.broadcast_to(self.identity.array, X.shape)
+        return _third_rows(self.curve, O, X, self.tol)
+
+    def _add_rows(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        return self._negate_rows(_third_rows(self.curve, P, Q, self.tol))
+
+    def _multiply_rows(self, m: int, X: np.ndarray) -> np.ndarray:
+        """m times each row of X (m != 0): one double-and-add ladder for the whole stack."""
+        addend, _ = _on_curve_rows(self.curve, self.curve._tensor()[None], X, self.tol)
+        result = None
+        mm = abs(m)
         while mm:
             if mm & 1:
-                result = addend if result is None else self.add(result, addend)
+                result = addend if result is None else self._add_rows(result, addend)
             mm >>= 1
             if mm:
-                addend = self.add(addend, addend)
-        assert result is not None
-        return result
+                addend = self._add_rows(addend, addend)
+        return result if m > 0 else self._negate_rows(result)
 
 
 def make_chart(
@@ -356,8 +390,9 @@ def torsion_points(
 ) -> PointSet:
     """All points P with m P = O, as a PointSet of exactly m^2 points.
 
-    Certification multiplies every found point by m through the plane group
-    law and demands the identity within tau_match.
+    Certification multiplies the whole stack of found points by m in one
+    double-and-add ladder of the plane chord law and demands the identity
+    within tau_match for every row.
     """
     tol = chart.tol
     if not isinstance(m, (int, np.integer)) or m < 1:
@@ -394,12 +429,9 @@ def torsion_points(
             f"expected {m * m} points of order dividing {m}, found {len(dedup)}"
         )
     if certify:
-        for cp in dedup:
-            back = chart.multiply(int(m), cp)
-            if chordal_distance(back.point, chart.identity) > tol.tau_match:
-                raise NumericalError(
-                    "a candidate torsion point failed the group-law check"
-                )
+        back = chart._multiply_rows(int(m), np.stack([cp.array for cp in dedup]))
+        if not (chordal_matrix(chart.identity, back) <= tol.tau_match).all():
+            raise NumericalError("a candidate torsion point failed the group-law check")
     return PointSet(dedup, tol.tau_match).sorted_canonical()
 
 
@@ -441,9 +473,6 @@ def translation_certificate(
     """
     if not samples:
         raise InputError("at least one sample point is required")
-    diffs = [
-        chart.add(act_on_point(T, cp.point), chart.negate(cp))
-        for cp in samples
-    ]
-    base = diffs[0].array
-    return max(chordal_distance(base, d.array) for d in diffs)
+    X = np.stack([_coords(cp) for cp in samples])
+    diffs = chart._add_rows(X @ T.matrix.T, chart._negate_rows(X))
+    return float(chordal_matrix(diffs[0], diffs).max())
