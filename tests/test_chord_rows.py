@@ -181,6 +181,10 @@ class TestErrorChannels:
         with pytest.raises(InputError, match="point is not on the curve"):
             third_intersection(fermat, [1.0, 0.0, 0.0], [0.0, 1.0, -1.0])
 
+    def test_zero_vector(self, fermat):
+        with pytest.raises(InputError, match="zero vector"):
+            third_intersection(fermat, [0.0, 0.0, 0.0], [0.0, 1.0, -1.0])
+
     def test_one_row_off_the_curve_fails_the_stack(self, fermat, rng):
         pts = np.stack([cp.array for cp in random_points_on_curve(fermat, 4, rng)])
         pts[2] = [1.0, 0.0, 0.0]
