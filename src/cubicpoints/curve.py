@@ -368,6 +368,20 @@ def _discriminant_margin(f: CubicForm) -> float:
     return float(s[-1] / s[0])
 
 
+# The last curve that smoothness or _labelled_flexes computed for, so that
+# inflection_points and hesse_normalize on one curve certify it and find its
+# flexes once: (f, tol, report, flexes, labels), the report or the flexes and
+# labels None until computed. It is keyed on the object f and an equal
+# Tolerances, and a call on any other curve replaces the whole slot.
+_slot: tuple = (None, None, None, None, None)
+
+
+def _recall(f: CubicForm, tol: Tolerances) -> tuple:
+    """The slot's (report, flexes, labels) when it holds f under tol, else three Nones."""
+    g, g_tol, *held = _slot
+    return tuple(held) if g is f and g_tol == tol else (None, None, None)
+
+
 def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> SmoothnessReport:
     """Certify smoothness by the discriminant gate; find a witness only if singular.
 
@@ -376,12 +390,20 @@ def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> Smoothness
     distance to the nearest singular cubic near the discriminant, and the
     same number in every unitary frame. The curve is smooth when the
     margin exceeds tau_singular. Otherwise _singular_witness picks the
-    witness, a singular point.
+    witness, a singular point. A second call on the same curve under
+    equal tolerances, with no other curve in between, returns the report
+    of the first.
     """
-    margin = _discriminant_margin(f)
-    if margin > tol.tau_singular:
-        return SmoothnessReport(True, margin, None)
-    return SmoothnessReport(False, margin, _singular_witness(f, tol))
+    global _slot
+    report, flexes, labels = _recall(f, tol)
+    if report is None:
+        margin = _discriminant_margin(f)
+        if margin > tol.tau_singular:
+            report = SmoothnessReport(True, margin, None)
+        else:
+            report = SmoothnessReport(False, margin, _singular_witness(f, tol))
+        _slot = (f, tol, report, flexes, labels)
+    return report
 
 
 # The witness search scales each conic to a largest entry of modulus 1, so
@@ -664,16 +686,28 @@ def _hesse_frame(f: CubicForm, h: CubicForm, tol: Tolerances) -> np.ndarray:
 
 
 def _labelled_flexes(f: CubicForm, tol: Tolerances) -> tuple[PointSet, list[int]]:
-    """The nine flexes in canonical order, from the base points pulled back by _hesse_frame.
+    """The nine flexes in canonical order and their labels, each call a fresh PointSet and list.
 
-    labels[i] is the row of _HESSE_BASE whose preimage became flex i.
+    labels[i] is the row of _HESSE_BASE whose preimage became flex i. The
+    flexes are computed by _hesse_flexes, once for a curve asked about
+    again under equal tolerances with no other curve in between.
     """
+    global _slot
+    report, flexes, labels = _recall(f, tol)
+    if flexes is None:
+        flexes, labels = _hesse_flexes(f, tol)
+        _slot = (f, tol, report, flexes, labels)
+    return PointSet(flexes, tol.tau_match), list(labels)
+
+
+def _hesse_flexes(f: CubicForm, tol: Tolerances) -> tuple[tuple[CurvePoint, ...], tuple[int, ...]]:
+    """The flexes in canonical order, the base points pulled back by _hesse_frame, and their labels."""
     h = _hessian_of_smooth(f)
     flexes = _correct_flexes(f, np.linalg.solve(_hesse_frame(f, h, tol), _HESSE_BASE.T).T, tol)
     if flexes is None:
         raise NumericalError("the Hesse pencil's triangle did not give nine distinct flexes")
-    labels = sorted(range(9), key=lambda i: _canonical_key(flexes[i].point))
-    return PointSet([flexes[i] for i in labels], tol.tau_match), labels
+    labels = tuple(sorted(range(9), key=lambda i: _canonical_key(flexes[i].point)))
+    return tuple(flexes[i] for i in labels), labels
 
 
 def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:

@@ -9,13 +9,17 @@ byte identical.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .curve import _MONOMIALS, CubicForm
 from .errors import InputError
-from .monodromy import _MEET_TOL, ParameterPath
 from .numeric import ProjectivePoint, _point_array, normalize_point
 from .sizes import canonical_dumps
+
+if TYPE_CHECKING:
+    from .monodromy import ParameterPath
 
 __all__ = [
     "canonical_dumps",
@@ -114,6 +118,10 @@ def path_to_obj(path: ParameterPath) -> dict:
 
 
 def path_from_obj(obj) -> ParameterPath:
+    # monodromy loads the group law and the symmetries, which the point and
+    # cubic codecs, and so the curve subcommands, do not need
+    from .monodromy import _MEET_TOL, ParameterPath
+
     if not isinstance(obj, dict) or "segments" not in obj:
         raise InputError('a path object needs a "segments" list')
     segs = obj["segments"]

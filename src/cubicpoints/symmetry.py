@@ -301,6 +301,11 @@ def _hessian_group() -> tuple[np.ndarray, frozenset]:
     return table, frozenset(frozenset(p[:3]) for p in table.tolist())
 
 
+# The fit basis of hesse_normalize: the coefficient vectors of x^3 + y^3 + z^3 and of xyz.
+_HESSE_FIT = np.stack([fermat_cubic().coeffs, CubicForm.from_coeffs({(1, 1, 1): 1.0}).coeffs], axis=1)
+_HESSE_FIT.setflags(write=False)
+
+
 def hesse_normalize(
     f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[ProjectiveTransform, complex]:
@@ -321,10 +326,9 @@ def hesse_normalize(
     target = min(perms[:, [labels[i] for i in src]].tolist())
     Mp = _through_four([flexes[i].array for i in src])
     T = ProjectiveTransform(_through_four([_HESSE_BASE[j] for j in target]) @ np.linalg.inv(Mp))
-    A = np.stack([fermat_cubic().coeffs, CubicForm.from_coeffs({(1, 1, 1): 1.0}).coeffs], axis=1)
     gvec = act_on_cubic(T, f).coeffs
-    sol, *_ = np.linalg.lstsq(A, gvec, rcond=None)
-    resid = float(np.linalg.norm(A @ sol - gvec) / np.linalg.norm(gvec))
+    sol, *_ = np.linalg.lstsq(_HESSE_FIT, gvec, rcond=None)
+    resid = float(np.linalg.norm(_HESSE_FIT @ sol - gvec) / np.linalg.norm(gvec))
     if resid > tol.tau_hesse or abs(sol[0]) <= 1e-12 * abs(sol[1]):
         raise NumericalError("no Hesse normalization found within tolerance")
     return T, complex(sol[1] / sol[0])

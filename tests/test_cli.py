@@ -318,3 +318,24 @@ class TestImportCost:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_curve_subcommands_import_no_group_law(self, fermat_file):
+        # inflections and smooth need the curve layer and the codecs only: a
+        # fresh process that runs only them never imports the group law, the
+        # symmetries or tracking
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from cubicpoints.cli import main\n"
+            f"assert main(['inflections', '--curve', {fermat_file!r}]) == 0\n"
+            f"assert main(['smooth', '--curve', {fermat_file!r}]) == 0\n"
+            "mods = ('cubicpoints.elliptic', 'cubicpoints.symmetry', 'cubicpoints.monodromy')\n"
+            "loaded = [m for m in mods if m in sys.modules]\n"
+            "assert not loaded, f'imported {loaded}'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -26,6 +26,8 @@ from cubicpoints import (
     smoothness,
 )
 from cubicpoints import curve
+from cubicpoints.config import Tolerances
+from cubicpoints.symmetry import hesse_normalize
 
 from oracles import fermat_inflection_rows
 
@@ -207,8 +209,9 @@ class TestInflections:
         assert abs(fermat_flexes.min_separation() - np.sqrt(3.0) / 2.0) < 1e-12
 
     def test_deterministic(self, fermat):
+        # an equal curve in a new object, which the last-curve slot does not hold
         a = inflection_points(fermat)
-        b = inflection_points(fermat)
+        b = inflection_points(CubicForm(fermat.coeffs))
         assert [p.point.coords for p in a] == [p.point.coords for p in b]
 
     def test_equivariance_under_coordinate_change(self, fermat, fermat_flexes, rng):
@@ -256,6 +259,75 @@ class TestInflections:
 _TRIANGLE = CubicForm.from_coeffs({(1, 1, 1): 1.0})
 # the conic x^2 + y^2 + z^2 times the line z = 0, which meets it twice
 _CONIC_PLUS_LINE = CubicForm.from_coeffs({(2, 0, 1): 1.0, (0, 2, 1): 1.0, (0, 0, 3): 1.0})
+
+
+class TestLastCurveSlot:
+    """smoothness and _labelled_flexes compute once per curve object and Tolerances in a row."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        calls = {"margin": 0, "flexes": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(curve, "_discriminant_margin", counting("margin", curve._discriminant_margin))
+        monkeypatch.setattr(curve, "_hesse_flexes", counting("flexes", curve._hesse_flexes))
+        return calls
+
+    def test_inflections_then_hesse_normalize_compute_once(self, computed, rng):
+        f = _random_poly(rng)
+        flexes = inflection_points(f)
+        T, lam = hesse_normalize(f)
+        assert computed == {"margin": 1, "flexes": 1}
+        # the same outputs, bit for bit, as from an equal curve the slot does not hold
+        g = CubicForm(f.coeffs)
+        T2, lam2 = hesse_normalize(g)
+        assert [p.point.coords for p in inflection_points(g)] == [p.point.coords for p in flexes]
+        assert np.array_equal(T.matrix, T2.matrix) and lam == lam2
+        assert computed == {"margin": 2, "flexes": 2}
+
+    def test_another_curve_in_between_recomputes(self, computed, rng):
+        f1, f2 = _random_poly(rng), _random_poly(rng)
+        for f in (f1, f2, f1):
+            inflection_points(f)
+        assert computed == {"margin": 3, "flexes": 3}
+
+    def test_other_tolerances_recompute(self, computed, rng, tol):
+        f = _random_poly(rng)
+        inflection_points(f, tol)
+        inflection_points(f, Tolerances())  # equal, so held
+        assert computed == {"margin": 1, "flexes": 1}
+        inflection_points(f, tol.with_(tau_match=2e-6))
+        assert computed == {"margin": 2, "flexes": 2}
+
+    def test_mutating_a_result_leaves_the_next_unchanged(self, computed, rng, tol):
+        f = _random_poly(rng)
+        first = [p.point.coords for p in inflection_points(f, tol)]
+        flexes, labels = curve._labelled_flexes(f, tol)
+        want = list(labels)
+        flexes.points.reverse()
+        flexes.points.pop()
+        labels.reverse()
+        labels.pop()
+        again, labels_again = curve._labelled_flexes(f, tol)
+        assert [p.point.coords for p in again] == first
+        assert labels_again == want
+        assert [p.point.coords for p in inflection_points(f, tol)] == first
+        assert computed == {"margin": 1, "flexes": 1}
+
+    def test_a_singular_curve_raises_from_both_entry_points(self, computed):
+        f = hesse_cubic(-3.0)
+        for _ in range(2):
+            with pytest.raises(SingularCurveError):
+                inflection_points(f)
+            with pytest.raises(SingularCurveError):
+                hesse_normalize(f)
+        assert computed == {"margin": 1, "flexes": 0}
 
 
 def _sampled_triangles(f: CubicForm) -> list[CubicForm]:
