@@ -378,8 +378,8 @@ _slot: tuple = (None, None, None, None, None)
 
 def _recall(f: CubicForm, tol: Tolerances) -> tuple:
     """The slot's (report, flexes, labels) when it holds f under tol, else three Nones."""
-    g, g_tol, *held = _slot
-    return tuple(held) if g is f and g_tol == tol else (None, None, None)
+    slot = _slot
+    return slot[2:] if slot[0] is f and slot[1] == tol else (None, None, None)
 
 
 def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> SmoothnessReport:
