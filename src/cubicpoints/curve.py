@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _REL_TRIM = 1e-12
+# Floor for a scale that may be zero, so that dividing by it or comparing with it stays finite.
+_SCALE_FLOOR = 1e-300
 
 # The ten cubic monomials x^i y^j z^k, in the order of CubicForm.coeffs.
 _MONOMIALS = [
@@ -74,6 +76,15 @@ _TENSOR_COUNT = _FOLD.real.sum(axis=1)
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k in itertools.permutations(range(3)):
     _LEVI_CIVITA[_i, _j, _k] = (_j - _i) * (_k - _i) * (_k - _j) / 2
+
+
+def _slice_contractions(S: np.ndarray) -> np.ndarray:
+    """Levi-Civita contractions of the slices of m tensors S (m, 3, 3, 3), shape (m, m, m, 3, 3, 3).
+
+    Entry (i, j, k) contracts slice 0 of S[i], slice 1 of S[j] and slice 2
+    of S[k]; for one cubic's tensor it is the Hessian's tensor over 216.
+    """
+    return np.einsum("pqr,ipa,jqb,krc->ijkabc", _LEVI_CIVITA, S[:, 0], S[:, 1], S[:, 2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,14 +177,12 @@ class CubicForm:
         """Coefficients of the Hessian; the zero vector on a cone.
 
         Entry (i, j) of the matrix of second partials is the linear form
-        6 T_ij., so the determinant is 216 times a Levi-Civita contraction
-        of T's three slices. The factor comes last, in one rounding, which
-        keeps the coefficients of a curve symmetric under permuting
-        coordinates (the Hesse pencil) symmetric in the last bit.
+        6 T_ij., so the determinant is 216 times _slice_contractions of T
+        alone. The factor comes last, in one rounding, which keeps the
+        coefficients of a curve symmetric under permuting coordinates (the
+        Hesse pencil) symmetric in the last bit.
         """
-        T = self._tensor()
-        D = np.einsum("pqr,pa,qb,rc->abc", _LEVI_CIVITA, T[0], T[1], T[2])
-        return 216.0 * (_FOLD @ D.reshape(27))
+        return 216.0 * (_FOLD @ _slice_contractions(self._tensor()[None]).reshape(27))
 
     def compose_linear(self, matrix) -> "CubicForm":
         """The cubic x -> f(M x): each tensor axis contracted with M in turn.
@@ -565,26 +574,46 @@ def require_smooth(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> Smooth
 # inflections
 
 
-def polish_onto_curve(
-    f: CubicForm, coords: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES, iters: int = 4
-) -> CurvePoint:
-    """Project a near-curve point onto the curve by complex Newton steps.
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """Each row divided by its largest-modulus coordinate."""
+    top = X[np.arange(len(X)), np.abs(X).argmax(axis=1)]
+    if not top.all():
+        raise InputError("the zero vector is not a projective point")
+    return X / top[:, None]
 
-    Moves along the conjugate gradient direction, which keeps the step
-    well conditioned for smooth curves.
+
+def _settle(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Four complex Newton steps onto the cubic with tensor T (1, 3, 3, 3), on every row of X.
+
+    Each step moves a row x by -f(x) conj(g) / |g|^2, g the gradient at x:
+    the shortest step that zeroes f's linearization at x, well conditioned
+    on a smooth curve. Rows start and end divided by their largest-modulus
+    coordinate. Returns the rows, their values and their gradients.
     """
-    v = _point_array(coords)
-    v = v / np.abs(v).max()
-    for _ in range(iters):
-        val = f.evaluate(v)
-        grad = f.gradient(v)
-        d = np.conj(grad)
-        denom = grad @ d
-        if denom == 0:
-            break
-        v = v - (val / denom) * d
-    P = normalize_point(v)
+    X = _unit_rows(X)
+    for _ in range(4):
+        V, G = _forms_at(T, X)
+        g = G[:, 0]
+        step = V[:, 0] / np.maximum((np.abs(g) ** 2).sum(axis=1), _SCALE_FLOOR)
+        X = X - step[:, None] * np.conj(g)
+    X = _unit_rows(X)
+    V, G = _forms_at(T, X)
+    return X, V[:, 0], G[:, 0]
+
+
+def _curve_point(f: CubicForm, row: np.ndarray) -> CurvePoint:
+    P = normalize_point(row)
     return CurvePoint(P, f.residual_at(P))
+
+
+def _polish_rows(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
+    """Every row of X settled onto f (_settle), with its relative residual."""
+    return [_curve_point(f, row) for row in _settle(f._tensor()[None], X)[0]]
+
+
+def polish_onto_curve(f: CubicForm, coords, tol: Tolerances = DEFAULT_TOLERANCES) -> CurvePoint:
+    """Project a near-curve point onto the curve: the one-row case of _polish_rows."""
+    return _polish_rows(f, _point_array(coords).reshape(1, 3))[0]
 
 
 def inflection_points(
@@ -628,15 +657,15 @@ def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
     """The triangle of the Hesse pencil s f + t h best separated from the other three.
 
     With f and h at unit norm, Hess(s f + t h) = A(s, t) f + B(s, t) h: the
-    coefficient of s^(3-d) t^d is the sum of the Levi-Civita contractions,
-    as in CubicForm._hessian_coeffs, that take d of the three slices from h.
-    The triangles are the members the Hessian fixes, the roots of the binary
-    quartic t A - s B, taken homogeneously (on the Fermat cubic h is one).
-    Near the discriminant three roots close up and lose digits.
+    coefficient of s^(3-d) t^d is the sum of the _slice_contractions that
+    take d of the three slices from h. The triangles are the members the
+    Hessian fixes, the roots of the binary quartic t A - s B, taken
+    homogeneously (on the Fermat cubic h is one). Near the discriminant
+    three roots close up and lose digits.
     """
     F, G = f.coeffs / np.linalg.norm(f.coeffs), h.coeffs / np.linalg.norm(h.coeffs)
     S = (np.stack([F, G]) / _TENSOR_COUNT)[:, _TENSOR_INDEX].reshape(2, 3, 3, 3)
-    E = np.einsum("pqr,ipa,jqb,krc->ijkabc", _LEVI_CIVITA, S[:, 0], S[:, 1], S[:, 2]).reshape(8, 27)
+    E = _slice_contractions(S).reshape(8, 27)
     from_h = np.array([sum(ijk) for ijk in itertools.product(range(2), repeat=3)])
     C = 216.0 * np.stack([E[from_h == d].sum(axis=0) for d in range(4)]) @ _FOLD.T
     (A, B), _, rank, _ = np.linalg.lstsq(np.stack([F, G], axis=1), C.T, rcond=None)
@@ -850,15 +879,12 @@ def line_curve_points(
     top = np.abs(coeffs).max()
     if top == 0.0:
         raise InputError("the line lies on the curve, which no smooth cubic allows")
-    out: list[CurvePoint] = []
     trimmed = np.where(np.abs(coeffs) > _REL_TRIM * top, coeffs, 0.0)
     poly = UniPoly(trimmed)
-    if poly.degree < len(coeffs) - 1:
-        out.append(polish_onto_curve(f, Q, tol))
+    rows = [Q] if poly.degree < len(coeffs) - 1 else []
     if poly.degree >= 1:
-        for t0, _ in solve_univariate(poly, tol):
-            out.append(polish_onto_curve(f, P + t0 * Q, tol))
-    return _dedupe(out, tol.tau_match)
+        rows.extend(P + t0 * Q for t0, _ in solve_univariate(poly, tol))
+    return _dedupe(_polish_rows(f, np.array(rows)), tol.tau_match)
 
 
 def _unit_disc(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -20,11 +20,16 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .curve import (
+    _SCALE_FLOOR,
     CubicForm,
     CurvePoint,
     PointSet,
+    _curve_point,
     _dedupe,
     _forms_at,
+    _polish_rows,
+    _settle,
+    _unit_rows,
     polish_onto_curve,
 )
 from .errors import InputError, NumericalError
@@ -58,8 +63,6 @@ _ON_CURVE_GATE = 1e-3
 _CHORD_CANCEL = 1e-10
 # A discriminant this small against its terms belongs to a singular curve.
 _DISCRIMINANT_CANCEL = 1e-12
-# Floor for the scales of those two tests, so that all-zero terms still compare.
-_SCALE_FLOOR = 1e-300
 # The identity may miss the Hessian by this many tau_on_curve: H rounds a triple product.
 _FLEX_SLACK = 1e2
 # Below this |n . n| / |n|^2 the tangent line is nearly isotropic (see make_chart).
@@ -77,44 +80,8 @@ def _coords(p) -> np.ndarray:
     return v
 
 
-def _on_curve(f: CubicForm, v: np.ndarray, tol: Tolerances) -> CurvePoint:
-    P = normalize_point(v)
-    if f.residual_at(P) > _ON_CURVE_GATE:
-        raise InputError("point is not on the curve")
-    cp = polish_onto_curve(f, P.array, tol)
-    if cp.residual > tol.tau_on_curve:
-        raise NumericalError("could not polish the point onto the curve")
-    return cp
-
-
-def _curve_point(f: CubicForm, row: np.ndarray) -> CurvePoint:
-    P = normalize_point(row)
-    return CurvePoint(P, f.residual_at(P))
-
-
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    """Each row divided by its largest-modulus coordinate."""
-    top = X[np.arange(len(X)), np.abs(X).argmax(axis=1)]
-    if not top.all():
-        raise InputError("the zero vector is not a projective point")
-    return X / top[:, None]
-
-
-def _settle(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """polish_onto_curve's four Newton steps on every row: the unit rows, their values and gradients."""
-    X = _unit_rows(X)
-    for _ in range(4):
-        V, G = _forms_at(T, X)
-        g = G[:, 0]
-        step = V[:, 0] / np.maximum((np.abs(g) ** 2).sum(axis=1), _SCALE_FLOOR)
-        X = X - step[:, None] * np.conj(g)
-    X = _unit_rows(X)
-    V, G = _forms_at(T, X)
-    return X, V[:, 0], G[:, 0]
-
-
 def _on_curve_rows(f: CubicForm, T: np.ndarray, X, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """_on_curve's gate and polish on every row: the polished rows and their gradients."""
+    """Every row of X gated onto f (InputError) and settled there (NumericalError): the rows and their gradients."""
     X = _unit_rows(np.asarray(X))
     if not (np.abs(_forms_at(T, X)[0]) <= _ON_CURVE_GATE * f.norm_inf).all():
         raise InputError("point is not on the curve")
@@ -277,12 +244,11 @@ def make_chart(
     y^2 z = x^3 + a x z^2 + b z^3 with max(|a|, |b|) normalized to 1 when
     nonzero.
     """
-    cp = _on_curve(f, _coords(identity), tol)
-    h = f.hessian()
-    if h.residual_at(cp.point) > _FLEX_SLACK * tol.tau_on_curve:
+    X, G = _on_curve_rows(f, f._tensor()[None], _coords(identity)[None], tol)
+    P = normalize_point(X[0])
+    if f.hessian().residual_at(P) > _FLEX_SLACK * tol.tau_on_curve:
         raise InputError("the identity must be an inflection point of the curve")
-    O = cp.array
-    n = f.gradient(O)
+    O, n = P.array, G[0]
     nn = float(np.linalg.norm(n))
     if nn == 0.0:
         raise InputError("singular point cannot serve as the identity")
@@ -327,12 +293,12 @@ def make_chart(
     else:
         T5 = np.eye(3, dtype=complex)
     W = ProjectiveTransform(T5 @ T4 @ T3 @ T2 @ M1)
-    chart = EllipticChart(f, cp.point, A, B, W, tol)
+    chart = EllipticChart(f, P, A, B, W, tol)
     model = chart.weierstrass_form()
     pushed = f.compose_linear(W.inverse().matrix)
     if pushed.proportionality_residual(model) > _REDUCTION_CHECK:
         raise NumericalError("Weierstrass reduction failed the invariant check")
-    if chordal_distance(chart.to_weierstrass(cp.point), np.array([0, 1, 0])) > tol.tau_match:
+    if chordal_distance(chart.to_weierstrass(P), np.array([0, 1, 0])) > tol.tau_match:
         raise NumericalError("identity did not land at the point at infinity")
     return chart
 
@@ -407,22 +373,13 @@ def torsion_points(
     if m > 1:
         A, B = chart.a, chart.b
         R = UniPoly([B, A, 0.0, 1.0])
-        xs: list[tuple[complex, bool]] = []
-        if m % 2 == 0:
-            xs.extend((x, True) for x, _ in solve_univariate(R, tol))
+        rows = [[x, 0.0, 1.0] for x, _ in solve_univariate(R, tol)] if m % 2 == 0 else []
         if m > 2:
-            fm = _division_polys(m, A, B)[m]
-            xs.extend((x, False) for x, _ in solve_univariate(fm, tol))
-        for x0, is_two in xs:
-            ys = [0.0 + 0.0j] if is_two else [np.sqrt(complex(R(x0)))]
-            if not is_two:
-                ys.append(-ys[0])
-            for y0 in ys:
-                w = np.array([x0, y0, 1.0], dtype=complex)
-                back = chart.from_weierstrass(w)
-                cp = polish_onto_curve(chart.curve, back.array, tol)
-                if cp.residual <= tol.tau_on_curve:
-                    found.append(cp)
+            for x, _ in solve_univariate(_division_polys(m, A, B)[m], tol):
+                y = np.sqrt(complex(R(x)))
+                rows += [[x, y, 1.0], [x, -y, 1.0]]
+        back = np.array(rows, dtype=complex) @ chart.from_w.matrix.T
+        found += [cp for cp in _polish_rows(chart.curve, back) if cp.residual <= tol.tau_on_curve]
     dedup = _dedupe(found, tol.tau_match)
     if len(dedup) != m * m:
         raise NumericalError(

@@ -3,12 +3,16 @@
 frozen_third, frozen_multiply and frozen_certify are a frozen copy of the
 one-point-at-a-time chord law that elliptic.third_intersection and
 EllipticChart.multiply ran before the law worked on stacks of rows: an SVD
-tangent direction, one polish_onto_curve per input and output, and a
-double-and-add loop per torsion candidate. They are kept here only to
-compare verdicts with certified torsion_points.
+tangent direction, one scalar polish per input and output, and a
+double-and-add loop per torsion candidate. frozen_polish is that scalar
+polish, the body polish_onto_curve had before it became the one-row case of
+the batched polish. They are kept here only to compare verdicts with
+certified torsion_points and polished points with polish_onto_curve.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -25,18 +29,34 @@ from cubicpoints import (
     third_intersection,
     torsion_points,
 )
-from cubicpoints.curve import polish_onto_curve
+from cubicpoints import elliptic
+from cubicpoints.curve import CubicForm, CurvePoint, polish_onto_curve
 from cubicpoints.elliptic import _third_rows
 from cubicpoints.numeric import normalize_point
 
 from oracles import weierstrass_add, weierstrass_polish
 
 
+def frozen_polish(f, coords):
+    v = np.asarray(coords.array if hasattr(coords, "array") else coords, dtype=complex)
+    v = v / np.abs(v).max()
+    for _ in range(4):
+        val = f.evaluate(v)
+        grad = f.gradient(v)
+        d = np.conj(grad)
+        denom = grad @ d
+        if denom == 0:
+            break
+        v = v - (val / denom) * d
+    P = normalize_point(v)
+    return CurvePoint(P, f.residual_at(P))
+
+
 def frozen_on_curve(f, v, tol):
     P = normalize_point(v)
     if f.residual_at(P) > 1e-3:
         raise InputError("point is not on the curve")
-    cp = polish_onto_curve(f, P.array, tol)
+    cp = frozen_polish(f, P.array)
     if cp.residual > tol.tau_on_curve:
         raise NumericalError("could not polish the point onto the curve")
     return cp
@@ -83,7 +103,7 @@ def frozen_third(f, p, q, tol):
         scale = max(abs(g1), abs(g2)) * max(np.abs(P).max(), np.abs(Q).max())
     if float(np.abs(R).max()) <= 1e-10 * max(scale, 1e-300):
         raise NumericalError("third intersection is numerically indeterminate")
-    out = polish_onto_curve(f, R, tol)
+    out = frozen_polish(f, R)
     if out.residual > tol.tau_on_curve:
         raise NumericalError("third intersection failed to settle on the curve")
     return out
@@ -203,6 +223,33 @@ class TestErrorChannels:
         d = chordal_distance(P.point, Q.point)
         assert tol.tau_match < d <= 10.0 * tol.tau_match
         with pytest.raises(NumericalError, match="ill conditioned"):
+            third_intersection(fermat, P, Q)
+
+    def test_input_that_cannot_reach_tau_on_curve(self, rng):
+        f = random_smooth_cubic(rng)
+        P, Q = random_points_on_curve(f, 2, rng)
+        with pytest.raises(NumericalError, match="could not polish the point onto the curve"):
+            third_intersection(f, P, Q, DEFAULT_TOLERANCES.with_(tau_on_curve=1e-300))
+
+    def test_chord_along_a_line_component_is_indeterminate(self):
+        # z (x^2 + y^2 + z^2) contains the line z = 0: the chord meets the curve everywhere
+        f = CubicForm.from_coeffs({(2, 0, 1): 1.0, (0, 2, 1): 1.0, (0, 0, 3): 1.0})
+        with pytest.raises(NumericalError, match="third intersection is numerically indeterminate"):
+            third_intersection(f, [1.0, 0.3, 0.0], [0.2, 1.0, 0.0])
+
+    def test_output_row_that_does_not_settle(self, fermat, rng, monkeypatch):
+        P, Q = random_points_on_curve(fermat, 2, rng)
+        real = elliptic._settle
+
+        def spoil_outputs(T, X):
+            # only _third_rows settles its output rows itself; inputs settle in _on_curve_rows
+            X, V, G = real(T, X)
+            if sys._getframe(1).f_code.co_name == "_third_rows":
+                V = V + 1.0
+            return X, V, G
+
+        monkeypatch.setattr(elliptic, "_settle", spoil_outputs)
+        with pytest.raises(NumericalError, match="third intersection failed to settle on the curve"):
             third_intersection(fermat, P, Q)
 
     def test_planted_non_torsion_point_fails_the_group_law_check(self, fermat_chart, rng):

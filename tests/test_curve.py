@@ -30,6 +30,7 @@ from cubicpoints.config import Tolerances
 from cubicpoints.symmetry import hesse_normalize
 
 from oracles import fermat_inflection_rows
+from test_chord_rows import frozen_polish
 
 
 def _random_poly(rng) -> CubicForm:
@@ -468,12 +469,20 @@ class TestPointInput:
 
 
 class TestPolishAndSampling:
-    def test_polish_recovers_perturbed_point(self, fermat, fermat_flexes, rng):
+    def test_polish_recovers_perturbed_point(self, fermat, fermat_flexes, rng, tol):
         for cp in fermat_flexes.points[:3]:
             noise = 1e-5 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
             back = polish_onto_curve(fermat, cp.array + noise)
             assert back.residual <= 1e-8
             assert chordal_distance(back.array, cp.array) < 1e-4
+        # random curves: the batched polish agrees with the scalar one it replaced
+        for _ in range(5):
+            f = random_smooth_cubic(rng)
+            for cp in random_points_on_curve(f, 3, rng):
+                near = cp.array + 1e-5 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                back = polish_onto_curve(f, near)
+                assert back.residual <= tol.tau_on_curve
+                assert chordal_distance(back.point, frozen_polish(f, near).point) <= tol.tau_match
 
     def test_random_smooth_cubic_certified(self, rng):
         f = random_smooth_cubic(rng)
