@@ -1,9 +1,9 @@
 """Distinguished finite point sets on smooth complex plane cubics.
 
 Numerically certified inflection and higher-type point computations, the
-chord-tangent group law, torsion hunting through a Weierstrass chart,
-symmetry and orbit analysis, and monodromy of point sections along paths
-of cubics.
+chord-tangent group law, torsion from the period lattice of a Weierstrass
+chart, symmetry and orbit analysis, and monodromy of point sections along
+paths of cubics.
 
 The public names are loaded on first access (PEP 562): each is imported
 from its home module in _EXPORTS when it is first read, so importing the

@@ -274,7 +274,11 @@ def _selftest_cases(seed: int, tol: Tolerances):
     def random_curve():
         rng = np.random.default_rng(seed)
         f = random_smooth_cubic(rng)
-        assert len(inflection_points(f, tol)) == 9
+        flexes = inflection_points(f, tol)
+        assert len(flexes) == 9
+        chart = make_chart(f, flexes[0].point, tol)
+        counts = [len(points_of_type(chart, k)) for k in (1, 2, 3)]
+        assert counts == [9, 27, 72], f"layer counts came out as {counts}"
 
     return [
         ("fermat-inflections-closed-form", flexes_closed_form),

@@ -29,8 +29,6 @@ class Tolerances:
     tau_singular: gate margin at or below which a cubic is declared
         singular; only then is a singular point searched for, among the
         common zeros of the partials, to report as the witness.
-    max_torsion_order: largest torsion order the univariate solver is
-        trusted with (division polynomial degree grows ~ order^2 / 2).
     """
 
     tau_root: float = 1e-10
@@ -40,7 +38,6 @@ class Tolerances:
     tau_hesse: float = 1e-6
     smoothness_margin: float = 1e-4
     tau_singular: float = 1e-8
-    max_torsion_order: int = 12
 
     def with_(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

@@ -284,14 +284,6 @@ class PointSet:
     def setwise_equal(self, other: "PointSet") -> bool:
         return self.match(other) is not None
 
-    def minus(self, other: "PointSet") -> "PointSet":
-        """Members of self that match no member of other."""
-        if len(other) == 0 or len(self) == 0:
-            return PointSet(list(self.points), self.tolerance)
-        D = chordal_matrix(self.arrays, other.arrays)
-        keep = [p for i, p in enumerate(self.points) if D[i].min() > self.tolerance]
-        return PointSet(keep, self.tolerance)
-
     def min_separation(self) -> float:
         if len(self) < 2:
             return float("inf")
@@ -611,7 +603,7 @@ def _polish_rows(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
     return [_curve_point(f, row) for row in _settle(f._tensor()[None], X)[0]]
 
 
-def polish_onto_curve(f: CubicForm, coords, tol: Tolerances = DEFAULT_TOLERANCES) -> CurvePoint:
+def polish_onto_curve(f: CubicForm, coords) -> CurvePoint:
     """Project a near-curve point onto the curve: the one-row case of _polish_rows."""
     return _polish_rows(f, _point_array(coords).reshape(1, 3))[0]
 
@@ -871,7 +863,8 @@ def line_curve_points(
     """Intersection points of the line through p and q with the curve.
 
     t -> f(P + t Q) has the coefficients f(P), grad f(P).Q, grad f(Q).P
-    and f(Q), lowest degree first, by the polarization identity.
+    and f(Q), lowest degree first, by the polarization identity. The
+    points come in canonical order, so the order does not follow roundoff.
     """
     P = _point_array(p).reshape(3)
     Q = _point_array(q).reshape(3)
@@ -884,7 +877,7 @@ def line_curve_points(
     rows = [Q] if poly.degree < len(coeffs) - 1 else []
     if poly.degree >= 1:
         rows.extend(P + t0 * Q for t0, _ in solve_univariate(poly, tol))
-    return _dedupe(_polish_rows(f, np.array(rows)), tol.tau_match)
+    return sorted(_dedupe(_polish_rows(f, np.array(rows)), tol.tau_match), key=lambda cp: _canonical_key(cp.point))
 
 
 def _unit_disc(rng: np.random.Generator, n: int) -> np.ndarray:

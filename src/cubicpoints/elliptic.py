@@ -7,14 +7,18 @@ polarization identity
 
 so a chord's third intersection needs no elimination.  The law works on
 stacks of points, row by row (_third_rows); a single group operation is its
-one-row case.  Torsion is found in a Weierstrass chart via division
-polynomials and mapped back, then certified against the group law itself:
-one double-and-add ladder multiplies all m^2 candidates by m at once.  The layer counts 9 J_2(k) and the sizes they
-realize are integer arithmetic and live in sizes.py; jordan_totient_2,
-constructible_sizes and size_witness are imported from there.
+one-row case.  Torsion points are labelled points of the period lattice
+of a Weierstrass chart, certified against the group law itself: one
+double-and-add ladder multiplies all m^2 of them by m at once.  The layer
+counts 9 J_2(k) and the sizes they realize are integer arithmetic and live
+in sizes.py; jordan_totient_2, constructible_sizes and size_witness are
+imported from there.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -25,7 +29,6 @@ from .curve import (
     CurvePoint,
     PointSet,
     _curve_point,
-    _dedupe,
     _forms_at,
     _polish_rows,
     _settle,
@@ -71,6 +74,16 @@ _ISOTROPIC = 1e-3
 _FRAME_DEGENERATE = 1e-8
 # A leftover cross term or model misfit this large means the reduction went wrong.
 _REDUCTION_CHECK = 1e-6
+# Largest torsion order served; the labels of (Z/m)^2 grow as m^2.
+_MAX_TORSION_ORDER = 12
+# Cap on the steps of the AGM and of the SL2(Z) reduction; both converge in far fewer.
+_STEP_CAP = 64
+# The AGM stops once its two means agree to this relative distance.
+_AGM_CLOSE = 4.0 * float(np.finfo(float).eps)
+# Terms of the q-series: with |q| <= exp(-pi sqrt 3) the tail is below 1e-18, E6 included.
+_Q_TERMS = 10
+# g2 and g3 this far from -4a and -4b (against the weights 4 and 6 of the scale) condemn the periods.
+_LATTICE_CHECK = 1e-8
 
 
 def _coords(p) -> np.ndarray:
@@ -153,9 +166,9 @@ class EllipticChart:
     """A smooth cubic with a marked inflection, carrying the group structure.
 
     to_w sends the curve into short Weierstrass form y^2 z = x^3 + a x z^2
-    + b z^3 with the identity at (0:1:0); arithmetic that benefits from
-    that shape (torsion hunting) happens there, while single group
-    operations stay on the original plane model.
+    + b z^3 with the identity at (0:1:0); the period lattice and the
+    torsion points are computed there, while group operations stay on the
+    original plane model.
     """
 
     def __init__(
@@ -209,7 +222,7 @@ class EllipticChart:
         if not isinstance(m, (int, np.integer)):
             raise InputError("the multiplier must be an integer")
         if m == 0:
-            return polish_onto_curve(self.curve, self.identity.array, self.tol)
+            return polish_onto_curve(self.curve, self.identity.array)
         return _curve_point(self.curve, self._multiply_rows(int(m), _coords(p)[None])[0])
 
     def _negate_rows(self, X: np.ndarray) -> np.ndarray:
@@ -304,96 +317,116 @@ def make_chart(
 
 
 # ---------------------------------------------------------------------------
-# torsion via division polynomials
+# torsion from the period lattice
 
 
-def _division_polys(m: int, A: complex, B: complex) -> dict[int, UniPoly]:
-    """Division polynomials in x only, with the odd/even parity folded in.
+def _agm(a: complex, b: complex) -> complex:
+    """Complex arithmetic-geometric mean, taking at each step the square root nearer the mean."""
+    for _ in range(_STEP_CAP):
+        if abs(a - b) <= _AGM_CLOSE * abs(a):
+            break
+        a, b = (a + b) / 2, cmath.sqrt(a * b)
+        if abs(a - b) > abs(a + b):
+            b = -b
+    return a
 
-    With R = x^3 + A x + B, entry k here equals the classical psi_k for odd
-    k and psi_k / y for even k; the recurrences below are the classical
-    ones after substituting y^2 = R.
+
+def _periods(chart: EllipticChart) -> tuple[complex, complex]:
+    """A basis (w1, w2) of the period lattice of y^2 = x^3 + a x + b with tau = w2 / w1 reduced.
+
+    Cremona and Thongjunthug's complex AGM: with the roots e1, e2, e3 in the
+    solver's order, w1 = pi / M(sqrt(e1 - e3), sqrt(e1 - e2)) and
+    w2 = i pi / M(sqrt(e1 - e3), sqrt(e2 - e3)), the last two square roots
+    taken on the side of the first. SL2(Z) then moves tau into the
+    fundamental domain, so |q| <= exp(-pi sqrt 3). The basis is checked
+    against g2 = -4a and g3 = -4b through the Eisenstein series E4 and E6.
     """
-    R = UniPoly([B, A, 0.0, 1.0])
-    R2 = R * R
-    f: dict[int, UniPoly] = {
-        0: UniPoly([0.0]),
-        1: UniPoly([1.0]),
-        2: UniPoly([2.0]),
-        3: UniPoly([-(A**2), 12.0 * B, 6.0 * A, 0.0, 3.0]),
-        4: UniPoly(
-            [
-                4.0 * (-8.0 * B**2 - A**3),
-                4.0 * (-4.0 * A * B),
-                4.0 * (-5.0 * A**2),
-                4.0 * 20.0 * B,
-                4.0 * 5.0 * A,
-                0.0,
-                4.0,
-            ]
-        ),
-    }
-    for k in range(5, m + 1):
-        if k % 2:
-            j = (k - 1) // 2
-            if j % 2 == 0:
-                f[k] = R2 * f[j + 2] * f[j] * f[j] * f[j] - f[j - 1] * f[j + 1] * f[j + 1] * f[j + 1]
-            else:
-                f[k] = f[j + 2] * f[j] * f[j] * f[j] - R2 * f[j - 1] * f[j + 1] * f[j + 1] * f[j + 1]
-        else:
-            j = k // 2
-            f[k] = 0.5 * (f[j] * (f[j + 2] * f[j - 1] * f[j - 1] - f[j - 2] * f[j + 1] * f[j + 1]))
-        expected = (k * k - 1) // 2 if k % 2 else (k * k - 4) // 2
-        if f[k].degree != expected:
-            raise NumericalError(
-                f"division polynomial {k} lost its leading coefficient"
-            )
-    return f
+    roots = [z for z, _ in solve_univariate(UniPoly([chart.b, chart.a, 0.0, 1.0]), chart.tol)]
+    if len(roots) != 3:
+        raise NumericalError("the Weierstrass cubic has a repeated root")
+    e1, e2, e3 = roots
+    a, b, c = cmath.sqrt(e1 - e3), cmath.sqrt(e1 - e2), cmath.sqrt(e2 - e3)
+    b = -b if abs(a - b) > abs(a + b) else b
+    c = -c if abs(a - c) > abs(a + c) else c
+    w1, w2 = cmath.pi / _agm(a, b), 1j * cmath.pi / _agm(a, c)
+    w2 = w2 if (w2 / w1).imag > 0 else -w2
+    for _ in range(_STEP_CAP):
+        w2 -= round((w2 / w1).real) * w1
+        if abs(w2 / w1) >= 1.0:
+            break
+        w1, w2 = w2, -w1
+    n = np.arange(1, _Q_TERMS + 1)
+    qn = np.exp(2j * np.pi * w2 / w1) ** n
+    lam = qn / (1.0 - qn)
+    s = 2.0 * np.pi / w1
+    g2 = s**4 * (1.0 + 240.0 * (n**3 * lam).sum()) / 12.0
+    g3 = s**6 * (1.0 - 504.0 * (n**5 * lam).sum()) / 216.0
+    u = max(abs(chart.a) ** 0.25, abs(chart.b) ** (1.0 / 6.0))
+    if not (abs(g2 + 4.0 * chart.a) <= _LATTICE_CHECK * u**4 and abs(g3 + 4.0 * chart.b) <= _LATTICE_CHECK * u**6):
+        raise NumericalError("the period lattice failed the g2, g3 check")
+    return w1, w2
+
+
+def _labels(m: int) -> list[tuple[int, int]]:
+    """The labels (i, j) of (Z/m)^2, each coordinate centred in (-m/2, m/2]."""
+    r = range(-((m - 1) // 2), m // 2 + 1)
+    return [(i, j) for i in r for j in r]
+
+
+def _lattice_rows(chart: EllipticChart, m: int, labels: list[tuple[int, int]]) -> np.ndarray:
+    """Weierstrass rows (x : y : 1) of the points with the given labels, (0 : 1 : 0) for (0, 0).
+
+    The point with label (i, j) is x = P(z), y = P'(z) / 2 at
+    z = (i w1 + j w2) / m, by the q-series of the Weierstrass function P in
+    w = exp(2 pi i z / w1) (Silverman, Advanced Topics, Thm I.6.2). Since y
+    comes from P' and not from a square root, labels add as the points do.
+    """
+    w1, w2 = _periods(chart)
+    L = np.array(labels, dtype=float).reshape(-1, 2)
+    rest = (L % m != 0).any(axis=1)
+    w = np.exp(2j * np.pi * (L[rest, 0] + L[rest, 1] * w2 / w1) / m)[:, None]
+    qn = np.exp(2j * np.pi * w2 / w1) ** np.arange(1, _Q_TERMS + 1)
+    # the sums run over n in Z: q^n w for n >= 0, then q^|n| / w, whose P' terms change sign
+    v = np.concatenate([w, qn * w, qn / w], axis=1)
+    sign = np.concatenate([np.ones(_Q_TERMS + 1), -np.ones(_Q_TERMS)])
+    k = 2j * np.pi / w1
+    x = k**2 * (1.0 / 12.0 + (v / (1.0 - v) ** 2).sum(axis=1) - 2.0 * (qn / (1.0 - qn) ** 2).sum())
+    y = k**3 / 2.0 * (sign * v * (1.0 + v) / (1.0 - v) ** 3).sum(axis=1)
+    rows = np.tile(np.array([0.0, 1.0, 0.0], dtype=complex), (len(L), 1))
+    rows[rest] = np.stack([x, y, np.ones_like(x)], axis=1)
+    return rows
+
+
+def _lattice_points(chart: EllipticChart, m: int, labels: list[tuple[int, int]], certify: bool) -> PointSet:
+    """The labelled points of order dividing m, settled on the curve and checked, in canonical order.
+
+    Every point must settle within tau_on_curve and the set must be
+    separated by more than 2 tau_match. Certification multiplies the whole
+    stack by m in one double-and-add ladder of the plane chord law and
+    demands the identity within tau_match for every row.
+    """
+    tol = chart.tol
+    if m > _MAX_TORSION_ORDER:
+        raise InputError(f"torsion order {m} exceeds the limit {_MAX_TORSION_ORDER}")
+    found = PointSet(_polish_rows(chart.curve, _lattice_rows(chart, m, labels) @ chart.from_w.matrix.T), tol.tau_match)
+    if not all(cp.residual <= tol.tau_on_curve for cp in found):
+        raise NumericalError("a lattice point failed to settle on the curve")
+    if found.min_separation() <= 2.0 * tol.tau_match:
+        raise NumericalError(f"the {len(found)} lattice points of order dividing {m} are not distinct")
+    if certify:
+        back = chart._multiply_rows(m, found.arrays)
+        if not (chordal_matrix(chart.identity, back) <= tol.tau_match).all():
+            raise NumericalError("a candidate torsion point failed the group-law check")
+    return found.sorted_canonical()
 
 
 def torsion_points(
     chart: EllipticChart, m: int, certify: bool = True
 ) -> PointSet:
-    """All points P with m P = O, as a PointSet of exactly m^2 points.
-
-    Certification multiplies the whole stack of found points by m in one
-    double-and-add ladder of the plane chord law and demands the identity
-    within tau_match for every row.
-    """
-    tol = chart.tol
+    """All points P with m P = O: the m^2 lattice points of _lattice_points, every label of (Z/m)^2."""
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InputError("the torsion order must be a positive integer")
-    if m > tol.max_torsion_order:
-        raise InputError(
-            f"torsion order {m} exceeds the configured limit "
-            f"{tol.max_torsion_order}"
-        )
-    ident = polish_onto_curve(chart.curve, chart.identity.array, tol)
-    found: list[CurvePoint] = [ident]
-    if m > 1:
-        A, B = chart.a, chart.b
-        R = UniPoly([B, A, 0.0, 1.0])
-        rows = [[x, 0.0, 1.0] for x, _ in solve_univariate(R, tol)] if m % 2 == 0 else []
-        if m > 2:
-            for x, _ in solve_univariate(_division_polys(m, A, B)[m], tol):
-                y = np.sqrt(complex(R(x)))
-                rows += [[x, y, 1.0], [x, -y, 1.0]]
-        back = np.array(rows, dtype=complex) @ chart.from_w.matrix.T
-        found += [cp for cp in _polish_rows(chart.curve, back) if cp.residual <= tol.tau_on_curve]
-    dedup = _dedupe(found, tol.tau_match)
-    if len(dedup) != m * m:
-        raise NumericalError(
-            f"expected {m * m} points of order dividing {m}, found {len(dedup)}"
-        )
-    if certify:
-        back = chart._multiply_rows(int(m), np.stack([cp.array for cp in dedup]))
-        if not (chordal_matrix(chart.identity, back) <= tol.tau_match).all():
-            raise NumericalError("a candidate torsion point failed the group-law check")
-    return PointSet(dedup, tol.tau_match).sorted_canonical()
-
-
-def _divisors(k: int) -> list[int]:
-    return [d for d in range(1, k + 1) if k % d == 0]
+    return _lattice_points(chart, int(m), _labels(int(m)), certify)
 
 
 def points_of_type(
@@ -401,20 +434,14 @@ def points_of_type(
 ) -> PointSet:
     """Points of type 3k: killed by 3k but by no smaller multiple 3d, d | k.
 
-    Their count is nine times the second Jordan totient of k; anything else
-    raises NumericalError.
+    Those are the labels (i, j) of (Z/3k)^2 with gcd(i, j, k) = 1, nine
+    times the second Jordan totient of k; _lattice_points gives them in one
+    evaluation.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InputError("the type index must be a positive integer")
-    out = torsion_points(chart, 3 * int(k), certify=certify)
-    for d in _divisors(int(k))[:-1]:
-        out = out.minus(torsion_points(chart, 3 * d, certify=False))
-    expected = 9 * jordan_totient_2(int(k))
-    if len(out) != expected:
-        raise NumericalError(
-            f"type-{3 * k} count came out as {len(out)}, expected {expected}"
-        )
-    return out.sorted_canonical()
+    k = int(k)
+    return _lattice_points(chart, 3 * k, [(i, j) for i, j in _labels(3 * k) if math.gcd(i, j, k) == 1], certify)
 
 
 def translation_certificate(

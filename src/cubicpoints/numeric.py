@@ -5,16 +5,13 @@ out here, so the routines certify their own output: roots are Newton
 polished and rejected unless the relative residual clears tau_root, and
 projective points carry a canonical normalized representative.
 
-The solver works on Python lists: the polynomials of the tracking loops
-have degree at most 9, too small for numpy's per-call overhead to pay
-off. Only the companion matrix, the one np.roots builds, goes to numpy
-for its eigenvalues. Clustering up to twelve roots is a loop over pairs;
-larger sets, such as the roots of the division polynomials behind
-torsion_points (degree up to 70), take numpy's one pass over all pairs,
-which is faster there. A cluster's mean goes through numpy only when it
-has more than one member. Each derivative a solve needs is taken once,
-as polyder forms it. Newton and the residual check evaluate by one
-Horner loop on Python complex numbers, in the order
+The solver works on Python lists: the package solves polynomials of
+degree at most 4, too small for numpy's per-call overhead to pay off.
+Only the companion matrix, the one np.roots builds, goes to numpy for its
+eigenvalues. Clustering is a loop over pairs, and a cluster's mean goes
+through numpy only when it has more than one member. Each derivative a
+solve needs is taken once, as polyder forms it. Newton and the residual
+check evaluate by one Horner loop on Python complex numbers, in the order
 np.polynomial.polynomial.polyval uses, and Newton divides in
 np.complex128. The residual bound takes max|coeff| once per solve.
 Roots, multiplicities and error messages have the same bits as np.roots,
@@ -54,10 +51,6 @@ _PIVOT_SLACK = 4.0 * float(np.finfo(float).eps)
 # component i of a x b is a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]]
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
-
-# Largest root count _cluster handles by a Python loop over pairs; above
-# it numpy's vectorized pass over all pairs costs less.
-_PAIR_LOOP_MAX = 12
 
 
 class UniPoly:
@@ -104,19 +97,6 @@ class UniPoly:
         if self.degree == 0:
             return UniPoly([0.0])
         return UniPoly(np.polynomial.polynomial.polyder(self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            return UniPoly(np.convolve(self.coeffs, other.coeffs))
-        return UniPoly(self.coeffs * complex(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly(np.polynomial.polynomial.polyadd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly(np.polynomial.polynomial.polysub(self.coeffs, other.coeffs))
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
@@ -287,11 +267,6 @@ def _components(n: int, pairs) -> list[list[int]]:
 def _cluster(values: list[complex], radius: float) -> list[list[int]]:
     # pairwise closeness; the radius scales with the size of the earlier root
     n = len(values)
-    if n > _PAIR_LOOP_MAX:
-        v = np.array(values)
-        lim = radius * np.maximum(1.0, np.abs(v))
-        close = np.abs(v[:, None] - v[None, :]) <= lim[:, None]
-        return _components(n, zip(*np.nonzero(np.triu(close, 1))))
     pairs = []
     for i in range(n):
         vi = values[i]
@@ -320,11 +295,11 @@ def solve_univariate(
     builds, with one zero root per vanishing low coefficient), clusters
     within tau_cluster merge into multiple roots, and each representative
     is Newton polished (on the (m-1)-th derivative for an m-fold root).
-    Roots stay a list of Python complex numbers: clustering is a pair loop
-    up to _PAIR_LOOP_MAX roots and vectorized above, and the residual
-    check reuses the Horner loop against one max|coeff| per solve. Raises
-    NumericalError if the companion matrix overflows or a polished root
-    fails the relative residual bound tau_root, InputError on constants.
+    Roots stay a list of Python complex numbers: clustering is a pair
+    loop, and the residual check reuses the Horner loop against one
+    max|coeff| per solve. Raises NumericalError if the companion matrix
+    overflows or a polished root fails the relative residual bound
+    tau_root, InputError on constants.
     """
     if p.is_zero():
         raise InputError("cannot solve the zero polynomial")

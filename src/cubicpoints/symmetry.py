@@ -134,7 +134,7 @@ def fixed_points_on_curve(
         P = normalize_point(w)
         if f.residual_at(P) > tol.tau_on_curve:
             continue
-        cp = polish_onto_curve(f, P.array, tol)
+        cp = polish_onto_curve(f, P.array)
         if chordal_distance(act_on_point(T, cp.point), cp.point) <= tol.tau_match:
             found.append(cp)
     return PointSet(_dedupe(found, tol.tau_match), tol.tau_match).sorted_canonical()

@@ -3,7 +3,8 @@
 Everything here is deliberately implemented from first principles with none
 of the package's machinery: affine Weierstrass addition by the textbook
 slope formulas, point counts by brute-force enumeration, closed-form
-special points, and resultants as determinants of Sylvester matrices.
+special points, resultants as determinants of Sylvester matrices, and the
+division polynomials by their classical recurrences.
 Agreement between these and the package is the evidence the tests rely on.
 """
 
@@ -154,3 +155,48 @@ def resultant(p: UniPoly, q: UniPoly) -> complex:
     """Sylvester resultant with the q block on top: lead(q)^deg(p) times p over the roots of q."""
     dets, _ = sylvester_dets(p.coeffs[None, :], q.coeffs[None, :])
     return complex(dets[0])
+
+
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """Coefficients without their exactly-zero highest-degree tail, as UniPoly stores them."""
+    nz = np.nonzero(c)[0]
+    return c[: nz[-1] + 1] if nz.size else c[:1] * 0
+
+
+def _product(*polys: np.ndarray) -> np.ndarray:
+    out = polys[0]
+    for p in polys[1:]:
+        out = _trimmed(np.convolve(out, p))
+    return out
+
+
+def division_polys(m: int, A: complex, B: complex) -> dict[int, UniPoly]:
+    """Division polynomials in x only, with the odd/even parity folded in, up to order m.
+
+    With R = x^3 + A x + B, entry k equals the classical psi_k for odd k
+    and psi_k / y for even k; the recurrences are the classical ones after
+    substituting y^2 = R. Products are np.convolve and differences
+    polysub, lowest degree first, so the coefficients have the same bits
+    on every run.
+    """
+    sub = np.polynomial.polynomial.polysub
+    R = np.array([B, A, 0.0, 1.0], dtype=complex)
+    R2 = _product(R, R)
+    f = {
+        0: np.array([0.0], dtype=complex),
+        1: np.array([1.0], dtype=complex),
+        2: np.array([2.0], dtype=complex),
+        3: np.array([-(A**2), 12.0 * B, 6.0 * A, 0.0, 3.0], dtype=complex),
+        4: 4.0 * np.array([-8.0 * B**2 - A**3, -4.0 * A * B, -5.0 * A**2, 20.0 * B, 5.0 * A, 0.0, 1.0], dtype=complex),
+    }
+    for k in range(5, m + 1):
+        j = k // 2
+        if k % 2 and j % 2 == 0:
+            f[k] = _trimmed(sub(_product(R2, f[j + 2], f[j], f[j], f[j]), _product(f[j - 1], f[j + 1], f[j + 1], f[j + 1])))
+        elif k % 2:
+            f[k] = _trimmed(sub(_product(f[j + 2], f[j], f[j], f[j]), _product(R2, f[j - 1], f[j + 1], f[j + 1], f[j + 1])))
+        else:
+            f[k] = _trimmed(_product(f[j], sub(_product(f[j + 2], f[j - 1], f[j - 1]), _product(f[j - 2], f[j + 1], f[j + 1]))) * 0.5)
+        expected = (k * k - 1) // 2 if k % 2 else (k * k - 4) // 2
+        assert len(f[k]) - 1 == expected, f"division polynomial {k} lost its leading coefficient"
+    return {k: UniPoly(c) for k, c in f.items()}

@@ -156,7 +156,8 @@ def _weierstrass_multiple(chart, m, p):
     return np.array([0.0, 1.0, 0.0]) if out is None else np.array([out[0], out[1], 1.0])
 
 
-def _random_charts(count, seed):
+def random_charts(count, seed):
+    """Charts of the first count random_smooth_cubic curves of the seed, each at its first canonical flex."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         f = random_smooth_cubic(rng)
@@ -169,7 +170,7 @@ def test_batched_ladder_matches_slope_formulas_and_the_scalar_verdict(m):
     slope formulas' m P within 1e-9 in the chart, and certified torsion
     passes or raises exactly when the frozen scalar ladder does."""
     verdicts = []
-    for chart in _random_charts(10, 5):
+    for chart in random_charts(10, 5):
         want = _verdict(lambda: frozen_certify(chart, m))
         got = _verdict(lambda: torsion_points(chart, m))
         verdicts.append((want, got))
@@ -187,7 +188,7 @@ def test_batched_ladder_matches_slope_formulas_and_the_scalar_verdict(m):
 
 def test_batched_multiples_match_the_slope_formulas_at_every_step():
     """k P for k = 1..9 on the 9-torsion candidates of one cubic, against the oracle."""
-    (chart,) = _random_charts(1, 5)
+    (chart,) = random_charts(1, 5)
     candidates = torsion_points(chart, 9, certify=False)
     for k in range(1, 10):
         back = chart._multiply_rows(k, candidates.arrays)
@@ -266,12 +267,12 @@ class TestErrorChannels:
         from cubicpoints import elliptic
 
         (stray,) = random_points_on_curve(fermat_chart.curve, 1, rng)
-        real = elliptic._dedupe
+        real = elliptic._polish_rows
 
-        def plant(points, tolerance):
-            kept = real(points, tolerance)
-            return kept[:-1] + [stray]
+        def plant(f, X):
+            # the stray is on the curve and apart from the rest, so only the ladder catches it
+            return real(f, X)[:-1] + [stray]
 
-        monkeypatch.setattr(elliptic, "_dedupe", plant)
+        monkeypatch.setattr(elliptic, "_polish_rows", plant)
         with pytest.raises(NumericalError, match="failed the group-law check"):
             torsion_points(fermat_chart, 3)

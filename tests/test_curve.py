@@ -416,11 +416,6 @@ class TestPointSet:
         m = fermat_flexes.match(shuffled)
         assert m == list(reversed(range(9)))
 
-    def test_minus(self, fermat_flexes):
-        head = PointSet(fermat_flexes.points[:4], 1e-6)
-        rest = fermat_flexes.minus(head)
-        assert len(rest) == 5
-
     def test_sorted_canonical_stable(self, fermat_flexes):
         s1 = fermat_flexes.sorted_canonical()
         s2 = s1.sorted_canonical()
@@ -483,6 +478,16 @@ class TestPolishAndSampling:
                 back = polish_onto_curve(f, near)
                 assert back.residual <= tol.tau_on_curve
                 assert chordal_distance(back.point, frozen_polish(f, near).point) <= tol.tau_match
+
+    def test_line_points_keep_their_order_under_a_one_ulp_rescale(self, rng):
+        """The order is canonical, not the residual order, which follows the last bits."""
+        f = random_smooth_cubic(rng)
+        for _ in range(20):
+            p, q = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+            want = line_curve_points(f, p, q)
+            got = line_curve_points(f, p * (1.0 + 2.0**-52), q * (1.0 - 2.0**-53))
+            assert len(got) == len(want)
+            assert all(chordal_distance(a.point, b.point) <= 1e-12 for a, b in zip(got, want))
 
     def test_random_smooth_cubic_certified(self, rng):
         f = random_smooth_cubic(rng)

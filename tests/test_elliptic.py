@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cubicpoints import (
+    DEFAULT_TOLERANCES,
+    CurvePoint,
     InputError,
+    NumericalError,
     PointSet,
     ProjectiveTransform,
     chordal_distance,
@@ -23,8 +28,14 @@ from cubicpoints import (
     translation_certificate,
     fermat_translations,
 )
+from cubicpoints import elliptic
+from cubicpoints.numeric import chordal_matrix
+from cubicpoints.serialize import path_from_obj
+
+from test_chord_rows import random_charts
 
 from oracles import (
+    division_polys,
     jordan_j2_bruteforce,
     subset_sums_upto,
     weierstrass_add,
@@ -291,6 +302,91 @@ class TestPointsOfType:
     def test_rejects_bad_index(self, fermat_chart):
         with pytest.raises(InputError):
             points_of_type(fermat_chart, 0)
+
+
+class TestPeriodLattice:
+    def test_lattice_x_are_roots_of_the_division_polynomials(self, fermat_chart):
+        """Every P != O with 2P != O has a chart x that the frozen f[m] of tests/oracles.py kills."""
+        for chart in [fermat_chart, *random_charts(2, 11)]:
+            for m in (3, 4, 5, 6):
+                f = division_polys(m, chart.a, chart.b)[m]
+                checked = 0
+                for cp in torsion_points(chart, m, certify=False):
+                    X, Y, Z = chart.to_weierstrass(cp).coords
+                    if abs(Z) <= 1e-9 * abs(Y) or abs(Y) <= 1e-9 * abs(Z):
+                        continue
+                    x = X / Z
+                    # the residual bound solve_univariate holds its roots to
+                    scale = np.abs(f.coeffs).max() * max(1.0, abs(x)) ** f.degree
+                    assert abs(f(x)) <= DEFAULT_TOLERANCES.tau_root * scale
+                    checked += 1
+                assert checked == m * m - (4 if m % 2 == 0 else 1)
+
+    def test_labels_add_as_the_points_do(self):
+        """At m = 9, row(L1) + row(L2) is row(L1 + L2) under the slope formulas."""
+        m = 9
+        labels = elliptic._labels(m)
+        index = {(i % m, j % m): n for n, (i, j) in enumerate(labels)}
+        rng = np.random.default_rng(9)
+        for chart in random_charts(3, 12):
+            rows = elliptic._lattice_rows(chart, m, labels)
+
+            def affine(r):
+                return None if r[2] == 0 else weierstrass_polish(chart.a, chart.b, (r[0], r[1]))
+
+            for p, q in rng.integers(len(labels), size=(30, 2)):
+                (i1, j1), (i2, j2) = labels[p], labels[q]
+                s = weierstrass_add(chart.a, chart.b, affine(rows[p]), affine(rows[q]))
+                got = [0.0, 1.0, 0.0] if s is None else [s[0], s[1], 1.0]
+                want = rows[index[(i1 + i2) % m, (j1 + j2) % m]]
+                assert chordal_distance(got, want) <= 1e-9
+
+    def test_certified_layers_on_forty_random_cubics(self):
+        for chart in random_charts(40, 2026):
+            assert len(torsion_points(chart, 12)) == 144
+            assert len(points_of_type(chart, 3)) == 72
+
+    def test_uncertified_twelve_torsion_is_killed_by_twelve(self):
+        """Curves 13 to 16 of rng 6, on which solving division polynomials returned wrong points."""
+        for chart in list(random_charts(17, 6))[13:]:
+            back = chart._multiply_rows(12, torsion_points(chart, 12, certify=False).arrays)
+            assert (chordal_matrix(chart.identity, back) <= DEFAULT_TOLERANCES.tau_match).all()
+
+    def test_type_nine_on_the_golden_hesse_loop(self):
+        golden = Path(__file__).resolve().parent / "golden" / "hesse_loop.json"
+        path = path_from_obj(json.loads(golden.read_text(encoding="utf-8")))
+        for t in np.linspace(0.0, 1.0, 201)[::4]:
+            f = path.at(float(t))
+            chart = make_chart(f, inflection_points(f).sorted_canonical()[0].point)
+            assert len(points_of_type(chart, 3)) == 72
+
+    def test_repeated_root(self, fermat_chart, monkeypatch):
+        monkeypatch.setattr(elliptic, "solve_univariate", lambda p, tol: [(1.0 + 0j, 2), (-2.0 + 0j, 1)])
+        with pytest.raises(NumericalError, match="repeated root"):
+            torsion_points(fermat_chart, 2)
+
+    def test_g2_g3_check(self, fermat_chart, monkeypatch):
+        real = elliptic._agm
+        monkeypatch.setattr(elliptic, "_agm", lambda a, b: real(a, b) * (1.0 + 1e-6))
+        with pytest.raises(NumericalError, match="g2, g3 check"):
+            torsion_points(fermat_chart, 3)
+
+    def test_points_that_coincide(self, fermat_chart, monkeypatch):
+        real = elliptic._polish_rows
+        monkeypatch.setattr(elliptic, "_polish_rows", lambda f, X: real(f, X)[:1] * 2 + real(f, X)[2:])
+        with pytest.raises(NumericalError, match="not distinct"):
+            torsion_points(fermat_chart, 3)
+
+    def test_point_that_does_not_settle(self, fermat_chart, monkeypatch):
+        real = elliptic._polish_rows
+
+        def unsettled(f, X):
+            out = real(f, X)
+            return out[:-1] + [CurvePoint(out[-1].point, 1.0)]
+
+        monkeypatch.setattr(elliptic, "_polish_rows", unsettled)
+        with pytest.raises(NumericalError, match="failed to settle"):
+            points_of_type(fermat_chart, 2)
 
 
 class TestTranslationCertificate:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from cubicpoints import (
     verify_free_K_action,
 )
 from cubicpoints import cli, curve, monodromy
-from cubicpoints.serialize import canonical_dumps, path_to_obj
+from cubicpoints.serialize import canonical_dumps, path_from_obj, path_to_obj
 
 # x^3 + y^3: three concurrent lines, whose Hessian vanishes identically
 _CONE = CubicForm.from_coeffs({(3, 0, 0): 1.0, (0, 3, 0): 1.0})
@@ -192,6 +194,13 @@ class TestTrack:
         assert len(res.end) == 9
         for p in res.end:
             assert p.residual <= 1e-8
+
+    def test_type_nine_section_closes_the_golden_hesse_loop(self):
+        golden = Path(__file__).resolve().parent / "golden" / "hesse_loop.json"
+        path = path_from_obj(json.loads(golden.read_text(encoding="utf-8")))
+        res = track(path, canonical_section("type3k:3"))
+        assert res.permutation is not None
+        assert res.permutation.cycle_type() == (3,) * 18 + (1,) * 18
 
     def test_crossing_the_discriminant_raises(self):
         bad = ParameterPath([hesse_cubic(0.0), hesse_cubic(-6.0)], steps=8)

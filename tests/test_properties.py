@@ -53,10 +53,9 @@ from cubicpoints.curve import (
     _forms_at,
     _newton_flexes,
 )
-from cubicpoints.elliptic import _division_polys
 from cubicpoints.numeric import _cluster, _derivative, chordal_matrix, solve_univariate
 from cubicpoints.sizes import _witnesses_up_to
-from oracles import sylvester_dets
+from oracles import division_polys, sylvester_dets
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -262,10 +261,9 @@ def root_lists(draw):
     """Polynomials from roots (degree 1 to 18) or from unit-disc coefficients (degree 1 to 70).
 
     Root lists hold simple, doubled and tripled roots and pairs about 1e-8
-    apart.  Coefficient vectors reach the degree of the largest division
-    polynomial torsion_points solves, so both clustering rules run, and
-    have some lowest-degree coefficients exactly zero, so that np.roots
-    splits off roots at zero.
+    apart.  Coefficient vectors reach degree 70, so that the pair loop
+    clusters dozens of roots, and have some lowest-degree coefficients
+    exactly zero, so that np.roots splits off roots at zero.
     """
     if draw(st.booleans()):
         degree = draw(st.integers(1, 70))
@@ -309,8 +307,8 @@ def test_solver_polish_is_bit_identical_to_the_per_root_polish(p):
 @pytest.mark.parametrize("A, B", [(0.0, -1.0), (1.0, 0.0), (0.3 + 0.2j, -0.7 + 0.1j)])
 @pytest.mark.parametrize("m", range(3, 13))
 def test_solver_is_bit_identical_on_division_polynomials(m, A, B):
-    """The polynomials torsion_points solves, up to degree 70; (0, -1) is the Fermat chart."""
-    p = _division_polys(m, A, B)[m]
+    """The frozen division polynomials of tests/oracles.py, up to degree 70; (0, -1) is the Fermat chart."""
+    p = division_polys(m, A, B)[m]
     want = reference_solve(p, DEFAULT_TOLERANCES)
     got = solve_univariate(p)
     assert [k for _, k in got] == [k for _, k in want]
@@ -333,7 +331,7 @@ def test_derivative_has_the_bits_of_polyder(coeffs):
 def root_clouds(draw):
     """Points up to modulus 10 and copies of them near the cluster radius, in any direction.
 
-    Up to 19 values, so both the pair loop and the vectorized pass run.
+    Up to 19 values.
     """
     radius = DEFAULT_TOLERANCES.tau_cluster
     values = draw(st.lists(st.complex_numbers(max_magnitude=10.0, allow_subnormal=False), min_size=1, max_size=5))
