@@ -877,7 +877,7 @@ def line_curve_points(
     rows = [Q] if poly.degree < len(coeffs) - 1 else []
     if poly.degree >= 1:
         rows.extend(P + t0 * Q for t0, _ in solve_univariate(poly, tol))
-    return sorted(_dedupe(_polish_rows(f, np.array(rows)), tol.tau_match), key=lambda cp: _canonical_key(cp.point))
+    return PointSet(_dedupe(_polish_rows(f, np.array(rows)), tol.tau_match), tol.tau_match).sorted_canonical().points
 
 
 def _unit_disc(rng: np.random.Generator, n: int) -> np.ndarray:

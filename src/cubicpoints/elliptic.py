@@ -331,8 +331,8 @@ def _agm(a: complex, b: complex) -> complex:
     return a
 
 
-def _periods(chart: EllipticChart) -> tuple[complex, complex]:
-    """A basis (w1, w2) of the period lattice of y^2 = x^3 + a x + b with tau = w2 / w1 reduced.
+def _periods(chart: EllipticChart) -> tuple[complex, complex, np.ndarray]:
+    """A period w1, the reduced tau = w2 / w1 of the lattice of y^2 = x^3 + a x + b, and q^1..q^_Q_TERMS.
 
     Cremona and Thongjunthug's complex AGM: with the roots e1, e2, e3 in the
     solver's order, w1 = pi / M(sqrt(e1 - e3), sqrt(e1 - e2)) and
@@ -355,8 +355,9 @@ def _periods(chart: EllipticChart) -> tuple[complex, complex]:
         if abs(w2 / w1) >= 1.0:
             break
         w1, w2 = w2, -w1
+    tau = w2 / w1
     n = np.arange(1, _Q_TERMS + 1)
-    qn = np.exp(2j * np.pi * w2 / w1) ** n
+    qn = np.exp(2j * np.pi * tau) ** n
     lam = qn / (1.0 - qn)
     s = 2.0 * np.pi / w1
     g2 = s**4 * (1.0 + 240.0 * (n**3 * lam).sum()) / 12.0
@@ -364,11 +365,13 @@ def _periods(chart: EllipticChart) -> tuple[complex, complex]:
     u = max(abs(chart.a) ** 0.25, abs(chart.b) ** (1.0 / 6.0))
     if not (abs(g2 + 4.0 * chart.a) <= _LATTICE_CHECK * u**4 and abs(g3 + 4.0 * chart.b) <= _LATTICE_CHECK * u**6):
         raise NumericalError("the period lattice failed the g2, g3 check")
-    return w1, w2
+    return w1, tau, qn
 
 
 def _labels(m: int) -> list[tuple[int, int]]:
-    """The labels (i, j) of (Z/m)^2, each coordinate centred in (-m/2, m/2]."""
+    """The labels (i, j) of (Z/m)^2 centred in (-m/2, m/2], the order limit checked before any is built."""
+    if m > _MAX_TORSION_ORDER:
+        raise InputError(f"torsion order {m} exceeds the limit {_MAX_TORSION_ORDER}")
     r = range(-((m - 1) // 2), m // 2 + 1)
     return [(i, j) for i in r for j in r]
 
@@ -381,11 +384,10 @@ def _lattice_rows(chart: EllipticChart, m: int, labels: list[tuple[int, int]]) -
     w = exp(2 pi i z / w1) (Silverman, Advanced Topics, Thm I.6.2). Since y
     comes from P' and not from a square root, labels add as the points do.
     """
-    w1, w2 = _periods(chart)
+    w1, tau, qn = _periods(chart)
     L = np.array(labels, dtype=float).reshape(-1, 2)
     rest = (L % m != 0).any(axis=1)
-    w = np.exp(2j * np.pi * (L[rest, 0] + L[rest, 1] * w2 / w1) / m)[:, None]
-    qn = np.exp(2j * np.pi * w2 / w1) ** np.arange(1, _Q_TERMS + 1)
+    w = np.exp(2j * np.pi * (L[rest, 0] + L[rest, 1] * tau) / m)[:, None]
     # the sums run over n in Z: q^n w for n >= 0, then q^|n| / w, whose P' terms change sign
     v = np.concatenate([w, qn * w, qn / w], axis=1)
     sign = np.concatenate([np.ones(_Q_TERMS + 1), -np.ones(_Q_TERMS)])
@@ -406,8 +408,6 @@ def _lattice_points(chart: EllipticChart, m: int, labels: list[tuple[int, int]],
     demands the identity within tau_match for every row.
     """
     tol = chart.tol
-    if m > _MAX_TORSION_ORDER:
-        raise InputError(f"torsion order {m} exceeds the limit {_MAX_TORSION_ORDER}")
     found = PointSet(_polish_rows(chart.curve, _lattice_rows(chart, m, labels) @ chart.from_w.matrix.T), tol.tau_match)
     if not all(cp.residual <= tol.tau_on_curve for cp in found):
         raise NumericalError("a lattice point failed to settle on the curve")

@@ -87,6 +87,15 @@ class TestPointCommands:
         assert rc == 2
         assert "identity index" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("torsion", "-m", "1000000"), ("type3k", "-k", "100000")]
+    )
+    def test_huge_order_exits_at_once(self, capsys, fermat_file, argv):
+        rc, out, err = run_cli(capsys, argv[0], "--curve", fermat_file, *argv[1:])
+        assert rc == 2
+        assert out == ""
+        assert "exceeds the limit 12" in err
+
 
 class TestArithmeticCommands:
     def test_counts(self, capsys):

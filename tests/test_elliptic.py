@@ -272,6 +272,13 @@ class TestTorsion:
         with pytest.raises(InputError):
             torsion_points(fermat_chart, 13)
 
+    def test_order_limit_comes_before_any_label(self, fermat_chart):
+        """A huge order is refused at once, before m^2 labels are built."""
+        with pytest.raises(InputError):
+            torsion_points(fermat_chart, 10**6)
+        with pytest.raises(InputError):
+            points_of_type(fermat_chart, 10**5)
+
 
 class TestPointsOfType:
     def test_type_one_is_the_flex_set(self, fermat_chart, fermat_flexes):
