@@ -27,6 +27,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InputError, NumericalError, SingularCurveError
 from .numeric import (
+    _TINY,
     ProjectivePoint,
     UniPoly,
     _point_array,
@@ -238,6 +239,7 @@ class PointSet:
         self.points = list(points)
         self.tolerance = float(tolerance)
         self._arr: np.ndarray | None = None
+        self._sep: float | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -285,11 +287,15 @@ class PointSet:
         return self.match(other) is not None
 
     def min_separation(self) -> float:
-        if len(self) < 2:
-            return float("inf")
-        D = chordal_matrix(self.arrays, self.arrays)
-        np.fill_diagonal(D, np.inf)
-        return float(D.min())
+        """Smallest chordal distance between two members; computed once, like arrays."""
+        if self._sep is None:
+            if len(self) < 2:
+                self._sep = float("inf")
+            else:
+                D = chordal_matrix(self.arrays, self.arrays)
+                np.fill_diagonal(D, np.inf)
+                self._sep = float(D.min())
+        return self._sep
 
     def sorted_canonical(self) -> "PointSet":
         return PointSet(
@@ -509,6 +515,9 @@ def _singular_witness(f: CubicForm, tol: Tolerances) -> ProjectivePoint:
     best_gradient = np.inf
     best_witnesses: list[ProjectivePoint] = []
     for x in candidates:
+        # all coordinates subnormal: normalize_point has no finite representative
+        if np.abs(x).max() < _TINY:
+            continue
         P = normalize_point(x)
         g = float(np.linalg.norm(f.gradient(P)) / scale)
         if g <= _WITNESS_POLISH_GATE:

@@ -3,7 +3,10 @@
 A path is piecewise linear in coefficient space.  Tracking evaluates the
 section at every step and matches points by nearest neighbor, which is
 sound exactly when the step is small against the section's separation;
-ambiguous matches trigger step bisection rather than guesswork.  A section
+ambiguous matches trigger step bisection rather than guesswork.  After an
+accepted step the step size doubles, up to the path's base step, only when
+that step would have matched with every point's move doubled; otherwise it
+stays, so the size that just failed is not retried at once.  A section
 whose signature has a near parameter receives the previous accepted
 points there and may continue them instead of recomputing: the
 inflections section corrects the nine flexes by Newton
@@ -185,6 +188,12 @@ class TrackResult:
 
 
 _MIN_STEP = 1e-6
+# A match must be clear: each point's runner-up is this many times farther
+# than its nearest, so a near tie is bisected rather than guessed.
+_MATCH_RATIO = 10.0
+# No point may move more than this fraction of the new set's separation in
+# one step, so it cannot reach a neighbour's basin.
+_MATCH_REACH = 0.25
 
 
 def track(
@@ -201,9 +210,15 @@ def track(
     follows functools.wraps), every call after the start passes the last
     accepted points, a (n, 3) array in label order, as near; otherwise the
     section is called on the curve alone.  Either way the returned set goes
-    through the same matching and step halving.  min_margin is the
-    smallest discriminant-gate margin over the accepted curves, a unitary
-    invariant (1 on the Fermat cubic).  Raises
+    through the same matching.  A step is accepted when the set keeps its
+    size and a separation above 2 tau_match, and each last point has a
+    distinct nearest new point, at most _MATCH_REACH times the new
+    separation away and more than _MATCH_RATIO times closer than its
+    runner-up; otherwise, or when the section raises NumericalError, the
+    step is halved.  After an accepted step the step doubles, up to the
+    base step, only when the same test passes with each nearest distance
+    doubled.  min_margin is the smallest discriminant-gate margin over the
+    accepted curves, a unitary invariant (1 on the Fermat cubic).  Raises
     DiscriminantPathError when any visited curve has a gate margin at or
     below smoothness_margin, and TrackingAmbiguityError when matching stays
     ambiguous at the minimal step size.
@@ -244,21 +259,17 @@ def track(
                 )
             continue
         ok = S2.min_separation() > 2.0 * tol.tau_match and len(S2) == n
-        assignment: list[int] = []
         if ok:
             # points moved this step: demand a clear nearest, not a tolerance hit
             D = chordal_matrix(current, S2.arrays)
-            sep = 0.25 * S2.min_separation()
-            for i in range(n):
-                order = np.argsort(D[i])
-                d1 = D[i, order[0]]
-                d2 = D[i, order[1]] if n > 1 else np.inf
-                if d2 <= 10.0 * d1 or d1 > sep:
-                    ok = False
-                    break
-                assignment.append(int(order[0]))
-            if ok and len(set(assignment)) != n:
-                ok = False
+            order = np.argsort(D, axis=1)
+            rows = np.arange(n)
+            assignment = order[:, 0]
+            d1 = D[rows, assignment]
+            d2 = D[rows, order[:, 1]] if n > 1 else np.full(n, np.inf)
+            reach = _MATCH_REACH * S2.min_separation()
+            ok = not ((d2 <= _MATCH_RATIO * d1) | (d1 > reach)).any()
+            ok = ok and len(set(assignment.tolist())) == n
         if not ok:
             dt *= 0.5
             if dt < _MIN_STEP:
@@ -267,11 +278,13 @@ def track(
                 )
             continue
         current = S2.arrays[assignment]
-        ordered = [S2.points[j] for j in assignment]
+        ordered = [S2.points[j] for j in assignment.tolist()]
         min_margin = min(min_margin, rep.margin)
         t = t2
         taken += 1
-        dt = min(base, dt * 2.0)
+        # grow only when the step would have passed with every move doubled
+        if (d2 > 2.0 * _MATCH_RATIO * d1).all() and (d1 <= 0.5 * reach).all():
+            dt = min(base, dt * 2.0)
     end = PointSet(ordered, tol.tau_match)
     perm = None
     if path.is_closed():

@@ -47,6 +47,9 @@ __all__ = [
 # Slack (in units of machine epsilon) for the max-modulus pivot search in
 # normalize_point; keeps renormalization bitwise idempotent on exact ties.
 _PIVOT_SLACK = 4.0 * float(np.finfo(float).eps)
+# The smallest normal float: dividing by a subnormal pivot can overflow, so a
+# vector whose largest modulus is below this has no finite representative.
+_TINY = float(np.finfo(float).tiny)
 
 # component i of a x b is a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]]
 _NEXT = np.array([1, 2, 0])
@@ -134,7 +137,9 @@ def normalize_point(v) -> ProjectivePoint:
     ulps of slack so the map is idempotent even on exact modulus ties.
     The moduli and the division stay numpy's, whose last bits Python's
     abs and complex division do not always reproduce; only the pivot
-    search runs on Python floats.
+    search runs on Python floats.  Raises InputError on the zero vector
+    and on a vector whose largest modulus is subnormal, where the
+    division could overflow.
     """
     a = _point_array(v).reshape(-1)
     if a.size != 3:
@@ -145,6 +150,8 @@ def normalize_point(v) -> ProjectivePoint:
     top = max(m0, m1, m2)
     if top == 0.0:
         raise InputError("the zero vector is not a projective point")
+    if top < _TINY:
+        raise InputError("every coordinate is subnormal; no finite representative")
     bound = top * (1.0 - _PIVOT_SLACK)
     pivot = 0 if m0 >= bound else 1 if m1 >= bound else 2
     w = a / a[pivot]

@@ -213,6 +213,41 @@ class TestTrack:
             track(bad, canonical_section("inflections"))
 
 
+class TestStepController:
+    @pytest.mark.parametrize(
+        "make_path, evaluations, accepted",
+        [(_translation_path, 43, 39), (lambda: _hesse_loop(-3.0, 1.0), 24, 24)],
+        ids=["translation", "hesse_pencil"],
+    )
+    def test_a_step_size_that_just_failed_is_not_retried(self, make_path, evaluations, accepted):
+        # the two loops of the monodromy_loops benchmark at steps=24; doubling
+        # dt after every accepted step took 61 evaluations on the translation loop
+        calls = [0]
+        section = canonical_section("inflections")
+
+        @functools.wraps(section)
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return section(*args, **kwargs)
+
+        res = track(make_path(), counting)
+        assert (calls[0] - 1, res.steps_taken) == (evaluations, accepted)
+
+    def test_a_one_point_section_has_no_runner_up(self):
+        # with one point the runner-up distance is infinite, so every step is clear
+        section = canonical_section("inflections")
+        base = normalize_point([0.0, 1.0, -1.0])  # a flex of every pencil member
+
+        def one(f: CubicForm) -> PointSet:
+            flexes = section(f)
+            return PointSet([flexes[flexes.index_of(base)]], flexes.tolerance)
+
+        res = track(_hesse_loop(-3.0, 1.0), one)
+        assert res.permutation == Permutation([0])
+        assert res.steps_taken == 24
+        assert len(res.end) == 1 and res.end.index_of(base) == 0
+
+
 class TestSections:
     def test_inflection_section(self, fermat):
         sec = canonical_section("inflections")

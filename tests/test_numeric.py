@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ class TestNormalizePoint:
     def test_rejects_zero_vector(self):
         with pytest.raises(InputError):
             normalize_point([0.0, 0.0, 0.0])
+
+    def test_rejects_a_subnormal_vector(self):
+        # dividing by the subnormal pivot gave (1 : inf+infj : nan+nanj)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="subnormal"):
+                normalize_point([1e-310 + 1e-310j, 5e-311j, 0.0])
+            tiny = float(np.finfo(float).tiny)
+            p = normalize_point([0.5 * tiny, tiny, 0.25j * tiny])
+        assert p.coords == (0.5 + 0.0j, 1.0 + 0.0j, 0.25j)
 
 
 class TestChordalDistance:
