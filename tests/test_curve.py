@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,17 @@ class TestSmoothness:
         assert not rep.smooth and not is_smooth(f)
         assert rep.margin < 1e-15
         assert chordal_distance(rep.witness.array, np.array([0.0, 0.0, 1.0])) < 1e-12
+
+    def test_a_subnormal_candidate_is_skipped(self, monkeypatch):
+        # a candidate whose largest coordinate is subnormal has no finite
+        # representative: dividing by its pivot overflows to (1 : inf : nan)
+        real_cut = curve._cut
+        tiny = np.array([1e-310 + 1e-310j, 5e-311j, 0.0])
+        monkeypatch.setattr(curve, "_cut", lambda line, conics: [tiny, *real_cut(line, conics)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = smoothness(hesse_cubic(-3.0))
+        assert chordal_distance(rep.witness.array, np.array([1.0, 1.0, 1.0])) < 1e-6
 
     def test_require_smooth_raises(self):
         with pytest.raises(SingularCurveError):

@@ -220,8 +220,8 @@ class TestStepController:
         ids=["translation", "hesse_pencil"],
     )
     def test_a_step_size_that_just_failed_is_not_retried(self, make_path, evaluations, accepted):
-        # the two loops of the monodromy_loops benchmark at steps=24; doubling
-        # dt after every accepted step took 61 evaluations on the translation loop
+        # the two loops of the monodromy_loops benchmark at steps=24; doubling dt
+        # after every accepted step re-tries each failed size: 61 on the translation loop
         calls = [0]
         section = canonical_section("inflections")
 

@@ -72,7 +72,7 @@ class TestNormalizePoint:
             normalize_point([0.0, 0.0, 0.0])
 
     def test_rejects_a_subnormal_vector(self):
-        # dividing by the subnormal pivot gave (1 : inf+infj : nan+nanj)
+        # dividing by the subnormal pivot overflows to (1 : inf+infj : nan+nanj)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match="subnormal"):
