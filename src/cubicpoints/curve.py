@@ -7,6 +7,12 @@ flexes are the preimages of that pencil's nine base points, polished by one
 batched Newton on (f, H) = 0 (_newton_flexes). Along a tracked path the
 flexes of the previous curve seed the same Newton instead (_correct_flexes).
 
+The Hessian's coefficients are computed once per CubicForm object, so the
+smoothness gate and the flex Newton along a tracked path share them. The
+Newton's kept rows are normalized in one numpy pass, and their residuals
+come from _cubic_value, the one formula for a cubic's value, which
+CubicForm.evaluate uses too.
+
 Smoothness is certified by one determinantal gate for the discriminant: a
 6x6 matrix of the partials of f and of its Hessian, in Bombieri-weighted
 quadratic coefficients, singular exactly when f is, whose margin
@@ -18,6 +24,7 @@ points, polished by Gauss-Newton on the gradient, is the witness.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,6 +37,7 @@ from .numeric import (
     _TINY,
     ProjectivePoint,
     UniPoly,
+    _normalize_rows,
     _point_array,
     chordal_matrix,
     normalize_point,
@@ -88,13 +96,28 @@ def _slice_contractions(S: np.ndarray) -> np.ndarray:
     return np.einsum("pqr,ipa,jqb,krc->ijkabc", _LEVI_CIVITA, S[:, 0], S[:, 1], S[:, 2])
 
 
+def _cubic_value(c: list[complex], x: complex, y: complex, z: complex) -> complex:
+    """The value at (x, y, z) of the cubic with coefficients c, on Python complex numbers.
+
+    The one formula for a cubic's value, whose bits the flex residuals keep;
+    numpy's complex loops round differently.
+    """
+    xx, yy, zz = x * x, y * y, z * z
+    return (
+        x * (c[0] * xx + c[1] * x * y + c[2] * x * z + c[3] * yy + c[4] * y * z + c[5] * zz)
+        + y * (c[6] * yy + c[7] * y * z + c[8] * zz)
+        + c[9] * zz * z
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class CubicForm:
     """Homogeneous cubic in three variables, considered up to scale.
 
     coeffs is a read-only vector of ten complex coefficients, one for each
     monomial of _MONOMIALS in that order. The symmetric tensor T with
-    f(x) = sum T_ijk x_i x_j x_k is built from it on demand.
+    f(x) = sum T_ijk x_i x_j x_k is built from it on demand; the Hessian's
+    coefficients, once per object (_hessian_coeffs).
     """
 
     coeffs: np.ndarray
@@ -134,14 +157,7 @@ class CubicForm:
         return (self.coeffs / _TENSOR_COUNT)[_TENSOR_INDEX].reshape(3, 3, 3)
 
     def evaluate(self, point) -> complex:
-        x, y, z = _point_array(point).reshape(3).tolist()
-        c = self.coeffs.tolist()
-        xx, yy, zz = x * x, y * y, z * z
-        return (
-            x * (c[0] * xx + c[1] * x * y + c[2] * x * z + c[3] * yy + c[4] * y * z + c[5] * zz)
-            + y * (c[6] * yy + c[7] * y * z + c[8] * zz)
-            + c[9] * zz * z
-        )
+        return _cubic_value(self.coeffs.tolist(), *_point_array(point).reshape(3).tolist())
 
     def gradient(self, point) -> np.ndarray:
         """The three partial derivatives at a point, from the quadratic monomials."""
@@ -167,23 +183,27 @@ class CubicForm:
         Raises InputError on a cone, a union of concurrent lines such as
         x^3 + y^3, whose Hessian vanishes identically.
         """
-        h = self._hessian_coeffs()
+        h = self._hessian_coeffs
         if not h.any():
             raise InputError(
                 "the Hessian vanishes identically: the curve is a union of concurrent lines"
             )
         return CubicForm(h)
 
+    @functools.cached_property
     def _hessian_coeffs(self) -> np.ndarray:
-        """Coefficients of the Hessian; the zero vector on a cone.
+        """Coefficients of the Hessian, read-only and computed once per object; zero on a cone.
 
         Entry (i, j) of the matrix of second partials is the linear form
         6 T_ij., so the determinant is 216 times _slice_contractions of T
         alone. The factor comes last, in one rounding, which keeps the
         coefficients of a curve symmetric under permuting coordinates (the
-        Hesse pencil) symmetric in the last bit.
+        Hesse pencil) symmetric in the last bit. Caching is sound because
+        coeffs is read-only.
         """
-        return 216.0 * (_FOLD @ _slice_contractions(self._tensor()[None]).reshape(27))
+        h = 216.0 * (_FOLD @ _slice_contractions(self._tensor()[None]).reshape(27))
+        h.setflags(write=False)
+        return h
 
     def compose_linear(self, matrix) -> "CubicForm":
         """The cubic x -> f(M x): each tensor axis contracted with M in turn.
@@ -222,13 +242,17 @@ class CurvePoint:
         return self.point.array
 
 
+# The key keeps nine decimals, so moduli that agree to as many tie for its pivot.
+_KEY_TIE = 1e-9
+
+
 def _canonical_key(p: ProjectivePoint) -> tuple:
-    """The coordinates to nine decimals, divided by the first within 1e-9 of the largest modulus.
+    """The coordinates to nine decimals, divided by the first within _KEY_TIE of the largest modulus.
 
     That is normalize_point's pivot, except on ties, which last-bit noise breaks for it.
     """
     mods = [abs(c) for c in p.coords]
-    pivot = p.coords[next(i for i, m in enumerate(mods) if m >= (1.0 - 1e-9) * max(mods))]
+    pivot = p.coords[next(i for i, m in enumerate(mods) if m >= (1.0 - _KEY_TIE) * max(mods))]
     return tuple((round((c / pivot).real, 9) + 0.0, round((c / pivot).imag, 9) + 0.0) for c in p.coords)
 
 
@@ -367,7 +391,7 @@ def _discriminant_margin(f: CubicForm) -> float:
     Bombieri weights, on a unitary change of coordinates. A cone has
     H = 0 and margin 0.
     """
-    blocks = _GATE_MAP @ np.stack([f.coeffs, f._hessian_coeffs()], axis=1)
+    blocks = _GATE_MAP @ np.stack([f.coeffs, f._hessian_coeffs], axis=1)
     norms = np.linalg.norm(blocks, axis=0)
     if norms[1] == 0.0:
         return 0.0
@@ -633,7 +657,7 @@ def inflection_points(
 
 def _hessian_of_smooth(f: CubicForm) -> CubicForm:
     """The Hessian of a curve the caller has certified; NumericalError on a cone."""
-    h = f._hessian_coeffs()
+    h = f._hessian_coeffs
     if not h.any():
         raise NumericalError(
             "the Hessian vanishes identically: the curve is a union of concurrent lines"
@@ -786,7 +810,9 @@ def _newton_flexes(
     is kept when every step at most halved the one before, it converged
     within _CORRECTOR_ITERS steps, and its point lies on f and on h within
     tau_on_curve. A row that fails stops moving and is dropped. Kept rows
-    come back in start order, each with its residual on f.
+    come back in start order, each with its residual on f: the rows are
+    normalized in one pass (numeric._normalize_rows) and their values taken
+    by _cubic_value, the formula of CubicForm.evaluate.
     """
     X = np.array(starts, dtype=complex).reshape(-1, 3)
     rows = np.arange(len(X))
@@ -817,13 +843,14 @@ def _newton_flexes(
             last = size
             moving = kept & (size > _CORRECTOR_DONE)
     kept &= ~moving
+    cf, nf = f.coeffs.tolist(), f.norm_inf
+    ch, nh = h.coeffs.tolist(), h.norm_inf
     points: list[CurvePoint] = []
-    for row in X[kept]:
-        P = normalize_point(row)
-        rf = abs(f.evaluate(P)) / f.norm_inf
-        rh = abs(h.evaluate(P)) / h.norm_inf
+    for row in _normalize_rows(X[kept]).tolist():
+        rf = abs(_cubic_value(cf, *row)) / nf
+        rh = abs(_cubic_value(ch, *row)) / nh
         if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
-            points.append(CurvePoint(P, rf))
+            points.append(CurvePoint(ProjectivePoint(tuple(row)), rf))
     return points
 
 

@@ -188,6 +188,9 @@ class TrackResult:
 
 
 _MIN_STEP = 1e-6
+# t sums inexact steps, so the loop ends once t is within roundoff of 1
+# instead of taking a last step of a few ulps.
+_END_SLACK = 1e-12
 # A match must be clear: each point's runner-up is this many times farther
 # than its nearest, so a near tie is bisected rather than guessed.
 _MATCH_RATIO = 10.0
@@ -241,7 +244,7 @@ def track(
     t = 0.0
     dt = base
     taken = 0
-    while t < 1.0 - 1e-12:
+    while t < 1.0 - _END_SLACK:
         t2 = min(1.0, t + dt)
         f2 = path.at(t2)
         rep = smoothness(f2, tol)

@@ -159,6 +159,30 @@ def normalize_point(v) -> ProjectivePoint:
     return ProjectivePoint(tuple(w.tolist()))
 
 
+def _normalize_rows(X: np.ndarray) -> np.ndarray:
+    """normalize_point on every row of an (n, 3) stack in one numpy pass, with its bits.
+
+    The same pivot rule, the same division and the same InputError
+    channels; a stack with a bad row raises for the whole stack. Only
+    stacks gain: on a 2-core Xeon VM nine rows take about 17 us here and
+    38 us through normalize_point, but one row 11 us here and 4.5 us there,
+    so single points keep normalize_point.
+    """
+    if not np.isfinite(X).all():
+        raise InputError("non-finite coordinate")
+    mods = np.abs(X)
+    top = mods.max(axis=1)
+    if not top.all():
+        raise InputError("the zero vector is not a projective point")
+    if (top < _TINY).any():
+        raise InputError("every coordinate is subnormal; no finite representative")
+    rows = np.arange(len(X))
+    pivot = (mods >= (top * (1.0 - _PIVOT_SLACK))[:, None]).argmax(axis=1)
+    W = X / X[rows, pivot][:, None]
+    W[rows, pivot] = 1.0
+    return W
+
+
 def chordal_distance(p, q) -> float:
     """Chordal (Fubini-Study sine) distance between two projective points.
 

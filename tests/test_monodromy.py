@@ -248,6 +248,51 @@ class TestStepController:
         assert len(res.end) == 1 and res.end.index_of(base) == 0
 
 
+class TestOneHessianPerCurve:
+    @pytest.mark.parametrize(
+        "make_path, contractions",
+        [(_translation_path, 45), (lambda: _hesse_loop(-3.0, 1.0), 26)],
+        ids=["translation", "hesse_pencil"],
+    )
+    def test_each_visited_curve_gets_one_hessian(self, monkeypatch, make_path, contractions):
+        # one Hessian per curve, for the gate and the corrector alike, and one
+        # pencil triangle at the start: the section calls plus one (90 and 52
+        # when the corrector built the Hessian again)
+        calls = {"contractions": 0, "section": 0}
+        real = curve._slice_contractions
+        section = canonical_section("inflections")
+
+        def counting_contractions(S):
+            calls["contractions"] += 1
+            return real(S)
+
+        @functools.wraps(section)
+        def counting_section(*args, **kwargs):
+            calls["section"] += 1
+            return section(*args, **kwargs)
+
+        monkeypatch.setattr(curve, "_slice_contractions", counting_contractions)
+        track(make_path(), counting_section)
+        assert calls["contractions"] == contractions == calls["section"] + 1
+
+    def test_the_cached_hessian_is_read_only(self):
+        f = hesse_cubic(0.5)
+        h = f._hessian_coeffs
+        assert h is f._hessian_coeffs
+        with pytest.raises(ValueError):
+            h[0] = 1.0
+        assert np.array_equal(f.hessian().coeffs, h)
+
+    def test_a_cone_keeps_its_channels(self):
+        # the cached zero vector raises on every call, not only the first
+        cone = CubicForm.from_coeffs({(3, 0, 0): 1.0, (0, 3, 0): 1.0})
+        for _ in range(2):
+            with pytest.raises(InputError, match="Hessian vanishes"):
+                cone.hessian()
+            with pytest.raises(NumericalError, match="Hessian vanishes"):
+                curve._hessian_of_smooth(cone)
+
+
 class TestSections:
     def test_inflection_section(self, fermat):
         sec = canonical_section("inflections")
@@ -374,7 +419,7 @@ def _crossings(f0: CubicForm, f1: CubicForm) -> list[complex]:
     dets = []
     for t in ts:
         f = CubicForm(f0.coeffs + t * f1.coeffs)
-        blocks = curve._GATE_MAP @ np.stack([f.coeffs, f._hessian_coeffs()], axis=1)
+        blocks = curve._GATE_MAP @ np.stack([f.coeffs, f._hessian_coeffs], axis=1)
         dets.append(np.linalg.det(blocks.T.reshape(6, 6)))
     coeffs = np.fft.fft(dets) / 32
     assert np.abs(coeffs[13:]).max() <= 1e-12 * np.abs(coeffs).max()
