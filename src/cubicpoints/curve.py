@@ -116,8 +116,7 @@ class CubicForm:
 
     coeffs is a read-only vector of ten complex coefficients, one for each
     monomial of _MONOMIALS in that order. The symmetric tensor T with
-    f(x) = sum T_ijk x_i x_j x_k is built from it on demand; the Hessian's
-    coefficients, once per object (_hessian_coeffs).
+    f(x) = sum T_ijk x_i x_j x_k is built from it on demand.
     """
 
     coeffs: np.ndarray
@@ -810,9 +809,7 @@ def _newton_flexes(
     is kept when every step at most halved the one before, it converged
     within _CORRECTOR_ITERS steps, and its point lies on f and on h within
     tau_on_curve. A row that fails stops moving and is dropped. Kept rows
-    come back in start order, each with its residual on f: the rows are
-    normalized in one pass (numeric._normalize_rows) and their values taken
-    by _cubic_value, the formula of CubicForm.evaluate.
+    come back in start order, each with its residual on f.
     """
     X = np.array(starts, dtype=complex).reshape(-1, 3)
     rows = np.arange(len(X))

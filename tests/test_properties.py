@@ -9,7 +9,8 @@ coordinate charts by the bivariate elimination the singular-point search
 once ran (chart grids, a sampled Sylvester resultant, the fiber trim with
 its branch for the zero fiber) and its Newton on chart grids (then
 polished in mpmath at 50 digits), the flex corrector with its own Newton
-loop, and normalize_point's pivot search on numpy arrays.  The dense
+loop, and normalize_point's pivot search on numpy arrays; the batched
+normalizer is held to normalize_point itself, row by row.  The dense
 cubic's gradient and Hessian are checked against monomial sums written
 out here, the flex Newton's batched values and gradients against
 evaluate and gradient, within a bound taken from those sums, and the flex
