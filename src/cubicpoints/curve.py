@@ -625,14 +625,22 @@ def _settle(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return X, V[:, 0], G[:, 0]
 
 
-def _curve_point(f: CubicForm, row: np.ndarray) -> CurvePoint:
-    P = normalize_point(row)
-    return CurvePoint(P, f.residual_at(P))
+def _curve_points(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
+    """Every row of X normalized (_normalize_rows), with its relative residual on f.
+
+    The residual is residual_at's, bit for bit: _cubic_value on the
+    normalized row's Python complex numbers over norm_inf, taken once.
+    """
+    c, scale = f.coeffs.tolist(), f.norm_inf
+    return [
+        CurvePoint(ProjectivePoint(tuple(row)), abs(_cubic_value(c, *row)) / scale)
+        for row in _normalize_rows(X).tolist()
+    ]
 
 
 def _polish_rows(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
     """Every row of X settled onto f (_settle), with its relative residual."""
-    return [_curve_point(f, row) for row in _settle(f._tensor()[None], X)[0]]
+    return _curve_points(f, _settle(f._tensor()[None], X)[0])
 
 
 def polish_onto_curve(f: CubicForm, coords) -> CurvePoint:
@@ -840,15 +848,12 @@ def _newton_flexes(
             last = size
             moving = kept & (size > _CORRECTOR_DONE)
     kept &= ~moving
-    cf, nf = f.coeffs.tolist(), f.norm_inf
     ch, nh = h.coeffs.tolist(), h.norm_inf
-    points: list[CurvePoint] = []
-    for row in _normalize_rows(X[kept]).tolist():
-        rf = abs(_cubic_value(cf, *row)) / nf
-        rh = abs(_cubic_value(ch, *row)) / nh
-        if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve:
-            points.append(CurvePoint(ProjectivePoint(tuple(row)), rf))
-    return points
+    return [
+        p
+        for p in _curve_points(f, X[kept])
+        if p.residual <= tol.tau_on_curve and abs(_cubic_value(ch, *p.point.coords)) / nh <= tol.tau_on_curve
+    ]
 
 
 def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:

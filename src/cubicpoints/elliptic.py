@@ -28,7 +28,7 @@ from .curve import (
     CubicForm,
     CurvePoint,
     PointSet,
-    _curve_point,
+    _curve_points,
     _forms_at,
     _polish_rows,
     _settle,
@@ -151,7 +151,7 @@ def third_intersection(
     are distinct but closer than ten times tau_match are rejected as an
     ill-conditioned chord. The one-row case of _third_rows.
     """
-    return _curve_point(f, _third_rows(f, _coords(p)[None], _coords(q)[None], tol)[0])
+    return _curve_points(f, _third_rows(f, _coords(p)[None], _coords(q)[None], tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +216,14 @@ class EllipticChart:
         return third_intersection(self.curve, self.identity, p, self.tol)
 
     def add(self, p, q) -> CurvePoint:
-        return _curve_point(self.curve, self._add_rows(_coords(p)[None], _coords(q)[None])[0])
+        return _curve_points(self.curve, self._add_rows(_coords(p)[None], _coords(q)[None]))[0]
 
     def multiply(self, m: int, p) -> CurvePoint:
         if not isinstance(m, (int, np.integer)):
             raise InputError("the multiplier must be an integer")
         if m == 0:
             return polish_onto_curve(self.curve, self.identity.array)
-        return _curve_point(self.curve, self._multiply_rows(int(m), _coords(p)[None])[0])
+        return _curve_points(self.curve, self._multiply_rows(int(m), _coords(p)[None]))[0]
 
     def _negate_rows(self, X: np.ndarray) -> np.ndarray:
         O = np.broadcast_to(self.identity.array, X.shape)

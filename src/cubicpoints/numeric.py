@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 # Slack (in units of machine epsilon) for the max-modulus pivot search in
-# normalize_point; keeps renormalization bitwise idempotent on exact ties.
+# _normalize_rows; keeps renormalization bitwise idempotent on exact ties.
 _PIVOT_SLACK = 4.0 * float(np.finfo(float).eps)
 # The smallest normal float: dividing by a subnormal pivot can overflow, so a
 # vector whose largest modulus is below this has no finite representative.
@@ -133,40 +133,23 @@ def _point_array(point) -> np.ndarray:
 def normalize_point(v) -> ProjectivePoint:
     """Canonical representative: max-modulus coordinate rescaled to exactly 1.
 
-    Ties go to the lowest coordinate index; the comparison carries a few
-    ulps of slack so the map is idempotent even on exact modulus ties.
-    The moduli and the division stay numpy's, whose last bits Python's
-    abs and complex division do not always reproduce; only the pivot
-    search runs on Python floats.  Raises InputError on the zero vector
-    and on a vector whose largest modulus is subnormal, where the
-    division could overflow.
+    The one-row case of _normalize_rows, which holds the rule. Raises
+    InputError unless v has exactly three coordinates.
     """
     a = _point_array(v).reshape(-1)
     if a.size != 3:
         raise InputError("projective point needs exactly 3 coordinates")
-    if not np.isfinite(a).all():
-        raise InputError("non-finite coordinate")
-    m0, m1, m2 = np.abs(a).tolist()
-    top = max(m0, m1, m2)
-    if top == 0.0:
-        raise InputError("the zero vector is not a projective point")
-    if top < _TINY:
-        raise InputError("every coordinate is subnormal; no finite representative")
-    bound = top * (1.0 - _PIVOT_SLACK)
-    pivot = 0 if m0 >= bound else 1 if m1 >= bound else 2
-    w = a / a[pivot]
-    w[pivot] = 1.0
-    return ProjectivePoint(tuple(w.tolist()))
+    return ProjectivePoint(tuple(_normalize_rows(a.reshape(1, 3))[0].tolist()))
 
 
 def _normalize_rows(X: np.ndarray) -> np.ndarray:
-    """normalize_point on every row of an (n, 3) stack in one numpy pass, with its bits.
+    """Every row of an (n, 3) stack divided by its max-modulus coordinate, which becomes exactly 1.
 
-    The same pivot rule, the same division and the same InputError
-    channels; a stack with a bad row raises for the whole stack. Only
-    stacks gain: on a 2-core Xeon VM nine rows take about 17 us here and
-    38 us through normalize_point, but one row 11 us here and 4.5 us there,
-    so single points keep normalize_point.
+    Ties go to the lowest coordinate index; the comparison carries a few
+    ulps of slack (_PIVOT_SLACK) so the map is idempotent even on exact
+    modulus ties. Raises InputError on a non-finite row, on a zero row and
+    on a row whose largest modulus is subnormal, where the division could
+    overflow; a stack with a bad row raises for the whole stack.
     """
     if not np.isfinite(X).all():
         raise InputError("non-finite coordinate")

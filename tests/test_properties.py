@@ -9,8 +9,9 @@ coordinate charts by the bivariate elimination the singular-point search
 once ran (chart grids, a sampled Sylvester resultant, the fiber trim with
 its branch for the zero fiber) and its Newton on chart grids (then
 polished in mpmath at 50 digits), the flex corrector with its own Newton
-loop, and normalize_point's pivot search on numpy arrays; the batched
-normalizer is held to normalize_point itself, row by row.  The dense
+loop, and normalize_point's pivot search on numpy arrays, which the
+batched normalizer (normalize_point's one implementation) meets row by
+row on stacks.  The dense
 cubic's gradient and Hessian are checked against monomial sums written
 out here, the flex Newton's batched values and gradients against
 evaluate and gradient, within a bound taken from those sums, and the flex
@@ -1139,11 +1140,11 @@ def near_tie_rows(draw):
 
 @settings(PROPERTY, max_examples=300)
 @given(st.lists(pivot_cases().map(lambda case: case[0]) | near_tie_rows(), min_size=1, max_size=8))
-def test_normalized_rows_have_the_bits_of_normalize_point(rows):
+def test_normalized_rows_have_the_bits_of_the_frozen_copy(rows):
     got = _normalize_rows(np.stack(rows))
     assert got.shape == (len(rows), 3)
     for v, w in zip(rows, got.tolist()):
-        assert [bits(z) for z in w] == [bits(z) for z in normalize_point(v).coords]
+        assert [bits(z) for z in w] == [bits(z) for z in reference_normalize(v)]
 
 
 @pytest.mark.parametrize(
