@@ -9,8 +9,9 @@ flexes of the previous curve seed the same Newton instead (_correct_flexes).
 
 The Hessian's coefficients are computed once per CubicForm object, so the
 smoothness gate and the flex Newton along a tracked path share them. The
-Newton's kept rows are normalized in one numpy pass, and their residuals
-come from _cubic_value, the one formula for a cubic's value, which
+Newton's kept rows, like the rows _settle puts on a curve, become
+CurvePoints through _curve_points: one numpy pass of _normalize_rows, and
+residuals from _cubic_value, the one formula for a cubic's value, which
 CubicForm.evaluate uses too.
 
 Smoothness is certified by one determinantal gate for the discriminant: a
