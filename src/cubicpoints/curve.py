@@ -7,8 +7,10 @@ flexes are the preimages of that pencil's nine base points, polished by one
 batched Newton on (f, H) = 0 (_newton_flexes). Along a tracked path the
 flexes of the previous curve seed the same Newton instead (_correct_flexes).
 
-The Hessian's coefficients are computed once per CubicForm object, so the
-smoothness gate and the flex Newton along a tracked path share them. The
+Kept results are held by functools: the Hessian's coefficients per
+CubicForm object, so the smoothness gate and the flex Newton along a
+tracked path share them, and the smoothness report (_certify) and the
+labelled flexes (_hesse_flexes) for the last curve object only. The
 Newton's kept rows, like the rows _settle puts on a curve, become
 CurvePoints through _curve_points: one numpy pass of _normalize_rows, and
 residuals from _cubic_value, the one formula for a cubic's value, which
@@ -256,14 +258,27 @@ def _canonical_key(p: ProjectivePoint) -> tuple:
     return tuple((round((c / pivot).real, 9) + 0.0, round((c / pivot).imag, 9) + 0.0) for c in p.coords)
 
 
+def _nearest_match(A, B, tolerance: float) -> list[int] | None:
+    """images[i] = j for the row B[j] chordally nearest to row i of A, or None.
+
+    The one matching rule for coordinate stacks (either may be one point):
+    None unless each nearest row is within tolerance and no two coincide.
+    """
+    D = chordal_matrix(A, B)
+    if not D.size:
+        return None if len(D) else []
+    images = D.argmin(axis=1)
+    if D[np.arange(len(D)), images].max() > tolerance or len(set(images.tolist())) < len(images):
+        return None
+    return images.tolist()
+
+
 class PointSet:
     """Ordered finite set of curve points with a matching tolerance."""
 
     def __init__(self, points: list[CurvePoint], tolerance: float) -> None:
         self.points = list(points)
         self.tolerance = float(tolerance)
-        self._arr: np.ndarray | None = None
-        self._sep: float | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -274,52 +289,39 @@ class PointSet:
     def __getitem__(self, i: int) -> CurvePoint:
         return self.points[i]
 
-    @property
+    @functools.cached_property
     def arrays(self) -> np.ndarray:
-        if self._arr is None:
-            self._arr = (
-                np.stack([p.array for p in self.points])
-                if self.points
-                else np.zeros((0, 3), dtype=complex)
-            )
-        return self._arr
+        return (
+            np.stack([p.array for p in self.points])
+            if self.points
+            else np.zeros((0, 3), dtype=complex)
+        )
 
     def index_of(self, point) -> int | None:
-        """Index of the member within tolerance of the given point, else None."""
-        if not self.points:
-            return None
-        d = chordal_matrix(point, self.arrays)[0]
-        i = int(np.argmin(d))
-        return i if d[i] <= self.tolerance else None
+        """Index of the member within tolerance of the given point, else None: the one-row case of match."""
+        images = _nearest_match(point, self.arrays, self.tolerance)
+        return None if images is None else images[0]
 
     def match(self, other: "PointSet") -> list[int] | None:
         """Bijection self index -> other index by nearest neighbor, or None."""
         if len(self) != len(other):
             return None
-        if len(self) == 0:
-            return []
-        D = chordal_matrix(self.arrays, other.arrays)
-        out = []
-        for i in range(len(self)):
-            j = int(np.argmin(D[i]))
-            if D[i, j] > self.tolerance:
-                return None
-            out.append(j)
-        return out if len(set(out)) == len(out) else None
+        return _nearest_match(self.arrays, other.arrays, self.tolerance)
 
     def setwise_equal(self, other: "PointSet") -> bool:
         return self.match(other) is not None
 
     def min_separation(self) -> float:
         """Smallest chordal distance between two members; computed once, like arrays."""
-        if self._sep is None:
-            if len(self) < 2:
-                self._sep = float("inf")
-            else:
-                D = chordal_matrix(self.arrays, self.arrays)
-                np.fill_diagonal(D, np.inf)
-                self._sep = float(D.min())
-        return self._sep
+        return self._separation
+
+    @functools.cached_property
+    def _separation(self) -> float:
+        if len(self) < 2:
+            return float("inf")
+        D = chordal_matrix(self.arrays, self.arrays)
+        np.fill_diagonal(D, np.inf)
+        return float(D.min())
 
     def sorted_canonical(self) -> "PointSet":
         return PointSet(
@@ -399,20 +401,6 @@ def _discriminant_margin(f: CubicForm) -> float:
     return float(s[-1] / s[0])
 
 
-# The last curve that smoothness or _labelled_flexes computed for, so that
-# inflection_points and hesse_normalize on one curve certify it and find its
-# flexes once: (f, tol, report, flexes, labels), the report or the flexes and
-# labels None until computed. It is keyed on the object f and an equal
-# Tolerances, and a call on any other curve replaces the whole slot.
-_slot: tuple = (None, None, None, None, None)
-
-
-def _recall(f: CubicForm, tol: Tolerances) -> tuple:
-    """The slot's (report, flexes, labels) when it holds f under tol, else three Nones."""
-    slot = _slot
-    return slot[2:] if slot[0] is f and slot[1] == tol else (None, None, None)
-
-
 def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> SmoothnessReport:
     """Certify smoothness by the discriminant gate; find a witness only if singular.
 
@@ -425,16 +413,16 @@ def smoothness(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> Smoothness
     equal tolerances, with no other curve in between, returns the report
     of the first.
     """
-    global _slot
-    report, flexes, labels = _recall(f, tol)
-    if report is None:
-        margin = _discriminant_margin(f)
-        if margin > tol.tau_singular:
-            report = SmoothnessReport(True, margin, None)
-        else:
-            report = SmoothnessReport(False, margin, _singular_witness(f, tol))
-        _slot = (f, tol, report, flexes, labels)
-    return report
+    return _certify(f, tol)
+
+
+@functools.lru_cache(maxsize=1)
+def _certify(f: CubicForm, tol: Tolerances) -> SmoothnessReport:
+    """smoothness's report, kept for the last curve object (hashed by identity) and equal Tolerances."""
+    margin = _discriminant_margin(f)
+    if margin > tol.tau_singular:
+        return SmoothnessReport(True, margin, None)
+    return SmoothnessReport(False, margin, _singular_witness(f, tol))
 
 
 # The witness search scales each conic to a largest entry of modulus 1, so
@@ -656,7 +644,7 @@ def inflection_points(
 
     Smoothness is certified first by the discriminant gate; on a singular
     curve the SingularCurveError raised names the witness of
-    _singular_witness. The flexes are _labelled_flexes'; NumericalError
+    _singular_witness. The flexes are _hesse_flexes'; NumericalError
     unless they converge to nine distinct certified points.
     """
     require_smooth(f, tol)
@@ -747,23 +735,12 @@ def _hesse_frame(f: CubicForm, h: CubicForm, tol: Tolerances) -> np.ndarray:
     return (cubes ** (1.0 / 3.0))[:, None] * M
 
 
-def _labelled_flexes(f: CubicForm, tol: Tolerances) -> tuple[PointSet, list[int]]:
-    """The nine flexes in canonical order and their labels, each call a fresh PointSet and list.
-
-    labels[i] is the row of _HESSE_BASE whose preimage became flex i. The
-    flexes are computed by _hesse_flexes, once for a curve asked about
-    again under equal tolerances with no other curve in between.
-    """
-    global _slot
-    report, flexes, labels = _recall(f, tol)
-    if flexes is None:
-        flexes, labels = _hesse_flexes(f, tol)
-        _slot = (f, tol, report, flexes, labels)
-    return PointSet(flexes, tol.tau_match), list(labels)
-
-
+@functools.lru_cache(maxsize=1)
 def _hesse_flexes(f: CubicForm, tol: Tolerances) -> tuple[tuple[CurvePoint, ...], tuple[int, ...]]:
-    """The flexes in canonical order, the base points pulled back by _hesse_frame, and their labels."""
+    """The flexes in canonical order, the base points pulled back by _hesse_frame, and their labels.
+
+    labels[i] is the row of _HESSE_BASE whose preimage became flex i.
+    """
     h = _hessian_of_smooth(f)
     flexes = _correct_flexes(f, np.linalg.solve(_hesse_frame(f, h, tol), _HESSE_BASE.T).T, tol)
     if flexes is None:
@@ -778,7 +755,7 @@ def _flexes_of_smooth(f: CubicForm, tol: Tolerances) -> PointSet:
     On a singular curve, a cone included, this raises NumericalError rather
     than SingularCurveError.
     """
-    return _labelled_flexes(f, tol)[0]
+    return PointSet(_hesse_flexes(f, tol)[0], tol.tau_match)
 
 
 # A row has converged once its Newton step is this small: every step at

@@ -135,16 +135,21 @@ class Permutation:
 _MEET_TOL = 1e-9
 
 
+def _step_count(steps) -> int:
+    """steps as an int; InputError unless it is a positive integer."""
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise InputError("the step count must be a positive integer")
+    return int(steps)
+
+
 class ParameterPath:
     """Piecewise-linear path through cubic coefficient space."""
 
     def __init__(self, waypoints: list[CubicForm], steps: int = 64) -> None:
         if len(waypoints) < 2:
             raise InputError("a path needs at least two waypoints")
-        if not isinstance(steps, (int, np.integer)) or steps < 1:
-            raise InputError("the step count must be a positive integer")
         self.waypoints = list(waypoints)
-        self.steps = int(steps)
+        self.steps = _step_count(steps)
 
     def at(self, t: float) -> CubicForm:
         if not 0.0 <= t <= 1.0:
@@ -223,10 +228,11 @@ def track(
     doubled.  min_margin is the smallest discriminant-gate margin over the
     accepted curves, a unitary invariant (1 on the Fermat cubic).  Raises
     DiscriminantPathError when any visited curve has a gate margin at or
-    below smoothness_margin, and TrackingAmbiguityError when matching stays
-    ambiguous at the minimal step size.
+    below smoothness_margin, TrackingAmbiguityError when matching stays
+    ambiguous at the minimal step size, and InputError when steps, which
+    overrides path.steps, is not a positive integer.
     """
-    base = 1.0 / (steps if steps is not None else path.steps)
+    base = 1.0 / (path.steps if steps is None else _step_count(steps))
     f0 = path.at(0.0)
     rep = smoothness(f0, tol)
     if not rep.smooth or rep.margin <= tol.smoothness_margin:

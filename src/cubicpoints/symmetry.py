@@ -19,8 +19,10 @@ from .curve import (
     CubicForm,
     CurvePoint,
     PointSet,
+    _SCALE_FLOOR,
     _dedupe,
-    _labelled_flexes,
+    _hesse_flexes,
+    _nearest_match,
     fermat_cubic,
     line_curve_points,
     polish_onto_curve,
@@ -30,6 +32,12 @@ from .errors import InputError, NumericalError
 from .numeric import ProjectivePoint, _components, _point_array, chordal_distance, chordal_matrix, normalize_point
 
 _OMEGA = np.exp(2j * np.pi / 3)
+# The generators of the Fermat cubic's translations: the coordinate cycle and diag(1, w, w^2).
+_CYCLE, _SCALE = np.roll(np.eye(3), 1, axis=0), np.diag([1.0, _OMEGA, _OMEGA**2])
+# A determinant this small against Hadamard's bound (the row norms' product) is roundoff on a singular matrix.
+_SINGULAR_DET = 1e-12
+# Unit-determinant forms this close against their norm are one transform; products drift far less.
+_PGL_TOL = 1e-8
 
 
 class ProjectiveTransform:
@@ -43,7 +51,7 @@ class ProjectiveTransform:
             raise InputError("transform entries must be finite")
         det = complex(np.linalg.det(M))
         hadamard = float(np.prod(np.linalg.norm(M, axis=1)))
-        if abs(det) <= 1e-12 * max(hadamard, 1e-300):
+        if abs(det) <= _SINGULAR_DET * max(hadamard, _SCALE_FLOOR):
             raise InputError("transform matrix is singular")
         self.matrix = M / det ** (1.0 / 3.0)
         self.matrix.setflags(write=False)
@@ -58,7 +66,7 @@ class ProjectiveTransform:
     def __matmul__(self, other: "ProjectiveTransform") -> "ProjectiveTransform":
         return ProjectiveTransform(self.matrix @ other.matrix)
 
-    def pgl_equal(self, other: "ProjectiveTransform", tol: float = 1e-8) -> bool:
+    def pgl_equal(self, other: "ProjectiveTransform", tol: float = _PGL_TOL) -> bool:
         """Equality in PGL: unit-determinant forms agree up to a cube root of unity."""
         scale = float(np.linalg.norm(other.matrix))
         return any(
@@ -66,7 +74,7 @@ class ProjectiveTransform:
             for k in range(3)
         )
 
-    def is_identity(self, tol: float = 1e-8) -> bool:
+    def is_identity(self, tol: float = _PGL_TOL) -> bool:
         return self.pgl_equal(ProjectiveTransform.identity(), tol)
 
     def __repr__(self) -> str:
@@ -99,6 +107,12 @@ def _require_automorphism(
         raise InputError("the transform does not preserve the curve")
 
 
+# A finite-order automorphism is diagonalizable: roundoff splits a repeated eigenvalue by far less.
+_EIGEN_MERGE = 1e-8
+# A singular value of M - lam I this small against the largest is roundoff: one eigenspace dimension.
+_EIGEN_RANK = 1e-9
+
+
 def fixed_points_on_curve(
     T: ProjectiveTransform, f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> PointSet:
@@ -116,12 +130,12 @@ def fixed_points_on_curve(
     scale = float(np.abs(evals).max())
     reps: list[complex] = []
     for lam in evals:
-        if all(abs(lam - mu) > 1e-8 * scale for mu in reps):
+        if all(abs(lam - mu) > _EIGEN_MERGE * scale for mu in reps):
             reps.append(complex(lam))
     found: list[CurvePoint] = []
     for lam in reps:
         _, s, vh = np.linalg.svd(M - lam * np.eye(3))
-        dim = int(np.sum(s <= 1e-9 * max(s[0], 1e-300)))
+        dim = int(np.sum(s <= _EIGEN_RANK * max(s[0], _SCALE_FLOOR)))
         dim = max(dim, 1)
         if dim >= 3:
             raise InputError("the identity fixes the whole curve")
@@ -174,43 +188,43 @@ def generate_group(
     return elems
 
 
-# tolerances under which fermat_translations has passed its self-check
-_translations_checked: set[Tolerances] = set()
-
-
 def fermat_translations(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[ProjectiveTransform, ProjectiveTransform]:
     """Generators of the nine translations of the Fermat cubic in PGL(3, C).
 
     The first cycles the coordinates, the second scales them by cube roots
-    of unity.  On first use under each tolerance four properties are verified
-    numerically and the pass cached: each generator preserves the curve, each
-    has order three, the two commute in PGL, and no nonidentity product fixes
-    a curve point.
+    of unity; each call builds them afresh, once _check_translations passes.
     """
-    a = ProjectiveTransform([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-    b = ProjectiveTransform(np.diag([1.0, _OMEGA, _OMEGA**2]))
-    if tol not in _translations_checked:
-        f = fermat_cubic()
-        for g, name in ((a, "cycle"), (b, "scale")):
-            if not preserves_cubic(g, f, tol):
-                raise NumericalError(f"translation generator {name} moves the curve")
-            if not (g @ g @ g).is_identity():
-                raise NumericalError(f"translation generator {name} is not of order three")
-        comm = a @ b @ a.inverse() @ b.inverse()
-        if not comm.is_identity():
-            raise NumericalError("translation generators do not commute in PGL")
-        group = generate_group([a, b], cap=30)
-        if len(group) != 9:
-            raise NumericalError("translations generate the wrong group order")
-        for g in group:
-            if g.is_identity():
-                continue
-            if len(fixed_points_on_curve(g, f, tol)) != 0:
-                raise NumericalError("a nonidentity translation fixes a curve point")
-        _translations_checked.add(tol)
-    return a, b
+    _check_translations(tol)
+    return ProjectiveTransform(_CYCLE), ProjectiveTransform(_SCALE)
+
+
+@functools.cache
+def _check_translations(tol: Tolerances) -> None:
+    """Verify the translations numerically; a pass is kept per tolerance, a failure raises each time.
+
+    Each generator preserves the curve, each has order three, the two
+    commute in PGL, and no nonidentity product fixes a curve point.
+    """
+    a, b = ProjectiveTransform(_CYCLE), ProjectiveTransform(_SCALE)
+    f = fermat_cubic()
+    for g, name in ((a, "cycle"), (b, "scale")):
+        if not preserves_cubic(g, f, tol):
+            raise NumericalError(f"translation generator {name} moves the curve")
+        if not (g @ g @ g).is_identity():
+            raise NumericalError(f"translation generator {name} is not of order three")
+    comm = a @ b @ a.inverse() @ b.inverse()
+    if not comm.is_identity():
+        raise NumericalError("translation generators do not commute in PGL")
+    group = generate_group([a, b], cap=30)
+    if len(group) != 9:
+        raise NumericalError("translations generate the wrong group order")
+    for g in group:
+        if g.is_identity():
+            continue
+        if len(fixed_points_on_curve(g, f, tol)) != 0:
+            raise NumericalError("a nonidentity translation fixes a curve point")
 
 
 def _permutation_images(T: ProjectiveTransform, points: PointSet) -> list[int]:
@@ -219,8 +233,8 @@ def _permutation_images(T: ProjectiveTransform, points: PointSet) -> list[int]:
     Raises InputError unless the images match the set bijectively within
     its tolerance.
     """
-    images = [points.index_of(act_on_point(T, cp.point)) for cp in points]
-    if None in images or len(set(images)) != len(points):
+    images = _nearest_match(points.arrays @ T.matrix.T, points.arrays, points.tolerance)
+    if images is None:
         raise InputError("the transform does not permute the point set")
     return images
 
@@ -290,7 +304,7 @@ def _hessian_group() -> tuple[np.ndarray, frozenset]:
     base points are the images of z = 0, through points 0, 1 and 2. Built
     on first use.
     """
-    gens = [np.roll(np.eye(3), 1, axis=0), np.diag([1, _OMEGA, _OMEGA**2])]
+    gens = [_CYCLE, _SCALE]
     gens += [np.vander([1, _OMEGA, _OMEGA**2], 3, increasing=True), np.diag([1, 1, _OMEGA])]
     moves = [chordal_matrix(_HESSE_BASE @ g.T, _HESSE_BASE).argmin(axis=1) for g in gens]
     perms, frontier = {tuple(range(9))}, [tuple(range(9))]
@@ -304,6 +318,8 @@ def _hessian_group() -> tuple[np.ndarray, frozenset]:
 # The fit basis of hesse_normalize: the coefficient vectors of x^3 + y^3 + z^3 and of xyz.
 _HESSE_FIT = np.stack([fermat_cubic().coeffs, CubicForm.from_coeffs({(1, 1, 1): 1.0}).coeffs], axis=1)
 _HESSE_FIT.setflags(write=False)
+# An x^3 + y^3 + z^3 coefficient this small against xyz's is the triangle xyz = 0: no finite lam.
+_FIT_DEGENERATE = 1e-12
 
 
 def hesse_normalize(
@@ -315,11 +331,11 @@ def hesse_normalize(
     x^3 + y^3 + z^3 + lam*x*y*z within tau_hesse.  T sends the first four
     flexes in canonical order with no three collinear to the lexicographically
     first of their images under the Hessian group, read on the base-point
-    labels of curve._labelled_flexes; lam comes from a coefficient fit, and
+    labels of curve._hesse_flexes; lam comes from a coefficient fit, and
     NumericalError from a fit beyond tau_hesse.
     """
     require_smooth(f, tol)
-    flexes, labels = _labelled_flexes(f, tol)
+    flexes, labels = _hesse_flexes(f, tol)
     perms, lines = _hessian_group()
     flex_lines = [frozenset(labels.index(j) for j in line) for line in lines]
     src = next(q for q in itertools.combinations(range(9), 4) if not any(ln <= set(q) for ln in flex_lines))
@@ -329,6 +345,6 @@ def hesse_normalize(
     gvec = act_on_cubic(T, f).coeffs
     sol, *_ = np.linalg.lstsq(_HESSE_FIT, gvec, rcond=None)
     resid = float(np.linalg.norm(_HESSE_FIT @ sol - gvec) / np.linalg.norm(gvec))
-    if resid > tol.tau_hesse or abs(sol[0]) <= 1e-12 * abs(sol[1]):
+    if resid > tol.tau_hesse or abs(sol[0]) <= _FIT_DEGENERATE * abs(sol[1]):
         raise NumericalError("no Hesse normalization found within tolerance")
     return T, complex(sol[1] / sol[0])

@@ -275,8 +275,12 @@ _TRIANGLE = CubicForm.from_coeffs({(1, 1, 1): 1.0})
 _CONIC_PLUS_LINE = CubicForm.from_coeffs({(2, 0, 1): 1.0, (0, 2, 1): 1.0, (0, 0, 3): 1.0})
 
 
-class TestLastCurveSlot:
-    """smoothness and _labelled_flexes compute once per curve object and Tolerances in a row."""
+class TestLastCurveCache:
+    """smoothness and _hesse_flexes compute once per curve object and Tolerances in a row.
+
+    The counts are taken one layer below the caches: the discriminant gate
+    and the Hesse frame.
+    """
 
     @pytest.fixture
     def computed(self, monkeypatch):
@@ -290,7 +294,7 @@ class TestLastCurveSlot:
             return wrapped
 
         monkeypatch.setattr(curve, "_discriminant_margin", counting("margin", curve._discriminant_margin))
-        monkeypatch.setattr(curve, "_hesse_flexes", counting("flexes", curve._hesse_flexes))
+        monkeypatch.setattr(curve, "_hesse_frame", counting("flexes", curve._hesse_frame))
         return calls
 
     def test_inflections_then_hesse_normalize_compute_once(self, computed, rng):
@@ -298,7 +302,7 @@ class TestLastCurveSlot:
         flexes = inflection_points(f)
         T, lam = hesse_normalize(f)
         assert computed == {"margin": 1, "flexes": 1}
-        # the same outputs, bit for bit, as from an equal curve the slot does not hold
+        # the same outputs, bit for bit, as from an equal curve the caches do not hold
         g = CubicForm(f.coeffs)
         T2, lam2 = hesse_normalize(g)
         assert [p.point.coords for p in inflection_points(g)] == [p.point.coords for p in flexes]
@@ -321,17 +325,13 @@ class TestLastCurveSlot:
 
     def test_mutating_a_result_leaves_the_next_unchanged(self, computed, rng, tol):
         f = _random_poly(rng)
-        first = [p.point.coords for p in inflection_points(f, tol)]
-        flexes, labels = curve._labelled_flexes(f, tol)
-        want = list(labels)
+        flexes = inflection_points(f, tol)
+        first = [p.point.coords for p in flexes]
         flexes.points.reverse()
         flexes.points.pop()
-        labels.reverse()
-        labels.pop()
-        again, labels_again = curve._labelled_flexes(f, tol)
-        assert [p.point.coords for p in again] == first
-        assert labels_again == want
         assert [p.point.coords for p in inflection_points(f, tol)] == first
+        # what the cache keeps cannot be mutated: the flexes and labels are tuples
+        assert all(isinstance(part, tuple) for part in curve._hesse_flexes(f, tol))
         assert computed == {"margin": 1, "flexes": 1}
 
     def test_a_singular_curve_raises_from_both_entry_points(self, computed):
@@ -428,6 +428,24 @@ class TestPointSet:
         shuffled = PointSet(list(reversed(fermat_flexes.points)), 1e-6)
         m = fermat_flexes.match(shuffled)
         assert m == list(reversed(range(9)))
+
+    def test_match_is_none_unless_nearest_points_are_distinct_and_close(self, fermat_flexes):
+        empty = PointSet([], 1e-6)
+        assert empty.index_of(fermat_flexes[0].point) is None
+        assert empty.match(PointSet([], 1e-6)) == []
+        # all nine share the nearest point 0; eight flexes are far from every point
+        doubled = PointSet([fermat_flexes[0]] * 9, 1e-6)
+        assert doubled.match(fermat_flexes) is None
+        assert fermat_flexes.match(doubled) is None
+        assert PointSet(fermat_flexes.points, 0.0).index_of([1.0, 2.0, 3.0]) is None
+
+    def test_arrays_and_separation_are_computed_once(self, fermat_flexes, monkeypatch):
+        calls, original = [], curve.chordal_matrix
+        monkeypatch.setattr(curve, "chordal_matrix", lambda *a: calls.append(a) or original(*a))
+        points = PointSet(fermat_flexes.points, 1e-6)
+        assert points.arrays is points.arrays
+        assert points.min_separation() == points.min_separation() > 0.0
+        assert len(calls) == 1
 
     def test_sorted_canonical_stable(self, fermat_flexes):
         s1 = fermat_flexes.sorted_canonical()

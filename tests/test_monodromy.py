@@ -134,6 +134,14 @@ class TestParameterPath:
         with pytest.raises(InputError):
             ParameterPath([hesse_cubic(0.0), hesse_cubic(1.0)]).at(1.5)
 
+    @pytest.mark.parametrize("steps", [0, -2, 2.5])
+    def test_track_checks_its_step_override_as_the_path_does(self, fermat, steps):
+        message = "the step count must be a positive integer"
+        with pytest.raises(InputError, match=message):
+            ParameterPath([fermat, fermat], steps)
+        with pytest.raises(InputError, match=message):
+            track(ParameterPath([fermat, fermat], steps=4), canonical_section("inflections"), steps=steps)
+
 
 def _hesse_loop(center: complex, radius: float, legs: int = 8, steps: int = 24):
     """Closed polygonal loop of pencil parameters around the given center."""

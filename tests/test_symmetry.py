@@ -23,6 +23,7 @@ from cubicpoints import (
     random_points_on_curve,
     random_smooth_cubic,
 )
+from cubicpoints import symmetry
 from cubicpoints.symmetry import hesse_base_points, hesse_normalize
 
 W3 = np.exp(2j * np.pi / 3)
@@ -104,6 +105,19 @@ class TestFermatTranslations:
         fermat_translations()
         with pytest.raises(NumericalError, match="moves the curve"):
             fermat_translations(DEFAULT_TOLERANCES.with_(tau_match=1e-300))
+
+    def test_self_check_runs_once_per_equal_tolerance(self, monkeypatch):
+        # the check asks for the fixed points of the eight nonidentity translations
+        calls, original = [], symmetry.fixed_points_on_curve
+        monkeypatch.setattr(symmetry, "fixed_points_on_curve", lambda *a: calls.append(a) or original(*a))
+        symmetry._check_translations.cache_clear()
+        first = fermat_translations()
+        again = fermat_translations(DEFAULT_TOLERANCES.with_())
+        assert len(calls) == 8
+        assert first[0] is not again[0] and first[1] is not again[1]
+        assert all(x.pgl_equal(y) for x, y in zip(first, again))
+        fermat_translations(DEFAULT_TOLERANCES.with_(tau_match=2e-6))
+        assert len(calls) == 16
 
 
 class TestFixedPoints:
