@@ -24,6 +24,10 @@ _EXIT_INPUT = 2
 _EXIT_SINGULAR = 3
 _EXIT_NUMERICAL = 4
 _EXIT_AMBIGUOUS = 5
+# The Fermat flexes solve closed-form equations: a chordal miss this large has lost digits.
+_SELFTEST_FLEX_MISS = 1e-10
+# hesse_normalize gives back a pencil member's lam within this: its fit is checked to tau_hesse.
+_SELFTEST_LAM_MISS = 1e-6
 
 
 def _load_json(path: str):
@@ -202,6 +206,12 @@ def _cmd_smooth(args) -> str:
     return canonical_dumps(out)
 
 
+def _check(cond: bool, msg: str) -> None:
+    """A self-test check that, unlike assert, python -O keeps: AssertionError(msg) unless cond."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 def _selftest_cases(seed: int, tol: Tolerances):
     import numpy as np
 
@@ -227,58 +237,56 @@ def _selftest_cases(seed: int, tol: Tolerances):
                     worst,
                     min(chordal_distance(normalize_point(v), p.point) for p in pts),
                 )
-        assert worst <= 1e-10, f"closed-form mismatch {worst:.2e}"
+        _check(worst <= _SELFTEST_FLEX_MISS, f"closed-form mismatch {worst:.2e}")
 
     def singular_detection():
         f = CubicForm.from_coeffs({(1, 1, 1): 1.0})
         rep = smoothness(f, tol)
-        assert not rep.smooth, "triangle cubic reported smooth"
+        _check(not rep.smooth, "triangle cubic reported smooth")
 
     def group_law():
         f = fermat_cubic()
         flexes = inflection_points(f, tol)
         chart = make_chart(f, flexes[0].point, tol)
         P, Q = flexes[3].point, flexes[5].point
-        assert (
-            chordal_distance(chart.add(P, Q).point, chart.add(Q, P).point)
-            <= tol.tau_match
-        ), "addition is not commutative"
+        _check(
+            chordal_distance(chart.add(P, Q).point, chart.add(Q, P).point) <= tol.tau_match,
+            "addition is not commutative",
+        )
         s = chart.add(P, chart.negate(P))
-        assert (
-            chordal_distance(s.point, chart.identity) <= tol.tau_match
-        ), "P plus -P missed the identity"
+        _check(chordal_distance(s.point, chart.identity) <= tol.tau_match, "P plus -P missed the identity")
 
     def torsion_counts():
         f = fermat_cubic()
         flexes = inflection_points(f, tol)
         chart = make_chart(f, flexes[0].point, tol)
         for m in (2, 3, 4):
-            assert len(torsion_points(chart, m)) == m * m
-        assert len(points_of_type(chart, 2)) == 27, "sextatic count is off"
+            _check(len(torsion_points(chart, m)) == m * m, f"the {m}-torsion count is off")
+        _check(len(points_of_type(chart, 2)) == 27, "sextatic count is off")
 
     def size_arithmetic():
         expected = [9, 27, 36, 72, 81, 99, 108, 117, 135, 144, 180]
-        assert constructible_sizes(180) == expected, "frozen size list changed"
-        assert size_witness(36) == [1, 2]
-        assert size_witness(18) is None
+        _check(constructible_sizes(180) == expected, "frozen size list changed")
+        _check(size_witness(36) == [1, 2], "36 lost its witness [1, 2]")
+        _check(size_witness(18) is None, "18 gained a witness")
 
     def translation_action():
         rep = verify_free_K_action(1, tol)
-        assert rep.free and rep.point_count == 9 and rep.orbit_sizes == (9,)
+        _check(rep.free and rep.point_count == 9 and rep.orbit_sizes == (9,), f"the translations act as {rep}")
 
     def hesse_fit():
         lam0 = 1.25 + 0.5j
         _, lam = hesse_normalize(hesse_cubic(lam0), tol)
-        assert abs(lam - lam0) <= 1e-6, f"lambda came back as {lam}"
+        _check(abs(lam - lam0) <= _SELFTEST_LAM_MISS, f"lambda came back as {lam}")
 
     def random_curve():
         rng = np.random.default_rng(seed)
         f = random_smooth_cubic(rng)
         flexes = inflection_points(f, tol)
-        assert len(flexes) == 9
+        _check(len(flexes) == 9, f"{len(flexes)} flexes")
         chart = make_chart(f, flexes[0].point, tol)
         counts = [len(points_of_type(chart, k)) for k in (1, 2, 3)]
-        assert counts == [9, 27, 72], f"layer counts came out as {counts}"
+        _check(counts == [9, 27, 72], f"layer counts came out as {counts}")
 
     return [
         ("fermat-inflections-closed-form", flexes_closed_form),

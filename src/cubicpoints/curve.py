@@ -10,7 +10,9 @@ flexes of the previous curve seed the same Newton instead (_correct_flexes).
 Kept results are held by functools: the Hessian's coefficients per
 CubicForm object, so the smoothness gate and the flex Newton along a
 tracked path share them, and the smoothness report (_certify) and the
-labelled flexes (_hesse_flexes) for the last curve object only. The
+labelled flexes (_hesse_flexes) for the last curve object only;
+symmetry._hesse_normal_form keeps the Hesse normal form built on them
+the same way, for hesse_normalize and elliptic.make_chart. The
 Newton's kept rows, like the rows _settle puts on a curve, become
 CurvePoints through _curve_points: one numpy pass of _normalize_rows, and
 residuals from _cubic_value, the one formula for a cubic's value, which

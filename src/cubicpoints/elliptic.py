@@ -9,10 +9,12 @@ so a chord's third intersection needs no elimination.  The law works on
 stacks of points, row by row (_third_rows); a single group operation is its
 one-row case.  Torsion points are labelled points of the period lattice
 of a Weierstrass chart, certified against the group law itself: one
-double-and-add ladder multiplies all m^2 of them by m at once.  The layer
-counts 9 J_2(k) and the sizes they realize are integer arithmetic and live
-in sizes.py; jordan_totient_2, constructible_sizes and size_witness are
-imported from there.
+double-and-add ladder multiplies all m^2 of them by m at once.  The chart
+is a closed form on the curve's Hesse normal form
+(symmetry._hesse_normal_form, through hesse_normalize), kept for the last
+curve as its flexes are.  The layer counts 9 J_2(k) and the sizes they
+realize are integer arithmetic and live in sizes.py; jordan_totient_2,
+constructible_sizes and size_witness are imported from there.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .curve import (
+    _HESSE_BASE,
     _SCALE_FLOOR,
     CubicForm,
     CurvePoint,
@@ -46,7 +49,7 @@ from .numeric import (
     solve_univariate,
 )
 from .sizes import constructible_sizes, jordan_totient_2, size_witness
-from .symmetry import ProjectiveTransform, act_on_point
+from .symmetry import _CYCLE, _SCALE, ProjectiveTransform, act_on_point, hesse_normalize
 
 __all__ = [
     "EllipticChart",
@@ -68,11 +71,7 @@ _CHORD_CANCEL = 1e-10
 _DISCRIMINANT_CANCEL = 1e-12
 # The identity may miss the Hessian by this many tau_on_curve: H rounds a triple product.
 _FLEX_SLACK = 1e2
-# Below this |n . n| / |n|^2 the tangent line is nearly isotropic (see make_chart).
-_ISOTROPIC = 1e-3
-# A frame determinant or leading Weierstrass coefficient this small is degenerate.
-_FRAME_DEGENERATE = 1e-8
-# A leftover cross term or model misfit this large means the reduction went wrong.
+# A model misfit this large means the chart went wrong.
 _REDUCTION_CHECK = 1e-6
 # Largest torsion order served; the labels of (Z/m)^2 grow as m^2.
 _MAX_TORSION_ORDER = 12
@@ -158,8 +157,19 @@ def third_intersection(
 # Weierstrass chart
 
 
-def _shift_matrix(d: complex, e: complex) -> np.ndarray:
-    return np.array([[1, 0, 0], [d, 1, e], [0, 0, 1]], dtype=complex)
+def _hesse_weierstrass(lam: complex) -> tuple[np.ndarray, complex, complex]:
+    """W, a and b with F(W x) = 4 c^2 (x^3 + y^3 + z^3 + lam xyz), c = 4 + 4 lam^3 / 27.
+
+    F = y^2 z - x^3 - a x z^2 - b z^3 is the Weierstrass model of the pencil
+    member lam (Artebani and Dolgachev, "The Hesse pencil of plane cubic
+    curves"), and W sends its base point (1 : -1 : 0) to (0 : 1 : 0). det W
+    = -6 c^2, so W is singular exactly on the singular members lam^3 = -27.
+    """
+    c = 4.0 + 4.0 * lam**3 / 27.0
+    W = np.array([[-(lam**2) / 3.0, -(lam**2) / 3.0, -4.0 - lam**3 / 27.0], [c, -c, 0.0], [3.0, 3.0, -lam]])
+    a = -lam * (lam**3 - 216.0) / 243.0
+    b = 2.0 * (lam**2 + 6.0 * lam - 18.0) * (lam**4 - 6.0 * lam**3 + 54.0 * lam**2 + 108.0 * lam + 324.0) / 19683.0
+    return W, a, b
 
 
 class EllipticChart:
@@ -251,64 +261,28 @@ def make_chart(
 ) -> EllipticChart:
     """Build the group chart for a smooth cubic with an inflection as identity.
 
-    The transform is assembled in four moves: send the identity to (0:1:0)
-    with its tangent to the line z = 0, shear away the cross terms in y,
-    translate away the x^2 z term, and rescale so the model reads
-    y^2 z = x^3 + a x z^2 + b z^3 with max(|a|, |b|) normalized to 1 when
-    nonzero.
+    hesse_normalize's T takes f into the Hesse pencil, where the identity
+    lands on a base point k; a translation g of the pencil, a product of
+    the Fermat translation generators, carries it to (1 : -1 : 0), and the
+    closed form W(lam) of _hesse_weierstrass takes the curve to
+    y^2 z = x^3 + a x z^2 + b z^3 with the identity at (0:1:0). A final
+    scale normalizes max(|a|^(1/4), |b|^(1/6)) to 1. SingularCurveError on
+    a singular curve, a cone included, before the identity is read;
+    InputError unless the identity is an inflection.
     """
-    X, G = _on_curve_rows(f, f._tensor()[None], _coords(identity)[None], tol)
+    T, lam = hesse_normalize(f, tol)
+    X, _ = _on_curve_rows(f, f._tensor()[None], _coords(identity)[None], tol)
     P = normalize_point(X[0])
     if f.hessian().residual_at(P) > _FLEX_SLACK * tol.tau_on_curve:
         raise InputError("the identity must be an inflection point of the curve")
-    O, n = P.array, G[0]
-    nn = float(np.linalg.norm(n))
-    if nn == 0.0:
-        raise InputError("singular point cannot serve as the identity")
-    # The first row vanishes at O. n x O moves smoothly with the identity, so
-    # roundoff in a zero coordinate of O cannot flip the sign of b; its frame
-    # has |det| >= |n . n| / |n|^2 and degenerates when the tangent line is
-    # isotropic. There the row O x conj(n) takes over, with |det| = 1.
-    r = np.cross(n, O) if abs(n @ n) > _ISOTROPIC * nn * nn else np.cross(O, np.conj(n))
-    M1 = np.stack([r / np.linalg.norm(r), np.conj(O) / np.linalg.norm(O), n / nn])
-    if abs(np.linalg.det(M1)) <= _FRAME_DEGENERATE:
-        raise NumericalError("frame at the identity is numerically degenerate")
-    g1 = f.compose_linear(np.linalg.inv(M1))
-    top = g1.norm_inf
-    for key in ((0, 3, 0), (1, 2, 0), (2, 1, 0)):
-        if abs(g1.coeff(*key)) > _REDUCTION_CHECK * top:
-            raise NumericalError(
-                "the marked point does not behave like an inflection"
-            )
-    c = g1.coeff(0, 2, 1)
-    a3 = g1.coeff(3, 0, 0)
-    if abs(c) <= _FRAME_DEGENERATE * top or abs(a3) <= _FRAME_DEGENERATE * top:
-        raise NumericalError("degenerate tangent frame at the identity")
-    d = g1.coeff(1, 1, 1)
-    e = g1.coeff(0, 1, 2)
-    T2 = _shift_matrix(d / (2.0 * c), e / (2.0 * c))
-    g2 = g1.compose_linear(np.linalg.inv(T2))
-    a2 = g2.coeff(2, 0, 1)
-    s = a2 / (3.0 * a3)
-    T3 = np.array([[1, 0, s], [0, 1, 0], [0, 0, 1]], dtype=complex)
-    g3 = g2.compose_linear(np.linalg.inv(T3))
-    a1 = g3.coeff(1, 0, 2)
-    a0 = g3.coeff(0, 0, 3)
-    q = np.sqrt(-a3 / c)
-    T4 = np.diag([1.0, 1.0 / q, 1.0]).astype(complex)
-    A = a1 / a3
-    B = a0 / a3
-    u = max(abs(A) ** 0.25, abs(B) ** (1.0 / 6.0))
-    if u > 0.0:
-        T5 = np.diag([1.0 / u**2, 1.0 / u**3, 1.0]).astype(complex)
-        A = A / u**4
-        B = B / u**6
-    else:
-        T5 = np.eye(3, dtype=complex)
-    W = ProjectiveTransform(T5 @ T4 @ T3 @ T2 @ M1)
-    chart = EllipticChart(f, P, A, B, W, tol)
+    k = int(chordal_matrix(T.matrix @ P.array, _HESSE_BASE).argmin())
+    g = np.linalg.matrix_power(_SCALE, k % 3) @ np.linalg.matrix_power(_CYCLE, -(k // 3) % 3)
+    W, a, b = _hesse_weierstrass(lam)
+    u = max(abs(a) ** 0.25, abs(b) ** (1.0 / 6.0))
+    to_w = ProjectiveTransform(np.diag([u**-2, u**-3, 1.0]) @ W @ g @ T.matrix)
+    chart = EllipticChart(f, P, a / u**4, b / u**6, to_w, tol)
     model = chart.weierstrass_form()
-    pushed = f.compose_linear(W.inverse().matrix)
+    pushed = f.compose_linear(chart.from_w.matrix)
     if pushed.proportionality_residual(model) > _REDUCTION_CHECK:
         raise NumericalError("Weierstrass reduction failed the invariant check")
     if chordal_distance(chart.to_weierstrass(P), np.array([0, 1, 0])) > tol.tau_match:

@@ -136,8 +136,8 @@ _MEET_TOL = 1e-9
 
 
 def _step_count(steps) -> int:
-    """steps as an int; InputError unless it is a positive integer."""
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    """steps as an int; InputError unless it is a positive integer (a bool is not one)."""
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
         raise InputError("the step count must be a positive integer")
     return int(steps)
 

@@ -127,9 +127,6 @@ def path_from_obj(obj) -> ParameterPath:
     segs = obj["segments"]
     if not isinstance(segs, list) or not segs:
         raise InputError('"segments" must be a nonempty list')
-    steps = obj.get("steps", 64)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise InputError('"steps" must be a positive integer')
     waypoints = []
     for idx, seg in enumerate(segs):
         if not isinstance(seg, dict) or "from" not in seg or "to" not in seg:
@@ -141,4 +138,4 @@ def path_from_obj(obj) -> ParameterPath:
         elif waypoints[-1].proportionality_residual(start) > _MEET_TOL:
             raise InputError(f"segment {idx} does not start where segment {idx - 1} ends")
         waypoints.append(end)
-    return ParameterPath(waypoints, steps)
+    return ParameterPath(waypoints, obj.get("steps", 64))

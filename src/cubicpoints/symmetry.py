@@ -332,9 +332,17 @@ def hesse_normalize(
     flexes in canonical order with no three collinear to the lexicographically
     first of their images under the Hessian group, read on the base-point
     labels of curve._hesse_flexes; lam comes from a coefficient fit, and
-    NumericalError from a fit beyond tau_hesse.
+    NumericalError from a fit beyond tau_hesse. The result is
+    _hesse_normal_form's, kept for the last curve object, so make_chart
+    reuses it after this call.
     """
     require_smooth(f, tol)
+    return _hesse_normal_form(f, tol)
+
+
+@functools.lru_cache(maxsize=1)
+def _hesse_normal_form(f: CubicForm, tol: Tolerances) -> tuple[ProjectiveTransform, complex]:
+    """hesse_normalize for a certified curve, kept for the last curve object (hashed by identity) and equal Tolerances."""
     flexes, labels = _hesse_flexes(f, tol)
     perms, lines = _hessian_group()
     flex_lines = [frozenset(labels.index(j) for j in line) for line in lines]

@@ -266,6 +266,26 @@ class TestSelftest:
         assert "8/8 checks passed" in out
         assert "FAIL" not in out
 
+    def test_a_planted_defect_fails_under_python_O(self):
+        # -O strips assert statements; the checks must survive it
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from cubicpoints import sizes\n"
+            "real = sizes.constructible_sizes\n"
+            "sizes.constructible_sizes = lambda bound: real(bound)[:-1]\n"
+            "from cubicpoints.cli import main\n"
+            "sys.exit(main(['selftest']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert proc.returncode == 4, proc.stdout + proc.stderr
+        assert "FAIL size-arithmetic: frozen size list changed" in proc.stdout
+        assert "7/8 checks passed" in proc.stdout
+
     def test_console_script_is_installed(self):
         exe = shutil.which("cubicpoints")
         if exe is None:

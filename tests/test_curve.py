@@ -27,8 +27,9 @@ from cubicpoints import (
     require_smooth,
     smoothness,
 )
-from cubicpoints import curve
+from cubicpoints import curve, symmetry
 from cubicpoints.config import Tolerances
+from cubicpoints.elliptic import make_chart
 from cubicpoints.symmetry import hesse_normalize
 
 from oracles import fermat_inflection_rows
@@ -276,10 +277,10 @@ _CONIC_PLUS_LINE = CubicForm.from_coeffs({(2, 0, 1): 1.0, (0, 2, 1): 1.0, (0, 0,
 
 
 class TestLastCurveCache:
-    """smoothness and _hesse_flexes compute once per curve object and Tolerances in a row.
+    """smoothness, _hesse_flexes and _hesse_normal_form compute once per curve object and Tolerances in a row.
 
     The counts are taken one layer below the caches: the discriminant gate
-    and the Hesse frame.
+    and the Hesse frame; _hesse_normal_form's are its cache misses.
     """
 
     @pytest.fixture
@@ -308,6 +309,15 @@ class TestLastCurveCache:
         assert [p.point.coords for p in inflection_points(g)] == [p.point.coords for p in flexes]
         assert np.array_equal(T.matrix, T2.matrix) and lam == lam2
         assert computed == {"margin": 2, "flexes": 2}
+
+    def test_make_chart_reuses_the_hesse_normal_form(self, computed, rng):
+        f = _random_poly(rng)
+        before = symmetry._hesse_normal_form.cache_info().misses
+        flexes = inflection_points(f)
+        hesse_normalize(f)
+        make_chart(f, flexes[0].point)
+        assert computed == {"margin": 1, "flexes": 1}
+        assert symmetry._hesse_normal_form.cache_info().misses == before + 1
 
     def test_another_curve_in_between_recomputes(self, computed, rng):
         f1, f2 = _random_poly(rng), _random_poly(rng)
@@ -341,6 +351,15 @@ class TestLastCurveCache:
                 inflection_points(f)
             with pytest.raises(SingularCurveError):
                 hesse_normalize(f)
+        assert computed == {"margin": 1, "flexes": 0}
+
+    @pytest.mark.parametrize(
+        "f", [hesse_cubic(-3.0), CubicForm.from_coeffs({(3, 0, 0): 1.0, (0, 3, 0): 1.0})], ids=["triangle", "cone"]
+    )
+    def test_make_chart_on_a_singular_curve_raises_singular(self, computed, f):
+        # (1 : -1 : 0) lies on both; the cone's Hessian vanishes, so its flex gate would raise InputError
+        with pytest.raises(SingularCurveError):
+            make_chart(f, [1, -1, 0])
         assert computed == {"margin": 1, "flexes": 0}
 
 

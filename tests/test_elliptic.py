@@ -9,6 +9,7 @@ import pytest
 
 from cubicpoints import (
     DEFAULT_TOLERANCES,
+    CubicForm,
     CurvePoint,
     InputError,
     NumericalError,
@@ -16,6 +17,7 @@ from cubicpoints import (
     ProjectiveTransform,
     chordal_distance,
     constructible_sizes,
+    hesse_cubic,
     inflection_points,
     jordan_totient_2,
     make_chart,
@@ -161,7 +163,11 @@ class TestChart:
         assert abs(chart.b - clean.b) < 1e-12
 
     def test_isotropic_tangent_at_the_identity(self, fermat):
-        """A flex whose tangent n has n . n = 0 still gets a chart."""
+        """A flex whose tangent n has n . n = 0 still gets a chart.
+
+        Kept as a regression test: a chart built from a frame of the tangent
+        line degenerates at such a flex.
+        """
         B = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 0.0], [0.5, 1j, 0.0]])
         g = fermat.compose_linear(B)
         identity = np.linalg.solve(B, [0.0, 1.0, -1.0])
@@ -190,6 +196,31 @@ class TestChart:
         (P,) = random_points_on_curve(fermat, 1, rng)
         with pytest.raises(InputError):
             make_chart(fermat, P.point)
+
+
+def _pencil_lams() -> list[complex]:
+    rng = np.random.default_rng(3)
+    return [2.0 * complex(*rng.normal(size=2)) for _ in range(20)]
+
+
+class TestHesseWeierstrass:
+    """The closed-form Weierstrass model of the Hesse pencil member lam."""
+
+    @pytest.mark.parametrize("lam", _pencil_lams())
+    def test_the_model_is_the_pencil_member(self, lam):
+        W, a, b = elliptic._hesse_weierstrass(lam)
+        model = CubicForm.from_coeffs({(0, 2, 1): 1.0, (3, 0, 0): -1.0, (1, 0, 2): -a, (0, 0, 3): -b})
+        pushed = hesse_cubic(lam).compose_linear(np.linalg.inv(W))
+        assert pushed.proportionality_residual(model) <= 1e-13
+        assert chordal_distance(W @ np.array([1.0, -1.0, 0.0]), [0.0, 1.0, 0.0]) <= 1e-13
+
+    @pytest.mark.parametrize("lam", _pencil_lams())
+    def test_the_chart_j_is_the_pencil_j(self, lam):
+        f = hesse_cubic(lam)
+        j = make_chart(f, inflection_points(f).sorted_canonical()[0].point).j_invariant()
+        mu3 = (-lam / 3.0) ** 3
+        want = 27.0 * mu3 * (mu3 + 8.0) ** 3 / (mu3 - 1.0) ** 3
+        assert abs(j - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 class TestGroupLaw:

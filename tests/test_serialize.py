@@ -107,5 +107,5 @@ class TestPathCodec:
         path = ParameterPath([hesse_cubic(0.0), hesse_cubic(1.0)], steps=4)
         obj = path_to_obj(path)
         obj["steps"] = True
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="the step count must be a positive integer"):
             path_from_obj(obj)
