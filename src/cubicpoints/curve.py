@@ -2,10 +2,13 @@
 
 The flexes come from the Hesse pencil s f + t H of f and its Hessian, which
 taking the Hessian maps to itself. One of its four triangles gives the
-coordinates in which f joins the pencil x^3 + y^3 + z^3 + lam xyz, and the
-flexes are the preimages of that pencil's nine base points, polished by one
-batched Newton on (f, H) = 0 (_newton_flexes). Along a tracked path the
-flexes of the previous curve seed the same Newton instead (_correct_flexes).
+coordinates in which f joins the pencil x^3 + y^3 + z^3 + lam xyz: one cut
+line meets the triangle in three points, the gradients there are its three
+lines, and their product must be proportional to the triangle
+(_triangle_lines). The flexes are the preimages of that pencil's nine base
+points, polished by one batched Newton on (f, H) = 0 (_newton_flexes).
+Along a tracked path the flexes of the previous curve seed the same Newton
+instead (_correct_flexes).
 
 Kept results are held by functools: the Hessian's coefficients per
 CubicForm object, so the smoothness gate and the flex Newton along a
@@ -13,8 +16,8 @@ tracked path share them, and the smoothness report (_certify) and the
 labelled flexes (_hesse_flexes) for the last curve object only;
 symmetry._hesse_normal_form keeps the Hesse normal form built on them
 the same way, for hesse_normalize and elliptic.make_chart. The
-Newton's kept rows, like the rows _settle puts on a curve, become
-CurvePoints through _curve_points: one numpy pass of _normalize_rows, and
+Newton's kept rows, like the rows _settle puts on a curve (_curve_points),
+become CurvePoints through one numpy pass of _normalize_rows, with
 residuals from _cubic_value, the one formula for a cubic's value, which
 CubicForm.evaluate uses too.
 
@@ -43,6 +46,7 @@ from .numeric import (
     ProjectivePoint,
     UniPoly,
     _normalize_rows,
+    _norms,
     _point_array,
     chordal_matrix,
     normalize_point,
@@ -90,6 +94,11 @@ _TENSOR_COUNT = _FOLD.real.sum(axis=1)
 _LEVI_CIVITA = np.zeros((3, 3, 3))
 for _i, _j, _k in itertools.permutations(range(3)):
     _LEVI_CIVITA[_i, _j, _k] = (_j - _i) * (_k - _i) * (_k - _j) / 2
+
+
+def _tensors(C: np.ndarray) -> np.ndarray:
+    """The symmetric tensors (m, 3, 3, 3) of the cubics whose coefficient vectors are the rows of C."""
+    return (C / _TENSOR_COUNT)[:, _TENSOR_INDEX].reshape(-1, 3, 3, 3)
 
 
 def _slice_contractions(S: np.ndarray) -> np.ndarray:
@@ -158,7 +167,7 @@ class CubicForm:
 
     def _tensor(self) -> np.ndarray:
         """The symmetric 3x3x3 tensor T with f(x) = sum T_ijk x_i x_j x_k."""
-        return (self.coeffs / _TENSOR_COUNT)[_TENSOR_INDEX].reshape(3, 3, 3)
+        return _tensors(self.coeffs[None])[0]
 
     def evaluate(self, point) -> complex:
         return _cubic_value(self.coeffs.tolist(), *_point_array(point).reshape(3).tolist())
@@ -396,7 +405,7 @@ def _discriminant_margin(f: CubicForm) -> float:
     H = 0 and margin 0.
     """
     blocks = _GATE_MAP @ np.stack([f.coeffs, f._hessian_coeffs], axis=1)
-    norms = np.linalg.norm(blocks, axis=0)
+    norms = _norms(blocks, 0)
     if norms[1] == 0.0:
         return 0.0
     s = np.linalg.svd((blocks / norms).T.reshape(6, 6), compute_uv=False)
@@ -669,11 +678,16 @@ _HESSE_BASE = np.array(
     [np.roll([-(np.exp(2j * np.pi / 3) ** k), 1.0, 0.0], i) for i in range(3) for k in range(3)]
 )
 _HESSE_BASE.setflags(write=False)
-# Two fixed generic lines P + u Q, each meeting the three lines of a triangle apart.
+# Two fixed generic lines P + u Q. The first meets the three lines of a
+# triangle apart unless it passes through a vertex; the second serves then.
 _CUTS = (
     (np.array([0.31 - 0.47j, 0.86 + 0.12j, -0.19 + 0.38j]), np.array([-0.58 + 0.27j, 0.14 - 0.66j, 0.41 + 0.09j])),
     (np.array([0.72 + 0.18j, -0.23 + 0.51j, 0.35 - 0.62j]), np.array([0.09 + 0.44j, 0.67 - 0.21j, -0.52 - 0.16j])),
 )
+
+
+# _FROM_H[d] marks the contractions of two tensors that take d of their three slices from the second.
+_FROM_H = [np.array([sum(ijk) == d for ijk in itertools.product(range(2), repeat=3)]) for d in range(4)]
 
 
 def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
@@ -687,10 +701,8 @@ def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
     three roots close up and lose digits.
     """
     F, G = f.coeffs / np.linalg.norm(f.coeffs), h.coeffs / np.linalg.norm(h.coeffs)
-    S = (np.stack([F, G]) / _TENSOR_COUNT)[:, _TENSOR_INDEX].reshape(2, 3, 3, 3)
-    E = _slice_contractions(S).reshape(8, 27)
-    from_h = np.array([sum(ijk) for ijk in itertools.product(range(2), repeat=3)])
-    C = 216.0 * np.stack([E[from_h == d].sum(axis=0) for d in range(4)]) @ _FOLD.T
+    E = _slice_contractions(_tensors(np.stack([F, G]))).reshape(8, 27)
+    C = 216.0 * np.stack([E[mask].sum(axis=0) for mask in _FROM_H]) @ _FOLD.T
     (A, B), _, rank, _ = np.linalg.lstsq(np.stack([F, G], axis=1), C.T, rcond=None)
     if rank < 2:
         raise NumericalError("the curve and its Hessian are proportional: no triangle to split")
@@ -704,21 +716,28 @@ def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
 
 
 def _triangle_lines(g: CubicForm, tol: Tolerances) -> np.ndarray:
-    """The three lines of a triangle g, as the rows of a matrix.
+    """The three lines of a triangle g, as the unit rows of a matrix.
 
-    Each line of _CUTS meets g once on each of its lines, and a point of the
-    first cut shares a line of g with a point of the second when g vanishes
-    at their midpoint.
+    A line of _CUTS meets g once on each of its lines, and at a point p on
+    l1 alone the gradient of g = l1 l2 l3 is l2(p) l3(p) l1, so the
+    gradients at the three points are the lines. They are kept when their
+    product is proportional to g within tau_hesse. At a vertex the gradient
+    vanishes, so a cut through one fails that test and the next cut is
+    tried; NumericalError when no cut passes.
     """
-    cuts = []
     for P, Q in _CUTS:
         cubic = UniPoly([g.evaluate(P), g.gradient(P) @ Q, g.gradient(Q) @ P, g.evaluate(Q)])
-        cuts.append([P + u * Q for u, m in solve_univariate(cubic, tol) for _ in range(m)])
-    first, second = (np.array(c) / np.linalg.norm(c, axis=1)[:, None] for c in cuts)
-    pairs = np.abs([[g.evaluate(p + q) for q in second] for p in first]).argmin(axis=1)
-    if len(first) != 3 or sorted(pairs.tolist()) != [0, 1, 2]:
-        raise NumericalError("the cuts of the Hesse pencil's triangle do not pair up")
-    return np.cross(first, second[pairs])
+        lines = np.array([g.gradient(P + u * Q) for u, m in solve_univariate(cubic, tol) for _ in range(m)])
+        if len(lines) != 3:
+            continue
+        norms = _norms(lines, 1)
+        if not norms.all():
+            continue
+        lines /= norms[:, None]
+        product = _FOLD @ (lines[0][:, None, None] * lines[1][:, None] * lines[2]).reshape(27)
+        if g.proportionality_residual(CubicForm(product)) <= tol.tau_hesse:
+            return lines
+    raise NumericalError("no cut splits the Hesse pencil's triangle into three lines")
 
 
 def _hesse_frame(f: CubicForm, h: CubicForm, tol: Tolerances) -> np.ndarray:
@@ -804,8 +823,11 @@ def _newton_flexes(
     pivot = np.abs(X).argmax(axis=1)
     X /= X[rows, pivot][:, None]
     X[rows, pivot] = 1.0
-    q, r = _FREE[pivot].T
-    T = np.stack([f._tensor(), h._tensor()])
+    free = _FREE[pivot]
+    q, r = free.T
+    # each row's Jacobian (f_q, f_r, h_q, h_r), one gather from its gradients flattened to six
+    jacobian = (rows[:, None], np.concatenate([free, 3 + free], axis=1))
+    T = _tensors(np.stack([f.coeffs, h.coeffs]))
     last = np.full(len(X), np.inf)
     kept = np.ones(len(X), dtype=bool)
     moving = kept.copy()
@@ -814,11 +836,12 @@ def _newton_flexes(
             if not moving.any():
                 break
             V, G = _forms_at(T, X)
-            a, b = G[rows, 0, q], G[rows, 0, r]
-            c, d = G[rows, 1, q], G[rows, 1, r]
+            a, b, c, d = G.reshape(-1, 6)[jacobian].T
             det = a * d - b * c
-            du = np.where(moving, (b * V[:, 1] - d * V[:, 0]) / det, 0.0)
-            dv = np.where(moving, (c * V[:, 0] - a * V[:, 1]) / det, 0.0)
+            du = (b * V[:, 1] - d * V[:, 0]) / det
+            dv = (c * V[:, 0] - a * V[:, 1]) / det
+            if not moving.all():
+                du, dv = np.where(moving, du, 0.0), np.where(moving, dv, 0.0)
             size = np.maximum(np.abs(du), np.abs(dv))
             # a NaN step fails the comparison too; a failed row takes its
             # step, which moves no other row, and then stops
@@ -828,12 +851,15 @@ def _newton_flexes(
             last = size
             moving = kept & (size > _CORRECTOR_DONE)
     kept &= ~moving
+    # residuals on f and h from one pass over the normalized rows, as _curve_points forms them
+    cf, nf = f.coeffs.tolist(), f.norm_inf
     ch, nh = h.coeffs.tolist(), h.norm_inf
-    return [
-        p
-        for p in _curve_points(f, X[kept])
-        if p.residual <= tol.tau_on_curve and abs(_cubic_value(ch, *p.point.coords)) / nh <= tol.tau_on_curve
-    ]
+    out = []
+    for row in _normalize_rows(X[kept]).tolist():
+        rf = abs(_cubic_value(cf, *row)) / nf
+        if rf <= tol.tau_on_curve and abs(_cubic_value(ch, *row)) / nh <= tol.tau_on_curve:
+            out.append(CurvePoint(ProjectivePoint(tuple(row)), rf))
+    return out
 
 
 def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
@@ -910,10 +936,15 @@ def _unit_disc(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
+# random_smooth_cubic's default margin floor: a sampled curve stays ten times
+# farther from the discriminant than smoothness_margin asks of a tracked one.
+_SAMPLE_MARGIN = 1e-3
+
+
 def random_smooth_cubic(
     rng: np.random.Generator,
     tol: Tolerances = DEFAULT_TOLERANCES,
-    min_margin: float = 1e-3,
+    min_margin: float = _SAMPLE_MARGIN,
 ) -> CubicForm:
     """Cubic with unit-disc coefficients, rejection sampled for smoothness."""
     for _ in range(200):

@@ -13,7 +13,8 @@ through numpy only when it has more than one member. Each derivative a
 solve needs is taken once, as polyder forms it. Newton and the residual
 check evaluate by one Horner loop on Python complex numbers, in the order
 np.polynomial.polynomial.polyval uses, and Newton divides in
-np.complex128. The residual bound takes max|coeff| once per solve.
+np.complex128. Newton stops at the rounding floor: once a step of a few
+ulps fails to halve the one before, with 40 steps as a backstop. The residual bound takes max|coeff| once per solve.
 Roots, multiplicities and error messages have the same bits as np.roots,
 vectorized clustering and polyval would give. The one exception is abs
 in the pair loop: numpy's vectorized abs and Python's hypot can differ
@@ -28,6 +29,7 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,15 @@ _PIVOT_SLACK = 4.0 * float(np.finfo(float).eps)
 # The smallest normal float: dividing by a subnormal pivot can overflow, so a
 # vector whose largest modulus is below this has no finite representative.
 _TINY = float(np.finfo(float).tiny)
+
+# Newton stops after a step below this, relative to max(1, |z|): under one
+# ulp, so the step left z as it was.
+_STEP_DONE = 1e-16
+# A step this small, relative to max(1, |z|), that fails to halve the one
+# before is roundoff in the Horner sums (a few ulps): Newton stops there.
+_ROUNDING_FLOOR = 16.0 * float(np.finfo(float).eps)
+# The backstop on Newton steps, for a polish that never settles.
+_NEWTON_CAP = 40
 
 # component i of a x b is a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]]
 _NEXT = np.array([1, 2, 0])
@@ -151,14 +162,17 @@ def _normalize_rows(X: np.ndarray) -> np.ndarray:
     on a row whose largest modulus is subnormal, where the division could
     overflow; a stack with a bad row raises for the whole stack.
     """
-    if not np.isfinite(X).all():
-        raise InputError("non-finite coordinate")
     mods = np.abs(X)
     top = mods.max(axis=1)
-    if not top.all():
-        raise InputError("the zero vector is not a projective point")
-    if (top < _TINY).any():
-        raise InputError("every coordinate is subnormal; no finite representative")
+    # one test passes the common stack (a NaN fails it); only a stack that
+    # fails it is diagnosed, and one whose moduli overflow passes on
+    if top.size and not (_TINY <= top.min() and top.max() < math.inf):
+        if not np.isfinite(X).all():
+            raise InputError("non-finite coordinate")
+        if not top.all():
+            raise InputError("the zero vector is not a projective point")
+        if (top < _TINY).any():
+            raise InputError("every coordinate is subnormal; no finite representative")
     rows = np.arange(len(X))
     pivot = (mods >= (top * (1.0 - _PIVOT_SLACK))[:, None]).argmax(axis=1)
     W = X / X[rows, pivot][:, None]
@@ -182,8 +196,7 @@ def chordal_matrix(A, B) -> np.ndarray:
     coordinate triple.
     """
     A, B = _point_array(A).reshape(-1, 3), _point_array(B).reshape(-1, 3)
-    na = np.linalg.norm(A, axis=1)
-    nb = np.linalg.norm(B, axis=1)
+    na, nb = _norms(A, 1), _norms(B, 1)
     if not (na.all() and nb.all()):
         raise InputError("the zero vector is not a projective point")
     # Lagrange identity: |a|^2 |b|^2 - |<a, conj(b)>|^2 = |a x b|^2, which
@@ -191,7 +204,12 @@ def chordal_matrix(A, B) -> np.ndarray:
     # The pairwise cross products are np.cross(a, b) spelled out by index,
     # which skips np.cross's per-call broadcasting overhead.
     cross = A[:, None, _NEXT] * B[None, :, _PREV] - A[:, None, _PREV] * B[None, :, _NEXT]
-    return np.minimum(1.0, np.linalg.norm(cross, axis=2) / (na[:, None] * nb[None, :]))
+    return np.minimum(1.0, _norms(cross, 2) / (na[:, None] * nb[None, :]))
+
+
+def _norms(X: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms along an axis, with the bits of np.linalg.norm(X, axis=axis): its own formula, without its wrapper."""
+    return np.sqrt(np.add.reduce((X.conj() * X).real, axis=axis))
 
 
 def _horner(h: list[complex], z: complex) -> complex:
@@ -219,21 +237,27 @@ def _derivative(h: list[complex]) -> list[complex]:
     return dh
 
 
-def _newton(h: list[complex], dh: list[complex], z: complex, iters: int = 40) -> complex:
+def _newton(h: list[complex], dh: list[complex], z: complex) -> complex:
     """Newton's method for the polynomial with coefficients h, derivative dh.
 
     Both lists hold Python complex numbers, highest degree first; only the
     division goes through np.complex128, whose rounding differs from
-    Python's.
+    Python's. The loop stops after a step below _STEP_DONE, or once a step
+    no larger than _ROUNDING_FLOOR fails to halve the one before: the
+    iterate then moves by roundoff alone. A larger step never stops it, so
+    a slow but real contraction runs on, at most to _NEWTON_CAP steps.
     """
-    for _ in range(iters):
+    last = math.inf
+    for _ in range(_NEWTON_CAP):
         d = _horner(dh, z)
         if d == 0:
             return z
         step = complex(np.complex128(_horner(h, z)) / d)
         z = z - step
-        if abs(step) <= 1e-16 * max(1.0, abs(z)):
+        size, scale = abs(step), max(1.0, abs(z))
+        if size <= _STEP_DONE * scale or (size > 0.5 * last and size <= _ROUNDING_FLOOR * scale):
             break
+        last = size
     return z
 
 

@@ -9,6 +9,7 @@ from cubicpoints import (
     CubicForm,
     CurvePoint,
     InputError,
+    NumericalError,
     PointSet,
     ProjectiveTransform,
     SingularCurveError,
@@ -382,7 +383,38 @@ def _sampled_triangles(f: CubicForm) -> list[CubicForm]:
     return [CubicForm(F + t * G) for t in roots]
 
 
+def _planted_triangle(l1, l2, l3) -> tuple[CubicForm, np.ndarray]:
+    """The cubic l1 l2 l3 and its three lines as unit rows."""
+    L = np.array([l1, l2, l3], dtype=complex)
+    g = CubicForm(curve._FOLD @ np.einsum("a,b,c->abc", *L).reshape(27))
+    return g, L / np.linalg.norm(L, axis=1)[:, None]
+
+
+# Two generic points, each spanning a line with a vertex of a planted triangle.
+_FAR = (np.array([0.2 + 0.9j, -0.6 + 0.1j, 0.5 - 0.3j]), np.array([-0.4 - 0.2j, 0.3 + 0.7j, 0.8 + 0.5j]))
+
+
+def _cut_point(k: int, u: complex) -> np.ndarray:
+    P, Q = curve._CUTS[k]
+    return P + u * Q
+
+
 class TestHessePencilTriangles:
+    def test_a_vertex_on_the_first_cut_leaves_the_lines_to_the_second(self, tol):
+        # the first cut meets the triangle twice at v, where the gradient vanishes
+        v = _cut_point(0, 0.37 - 0.21j)
+        g, want = _planted_triangle(np.cross(v, _FAR[0]), np.cross(v, _FAR[1]), np.cross(_FAR[0], _FAR[1] + 0.3))
+        got = curve._triangle_lines(g, tol)
+        D = curve.chordal_matrix(got, want)
+        assert sorted(D.argmin(axis=1).tolist()) == [0, 1, 2]
+        assert D.min(axis=1).max() <= 1e-12
+
+    def test_vertices_on_both_cuts_raise(self, tol):
+        v, w = _cut_point(0, 0.37 - 0.21j), _cut_point(1, -0.52 + 0.44j)
+        g, _ = _planted_triangle(np.cross(v, w), np.cross(v, _FAR[0]), np.cross(w, _FAR[1]))
+        with pytest.raises(NumericalError, match="no cut splits"):
+            curve._triangle_lines(g, tol)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_the_twelve_triangle_lines_are_the_flex_lines(self, seed, tol):
         f = random_smooth_cubic(np.random.default_rng(seed))

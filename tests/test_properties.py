@@ -60,6 +60,7 @@ from cubicpoints.sizes import _witnesses_up_to
 from oracles import division_polys, sylvester_dets
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+EPS = float(np.finfo(float).eps)
 
 
 def scalar_chordal(a, b) -> float:
@@ -186,7 +187,28 @@ def test_size_witness_matches_brute_force(n):
 
 
 def reference_newton(p, z, iters=40):
-    """The per-root Newton polish that solve_univariate used."""
+    """The per-root Newton polish of solve_univariate.
+
+    It stops after a step below 1e-16 max(1, |z|), or once a step of at
+    most 16 eps max(1, |z|) fails to halve the one before.
+    """
+    dp = p.derivative()
+    last = np.inf
+    for _ in range(iters):
+        d = dp(z)
+        if d == 0:
+            return z
+        step = p(z) / d
+        z = z - step
+        size, scale = abs(step), max(1.0, abs(z))
+        if size <= 1e-16 * scale or (size > 0.5 * last and size <= 16 * EPS * scale):
+            break
+        last = size
+    return z
+
+
+def capped_newton(p, z, iters=40):
+    """The polish before the rounding stop: only a step below 1e-16 max(1, |z|) ends it before the cap."""
     dp = p.derivative()
     for _ in range(iters):
         d = dp(z)
@@ -224,7 +246,7 @@ def reference_residual_scale(p, z):
     return float(np.max(np.abs(p.coeffs))) * max(1.0, abs(z)) ** p.degree
 
 
-def reference_solve(p, tol):
+def reference_solve(p, tol, newton=reference_newton):
     """solve_univariate as it was: np.roots, numpy clustering and means, a derivative chain per root."""
     raw = np.roots(p.coeffs[::-1])
 
@@ -232,7 +254,7 @@ def reference_solve(p, tol):
         target = p
         for _ in range(m - 1):
             target = target.derivative()
-        return reference_newton(target, z)
+        return newton(target, z)
 
     roots = [(polish(complex(np.mean(raw[g])), len(g)), len(g)) for g in reference_cluster(raw, tol.tau_cluster)]
     merged = []
@@ -304,6 +326,36 @@ def test_solver_polish_is_bit_identical_to_the_per_root_polish(p):
     got = solve_univariate(p)
     assert [m for _, m in got] == [m for _, m in want]
     assert [bits(z) for z, _ in got] == [bits(z) for z, _ in want]
+
+
+def rounding_radius(p, m, z):
+    """A bound on how far roundoff in Horner's sums lets Newton's iterates wander from a root.
+
+    The (m-1)-th derivative h of p is evaluated at z with an error of at
+    most 2 d eps sum |h_i| |z|^i (degree d), so its polish settles within
+    that over |h'(z)|; the radius doubles the bound for complex rounding.
+    """
+    for _ in range(m - 1):
+        p = p.derivative()
+    h = UniPoly(np.abs(p.coeffs))
+    return 4 * p.degree * EPS * abs(h(abs(z))) / abs(p.derivative()(z))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(root_lists())
+def test_the_rounding_stop_lands_beside_the_capped_polish(p):
+    """Every root of the rounding stop lies within its rounding radius, plus a few ulps, of the capped polish's."""
+    try:
+        want = reference_solve(p, DEFAULT_TOLERANCES, newton=capped_newton)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            solve_univariate(p)
+        return
+    got = solve_univariate(p)
+    assert sorted(m for _, m in got) == sorted(m for _, m in want)
+    for z, m in want:
+        near = min((w for w, _ in got), key=lambda w: abs(w - z))
+        assert abs(near - z) <= rounding_radius(p, m, z) + 4 * EPS * max(1.0, abs(z))
 
 
 @pytest.mark.parametrize("A, B", [(0.0, -1.0), (1.0, 0.0), (0.3 + 0.2j, -0.7 + 0.1j)])
@@ -1071,7 +1123,6 @@ def reference_normalize(v) -> tuple[complex, complex, complex]:
     return (complex(w[0]), complex(w[1]), complex(w[2]))
 
 
-EPS = float(np.finfo(float).eps)
 coord_part = st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0, allow_subnormal=False)
 coord = st.builds(complex, coord_part, coord_part)
 EXACT_TURNS = [lambda z: z, lambda z: -z, lambda z: 1j * z, lambda z: -1j * z, lambda z: z.conjugate()]
