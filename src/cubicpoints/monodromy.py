@@ -306,9 +306,7 @@ def track(
     return TrackResult(start, end, perm, taken, min_margin)
 
 
-def permutation_of_automorphism(
-    T: ProjectiveTransform, points: PointSet, tol: Tolerances = DEFAULT_TOLERANCES
-) -> Permutation:
+def permutation_of_automorphism(T: ProjectiveTransform, points: PointSet) -> Permutation:
     """sigma(i) = j when the transform carries points[i] to points[j].
 
     With composition applying the right factor first, this assignment is a
@@ -383,7 +381,7 @@ def verify_free_K_action(
     flexes = inflection_points(f, tol)
     chart = make_chart(f, flexes[0].point, tol)
     pts = points_of_type(chart, int(k))
-    rep = orbit_decomposition(group, pts, tol)
+    rep = orbit_decomposition(group, pts)
     return FreeActionReport(
         free=rep.free,
         point_count=len(pts),

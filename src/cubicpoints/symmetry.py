@@ -29,7 +29,7 @@ from .curve import (
     require_smooth,
 )
 from .errors import InputError, NumericalError
-from .numeric import ProjectivePoint, _components, _point_array, chordal_distance, chordal_matrix, normalize_point
+from .numeric import ProjectivePoint, _components, _point_array, chordal_distance, normalize_point
 
 _OMEGA = np.exp(2j * np.pi / 3)
 # The generators of the Fermat cubic's translations: the coordinate cycle and diag(1, w, w^2).
@@ -257,11 +257,7 @@ class OrbitReport:
         return f"OrbitReport(orbits={sizes}, free={self.free})"
 
 
-def orbit_decomposition(
-    group: list[ProjectiveTransform],
-    points: PointSet,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> OrbitReport:
+def orbit_decomposition(group: list[ProjectiveTransform], points: PointSet) -> OrbitReport:
     """Permutation action of a group on a point set, with orbit partition.
 
     permutations[g][i] = j means group[g] carries points[i] to points[j].
@@ -289,30 +285,30 @@ def _through_four(vs: list[np.ndarray]) -> np.ndarray:
     return B * np.linalg.solve(B, vs[3])
 
 
-def hesse_base_points() -> list[np.ndarray]:
-    """The nine points shared by every member of the Hesse pencil."""
-    return [v.copy() for v in _HESSE_BASE]
+def _collinear(labels) -> bool:
+    """Three distinct base points, read as (i, k), lie on a line exactly when both coordinate sums vanish mod 3."""
+    return sum(labels) % 3 == 0 and sum(j // 3 for j in labels) % 3 == 0
 
 
-@functools.cache
-def _hessian_group() -> tuple[np.ndarray, frozenset]:
-    """The Hessian group as its 216 permutations of the base points, and the 12 lines.
+def _det(p: tuple[int, int], q: tuple[int, int]) -> int:
+    return p[0] * q[1] - p[1] * q[0]
 
-    G216, the projective transforms that permute the base points, is
-    generated by the coordinate cycle, diag(1, w, w^2), [[1, 1, 1],
-    [1, w, w^2], [1, w^2, w]] and diag(1, 1, w). The lines through three
-    base points are the images of z = 0, through points 0, 1 and 2. Built
-    on first use.
+
+def _hesse_target(labels: list[int]) -> list[int]:
+    """The lexicographically first image of four base-point labels, no three collinear, under the Hessian group.
+
+    Base point 3i + k of _HESSE_BASE is the point (i, k) of (Z/3)^2, on
+    which the Hessian group acts as v -> Av + s with det A = 1 mod 3
+    (Artebani and Dolgachev).  A translation sends the first point to
+    (0, 0), and A the second to (0, 1), which leaves A a shear that zeroes
+    the third point's k.  With u, v, w the other points minus the first,
+    the invariant determinants fix the rest: mod 3, x = -det(u, v),
+    y = -det(u, w) and z = det(w, v) det(u, v).
     """
-    gens = [_CYCLE, _SCALE]
-    gens += [np.vander([1, _OMEGA, _OMEGA**2], 3, increasing=True), np.diag([1, 1, _OMEGA])]
-    moves = [chordal_matrix(_HESSE_BASE @ g.T, _HESSE_BASE).argmin(axis=1) for g in gens]
-    perms, frontier = {tuple(range(9))}, [tuple(range(9))]
-    while frontier:
-        frontier = list({tuple(move[list(p)].tolist()) for p in frontier for move in moves} - perms)
-        perms.update(frontier)
-    table = np.array(sorted(perms))
-    return table, frozenset(frozenset(p[:3]) for p in table.tolist())
+    (i0, k0), *rest = (divmod(j, 3) for j in labels)
+    u, v, w = ((i - i0, k - k0) for i, k in rest)
+    x, y, z = -_det(u, v), -_det(u, w), _det(w, v) * _det(u, v)
+    return [0, 1, 3 * (x % 3), 3 * (y % 3) + z % 3]
 
 
 # The fit basis of hesse_normalize: the coefficient vectors of x^3 + y^3 + z^3 and of xyz.
@@ -329,12 +325,13 @@ def hesse_normalize(
 
     Returns (T, lam) with act_on_cubic(T, f) proportional to
     x^3 + y^3 + z^3 + lam*x*y*z within tau_hesse.  T sends the first four
-    flexes in canonical order with no three collinear to the lexicographically
-    first of their images under the Hessian group, read on the base-point
-    labels of curve._hesse_flexes; lam comes from a coefficient fit, and
-    NumericalError from a fit beyond tau_hesse. The result is
-    _hesse_normal_form's, kept for the last curve object, so make_chart
-    reuses it after this call.
+    flexes in canonical order with no three collinear to the base points
+    that _hesse_target computes from their labels (curve._hesse_flexes):
+    the lexicographically first image under the Hessian group, which acts
+    on the labels as the special affine group of (Z/3)^2.  lam comes from a
+    least-squares fit, which also checks the form, and NumericalError from
+    a fit beyond tau_hesse.  The result is _hesse_normal_form's, kept for
+    the last curve object, so make_chart reuses it after this call.
     """
     require_smooth(f, tol)
     return _hesse_normal_form(f, tol)
@@ -344,10 +341,11 @@ def hesse_normalize(
 def _hesse_normal_form(f: CubicForm, tol: Tolerances) -> tuple[ProjectiveTransform, complex]:
     """hesse_normalize for a certified curve, kept for the last curve object (hashed by identity) and equal Tolerances."""
     flexes, labels = _hesse_flexes(f, tol)
-    perms, lines = _hessian_group()
-    flex_lines = [frozenset(labels.index(j) for j in line) for line in lines]
-    src = next(q for q in itertools.combinations(range(9), 4) if not any(ln <= set(q) for ln in flex_lines))
-    target = min(perms[:, [labels[i] for i in src]].tolist())
+    src = next(
+        q for q in itertools.combinations(range(9), 4)
+        if not any(_collinear([labels[i] for i in t]) for t in itertools.combinations(q, 3))
+    )
+    target = _hesse_target([labels[i] for i in src])
     Mp = _through_four([flexes[i].array for i in src])
     T = ProjectiveTransform(_through_four([_HESSE_BASE[j] for j in target]) @ np.linalg.inv(Mp))
     gvec = act_on_cubic(T, f).coeffs

@@ -309,23 +309,6 @@ class TestSelftest:
 
 
 class TestImportCost:
-    def test_sizes_builds_no_hessian_group(self):
-        # the Hessian group's label table is built on first use, so a fresh
-        # process that only does size arithmetic never builds it
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
-            "from cubicpoints import symmetry\n"
-            "from cubicpoints.cli import main\n"
-            "assert main(['sizes', '--bound', '2000']) == 0\n"
-            "assert symmetry._hessian_group.cache_info().currsize == 0, 'the Hessian group was built'\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-
     def test_integer_subcommands_import_no_numpy(self):
         # sizes, verdict, counts and j2 are integer arithmetic: a fresh
         # process that runs only them never imports numpy or the curve layer

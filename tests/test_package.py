@@ -1,11 +1,15 @@
 """The package namespace: public names load from their home modules on first access."""
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import cubicpoints
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cubicpoints"
 
 
 def test_every_public_name_is_its_home_modules_object():
@@ -48,3 +52,50 @@ def test_star_import_binds_every_public_name():
     exec("from cubicpoints import *", scope)
     assert set(cubicpoints.__all__) <= set(scope)
     assert scope["section_verdict"] is cubicpoints.sizes.section_verdict
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name a tree loads, in quoted annotations too, and the strings of a module's __all__."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AsyncFunctionDef, ast.AnnAssign)):
+            for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                    read |= _names_read(ast.parse(ann.value, mode="eval"))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return read
+
+
+def _unused_names(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _names_read(tree)
+    unused = [
+        f"import {alias.asname or alias.name.split('.')[0]}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, [a.vararg, a.kwarg])]
+            body = set().union(*map(_names_read, node.body if isinstance(node.body, list) else [node.body]))
+            unused += [
+                f"{getattr(node, 'name', 'lambda')}({p.arg})"
+                for p in params
+                if p.arg not in ("self", "cls") and p.arg not in body
+            ]
+    return unused
+
+
+def test_modules_read_every_import_and_parameter():
+    # no linter is installed: flag imports a module never reads and parameters a body never reads
+    found = {path.name: _unused_names(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: unused for name, unused in found.items() if unused} == {}

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,34 @@ from cubicpoints import (
     random_smooth_cubic,
 )
 from cubicpoints import symmetry
-from cubicpoints.symmetry import hesse_base_points, hesse_normalize
+from cubicpoints.curve import _HESSE_BASE
+from cubicpoints.numeric import chordal_matrix
+from cubicpoints.symmetry import hesse_normalize
 
 W3 = np.exp(2j * np.pi / 3)
+# The Hessian group's generators: the coordinate cycle, diag(1, w, w^2),
+# [[1, 1, 1], [1, w, w^2], [1, w^2, w]] and diag(1, 1, w).
+HESSE_GENERATORS = [
+    symmetry._CYCLE,
+    symmetry._SCALE,
+    np.vander([1, W3, W3**2], 3, increasing=True),
+    np.diag([1, 1, W3]),
+]
+
+
+def hesse_generator_moves() -> list[np.ndarray]:
+    """Each generator's permutation of the base-point labels, by chordal matching."""
+    return [chordal_matrix(_HESSE_BASE @ g.T, _HESSE_BASE).argmin(axis=1) for g in HESSE_GENERATORS]
+
+
+def reference_hessian_perms() -> np.ndarray:
+    """The Hessian group as its 216 label permutations, by breadth-first closure of the generators' moves."""
+    moves = hesse_generator_moves()
+    perms, frontier = {tuple(range(9))}, [tuple(range(9))]
+    while frontier:
+        frontier = list({tuple(move[list(p)].tolist()) for p in frontier for move in moves} - perms)
+        perms.update(frontier)
+    return np.array(sorted(perms))
 
 
 class TestProjectiveTransform:
@@ -155,7 +182,7 @@ class TestOrbits:
 
 class TestHesse:
     def test_base_points_lie_on_every_member(self):
-        pts = hesse_base_points()
+        pts = _HESSE_BASE
         assert len(pts) == 9
         for lam in (0.0, 2.0 + 1.0j, -7.25):
             f = hesse_cubic(lam)
@@ -169,17 +196,31 @@ class TestHesse:
         target = hesse_cubic(lam)
         assert act_on_cubic(T, f).proportionality_residual(target) < 1e-6
 
-    def test_hessian_group_permutes_the_base_points_and_their_lines(self):
-        from cubicpoints.symmetry import _hessian_group
+    def test_closed_form_target_is_the_reference_groups_first_image(self):
+        perms = reference_hessian_perms()
+        assert len(perms) == 216
+        quads = [
+            q for q in itertools.permutations(range(9), 4)
+            if not any(symmetry._collinear(t) for t in itertools.combinations(q, 3))
+        ]
+        assert len(quads) == 1296
+        for q in quads:
+            assert symmetry._hesse_target(list(q)) == min(perms[:, list(q)].tolist()), q
 
-        perms, lines = _hessian_group()
-        assert len({tuple(p) for p in perms.tolist()}) == 216
-        # closed under composition, and every element keeps the twelve lines
-        assert {tuple(p[q]) for p in perms for q in perms[:12]} <= {tuple(p) for p in perms.tolist()}
-        assert all({frozenset(p[list(line)]) for line in lines} == lines for p in perms)
-        pts = np.array(hesse_base_points())
-        assert len(lines) == 12
-        assert all(abs(np.linalg.det(pts[sorted(line)])) < 1e-12 for line in lines)
+    def test_sum_rule_names_the_twelve_base_lines(self):
+        by_det = {t for t in itertools.combinations(range(9), 3) if abs(np.linalg.det(_HESSE_BASE[list(t)])) < 1e-12}
+        by_sum = {t for t in itertools.combinations(range(9), 3) if symmetry._collinear(t)}
+        assert by_det == by_sum
+        assert len(by_sum) == 12
+
+    def test_generators_move_labels_by_special_affine_maps(self):
+        # label 3i + k is the point (i, k) of (Z/3)^2; read A and s off the images of (0, 0), (1, 0) and (0, 1)
+        for move in hesse_generator_moves():
+            s = np.array(divmod(int(move[0]), 3))
+            A = np.stack([np.array(divmod(int(move[j]), 3)) - s for j in (3, 1)], axis=1) % 3
+            assert round(np.linalg.det(A)) % 3 == 1
+            for label in range(9):
+                assert divmod(int(move[label]), 3) == tuple((A @ divmod(label, 3) + s) % 3)
 
     @pytest.mark.parametrize("lam0", [2.0, 1.25 + 0.5j, -2.9, 0.5, 1j, 5.0])
     def test_pencil_members_keep_their_parameter(self, lam0):
@@ -202,7 +243,7 @@ class TestHesse:
         f = random_smooth_cubic(rng)
         T, _ = hesse_normalize(f)
         base = PointSet(
-            [CurvePoint(normalize_point(v), 0.0) for v in hesse_base_points()], 1e-6
+            [CurvePoint(normalize_point(v), 0.0) for v in _HESSE_BASE], 1e-6
         )
         moved = PointSet(
             [CurvePoint(act_on_point(T, cp.point), 0.0) for cp in inflection_points(f)],
