@@ -16,10 +16,10 @@ tracked path share them, and the smoothness report (_certify) and the
 labelled flexes (_hesse_flexes) for the last curve object only;
 symmetry._hesse_normal_form keeps the Hesse normal form built on them
 the same way, for hesse_normalize and elliptic.make_chart. The
-Newton's kept rows, like the rows _settle puts on a curve (_curve_points),
-become CurvePoints through one numpy pass of _normalize_rows, with
-residuals from _cubic_value, the one formula for a cubic's value, which
-CubicForm.evaluate uses too.
+Newton's kept rows stay one normalized stack, the PointSet's arrays, and
+become CurvePoints in one pass, as the rows _settle puts on a curve do
+(_curve_points), with residuals from _cubic_value, the one formula for a
+cubic's value. _settle stops at the rounding floor.
 
 Smoothness is certified by one determinantal gate for the discriminant: a
 6x6 matrix of the partials of f and of its Hessian, in Bombieri-weighted
@@ -42,6 +42,9 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InputError, NumericalError, SingularCurveError
 from .numeric import (
+    _NEXT,
+    _PREV,
+    _ROUNDING_FLOOR,
     _TINY,
     ProjectivePoint,
     UniPoly,
@@ -91,9 +94,9 @@ _TENSOR_INDEX = np.array(
 _FOLD = (np.arange(10)[:, None] == _TENSOR_INDEX).astype(complex)
 _TENSOR_COUNT = _FOLD.real.sum(axis=1)
 
-_LEVI_CIVITA = np.zeros((3, 3, 3))
-for _i, _j, _k in itertools.permutations(range(3)):
-    _LEVI_CIVITA[_i, _j, _k] = (_j - _i) * (_k - _i) * (_k - _j) / 2
+# Cross products by index, as in numeric.chordal_matrix: component p of a x b is
+# entry p of a[_CROSS_A] b[_CROSS_B] minus entry 3 + p.
+_CROSS_A, _CROSS_B = np.concatenate([_NEXT, _PREV]), np.concatenate([_PREV, _NEXT])
 
 
 def _tensors(C: np.ndarray) -> np.ndarray:
@@ -104,10 +107,17 @@ def _tensors(C: np.ndarray) -> np.ndarray:
 def _slice_contractions(S: np.ndarray) -> np.ndarray:
     """Levi-Civita contractions of the slices of m tensors S (m, 3, 3, 3), shape (m, m, m, 3, 3, 3).
 
-    Entry (i, j, k) contracts slice 0 of S[i], slice 1 of S[j] and slice 2
-    of S[k]; for one cubic's tensor it is the Hessian's tensor over 216.
+    Entry (i, j, k, a, b, c) is the triple product (A[:, a] x B[:, b]) . C[:, c]
+    of columns of slice 0 of S[i], slice 1 of S[j] and slice 2 of S[k]: every
+    cross product at once, then one matmul. For one cubic's tensor it is the
+    Hessian's tensor over 216.
     """
-    return np.einsum("pqr,ipa,jqb,krc->ijkabc", _LEVI_CIVITA, S[:, 0], S[:, 1], S[:, 2])
+    m = len(S)
+    A = S[:, 0].transpose(0, 2, 1)[:, :, _CROSS_A]
+    B = S[:, 1].transpose(0, 2, 1)[:, :, _CROSS_B]
+    X = A[:, :, None, None] * B[None, None]
+    E = (X[..., :3] - X[..., 3:]).reshape(9 * m * m, 3) @ S[:, 2].transpose(1, 0, 2).reshape(3, 3 * m)
+    return E.reshape(m, 3, m, 3, m, 3).transpose(0, 2, 4, 1, 3, 5)
 
 
 def _cubic_value(c: list[complex], x: complex, y: complex, z: complex) -> complex:
@@ -209,10 +219,10 @@ class CubicForm:
 
         Entry (i, j) of the matrix of second partials is the linear form
         6 T_ij., so the determinant is 216 times _slice_contractions of T
-        alone. The factor comes last, in one rounding, which keeps the
-        coefficients of a curve symmetric under permuting coordinates (the
-        Hesse pencil) symmetric in the last bit. Caching is sound because
-        coeffs is read-only.
+        alone, triple products of columns of T's slices. The factor comes
+        last, in one rounding, which keeps the x^3, y^3 and z^3 coefficients
+        of a Hesse pencil member equal in the last bit. Caching is sound
+        because coeffs is read-only.
         """
         h = 216.0 * (_FOLD @ _slice_contractions(self._tensor()[None]).reshape(27))
         h.setflags(write=False)
@@ -607,22 +617,23 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
 
 
 def _settle(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Four complex Newton steps onto the cubic with tensor T (1, 3, 3, 3), on every row of X.
+    """At most four complex Newton steps onto the cubic with tensor T (1, 3, 3, 3), on every row of X.
 
     Each step moves a row x by -f(x) conj(g) / |g|^2, g the gradient at x:
     the shortest step that zeroes f's linearization at x, well conditioned
-    on a smooth curve. Rows start and end divided by their largest-modulus
-    coordinate. Returns the rows, their values and their gradients.
+    on a smooth curve. Rows are divided by their largest-modulus coordinate
+    before each evaluation, and stepping stops once every row's move
+    |f(x)| / |g| is at most numeric._ROUNDING_FLOOR, roundoff alone, so rows
+    on the curve cost one evaluation. Returns the rows, values and gradients.
     """
     X = _unit_rows(X)
-    for _ in range(4):
+    for steps in range(5):
         V, G = _forms_at(T, X)
-        g = G[:, 0]
-        step = V[:, 0] / np.maximum((np.abs(g) ** 2).sum(axis=1), _SCALE_FLOOR)
-        X = X - step[:, None] * np.conj(g)
-    X = _unit_rows(X)
-    V, G = _forms_at(T, X)
-    return X, V[:, 0], G[:, 0]
+        v, g = V[:, 0], G[:, 0]
+        gg = (np.abs(g) ** 2).sum(axis=1)
+        if steps == 4 or (np.abs(v) <= _ROUNDING_FLOOR * np.sqrt(gg)).all():
+            return X, v, g
+        X = _unit_rows(X - (v / np.maximum(gg, _SCALE_FLOOR))[:, None] * np.conj(g))
 
 
 def _curve_points(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
@@ -747,10 +758,12 @@ def _hesse_frame(f: CubicForm, h: CubicForm, tol: Tolerances) -> np.ndarray:
     f reads a X^3 + b Y^3 + c Z^3 + d XYZ (Artebani and Dolgachev, "The Hesse
     pencil of plane cubic curves"), so T0 = diag(a, b, c)^(1/3) M, with any
     cube roots: they differ by diag(1, w^j, w^k), which permutes the base points.
+    a, b and c are f at the columns of M^-1, by _forms_at: near a triangle
+    member they cancel, and _cubic_value's nesting rounds them 2-3 times worse.
     """
     M = _triangle_lines(_pencil_triangle(f, h, tol), tol)
     # pinv: lines through one point leave a frame that fails the flex test, not an exception
-    cubes = f.compose_linear(np.linalg.pinv(M)).coeffs[[0, 6, 9]]
+    cubes = _forms_at(f._tensor()[None], np.linalg.pinv(M).T)[0][:, 0]
     if not cubes.all():
         raise NumericalError("the lines of the Hesse pencil's triangle are not a frame")
     return (cubes ** (1.0 / 3.0))[:, None] * M
@@ -806,9 +819,13 @@ def _forms_at(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (G * X[:, None, :]).sum(axis=2) / 3.0, G
 
 
+class _FlexList(list):
+    """_newton_flexes' kept points; rows is their normalized stack, row i with the bits of point i's array."""
+
+
 def _newton_flexes(
     f: CubicForm, h: CubicForm, starts, tol: Tolerances
-) -> list[CurvePoint]:
+) -> _FlexList:
     """Flexes by Newton on (f, h) = 0 from the rows of starts.
 
     All rows move at once, each in its own chart with its largest-modulus
@@ -816,7 +833,7 @@ def _newton_flexes(
     is kept when every step at most halved the one before, it converged
     within _CORRECTOR_ITERS steps, and its point lies on f and on h within
     tau_on_curve. A row that fails stops moving and is dropped. Kept rows
-    come back in start order, each with its residual on f.
+    come back in start order, each with its residual on f, with their row stack.
     """
     X = np.array(starts, dtype=complex).reshape(-1, 3)
     rows = np.arange(len(X))
@@ -854,11 +871,14 @@ def _newton_flexes(
     # residuals on f and h from one pass over the normalized rows, as _curve_points forms them
     cf, nf = f.coeffs.tolist(), f.norm_inf
     ch, nh = h.coeffs.tolist(), h.norm_inf
-    out = []
-    for row in _normalize_rows(X[kept]).tolist():
+    W = _normalize_rows(X[kept])
+    on_both, out = [], _FlexList()
+    for row in W.tolist():
         rf = abs(_cubic_value(cf, *row)) / nf
-        if rf <= tol.tau_on_curve and abs(_cubic_value(ch, *row)) / nh <= tol.tau_on_curve:
+        on_both.append(rf <= tol.tau_on_curve and abs(_cubic_value(ch, *row)) / nh <= tol.tau_on_curve)
+        if on_both[-1]:
             out.append(CurvePoint(ProjectivePoint(tuple(row)), rf))
+    out.rows = W[np.array(on_both, dtype=bool)]
     return out
 
 
@@ -876,6 +896,8 @@ def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
     if len(points) != 9:
         return None
     out = PointSet(points, tol.tau_match)
+    # the Newton's own stack, which arrays would rebuild from the points bit for bit
+    out.arrays = points.rows
     return out if out.min_separation() > 2.0 * tol.tau_match else None
 
 

@@ -43,7 +43,6 @@ from .numeric import (
     ProjectivePoint,
     UniPoly,
     _point_array,
-    chordal_distance,
     chordal_matrix,
     normalize_point,
     solve_univariate,
@@ -256,19 +255,25 @@ class EllipticChart:
         return result if m > 0 else self._negate_rows(result)
 
 
+# _TO_FIRST_BASE[k], a product of the Fermat translation generators, carries base point k to base point 0.
+_TO_FIRST_BASE = tuple(
+    np.linalg.matrix_power(_SCALE, k % 3) @ np.linalg.matrix_power(_CYCLE, -(k // 3) % 3) for k in range(9)
+)
+
+
 def make_chart(
     f: CubicForm, identity, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> EllipticChart:
     """Build the group chart for a smooth cubic with an inflection as identity.
 
     hesse_normalize's T takes f into the Hesse pencil, where the identity
-    lands on a base point k; a translation g of the pencil, a product of
-    the Fermat translation generators, carries it to (1 : -1 : 0), and the
-    closed form W(lam) of _hesse_weierstrass takes the curve to
-    y^2 z = x^3 + a x z^2 + b z^3 with the identity at (0:1:0). A final
-    scale normalizes max(|a|^(1/4), |b|^(1/6)) to 1. SingularCurveError on
-    a singular curve, a cone included, before the identity is read;
-    InputError unless the identity is an inflection.
+    lands on a base point k; the translation _TO_FIRST_BASE[k] carries it
+    to (1 : -1 : 0), and the closed form W(lam) of _hesse_weierstrass takes
+    the curve to y^2 z = x^3 + a x z^2 + b z^3 with the identity at
+    (0:1:0). A final scale normalizes max(|a|^(1/4), |b|^(1/6)) to 1.
+    SingularCurveError on a singular curve, a cone included, before the
+    identity is read (gated and settled: two evaluations at a flex already
+    at the rounding floor); InputError unless the identity is an inflection.
     """
     T, lam = hesse_normalize(f, tol)
     X, _ = _on_curve_rows(f, f._tensor()[None], _coords(identity)[None], tol)
@@ -276,16 +281,14 @@ def make_chart(
     if f.hessian().residual_at(P) > _FLEX_SLACK * tol.tau_on_curve:
         raise InputError("the identity must be an inflection point of the curve")
     k = int(chordal_matrix(T.matrix @ P.array, _HESSE_BASE).argmin())
-    g = np.linalg.matrix_power(_SCALE, k % 3) @ np.linalg.matrix_power(_CYCLE, -(k // 3) % 3)
     W, a, b = _hesse_weierstrass(lam)
     u = max(abs(a) ** 0.25, abs(b) ** (1.0 / 6.0))
-    to_w = ProjectiveTransform(np.diag([u**-2, u**-3, 1.0]) @ W @ g @ T.matrix)
+    to_w = ProjectiveTransform(np.diag([u**-2, u**-3, 1.0]) @ W @ _TO_FIRST_BASE[k] @ T.matrix)
     chart = EllipticChart(f, P, a / u**4, b / u**6, to_w, tol)
-    model = chart.weierstrass_form()
-    pushed = f.compose_linear(chart.from_w.matrix)
-    if pushed.proportionality_residual(model) > _REDUCTION_CHECK:
+    if f.compose_linear(chart.from_w.matrix).proportionality_residual(chart.weierstrass_form()) > _REDUCTION_CHECK:
         raise NumericalError("Weierstrass reduction failed the invariant check")
-    if chordal_distance(chart.to_weierstrass(P), np.array([0, 1, 0])) > tol.tau_match:
+    # the chordal distance is scale-invariant, so the raw image needs no normalizing
+    if chordal_matrix(to_w.matrix @ P.array, (0.0, 1.0, 0.0))[0, 0] > tol.tau_match:
         raise NumericalError("identity did not land at the point at infinity")
     return chart
 

@@ -29,7 +29,7 @@ from .curve import (
     require_smooth,
 )
 from .errors import InputError, NumericalError
-from .numeric import ProjectivePoint, _components, _point_array, chordal_distance, normalize_point
+from .numeric import ProjectivePoint, _components, _norms, _point_array, chordal_distance, normalize_point
 
 _OMEGA = np.exp(2j * np.pi / 3)
 # The generators of the Fermat cubic's translations: the coordinate cycle and diag(1, w, w^2).
@@ -50,7 +50,7 @@ class ProjectiveTransform:
         if not np.all(np.isfinite(M)):
             raise InputError("transform entries must be finite")
         det = complex(np.linalg.det(M))
-        hadamard = float(np.prod(np.linalg.norm(M, axis=1)))
+        hadamard = float(np.prod(_norms(M, 1)))
         if abs(det) <= _SINGULAR_DET * max(hadamard, _SCALE_FLOOR):
             raise InputError("transform matrix is singular")
         self.matrix = M / det ** (1.0 / 3.0)
@@ -285,6 +285,12 @@ def _through_four(vs: list[np.ndarray]) -> np.ndarray:
     return B * np.linalg.solve(B, vs[3])
 
 
+@functools.cache
+def _base_frame(target: tuple[int, ...]) -> np.ndarray:
+    """_through_four of the labelled base points, one of the at most 27 frames _hesse_target names."""
+    return _through_four(_HESSE_BASE[list(target)])
+
+
 def _collinear(labels) -> bool:
     """Three distinct base points, read as (i, k), lie on a line exactly when both coordinate sums vanish mod 3."""
     return sum(labels) % 3 == 0 and sum(j // 3 for j in labels) % 3 == 0
@@ -329,9 +335,9 @@ def hesse_normalize(
     that _hesse_target computes from their labels (curve._hesse_flexes):
     the lexicographically first image under the Hessian group, which acts
     on the labels as the special affine group of (Z/3)^2.  lam comes from a
-    least-squares fit, which also checks the form, and NumericalError from
-    a fit beyond tau_hesse.  The result is _hesse_normal_form's, kept for
-    the last curve object, so make_chart reuses it after this call.
+    least-squares fit of f(T^-1 x), which also checks the form, and
+    NumericalError from a fit beyond tau_hesse.  The result is kept for the
+    last curve object (_hesse_normal_form), so make_chart reuses it.
     """
     require_smooth(f, tol)
     return _hesse_normal_form(f, tol)
@@ -347,8 +353,9 @@ def _hesse_normal_form(f: CubicForm, tol: Tolerances) -> tuple[ProjectiveTransfo
     )
     target = _hesse_target([labels[i] for i in src])
     Mp = _through_four([flexes[i].array for i in src])
-    T = ProjectiveTransform(_through_four([_HESSE_BASE[j] for j in target]) @ np.linalg.inv(Mp))
-    gvec = act_on_cubic(T, f).coeffs
+    T = ProjectiveTransform(_base_frame(tuple(target)) @ np.linalg.inv(Mp))
+    # act_on_cubic(T, f) up to scale, which the fit ignores
+    gvec = f.compose_linear(np.linalg.inv(T.matrix)).coeffs
     sol, *_ = np.linalg.lstsq(_HESSE_FIT, gvec, rcond=None)
     resid = float(np.linalg.norm(_HESSE_FIT @ sol - gvec) / np.linalg.norm(gvec))
     if resid > tol.tau_hesse or abs(sol[0]) <= _FIT_DEGENERATE * abs(sol[1]):

@@ -271,6 +271,31 @@ class TestInflections:
         assert len(flexes) == 9
         assert curve.chordal_matrix(flexes.arrays, want).min(axis=1).max() <= 1e-12
 
+    @pytest.mark.parametrize("frame", range(3))
+    def test_members_next_to_a_triangle_raise_or_give_the_base_points(self, frame, tol):
+        # lam within 1e-2 to 1e-4 of a triangle member -3 w^k (gate margin down
+        # to 3.1e-5), in the identity frame and two random unitary frames Q.
+        # The flex Newton may drop a row that bounces at roundoff and raise,
+        # but a set it returns is the nine base points moved by Q^-1.
+        Q = np.eye(3)
+        if frame:
+            rng = np.random.default_rng(frame)
+            Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        want = np.linalg.solve(Q, curve._HESSE_BASE.T).T
+        returned = []
+        for c in -3.0 * np.exp(2j * np.pi / 3) ** np.arange(3):
+            for r in (1e-2, 1e-3, 1e-4):
+                for phi in (0.3, 2.4):
+                    try:
+                        flexes = inflection_points(hesse_cubic(c + r * np.exp(1j * phi)).compose_linear(Q), tol)
+                    except NumericalError:
+                        continue
+                    D = curve.chordal_matrix(flexes.arrays, want)
+                    assert len(flexes) == 9
+                    assert max(D.min(axis=1).max(), D.min(axis=0).max()) <= 1e-8
+                    returned.append(r)
+        assert returned.count(1e-2) == 6
+
 
 _TRIANGLE = CubicForm.from_coeffs({(1, 1, 1): 1.0})
 # the conic x^2 + y^2 + z^2 times the line z = 0, which meets it twice
@@ -517,6 +542,49 @@ class TestPointSet:
             ]
             order = [cp.residual for cp in PointSet(moved[::-1], 1e-6).sorted_canonical()]
             assert order == list(range(9))
+
+
+class TestRowStacks:
+    """Flex sets hold the Newton's own row stack, with the bits a stack of their points would have."""
+
+    def test_inflections_and_corrected_flexes_hold_the_stack_of_their_points(self, rng, tol):
+        for f in [fermat_cubic()] + [random_smooth_cubic(rng) for _ in range(4)]:
+            flexes = inflection_points(f, tol)
+            near = flexes.arrays + 1e-6 * (rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))
+            corrected = curve._correct_flexes(f, near, tol)
+            for points in (flexes, corrected):
+                want = np.stack([cp.array for cp in points])
+                assert points.arrays.shape == want.shape and points.arrays.dtype == want.dtype
+                assert points.arrays.tobytes() == want.tobytes()
+
+
+class TestSettle:
+    """_settle stops at the rounding floor: rows already on the curve cost one evaluation."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        real = curve._forms_at
+        monkeypatch.setattr(curve, "_forms_at", lambda *a: calls.append(len(a[1])) or real(*a))
+        return calls
+
+    def test_rows_on_the_curve_are_evaluated_once_and_returned_unchanged(self, evaluations, rng):
+        # generic flexes have one coordinate of largest modulus, so _unit_rows keeps their bits
+        for f in [random_smooth_cubic(rng) for _ in range(5)]:
+            X = inflection_points(f).arrays
+            evaluations.clear()
+            Y, V, G = curve._settle(f._tensor()[None], X)
+            assert evaluations == [9]
+            assert np.array_equal(Y, X)
+
+    def test_one_row_off_the_curve_still_steps_onto_it(self, evaluations, rng, tol):
+        f = random_smooth_cubic(rng)
+        X = inflection_points(f).arrays.copy()
+        X[4] += 1e-6 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        evaluations.clear()
+        _, V, _ = curve._settle(f._tensor()[None], X)
+        assert len(evaluations) > 1
+        assert (np.abs(V) <= tol.tau_on_curve * f.norm_inf).all()
 
 
 class TestPointInput:

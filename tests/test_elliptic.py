@@ -30,7 +30,7 @@ from cubicpoints import (
     translation_certificate,
     fermat_translations,
 )
-from cubicpoints import elliptic
+from cubicpoints import curve, elliptic
 from cubicpoints.numeric import chordal_matrix
 from cubicpoints.serialize import path_from_obj
 
@@ -191,6 +191,25 @@ class TestChart:
         for p in random_points_on_curve(fermat, 5, rng):
             back = fermat_chart.from_weierstrass(fermat_chart.to_weierstrass(p))
             assert chordal_distance(back.array, p.array) < 1e-9
+
+    def test_a_certified_flex_costs_two_evaluations(self, rng, monkeypatch):
+        # the on-curve gate evaluates once, and _settle stops at its first
+        # evaluation on a flex already at the rounding floor
+        calls = []
+        real = curve._forms_at
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        for f in [hesse_cubic(0.5)] + [random_smooth_cubic(rng) for _ in range(3)]:
+            flexes = inflection_points(f)
+            monkeypatch.setattr(curve, "_forms_at", counting)
+            monkeypatch.setattr(elliptic, "_forms_at", counting)
+            calls.clear()
+            make_chart(f, flexes[0].point)
+            monkeypatch.undo()
+            assert len(calls) == 2
 
     def test_non_inflection_identity_rejected(self, fermat, rng):
         (P,) = random_points_on_curve(fermat, 1, rng)

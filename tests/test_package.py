@@ -99,3 +99,39 @@ def test_modules_read_every_import_and_parameter():
     # no linter is installed: flag imports a module never reads and parameters a body never reads
     found = {path.name: _unused_names(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+def _module_private_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level (assignments, defs, classes) that start with one underscore."""
+    bound: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                bound |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return {name for name in bound if name.startswith("_") and not name.startswith("__")}
+
+
+def _names_loaded(tree: ast.AST) -> set[str]:
+    """Names a tree reads: loads, attributes and imported names, but not X in an item assignment X[i] = v."""
+    stored_into = {
+        id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+    }
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and id(node) not in stored_into:
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read |= {alias.name for alias in node.names}
+    return read
+
+
+def test_every_module_level_private_name_is_read():
+    # a private table or helper that nothing in src/ reads is left over from code that is gone
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_names_loaded, trees.values()))
+    unread = {name: sorted(_module_private_names(tree) - read) for name, tree in trees.items()}
+    assert {name: names for name, names in unread.items() if names} == {}

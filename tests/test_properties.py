@@ -13,7 +13,8 @@ loop, and normalize_point's pivot search on numpy arrays, which the
 batched normalizer (normalize_point's one implementation) meets row by
 row on stacks.  The dense
 cubic's gradient and Hessian are checked against monomial sums written
-out here, the flex Newton's batched values and gradients against
+out here, the Levi-Civita contraction of tensor slices against the
+four-operand einsum it replaced, the flex Newton's batched values and gradients against
 evaluate and gradient, within a bound taken from those sums, and the flex
 Newton's kept rows against the three-chart search.  The references copy the code
 they replaced rather than import it, so rewriting a kernel cannot rewrite
@@ -495,6 +496,44 @@ def test_hessian_is_the_determinant_of_the_second_partials(case):
         assert np.abs(np.linalg.det(S)) <= 1e-13 * perm
         return
     assert abs(h.evaluate(v) - np.linalg.det(S)) <= 1e-13 * perm
+
+
+# The Levi-Civita symbol that the four-operand einsum of the slice contractions read.
+LEVI_CIVITA = np.zeros((3, 3, 3))
+for p in itertools.permutations(range(3)):
+    LEVI_CIVITA[p] = (p[1] - p[0]) * (p[2] - p[0]) * (p[2] - p[1]) / 2
+
+
+@st.composite
+def tensor_stacks(draw):
+    """One to three tensors (3, 3, 3) of unit-disc entries, some of them zero."""
+    m = draw(st.integers(1, 3))
+    entries = draw(st.lists(unit_disc, min_size=27 * m, max_size=27 * m))
+    for i in draw(st.sets(st.integers(0, 27 * m - 1), max_size=9 * m)):
+        entries[i] = 0j
+    return np.array(entries, dtype=complex).reshape(m, 3, 3, 3)
+
+
+@PROPERTY
+@given(tensor_stacks())
+def test_slice_contractions_match_the_levi_civita_einsum(S):
+    # each entry is a sum of six triple products, so both sides round within
+    # 1e-15 of the sum of their moduli, and underflowing products within UNDERFLOW
+    want = np.einsum("pqr,ipa,jqb,krc->ijkabc", LEVI_CIVITA, S[:, 0], S[:, 1], S[:, 2])
+    A = np.abs(S)
+    moduli = np.einsum("pqr,ipa,jqb,krc->ijkabc", np.abs(LEVI_CIVITA), A[:, 0], A[:, 1], A[:, 2])
+    got = curve._slice_contractions(S)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-15 * moduli + UNDERFLOW).all()
+
+
+@PROPERTY
+@given(disc_point)
+def test_hessian_of_a_hesse_member_has_equal_cube_coefficients_to_the_bit(lam):
+    # x^3 + y^3 + z^3 + lam xyz is symmetric under permuting coordinates, and
+    # the Hessian's factor of 216 comes last, in one rounding, to keep it so
+    h = hesse_cubic(lam)._hessian_coeffs
+    assert bits(h[0]) == bits(h[6]) == bits(h[9])
 
 
 def reference_fiber_poly(C, u):
