@@ -17,13 +17,16 @@ import json
 import sys
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import InputError, NumericalError, SingularCurveError, TrackingAmbiguityError
+from .errors import CubicPointsError, InputError, NumericalError, SingularCurveError, TrackingAmbiguityError
 from .sizes import _witnesses_up_to, canonical_dumps, jordan_totient_2, section_verdict
 
 _EXIT_INPUT = 2
-_EXIT_SINGULAR = 3
 _EXIT_NUMERICAL = 4
-_EXIT_AMBIGUOUS = 5
+# The exit code of each package error class, which its subclasses share
+# (a DiscriminantPathError exits as a SingularCurveError).
+_EXIT_CODES = (
+    (InputError, _EXIT_INPUT), (SingularCurveError, 3), (TrackingAmbiguityError, 5), (NumericalError, _EXIT_NUMERICAL)
+)
 # The Fermat flexes solve closed-form equations: a chordal miss this large has lost digits.
 _SELFTEST_FLEX_MISS = 1e-10
 # hesse_normalize gives back a pencil member's lam within this: its fit is checked to tau_hesse.
@@ -401,18 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     except _SelftestFailure as exc:
         sys.stdout.write(str(exc))
         return _EXIT_NUMERICAL
-    except InputError as exc:
+    except CubicPointsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except SingularCurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SINGULAR
-    except TrackingAmbiguityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_AMBIGUOUS
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -15,11 +15,14 @@ CubicForm object, so the smoothness gate and the flex Newton along a
 tracked path share them, and the smoothness report (_certify) and the
 labelled flexes (_hesse_flexes) for the last curve object only;
 symmetry._hesse_normal_form keeps the Hesse normal form built on them
-the same way, for hesse_normalize and elliptic.make_chart. The
-Newton's kept rows stay one normalized stack, the PointSet's arrays, and
-become CurvePoints in one pass, as the rows _settle puts on a curve do
-(_curve_points), with residuals from _cubic_value, the one formula for a
-cubic's value. _settle stops at the rounding floor.
+the same way, for hesse_normalize and elliptic.make_chart.
+
+A cubic's value and gradient have one formula, _forms_at, on stacks of
+rows and cubics, and a point's representative one rule,
+numeric._normalize_rows. The Newton's kept rows stay one normalized stack,
+the PointSet's arrays, and become CurvePoints in one pass, as the rows
+_settle puts on a curve do (_curve_points), each residual residual_at's
+bit for bit. _settle stops at the rounding floor.
 
 Smoothness is certified by one determinantal gate for the discriminant: a
 6x6 matrix of the partials of f and of its Hessian, in Bombieri-weighted
@@ -120,18 +123,27 @@ def _slice_contractions(S: np.ndarray) -> np.ndarray:
     return E.reshape(m, 3, m, 3, m, 3).transpose(0, 2, 4, 1, 3, 5)
 
 
-def _cubic_value(c: list[complex], x: complex, y: complex, z: complex) -> complex:
-    """The value at (x, y, z) of the cubic with coefficients c, on Python complex numbers.
+def _forms_at(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values (n, m) and gradients (n, m, 3) of m cubics at the n rows of X.
 
-    The one formula for a cubic's value, whose bits the flex residuals keep;
-    numpy's complex loops round differently.
+    T stacks the symmetric tensors (m, 3, 3, 3). The gradient of
+    sum T_ijk x_i x_j x_k is 3 sum_jk T_ijk x_j x_k, and by Euler's
+    identity the value is a third of x . gradient. The one formula for a
+    cubic's value in the package (CubicForm.evaluate is its one-row case);
+    a row's entries have the same bits whatever other rows and cubics are
+    stacked with it.
     """
-    xx, yy, zz = x * x, y * y, z * z
-    return (
-        x * (c[0] * xx + c[1] * x * y + c[2] * x * z + c[3] * yy + c[4] * y * z + c[5] * zz)
-        + y * (c[6] * yy + c[7] * y * z + c[8] * zz)
-        + c[9] * zz * z
-    )
+    G = 3.0 * np.einsum("aijk,nj,nk->nai", T, X, X)
+    return (G * X[:, None, :]).sum(axis=2) / 3.0, G
+
+
+def _line_cubic(T: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The coefficients, lowest degree first, of u -> f(P + u Q) for the cubic with tensor T (1, 3, 3, 3).
+
+    By polarization they are f(P), grad f(P).Q, grad f(Q).P and f(Q), from one _forms_at call.
+    """
+    V, G = _forms_at(T, np.stack([P, Q]))
+    return np.array([V[0, 0], G[0, 0] @ Q, G[1, 0] @ P, V[1, 0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +192,8 @@ class CubicForm:
         return _tensors(self.coeffs[None])[0]
 
     def evaluate(self, point) -> complex:
-        return _cubic_value(self.coeffs.tolist(), *_point_array(point).reshape(3).tolist())
+        """The value at a point: the one-row case of _forms_at, as a numpy scalar."""
+        return _forms_at(self._tensor()[None], _point_array(point).reshape(1, 3))[0][0, 0]
 
     def gradient(self, point) -> np.ndarray:
         """The three partial derivatives at a point, from the quadratic monomials."""
@@ -538,29 +551,29 @@ def _singular_witness(f: CubicForm, tol: Tolerances) -> ProjectivePoint:
     scale = f.norm_inf
     T = f._tensor()
     conics = [Q / np.abs(Q).max() for Q in T if Q.any()]
-    candidates = (
+    # a candidate with every coordinate subnormal has no finite representative
+    X = np.array([
         x
         for i in range(len(conics))
         for member in _singular_members(conics[i], conics[(i + 1) % len(conics)], tol)
         for line in _conic_lines(member)
         for x in _cut(line, conics[i:] + conics[:i])
-    )
+        if not np.abs(x).max() < _TINY
+    ]).reshape(-1, 3)
+    P = _normalize_rows(X)
+    g = _norms(_forms_at(T[None], P)[1][:, 0], 1) / scale
+    near = g <= _WITNESS_POLISH_GATE
+    if near.any():
+        P[near] = _normalize_rows(np.array([_polish_singular(T, x) for x in X[near]]))
+        g = _norms(_forms_at(T[None], P)[1][:, 0], 1) / scale
     best_gradient = np.inf
     best_witnesses: list[ProjectivePoint] = []
-    for x in candidates:
-        # all coordinates subnormal: normalize_point has no finite representative
-        if np.abs(x).max() < _TINY:
-            continue
-        P = normalize_point(x)
-        g = float(np.linalg.norm(f.gradient(P)) / scale)
-        if g <= _WITNESS_POLISH_GATE:
-            P = normalize_point(_polish_singular(T, x))
-            g = float(np.linalg.norm(f.gradient(P)) / scale)
-        if g < best_gradient - _WITNESS_BETTER:
-            best_gradient = g
-            best_witnesses = [P]
-        elif abs(g - best_gradient) <= _WITNESS_TIE_ABS + _WITNESS_TIE_REL * best_gradient:
-            best_witnesses.append(P)
+    for row, gi in zip(P.tolist(), g.tolist()):
+        if gi < best_gradient - _WITNESS_BETTER:
+            best_gradient = gi
+            best_witnesses = [ProjectivePoint(tuple(row))]
+        elif abs(gi - best_gradient) <= _WITNESS_TIE_ABS + _WITNESS_TIE_REL * best_gradient:
+            best_witnesses.append(ProjectivePoint(tuple(row)))
     if not np.isfinite(best_gradient):
         raise NumericalError("the pencils of the partials produced no candidates")
     return max(best_witnesses, key=_canonical_key)
@@ -577,7 +590,7 @@ def _polish_singular(T: np.ndarray, x: np.ndarray, iters: int = 30) -> np.ndarra
     x, free = x / x[pivot], _FREE[pivot]
     best, best_x, stalls, size = np.inf, x, 0, np.inf
     for _ in range(iters + 1):
-        grad = 3.0 * np.einsum("ijk,j,k->i", T, x, x)
+        grad = _forms_at(T[None], x[None])[1][0, 0]
         rn = float(np.linalg.norm(grad))
         stalls = 0 if rn < 0.9 * best else stalls + 1
         if rn < best:
@@ -608,45 +621,36 @@ def require_smooth(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> Smooth
 # inflections
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    """Each row divided by its largest-modulus coordinate."""
-    top = X[np.arange(len(X)), np.abs(X).argmax(axis=1)]
-    if not top.all():
-        raise InputError("the zero vector is not a projective point")
-    return X / top[:, None]
-
-
 def _settle(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """At most four complex Newton steps onto the cubic with tensor T (1, 3, 3, 3), on every row of X.
+    """At most four complex Newton steps onto the first cubic of T (m, 3, 3, 3), on every row of X.
 
     Each step moves a row x by -f(x) conj(g) / |g|^2, g the gradient at x:
     the shortest step that zeroes f's linearization at x, well conditioned
-    on a smooth curve. Rows are divided by their largest-modulus coordinate
-    before each evaluation, and stepping stops once every row's move
-    |f(x)| / |g| is at most numeric._ROUNDING_FLOOR, roundoff alone, so rows
-    on the curve cost one evaluation. Returns the rows, values and gradients.
+    on a smooth curve. Rows are normalized (_normalize_rows) before each
+    evaluation, and stepping stops once every row's move |f(x)| / |g| is at
+    most numeric._ROUNDING_FLOOR, roundoff alone, so rows on the curve cost
+    one evaluation and keep their bits. Returns the rows and _forms_at's
+    values and gradients there, of every cubic of T.
     """
-    X = _unit_rows(X)
+    X = _normalize_rows(X)
     for steps in range(5):
         V, G = _forms_at(T, X)
         v, g = V[:, 0], G[:, 0]
         gg = (np.abs(g) ** 2).sum(axis=1)
         if steps == 4 or (np.abs(v) <= _ROUNDING_FLOOR * np.sqrt(gg)).all():
-            return X, v, g
-        X = _unit_rows(X - (v / np.maximum(gg, _SCALE_FLOOR))[:, None] * np.conj(g))
+            return X, V, G
+        X = _normalize_rows(X - (v / np.maximum(gg, _SCALE_FLOOR))[:, None] * np.conj(g))
 
 
 def _curve_points(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
-    """Every row of X normalized (_normalize_rows), with its relative residual on f.
+    """Every row of X, normalized as _settle leaves it, with its relative residual on f.
 
-    The residual is residual_at's, bit for bit: _cubic_value on the
-    normalized row's Python complex numbers over norm_inf, taken once.
+    One _forms_at call and Python's abs per value (numpy's vectorized abs
+    can differ in the last bit) give residual_at's residual, bit for bit.
     """
-    c, scale = f.coeffs.tolist(), f.norm_inf
-    return [
-        CurvePoint(ProjectivePoint(tuple(row)), abs(_cubic_value(c, *row)) / scale)
-        for row in _normalize_rows(X).tolist()
-    ]
+    V = _forms_at(f._tensor()[None], X)[0][:, 0]
+    scale = f.norm_inf
+    return [CurvePoint(ProjectivePoint(tuple(row)), abs(v) / scale) for row, v in zip(X.tolist(), V.tolist())]
 
 
 def _polish_rows(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
@@ -736,11 +740,12 @@ def _triangle_lines(g: CubicForm, tol: Tolerances) -> np.ndarray:
     vanishes, so a cut through one fails that test and the next cut is
     tried; NumericalError when no cut passes.
     """
+    T = g._tensor()[None]
     for P, Q in _CUTS:
-        cubic = UniPoly([g.evaluate(P), g.gradient(P) @ Q, g.gradient(Q) @ P, g.evaluate(Q)])
-        lines = np.array([g.gradient(P + u * Q) for u, m in solve_univariate(cubic, tol) for _ in range(m)])
-        if len(lines) != 3:
+        roots = [u for u, m in solve_univariate(UniPoly(_line_cubic(T, P, Q)), tol) for _ in range(m)]
+        if len(roots) != 3:
             continue
+        lines = _forms_at(T, P + np.array(roots)[:, None] * Q)[1][:, 0]
         norms = _norms(lines, 1)
         if not norms.all():
             continue
@@ -758,8 +763,7 @@ def _hesse_frame(f: CubicForm, h: CubicForm, tol: Tolerances) -> np.ndarray:
     f reads a X^3 + b Y^3 + c Z^3 + d XYZ (Artebani and Dolgachev, "The Hesse
     pencil of plane cubic curves"), so T0 = diag(a, b, c)^(1/3) M, with any
     cube roots: they differ by diag(1, w^j, w^k), which permutes the base points.
-    a, b and c are f at the columns of M^-1, by _forms_at: near a triangle
-    member they cancel, and _cubic_value's nesting rounds them 2-3 times worse.
+    a, b and c are f at the columns of M^-1 (_forms_at).
     """
     M = _triangle_lines(_pencil_triangle(f, h, tol), tol)
     # pinv: lines through one point leave a frame that fails the flex test, not an exception
@@ -806,17 +810,6 @@ _CORRECTOR_CONTRACTION = 0.5
 _CORRECTOR_ITERS = 10
 # For a row whose pivot (the coordinate held at 1) is i, the two it moves.
 _FREE = np.array([[1, 2], [0, 2], [0, 1]])
-
-
-def _forms_at(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values (n, m) and gradients (n, m, 3) of m cubics at the n rows of X.
-
-    T stacks the symmetric tensors (m, 3, 3, 3). The gradient of
-    sum T_ijk x_i x_j x_k is 3 sum_jk T_ijk x_j x_k, and by Euler's
-    identity the value is a third of x . gradient.
-    """
-    G = 3.0 * np.einsum("aijk,nj,nk->nai", T, X, X)
-    return (G * X[:, None, :]).sum(axis=2) / 3.0, G
 
 
 class _FlexList(list):
@@ -868,17 +861,13 @@ def _newton_flexes(
             last = size
             moving = kept & (size > _CORRECTOR_DONE)
     kept &= ~moving
-    # residuals on f and h from one pass over the normalized rows, as _curve_points forms them
-    cf, nf = f.coeffs.tolist(), f.norm_inf
-    ch, nh = h.coeffs.tolist(), h.norm_inf
+    # residuals on f and h from one _forms_at call on the normalized rows, per value as _curve_points takes them
     W = _normalize_rows(X[kept])
-    on_both, out = [], _FlexList()
-    for row in W.tolist():
-        rf = abs(_cubic_value(cf, *row)) / nf
-        on_both.append(rf <= tol.tau_on_curve and abs(_cubic_value(ch, *row)) / nh <= tol.tau_on_curve)
-        if on_both[-1]:
-            out.append(CurvePoint(ProjectivePoint(tuple(row)), rf))
-    out.rows = W[np.array(on_both, dtype=bool)]
+    nf, nh = f.norm_inf, h.norm_inf
+    R = [(abs(vf) / nf, abs(vh) / nh) for vf, vh in _forms_at(T, W)[0].tolist()]
+    on_both = np.array([rf <= tol.tau_on_curve and rh <= tol.tau_on_curve for rf, rh in R], dtype=bool)
+    out = _FlexList(CurvePoint(ProjectivePoint(tuple(w)), rf) for w, (rf, _), ok in zip(W.tolist(), R, on_both) if ok)
+    out.rows = W[on_both]
     return out
 
 
@@ -928,13 +917,13 @@ def line_curve_points(
 ) -> list[CurvePoint]:
     """Intersection points of the line through p and q with the curve.
 
-    t -> f(P + t Q) has the coefficients f(P), grad f(P).Q, grad f(Q).P
-    and f(Q), lowest degree first, by the polarization identity. The
-    points come in canonical order, so the order does not follow roundoff.
+    The points are the roots of t -> f(P + t Q) (_line_cubic), and Q when
+    that cubic drops degree. They come in canonical order, so the order
+    does not follow roundoff.
     """
     P = _point_array(p).reshape(3)
     Q = _point_array(q).reshape(3)
-    coeffs = np.array([f.evaluate(P), f.gradient(P) @ Q, f.gradient(Q) @ P, f.evaluate(Q)])
+    coeffs = _line_cubic(f._tensor()[None], P, Q)
     top = np.abs(coeffs).max()
     if top == 0.0:
         raise InputError("the line lies on the curve, which no smooth cubic allows")

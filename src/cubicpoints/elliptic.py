@@ -33,18 +33,19 @@ from .curve import (
     PointSet,
     _curve_points,
     _forms_at,
+    _hessian_of_smooth,
     _polish_rows,
     _settle,
-    _unit_rows,
+    _tensors,
     polish_onto_curve,
 )
 from .errors import InputError, NumericalError
 from .numeric import (
     ProjectivePoint,
     UniPoly,
+    _normalize_rows,
     _point_array,
     chordal_matrix,
-    normalize_point,
     solve_univariate,
 )
 from .sizes import constructible_sizes, jordan_totient_2, size_witness
@@ -91,15 +92,15 @@ def _coords(p) -> np.ndarray:
     return v
 
 
-def _on_curve_rows(f: CubicForm, T: np.ndarray, X, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Every row of X gated onto f (InputError) and settled there (NumericalError): the rows and their gradients."""
-    X = _unit_rows(np.asarray(X))
-    if not (np.abs(_forms_at(T, X)[0]) <= _ON_CURVE_GATE * f.norm_inf).all():
+def _on_curve_rows(f: CubicForm, T: np.ndarray, X, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """Every row of X gated onto f, T's first cubic (InputError), and settled there (NumericalError): _settle's output."""
+    X = _normalize_rows(np.asarray(X))
+    if not (np.abs(_forms_at(T, X)[0][:, 0]) <= _ON_CURVE_GATE * f.norm_inf).all():
         raise InputError("point is not on the curve")
     X, V, G = _settle(T, X)
-    if not (np.abs(V) <= tol.tau_on_curve * f.norm_inf).all():
+    if not (np.abs(V[:, 0]) <= tol.tau_on_curve * f.norm_inf).all():
         raise NumericalError("could not polish the point onto the curve")
-    return X, G
+    return X, V, G
 
 
 def _third_rows(f: CubicForm, P, Q, tol: Tolerances) -> np.ndarray:
@@ -115,13 +116,13 @@ def _third_rows(f: CubicForm, P, Q, tol: Tolerances) -> np.ndarray:
     rows are polished onto the curve, each scaled to a largest coordinate 1.
     """
     T = f._tensor()[None]
-    P, gP = _on_curve_rows(f, T, P, tol)
-    Q, _ = _on_curve_rows(f, T, Q, tol)
+    P, _, gP = _on_curve_rows(f, T, P, tol)
+    Q = _on_curve_rows(f, T, Q, tol)[0]
     d = np.linalg.norm(np.cross(P, Q), axis=1) / (np.linalg.norm(P, axis=1) * np.linalg.norm(Q, axis=1))
     if ((d > tol.tau_match) & (d <= 10.0 * tol.tau_match)).any():
         raise NumericalError("chord through nearly coincident points is ill conditioned")
     tangent = d <= tol.tau_match
-    tdir = np.cross(gP, np.conj(P))
+    tdir = np.cross(gP[:, 0], np.conj(P))
     tdir /= np.maximum(np.linalg.norm(tdir, axis=1), _SCALE_FLOOR)[:, None]
     D = np.where(tangent[:, None], tdir, Q)
     vD, gD = _forms_at(T, D)
@@ -129,13 +130,13 @@ def _third_rows(f: CubicForm, P, Q, tol: Tolerances) -> np.ndarray:
     # has f(D) = 0 and a tangent g(P).D = 0, so the third root is (s : t) = (a : -b).
     gDP = (gD[:, 0] * P).sum(axis=1)
     a = np.where(tangent, vD[:, 0], gDP)
-    b = np.where(tangent, gDP, (gP * D).sum(axis=1))
+    b = np.where(tangent, gDP, (gP[:, 0] * D).sum(axis=1))
     R = a[:, None] * P - b[:, None] * D
     scale = np.maximum(np.abs(a), np.abs(b)) * np.maximum(np.abs(P).max(axis=1), np.abs(D).max(axis=1))
     if (np.abs(R).max(axis=1) <= _CHORD_CANCEL * np.maximum(scale, _SCALE_FLOOR)).any():
         raise NumericalError("third intersection is numerically indeterminate")
     R, V, _ = _settle(T, R)
-    if not (np.abs(V) <= tol.tau_on_curve * f.norm_inf).all():
+    if not (np.abs(V[:, 0]) <= tol.tau_on_curve * f.norm_inf).all():
         raise NumericalError("third intersection failed to settle on the curve")
     return R
 
@@ -243,7 +244,7 @@ class EllipticChart:
 
     def _multiply_rows(self, m: int, X: np.ndarray) -> np.ndarray:
         """m times each row of X (m != 0): one double-and-add ladder for the whole stack."""
-        addend, _ = _on_curve_rows(self.curve, self.curve._tensor()[None], X, self.tol)
+        addend = _on_curve_rows(self.curve, self.curve._tensor()[None], X, self.tol)[0]
         result = None
         mm = abs(m)
         while mm:
@@ -273,13 +274,15 @@ def make_chart(
     (0:1:0). A final scale normalizes max(|a|^(1/4), |b|^(1/6)) to 1.
     SingularCurveError on a singular curve, a cone included, before the
     identity is read (gated and settled: two evaluations at a flex already
-    at the rounding floor); InputError unless the identity is an inflection.
+    at the rounding floor, where f and its Hessian are evaluated together);
+    InputError unless the identity is an inflection.
     """
     T, lam = hesse_normalize(f, tol)
-    X, _ = _on_curve_rows(f, f._tensor()[None], _coords(identity)[None], tol)
-    P = normalize_point(X[0])
-    if f.hessian().residual_at(P) > _FLEX_SLACK * tol.tau_on_curve:
+    h = _hessian_of_smooth(f)
+    X, V, _ = _on_curve_rows(f, _tensors(np.stack([f.coeffs, h.coeffs])), _coords(identity)[None], tol)
+    if abs(V[0, 1]) / h.norm_inf > _FLEX_SLACK * tol.tau_on_curve:
         raise InputError("the identity must be an inflection point of the curve")
+    P = ProjectivePoint(tuple(X[0].tolist()))
     k = int(chordal_matrix(T.matrix @ P.array, _HESSE_BASE).argmin())
     W, a, b = _hesse_weierstrass(lam)
     u = max(abs(a) ** 0.25, abs(b) ** (1.0 / 6.0))

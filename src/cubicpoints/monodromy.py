@@ -135,10 +135,16 @@ class Permutation:
 _MEET_TOL = 1e-9
 
 
+# track's smallest step: a step that must be halved below it raises.
+_MIN_STEP = 1e-6
+# More steps would make the base step smaller than _MIN_STEP.
+_MAX_STEPS = round(1.0 / _MIN_STEP)
+
+
 def _step_count(steps) -> int:
-    """steps as an int; InputError unless it is a positive integer (a bool is not one)."""
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
-        raise InputError("the step count must be a positive integer")
+    """steps as an int; InputError unless it is an integer (a bool is not one) from 1 to _MAX_STEPS."""
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or not 1 <= steps <= _MAX_STEPS:
+        raise InputError(f"the step count must be a positive integer of at most {_MAX_STEPS}")
     return int(steps)
 
 
@@ -192,7 +198,6 @@ class TrackResult:
     min_margin: float
 
 
-_MIN_STEP = 1e-6
 # t sums inexact steps, so the loop ends once t is within roundoff of 1
 # instead of taking a last step of a few ulps.
 _END_SLACK = 1e-12
@@ -230,7 +235,7 @@ def track(
     DiscriminantPathError when any visited curve has a gate margin at or
     below smoothness_margin, TrackingAmbiguityError when matching stays
     ambiguous at the minimal step size, and InputError when steps, which
-    overrides path.steps, is not a positive integer.
+    overrides path.steps, is not an integer from 1 to _MAX_STEPS.
     """
     base = 1.0 / (path.steps if steps is None else _step_count(steps))
     f0 = path.at(0.0)

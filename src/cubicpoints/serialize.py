@@ -44,7 +44,10 @@ def _from_pair(v, what: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
     ):
         raise InputError(f"{what} must be a [re, im] pair of numbers")
-    z = complex(float(v[0]), float(v[1]))
+    try:
+        z = complex(float(v[0]), float(v[1]))
+    except OverflowError:  # an integer too large for a float
+        raise InputError(f"{what} must be finite") from None
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise InputError(f"{what} must be finite")
     return z

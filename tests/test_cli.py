@@ -206,6 +206,16 @@ class TestTrackCommand:
         assert obj["permutation"] == list(range(9))
         assert obj["cycle_type"] == [1] * 9
 
+    @pytest.mark.parametrize("steps", [10**6 + 1, pytest.param(10**400, id="10**400")])
+    def test_too_many_steps_exit_two_before_any_step(self, capsys, tmp_path, steps):
+        obj = path_to_obj(ParameterPath([fermat_cubic(), fermat_cubic()], steps=4))
+        obj["steps"] = steps
+        pf = tmp_path / "long.json"
+        pf.write_text(json.dumps(obj), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "track", "--path", str(pf))
+        assert (rc, out) == (2, "")
+        assert "step count" in err
+
     def test_discriminant_crossing_exit_three(self, capsys, tmp_path):
         path = ParameterPath([hesse_cubic(0.0), hesse_cubic(-6.0)], steps=8)
         pf = tmp_path / "bad.json"
@@ -226,6 +236,14 @@ class TestInputHandling:
         p.write_text("{not json", encoding="utf-8")
         rc, _, err = run_cli(capsys, "inflections", "--curve", str(p))
         assert rc == 2
+
+    def test_huge_integer_coefficient(self, capsys, tmp_path):
+        # JSON integers are unbounded; one past the float range is not a finite coefficient
+        p = tmp_path / "huge.json"
+        p.write_text('{"coeffs": {"300": [1' + "0" * 400 + ', 0], "030": [1, 0]}}', encoding="utf-8")
+        rc, out, err = run_cli(capsys, "inflections", "--curve", str(p))
+        assert (rc, out) == (2, "")
+        assert "must be finite" in err
 
     def test_wrong_schema(self, capsys, tmp_path):
         p = tmp_path / "odd.json"

@@ -569,8 +569,9 @@ class TestSettle:
         return calls
 
     def test_rows_on_the_curve_are_evaluated_once_and_returned_unchanged(self, evaluations, rng):
-        # generic flexes have one coordinate of largest modulus, so _unit_rows keeps their bits
-        for f in [random_smooth_cubic(rng) for _ in range(5)]:
+        # the Fermat flexes (1 : -w^k : 0) and the Hesse base points tie in modulus: the
+        # pivot rule of the rows a flex set holds is the one _settle applies
+        for f in [fermat_cubic(), hesse_cubic(0.5)] + [random_smooth_cubic(rng) for _ in range(5)]:
             X = inflection_points(f).arrays
             evaluations.clear()
             Y, V, G = curve._settle(f._tensor()[None], X)

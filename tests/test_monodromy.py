@@ -134,7 +134,7 @@ class TestParameterPath:
         with pytest.raises(InputError):
             ParameterPath([hesse_cubic(0.0), hesse_cubic(1.0)]).at(1.5)
 
-    @pytest.mark.parametrize("steps", [0, -2, 2.5, True])
+    @pytest.mark.parametrize("steps", [0, -2, 2.5, True, 10**6 + 1, pytest.param(10**400, id="10**400")])
     def test_track_checks_its_step_override_as_the_path_does(self, fermat, steps):
         message = "the step count must be a positive integer"
         with pytest.raises(InputError, match=message):

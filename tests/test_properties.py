@@ -11,14 +11,14 @@ its branch for the zero fiber) and its Newton on chart grids (then
 polished in mpmath at 50 digits), the flex corrector with its own Newton
 loop, and normalize_point's pivot search on numpy arrays, which the
 batched normalizer (normalize_point's one implementation) meets row by
-row on stacks.  The dense
-cubic's gradient and Hessian are checked against monomial sums written
-out here, the Levi-Civita contraction of tensor slices against the
-four-operand einsum it replaced, the flex Newton's batched values and gradients against
-evaluate and gradient, within a bound taken from those sums, and the flex
-Newton's kept rows against the three-chart search.  The references copy the code
-they replaced rather than import it, so rewriting a kernel cannot rewrite
-its reference too.
+row on stacks.  The dense cubic's gradient and Hessian are checked
+against monomial sums written out here, the Levi-Civita contraction of
+tensor slices against the four-operand einsum it replaced, the batched
+values and gradients of _forms_at (the one formula for a cubic's value)
+against the monomial sums and gradient, within a bound taken from those
+sums, and the flex Newton's kept rows against the three-chart search.
+The references copy the code they replaced rather than import it, so
+rewriting a kernel cannot rewrite its reference too.
 """
 from __future__ import annotations
 
@@ -448,7 +448,7 @@ def test_gradient_matches_the_monomial_sum(case):
 
 
 # 128 times the smallest subnormal: one half for each of the at most 256
-# roundings behind an entry of _forms_at or of evaluate and gradient
+# roundings behind an entry of _forms_at or of gradient
 UNDERFLOW = 128 * 2.0**-1074
 
 
@@ -458,6 +458,8 @@ def test_batched_forms_match_evaluate_and_gradient(cases):
     # every cubic at every point in one call, within the bound above: the
     # value is a third of x . gradient, whose terms are three times those
     # of the monomial sum, so the same sum of moduli bounds its roundoff.
+    # evaluate is _forms_at's one-row case, so the value is held to the
+    # monomial sum itself.
     # Products that underflow lose up to half the smallest subnormal each,
     # which no relative bound covers; UNDERFLOW allows for them.
     cubics = [CubicForm.from_coeffs(coeffs) for coeffs, _ in cases]
@@ -467,7 +469,7 @@ def test_batched_forms_match_evaluate_and_gradient(cases):
         for n, v in enumerate(points):
             terms = monomial_terms(coeffs, v, [])
             bound = 1e-14 * sum(abs(t) for t in terms) + UNDERFLOW
-            assert abs(values[n, col] - f.evaluate(v)) <= bound
+            assert abs(values[n, col] - sum(terms)) <= bound
             want = f.gradient(v)
             for i, unit in enumerate(UNITS):
                 terms = monomial_terms(coeffs, v, [unit])
@@ -984,6 +986,17 @@ def test_newton_flexes_keeps_only_flexes_and_every_near_start(case):
 def test_newton_flexes_of_no_starts_is_empty():
     f = fermat_cubic()
     assert _newton_flexes(f, f.hessian(), [], DEFAULT_TOLERANCES) == []
+
+
+@PROPERTY
+@given(flex_stacks())
+def test_every_residual_is_residual_at_to_the_bit(case):
+    # one formula for a cubic's value: the residual a CurvePoint carries is the
+    # one residual_at takes at its point, whatever stack produced it
+    f, near = case
+    corrected = curve._correct_flexes(f, near, DEFAULT_TOLERANCES)
+    points = [*inflection_points(f), *curve._polish_rows(f, near), *(corrected or [])]
+    assert [cp.residual for cp in points] == [f.residual_at(cp.point) for cp in points]
 
 
 # S sends (0, 1, -1) to (0.5, -1.5, 0), so that flex lies on U0's line at infinity
