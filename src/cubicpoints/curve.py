@@ -20,9 +20,10 @@ the same way, for hesse_normalize and elliptic.make_chart.
 A cubic's value and gradient have one formula, _forms_at, on stacks of
 rows and cubics, and a point's representative one rule,
 numeric._normalize_rows. The Newton's kept rows stay one normalized stack,
-the PointSet's arrays, and become CurvePoints in one pass, as the rows
-_settle puts on a curve do (_curve_points), each residual residual_at's
-bit for bit. _settle stops at the rounding floor.
+the arrays of the PointSet it returns, which builds their CurvePoints only
+when they are read, each residual residual_at's bit for bit as for the
+rows _settle puts on a curve (_curve_points). _settle stops at the
+rounding floor.
 
 Smoothness is certified by one determinantal gate for the discriminant: a
 6x6 matrix of the partials of f and of its Hessian, in Bombieri-weighted
@@ -308,14 +309,30 @@ def _nearest_match(A, B, tolerance: float) -> list[int] | None:
 
 
 class PointSet:
-    """Ordered finite set of curve points with a matching tolerance."""
+    """Ordered finite set of curve points with a matching tolerance.
+
+    A set built on a row stack (_of_rows) builds its CurvePoints when first read.
+    """
+
+    _near = None
 
     def __init__(self, points: list[CurvePoint], tolerance: float) -> None:
         self.points = list(points)
         self.tolerance = float(tolerance)
 
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray, residuals: list[float], tolerance: float) -> "PointSet":
+        """The set whose point i is row i of the normalized stack rows, with residuals[i]."""
+        out = cls.__new__(cls)
+        out.arrays, out._residuals, out.tolerance = rows, residuals, float(tolerance)
+        return out
+
+    @functools.cached_property
+    def points(self) -> list[CurvePoint]:
+        return [CurvePoint(ProjectivePoint(tuple(w)), r) for w, r in zip(self.arrays.tolist(), self._residuals)]
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.points) if "points" in vars(self) else len(self.arrays)
 
     def __iter__(self):
         return iter(self.points)
@@ -335,6 +352,10 @@ class PointSet:
         """Index of the member within tolerance of the given point, else None: the one-row case of match."""
         images = _nearest_match(point, self.arrays, self.tolerance)
         return None if images is None else images[0]
+
+    def _distances_from(self, rows) -> np.ndarray:
+        """chordal_matrix(rows, arrays): the kept block when rows is the stack this set was corrected from."""
+        return self._near_distances if rows is self._near else chordal_matrix(rows, self.arrays)
 
     def match(self, other: "PointSet") -> list[int] | None:
         """Bijection self index -> other index by nearest neighbor, or None."""
@@ -642,20 +663,23 @@ def _settle(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         X = _normalize_rows(X - (v / np.maximum(gg, _SCALE_FLOOR))[:, None] * np.conj(g))
 
 
-def _curve_points(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
+def _curve_points(f: CubicForm, X: np.ndarray, V: np.ndarray | None = None) -> list[CurvePoint]:
     """Every row of X, normalized as _settle leaves it, with its relative residual on f.
 
-    One _forms_at call and Python's abs per value (numpy's vectorized abs
-    can differ in the last bit) give residual_at's residual, bit for bit.
+    V holds f's values at the rows when the caller has them; otherwise one
+    _forms_at call gives them. Python's abs per value (numpy's vectorized
+    abs can differ in the last bit) gives residual_at's residual, bit for bit.
     """
-    V = _forms_at(f._tensor()[None], X)[0][:, 0]
+    if V is None:
+        V = _forms_at(f._tensor()[None], X)[0][:, 0]
     scale = f.norm_inf
     return [CurvePoint(ProjectivePoint(tuple(row)), abs(v) / scale) for row, v in zip(X.tolist(), V.tolist())]
 
 
 def _polish_rows(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
-    """Every row of X settled onto f (_settle), with its relative residual."""
-    return _curve_points(f, _settle(f._tensor()[None], X)[0])
+    """Every row of X settled onto f (_settle), with its relative residual from _settle's last evaluation."""
+    X, V, _ = _settle(f._tensor()[None], X)
+    return _curve_points(f, X, V[:, 0])
 
 
 def polish_onto_curve(f: CubicForm, coords) -> CurvePoint:
@@ -808,25 +832,24 @@ _CORRECTOR_CONTRACTION = 0.5
 # start 0.1 away, as a tracked flex is; a row
 # still moving after twice that many is dropped.
 _CORRECTOR_ITERS = 10
-# For a row whose pivot (the coordinate held at 1) is i, the two it moves.
+# For a row whose pivot (the coordinate held at 1) is i, the two it moves, q
+# and r; and, in a row's gradients flattened to six (f's, then h's), where
+# its Jacobian entries (f_r, h_q) and (h_r, f_q) lie.
 _FREE = np.array([[1, 2], [0, 2], [0, 1]])
+_BC = np.stack([_FREE[:, 1], 3 + _FREE[:, 0]], axis=1)
+_DA = np.stack([3 + _FREE[:, 1], _FREE[:, 0]], axis=1)
 
 
-class _FlexList(list):
-    """_newton_flexes' kept points; rows is their normalized stack, row i with the bits of point i's array."""
-
-
-def _newton_flexes(
-    f: CubicForm, h: CubicForm, starts, tol: Tolerances
-) -> _FlexList:
+def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> PointSet:
     """Flexes by Newton on (f, h) = 0 from the rows of starts.
 
     All rows move at once, each in its own chart with its largest-modulus
     coordinate held at 1, by a Cramer solve of the 2x2 Newton system. A row
     is kept when every step at most halved the one before, it converged
     within _CORRECTOR_ITERS steps, and its point lies on f and on h within
-    tau_on_curve. A row that fails stops moving and is dropped. Kept rows
-    come back in start order, each with its residual on f, with their row stack.
+    tau_on_curve. A row that fails stops moving and is dropped. The kept
+    rows come back in start order as a PointSet built from their normalized
+    stack (PointSet._of_rows), each with its residual on f.
     """
     X = np.array(starts, dtype=complex).reshape(-1, 3)
     rows = np.arange(len(X))
@@ -834,9 +857,8 @@ def _newton_flexes(
     X /= X[rows, pivot][:, None]
     X[rows, pivot] = 1.0
     free = _FREE[pivot]
-    q, r = free.T
-    # each row's Jacobian (f_q, f_r, h_q, h_r), one gather from its gradients flattened to six
-    jacobian = (rows[:, None], np.concatenate([free, 3 + free], axis=1))
+    # each row's Jacobian as (f_r, h_q) and (h_r, f_q), two gathers from its gradients flattened to six
+    bc, da = (rows[:, None], _BC[pivot]), (rows[:, None], _DA[pivot])
     T = _tensors(np.stack([f.coeffs, h.coeffs]))
     last = np.full(len(X), np.inf)
     kept = np.ones(len(X), dtype=bool)
@@ -846,18 +868,18 @@ def _newton_flexes(
             if not moving.any():
                 break
             V, G = _forms_at(T, X)
-            a, b, c, d = G.reshape(-1, 6)[jacobian].T
-            det = a * d - b * c
-            du = (b * V[:, 1] - d * V[:, 0]) / det
-            dv = (c * V[:, 0] - a * V[:, 1]) / det
+            G = G.reshape(-1, 6)
+            BC, DA = G[bc], G[da]
+            # Cramer: the steps in q and r are (f_r h - h_r f, h_q f - f_q h) / (f_q h_r - f_r h_q)
+            det = DA[:, 1] * DA[:, 0] - BC[:, 0] * BC[:, 1]
+            D = (BC * V[:, ::-1] - DA * V) / det[:, None]
             if not moving.all():
-                du, dv = np.where(moving, du, 0.0), np.where(moving, dv, 0.0)
-            size = np.maximum(np.abs(du), np.abs(dv))
+                D = np.where(moving[:, None], D, 0.0)
+            size = np.abs(D).max(axis=1)
             # a NaN step fails the comparison too; a failed row takes its
             # step, which moves no other row, and then stops
             kept &= size <= _CORRECTOR_CONTRACTION * last
-            X[rows, q] += du
-            X[rows, r] += dv
+            X[rows[:, None], free] += D
             last = size
             moving = kept & (size > _CORRECTOR_DONE)
     kept &= ~moving
@@ -866,9 +888,7 @@ def _newton_flexes(
     nf, nh = f.norm_inf, h.norm_inf
     R = [(abs(vf) / nf, abs(vh) / nh) for vf, vh in _forms_at(T, W)[0].tolist()]
     on_both = np.array([rf <= tol.tau_on_curve and rh <= tol.tau_on_curve for rf, rh in R], dtype=bool)
-    out = _FlexList(CurvePoint(ProjectivePoint(tuple(w)), rf) for w, (rf, _), ok in zip(W.tolist(), R, on_both) if ok)
-    out.rows = W[on_both]
-    return out
+    return PointSet._of_rows(W[on_both], [rf for (rf, _), ok in zip(R, on_both) if ok], tol.tau_match)
 
 
 def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
@@ -879,15 +899,20 @@ def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
     nine lie pairwise farther apart than 2 tau_match; otherwise None. The
     curve meets its Hessian in nine points counted with multiplicity
     (Bezout), each simple on a smooth cubic, so nine distinct common points
-    are all the flexes. Raises NumericalError on a cone.
+    are all the flexes. One chordal_matrix call gives the set's separation
+    and the distances from near that _distances_from(near) returns. Raises
+    NumericalError on a cone.
     """
-    points = _newton_flexes(f, _hessian_of_smooth(f), near, tol)
-    if len(points) != 9:
+    out = _newton_flexes(f, _hessian_of_smooth(f), near, tol)
+    if len(out) != 9:
         return None
-    out = PointSet(points, tol.tau_match)
-    # the Newton's own stack, which arrays would rebuild from the points bit for bit
-    out.arrays = points.rows
-    return out if out.min_separation() > 2.0 * tol.tau_match else None
+    W = out.arrays
+    D = chordal_matrix(np.concatenate([W, near]), W)
+    out._near, out._near_distances = near, D[9:]
+    D = D[:9]
+    np.fill_diagonal(D, np.inf)
+    out._separation = float(D.min())
+    return out if out._separation > 2.0 * tol.tau_match else None
 
 
 def _dedupe(points: list[CurvePoint], tolerance: float) -> list[CurvePoint]:

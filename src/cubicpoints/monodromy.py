@@ -13,7 +13,9 @@ inflections section corrects the nine flexes by Newton
 (curve._correct_flexes) and computes them afresh, from a triangle of the
 curve's Hesse pencil, only when the correction cannot prove it found all
 nine.  Both polish with one batched Newton, curve._newton_flexes.  Other
-sections are recomputed from scratch at every step.
+sections are recomputed from scratch at every step.  A continued step
+computes one distance matrix, the corrector's, for both the separation and
+the match, and the end set's CurvePoints are built once, after the loop.
 
 track certifies every curve it visits against smoothness_margin, once, and
 only then evaluates the section there.  The certificate is the discriminant
@@ -50,7 +52,6 @@ from .errors import (
     NumericalError,
     TrackingAmbiguityError,
 )
-from .numeric import chordal_matrix
 from .sizes import SizeVerdict, section_verdict
 from .symmetry import ProjectiveTransform, _permutation_images
 
@@ -223,19 +224,21 @@ def track(
     follows functools.wraps), every call after the start passes the last
     accepted points, a (n, 3) array in label order, as near; otherwise the
     section is called on the curve alone.  Either way the returned set goes
-    through the same matching.  A step is accepted when the set keeps its
+    through the same matching, on its distances from the last points
+    (PointSet._distances_from).  A step is accepted when the set keeps its
     size and a separation above 2 tau_match, and each last point has a
     distinct nearest new point, at most _MATCH_REACH times the new
     separation away and more than _MATCH_RATIO times closer than its
     runner-up; otherwise, or when the section raises NumericalError, the
     step is halved.  After an accepted step the step doubles, up to the
     base step, only when the same test passes with each nearest distance
-    doubled.  min_margin is the smallest discriminant-gate margin over the
-    accepted curves, a unitary invariant (1 on the Fermat cubic).  Raises
-    DiscriminantPathError when any visited curve has a gate margin at or
-    below smoothness_margin, TrackingAmbiguityError when matching stays
-    ambiguous at the minimal step size, and InputError when steps, which
-    overrides path.steps, is not an integer from 1 to _MAX_STEPS.
+    doubled.  The end set is built once, from the last accepted set in
+    the matched order.  min_margin is the smallest discriminant-gate margin
+    over the accepted curves, a unitary invariant (1 on the Fermat cubic).
+    Raises DiscriminantPathError when any visited curve has a gate margin
+    at or below smoothness_margin, TrackingAmbiguityError when matching
+    stays ambiguous at the minimal step size, and InputError when steps,
+    which overrides path.steps, is not an integer from 1 to _MAX_STEPS.
     """
     base = 1.0 / (path.steps if steps is None else _step_count(steps))
     f0 = path.at(0.0)
@@ -251,7 +254,7 @@ def track(
         raise NumericalError("section points start closer than the matching scale")
     continues = "near" in inspect.signature(section).parameters
     current = start.arrays.copy()
-    ordered = list(start.points)
+    last, assignment = start, np.arange(n)
     t = 0.0
     dt = base
     taken = 0
@@ -275,7 +278,7 @@ def track(
         ok = S2.min_separation() > 2.0 * tol.tau_match and len(S2) == n
         if ok:
             # points moved this step: demand a clear nearest, not a tolerance hit
-            D = chordal_matrix(current, S2.arrays)
+            D = S2._distances_from(current)
             order = np.argsort(D, axis=1)
             rows = np.arange(n)
             assignment = order[:, 0]
@@ -292,14 +295,14 @@ def track(
                 )
             continue
         current = S2.arrays[assignment]
-        ordered = [S2.points[j] for j in assignment.tolist()]
+        last = S2
         min_margin = min(min_margin, rep.margin)
         t = t2
         taken += 1
         # grow only when the step would have passed with every move doubled
         if (d2 > 2.0 * _MATCH_RATIO * d1).all() and (d1 <= 0.5 * reach).all():
             dt = min(base, dt * 2.0)
-    end = PointSet(ordered, tol.tau_match)
+    end = PointSet([last[j] for j in assignment.tolist()], tol.tau_match)
     perm = None
     if path.is_closed():
         images = start.match(end)

@@ -578,6 +578,15 @@ class TestSettle:
             assert evaluations == [9]
             assert np.array_equal(Y, X)
 
+    def test_a_polished_flex_takes_its_residual_from_the_settle(self, evaluations, rng):
+        # the settle's one evaluation gives the residual too; the point and
+        # its residual are those the flex set holds
+        for f in [fermat_cubic(), random_smooth_cubic(rng)]:
+            flexes = inflection_points(f)
+            evaluations.clear()
+            assert polish_onto_curve(f, flexes[0]) == flexes[0]
+            assert evaluations == [1]
+
     def test_one_row_off_the_curve_still_steps_onto_it(self, evaluations, rng, tol):
         f = random_smooth_cubic(rng)
         X = inflection_points(f).arrays.copy()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from cubicpoints import (
     track,
     verify_free_K_action,
 )
-from cubicpoints import cli, curve, monodromy
+from cubicpoints import cli, curve, monodromy, numeric
 from cubicpoints.serialize import canonical_dumps, path_from_obj, path_to_obj
 
 # x^3 + y^3: three concurrent lines, whose Hessian vanishes identically
@@ -299,6 +300,41 @@ class TestOneHessianPerCurve:
                 cone.hessian()
             with pytest.raises(NumericalError, match="Hessian vanishes"):
                 curve._hessian_of_smooth(cone)
+
+
+class TestOneDistanceMatrixPerStep:
+    def test_translation_loop_pays_once_per_step(self, monkeypatch):
+        # a continued step takes its separation and its match from the
+        # corrector's one distance matrix; the start adds the triangle's
+        # corrector and its set's separation, the closed path one match.
+        # CurvePoints are built for the start and the end only (89 matrices
+        # and 396 points when every step built its own match matrix and
+        # nine points)
+        calls = {"chordal_matrix": 0, "points": 0, "section": 0}
+        real_matrix, real_init = numeric.chordal_matrix, CurvePoint.__init__
+        section = canonical_section("inflections")
+
+        def counting_matrix(*args):
+            calls["chordal_matrix"] += 1
+            return real_matrix(*args)
+
+        def counting_init(self, *args, **kwargs):
+            calls["points"] += 1
+            real_init(self, *args, **kwargs)
+
+        @functools.wraps(section)
+        def counting_section(*args, **kwargs):
+            calls["section"] += 1
+            return section(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("cubicpoints") and getattr(module, "chordal_matrix", None) is real_matrix:
+                monkeypatch.setattr(module, "chordal_matrix", counting_matrix)
+        monkeypatch.setattr(CurvePoint, "__init__", counting_init)
+        result = track(_translation_path(), counting_section)
+        assert result.permutation.cycle_type() == (3, 3, 3)
+        assert calls == {"chordal_matrix": 46, "points": 18, "section": 44}
+        assert calls["chordal_matrix"] == (calls["section"] - 1) + 3
 
 
 class TestSections:

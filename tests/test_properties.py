@@ -985,7 +985,7 @@ def test_newton_flexes_keeps_only_flexes_and_every_near_start(case):
 
 def test_newton_flexes_of_no_starts_is_empty():
     f = fermat_cubic()
-    assert _newton_flexes(f, f.hessian(), [], DEFAULT_TOLERANCES) == []
+    assert len(_newton_flexes(f, f.hessian(), [], DEFAULT_TOLERANCES)) == 0
 
 
 @PROPERTY
@@ -997,6 +997,53 @@ def test_every_residual_is_residual_at_to_the_bit(case):
     corrected = curve._correct_flexes(f, near, DEFAULT_TOLERANCES)
     points = [*inflection_points(f), *curve._polish_rows(f, near), *(corrected or [])]
     assert [cp.residual for cp in points] == [f.residual_at(cp.point) for cp in points]
+
+
+@st.composite
+def row_sets(draw):
+    """A normalized stack with residuals, some of its rows repeated up to a nudge, a tolerance, and other rows."""
+    X = draw(st.lists(row, max_size=7))
+    for v in draw(st.lists(st.sampled_from(X), max_size=2)) if X else []:
+        X.append(nudged(v, draw(nudge)))
+    W = _normalize_rows(np.array(X, dtype=complex).reshape(-1, 3))
+    residuals = draw(st.lists(st.floats(0.0, 1e-8), min_size=len(W), max_size=len(W)))
+    tolerance = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1.0]))
+    other = np.array(draw(st.lists(row, min_size=1, max_size=4)), dtype=complex)
+    return W, residuals, tolerance, other
+
+
+@PROPERTY
+@given(row_sets())
+def test_a_set_built_from_rows_is_the_set_of_its_points(case):
+    W, residuals, tolerance, other = case
+    built = PointSet._of_rows(W, residuals, tolerance)
+    listed = PointSet(list(built.points), tolerance)
+    for cp, w, r in zip(built.points, W.tolist(), residuals):
+        assert [bits(z) for z in cp.point.coords] == [bits(z) for z in w]
+        assert cp.residual == r
+    assert len(built) == len(listed) == len(W)
+    assert built.arrays.shape == listed.arrays.shape and built.arrays.tobytes() == listed.arrays.tobytes()
+    shuffled = PointSet(built.points[::-1], tolerance)
+    assert built.match(shuffled) == listed.match(shuffled)
+    assert built.match(built) == listed.match(listed)
+    assert built.min_separation() == listed.min_separation()
+    assert built.sorted_canonical().points == listed.sorted_canonical().points
+    for rows in (W, other):
+        assert built._distances_from(rows).tobytes() == chordal_matrix(rows, W).tobytes()
+
+
+@PROPERTY
+@given(flex_stacks())
+def test_corrected_flexes_keep_the_distances_from_their_start_rows(case):
+    # one distance matrix gives the separation and the kept block, with the
+    # bits of the matrices it replaces
+    f, near = case
+    corrected = curve._correct_flexes(f, near, DEFAULT_TOLERANCES)
+    assume(corrected is not None)
+    W = corrected.arrays
+    assert corrected.min_separation() == PointSet(list(corrected.points), 1e-6).min_separation()
+    for rows in (near, near.copy(), W):
+        assert corrected._distances_from(rows).tobytes() == chordal_matrix(rows, W).tobytes()
 
 
 # S sends (0, 1, -1) to (0.5, -1.5, 0), so that flex lies on U0's line at infinity
