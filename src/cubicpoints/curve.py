@@ -52,6 +52,7 @@ from .numeric import (
     _TINY,
     ProjectivePoint,
     UniPoly,
+    _cofactors,
     _normalize_rows,
     _norms,
     _point_array,
@@ -257,9 +258,8 @@ class CubicForm:
     def proportionality_residual(self, other: "CubicForm") -> float:
         """Relative distance from self to the complex line spanned by other."""
         a, b = self.coeffs, other.coeffs
-        nb = np.linalg.norm(b)
-        s = np.vdot(b, a) / (nb * nb)
-        return float(np.linalg.norm(a - s * b) / np.linalg.norm(a))
+        d = a - np.vdot(b, a) / np.vdot(b, b).real * b
+        return math.sqrt(np.vdot(d, d).real / np.vdot(a, a).real)
 
     def __repr__(self) -> str:
         terms = [f"({c:.4g})*x^{i}y^{j}z^{k}" for (i, j, k), c in zip(_MONOMIALS, self.coeffs) if c != 0]
@@ -497,11 +497,6 @@ _WITNESS_TIE_ABS, _WITNESS_TIE_REL = 1e-12, 1e-6
 _POLISH_STEP_FLOOR = 1e-15
 
 
-def _adjugate(A: np.ndarray) -> np.ndarray:
-    """The adjugate of a symmetric 3x3 matrix: row i is row i + 1 cross row i + 2."""
-    return np.cross(A[[1, 2, 0]], A[[2, 0, 1]])
-
-
 def _singular_members(Q1: np.ndarray, Q2: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     """The singular conics of the pencil Q1 + s Q2, or [Q1] when every member is singular.
 
@@ -509,7 +504,7 @@ def _singular_members(Q1: np.ndarray, Q2: np.ndarray, tol: Tolerances) -> list[n
     are det Q1, <adj Q1, Q2>, <adj Q2, Q1> and det Q2; Q2 itself is one
     when the cubic drops degree.
     """
-    A1, A2 = _adjugate(Q1), _adjugate(Q2)
+    A1, A2 = _cofactors(Q1).T, _cofactors(Q2).T
     cubic = np.array([A1[0] @ Q1[0], (A1 * Q2).sum(), (A2 * Q1).sum(), A2[0] @ Q2[0]])
     top = np.abs(cubic).max()
     if top <= _CONIC_ZERO:
@@ -528,7 +523,7 @@ def _conic_lines(M: np.ndarray) -> list[np.ndarray]:
     has a vanishing adjugate and is M's largest row.
     """
     M = M / np.abs(M).max()
-    B = _adjugate(M)
+    B = _cofactors(M).T
     i = int(np.abs(np.diag(B)).argmax())
     if abs(B[i, i]) <= _CONIC_ZERO:
         return [M[np.linalg.norm(M, axis=1).argmax()]]
@@ -642,7 +637,7 @@ def require_smooth(f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES) -> Smooth
 # inflections
 
 
-def _settle(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _settle(T: np.ndarray, X: np.ndarray, first=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """At most four complex Newton steps onto the first cubic of T (m, 3, 3, 3), on every row of X.
 
     Each step moves a row x by -f(x) conj(g) / |g|^2, g the gradient at x:
@@ -650,17 +645,20 @@ def _settle(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     on a smooth curve. Rows are normalized (_normalize_rows) before each
     evaluation, and stepping stops once every row's move |f(x)| / |g| is at
     most numeric._ROUNDING_FLOOR, roundoff alone, so rows on the curve cost
-    one evaluation and keep their bits. Returns the rows and _forms_at's
-    values and gradients there, of every cubic of T.
+    one evaluation and keep their bits; first, when given, is _forms_at(T, X)
+    at rows X already normalized, and stands for that evaluation. Returns
+    the rows and _forms_at's values and gradients there, of every cubic of T.
     """
-    X = _normalize_rows(X)
-    for steps in range(5):
-        V, G = _forms_at(T, X)
+    X = _normalize_rows(X) if first is None else X
+    V, G = first or _forms_at(T, X)
+    for _ in range(4):
         v, g = V[:, 0], G[:, 0]
         gg = (np.abs(g) ** 2).sum(axis=1)
-        if steps == 4 or (np.abs(v) <= _ROUNDING_FLOOR * np.sqrt(gg)).all():
-            return X, V, G
+        if (np.abs(v) <= _ROUNDING_FLOOR * np.sqrt(gg)).all():
+            break
         X = _normalize_rows(X - (v / np.maximum(gg, _SCALE_FLOOR))[:, None] * np.conj(g))
+        V, G = _forms_at(T, X)
+    return X, V, G
 
 
 def _curve_points(f: CubicForm, X: np.ndarray, V: np.ndarray | None = None) -> list[CurvePoint]:
@@ -732,23 +730,30 @@ _FROM_H = [np.array([sum(ijk) == d for ijk in itertools.product(range(2), repeat
 def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
     """The triangle of the Hesse pencil s f + t h best separated from the other three.
 
-    With f and h at unit norm, Hess(s f + t h) = A(s, t) f + B(s, t) h: the
-    coefficient of s^(3-d) t^d is the sum of the _slice_contractions that
-    take d of the three slices from h. The triangles are the members the
-    Hessian fixes, the roots of the binary quartic t A - s B, taken
-    homogeneously (on the Fermat cubic h is one). Near the discriminant
-    three roots close up and lose digits.
+    With f and h at unit norm F and G, Hess(s f + t h) = A(s, t) f + B(s, t) h: the coefficient of
+    s^(3-d) t^d is the sum of the _slice_contractions that take d of the three slices from h, projected
+    onto F and W = G - <F, G> F (two Gram-Schmidt passes; the rank test sigma_2 <= 10 eps sigma_1 of the
+    10x2 matrix [F G] reads |W| <= 10 eps (1 + |<F, G>|)). The triangles are the members the Hessian fixes, the roots of the
+    binary quartic t A - s B less coefficients below _REL_TRIM of the largest, taken homogeneously (on the
+    Fermat cubic h is one, and near it the top coefficient is roundoff). Near the discriminant three
+    roots close up and lose digits.
     """
-    F, G = f.coeffs / np.linalg.norm(f.coeffs), h.coeffs / np.linalg.norm(h.coeffs)
+    F, G = (c / _norms(c, 0) for c in (f.coeffs, h.coeffs))
     E = _slice_contractions(_tensors(np.stack([F, G]))).reshape(8, 27)
     C = 216.0 * np.stack([E[mask].sum(axis=0) for mask in _FROM_H]) @ _FOLD.T
-    (A, B), _, rank, _ = np.linalg.lstsq(np.stack([F, G], axis=1), C.T, rcond=None)
-    if rank < 2:
+    W, r = G, 0.0
+    for _ in range(2):
+        dr = np.vdot(F, W)
+        W, r = W - dr * F, r + dr
+    rho = _norms(W, 0)
+    if rho <= 10.0 * float(np.finfo(float).eps) * (1.0 + abs(r)):
         raise NumericalError("the curve and its Hessian are proportional: no triangle to split")
-    quartic = UniPoly(np.append(0.0, A) - np.append(B, 0.0))  # in u = t / s
+    B = (W.conj() @ C.T) / rho**2
+    q = np.append(0.0, F.conj() @ C.T - B * r) - np.append(B, 0.0)  # A u - B in u = t / s
+    quartic = UniPoly(np.where(np.abs(q) > _REL_TRIM * np.abs(q).max(), q, 0.0))
     R = [[1.0, u] for u, m in solve_univariate(quartic, tol) for _ in range(m)]
     R = np.array(R + [[0.0, 1.0]] * (4 - len(R)))
-    R /= np.linalg.norm(R, axis=1)[:, None]
+    R /= _norms(R, 1)[:, None]
     gaps = np.abs(np.outer(R[:, 0], R[:, 1]) - np.outer(R[:, 1], R[:, 0])) + np.diag([np.inf] * 4)
     s, t = R[gaps.min(axis=1).argmax()]
     return CubicForm(s * F + t * G)
@@ -781,20 +786,21 @@ def _triangle_lines(g: CubicForm, tol: Tolerances) -> np.ndarray:
 
 
 def _hesse_frame(f: CubicForm, h: CubicForm, tol: Tolerances) -> np.ndarray:
-    """T0 with f(T0^-1 x) proportional to x^3 + y^3 + z^3 + lam xyz for some lam.
+    """The base points pulled back by T0, where f(T0^-1 x) is proportional to x^3 + y^3 + z^3 + lam xyz.
 
     In the coordinates X = M x of the lines of a triangle of its Hesse pencil
     f reads a X^3 + b Y^3 + c Z^3 + d XYZ (Artebani and Dolgachev, "The Hesse
     pencil of plane cubic curves"), so T0 = diag(a, b, c)^(1/3) M, with any
     cube roots: they differ by diag(1, w^j, w^k), which permutes the base points.
-    a, b and c are f at the columns of M^-1 (_forms_at).
+    Up to one scalar, M's cofactor rows K are M^-1's columns, a, b and c are f there, and a
+    base point p pulls back to (p / (a, b, c)^(1/3)) K: lines through one point give that point,
+    which fails the flex test.
     """
-    M = _triangle_lines(_pencil_triangle(f, h, tol), tol)
-    # pinv: lines through one point leave a frame that fails the flex test, not an exception
-    cubes = _forms_at(f._tensor()[None], np.linalg.pinv(M).T)[0][:, 0]
+    K = _cofactors(_triangle_lines(_pencil_triangle(f, h, tol), tol))
+    cubes = _forms_at(f._tensor()[None], K)[0][:, 0]
     if not cubes.all():
         raise NumericalError("the lines of the Hesse pencil's triangle are not a frame")
-    return (cubes ** (1.0 / 3.0))[:, None] * M
+    return (_HESSE_BASE / cubes ** (1.0 / 3.0)) @ K
 
 
 @functools.lru_cache(maxsize=1)
@@ -804,7 +810,7 @@ def _hesse_flexes(f: CubicForm, tol: Tolerances) -> tuple[tuple[CurvePoint, ...]
     labels[i] is the row of _HESSE_BASE whose preimage became flex i.
     """
     h = _hessian_of_smooth(f)
-    flexes = _correct_flexes(f, np.linalg.solve(_hesse_frame(f, h, tol), _HESSE_BASE.T).T, tol)
+    flexes = _correct_flexes(f, _hesse_frame(f, h, tol), tol)
     if flexes is None:
         raise NumericalError("the Hesse pencil's triangle did not give nine distinct flexes")
     labels = tuple(sorted(range(9), key=lambda i: _canonical_key(flexes[i].point)))

@@ -93,17 +93,18 @@ def _coords(p) -> np.ndarray:
 
 
 def _on_curve_rows(f: CubicForm, T: np.ndarray, X, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """Every row of X gated onto f, T's first cubic (InputError), and settled there (NumericalError): _settle's output."""
+    """Rows of X gated onto f, T's first cubic (InputError), then settled from the gate's evaluation (NumericalError)."""
     X = _normalize_rows(np.asarray(X))
-    if not (np.abs(_forms_at(T, X)[0][:, 0]) <= _ON_CURVE_GATE * f.norm_inf).all():
+    first = _forms_at(T, X)
+    if not (np.abs(first[0][:, 0]) <= _ON_CURVE_GATE * f.norm_inf).all():
         raise InputError("point is not on the curve")
-    X, V, G = _settle(T, X)
+    X, V, G = _settle(T, X, first)
     if not (np.abs(V[:, 0]) <= tol.tau_on_curve * f.norm_inf).all():
         raise NumericalError("could not polish the point onto the curve")
     return X, V, G
 
 
-def _third_rows(f: CubicForm, P, Q, tol: Tolerances) -> np.ndarray:
+def _third_rows(f: CubicForm, P, Q, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Row by row, the third point in which the line through P and Q meets the cubic.
 
     P and Q are (n, 3) stacks; every check applies to each row, and one
@@ -113,7 +114,7 @@ def _third_rows(f: CubicForm, P, Q, tol: Tolerances) -> np.ndarray:
     it, and it is Hermitian-orthogonal to P, with length |g| |P| because
     g . P = 3 f(P) = 0 (Euler). Rows that are distinct but closer than ten
     times tau_match are rejected as an ill-conditioned chord. The output
-    rows are polished onto the curve, each scaled to a largest coordinate 1.
+    rows are polished onto the curve, each scaled to a largest coordinate 1, and come with f's values there.
     """
     T = f._tensor()[None]
     P, _, gP = _on_curve_rows(f, T, P, tol)
@@ -138,7 +139,7 @@ def _third_rows(f: CubicForm, P, Q, tol: Tolerances) -> np.ndarray:
     R, V, _ = _settle(T, R)
     if not (np.abs(V[:, 0]) <= tol.tau_on_curve * f.norm_inf).all():
         raise NumericalError("third intersection failed to settle on the curve")
-    return R
+    return R, V[:, 0]
 
 
 def third_intersection(
@@ -150,7 +151,7 @@ def third_intersection(
     are distinct but closer than ten times tau_match are rejected as an
     ill-conditioned chord. The one-row case of _third_rows.
     """
-    return _curve_points(f, _third_rows(f, _coords(p)[None], _coords(q)[None], tol))[0]
+    return _curve_points(f, *_third_rows(f, _coords(p)[None], _coords(q)[None], tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -226,34 +227,34 @@ class EllipticChart:
         return third_intersection(self.curve, self.identity, p, self.tol)
 
     def add(self, p, q) -> CurvePoint:
-        return _curve_points(self.curve, self._add_rows(_coords(p)[None], _coords(q)[None]))[0]
+        return _curve_points(self.curve, *self._add_rows(_coords(p)[None], _coords(q)[None]))[0]
 
     def multiply(self, m: int, p) -> CurvePoint:
         if not isinstance(m, (int, np.integer)):
             raise InputError("the multiplier must be an integer")
         if m == 0:
             return polish_onto_curve(self.curve, self.identity.array)
-        return _curve_points(self.curve, self._multiply_rows(int(m), _coords(p)[None]))[0]
+        return _curve_points(self.curve, *self._multiply_rows(int(m), _coords(p)[None]))[0]
 
-    def _negate_rows(self, X: np.ndarray) -> np.ndarray:
+    def _negate_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         O = np.broadcast_to(self.identity.array, X.shape)
         return _third_rows(self.curve, O, X, self.tol)
 
-    def _add_rows(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        return self._negate_rows(_third_rows(self.curve, P, Q, self.tol))
+    def _add_rows(self, P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._negate_rows(_third_rows(self.curve, P, Q, self.tol)[0])
 
-    def _multiply_rows(self, m: int, X: np.ndarray) -> np.ndarray:
-        """m times each row of X (m != 0): one double-and-add ladder for the whole stack."""
-        addend = _on_curve_rows(self.curve, self.curve._tensor()[None], X, self.tol)[0]
-        result = None
+    def _multiply_rows(self, m: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """m times each row of X (m != 0), and f there, as _third_rows returns them: one ladder for the stack."""
+        X, V, _ = _on_curve_rows(self.curve, self.curve._tensor()[None], X, self.tol)
+        addend, result = (X, V[:, 0]), None
         mm = abs(m)
         while mm:
             if mm & 1:
-                result = addend if result is None else self._add_rows(result, addend)
+                result = addend if result is None else self._add_rows(result[0], addend[0])
             mm >>= 1
             if mm:
-                addend = self._add_rows(addend, addend)
-        return result if m > 0 else self._negate_rows(result)
+                addend = self._add_rows(addend[0], addend[0])
+        return result if m > 0 else self._negate_rows(result[0])
 
 
 # _TO_FIRST_BASE[k], a product of the Fermat translation generators, carries base point k to base point 0.
@@ -273,7 +274,7 @@ def make_chart(
     the curve to y^2 z = x^3 + a x z^2 + b z^3 with the identity at
     (0:1:0). A final scale normalizes max(|a|^(1/4), |b|^(1/6)) to 1.
     SingularCurveError on a singular curve, a cone included, before the
-    identity is read (gated and settled: two evaluations at a flex already
+    identity is read (gated and settled: one evaluation at a flex already
     at the rounding floor, where f and its Hessian are evaluated together);
     InputError unless the identity is an inflection.
     """
@@ -394,7 +395,7 @@ def _lattice_points(chart: EllipticChart, m: int, labels: list[tuple[int, int]],
     if found.min_separation() <= 2.0 * tol.tau_match:
         raise NumericalError(f"the {len(found)} lattice points of order dividing {m} are not distinct")
     if certify:
-        back = chart._multiply_rows(m, found.arrays)
+        back = chart._multiply_rows(m, found.arrays)[0]
         if not (chordal_matrix(chart.identity, back) <= tol.tau_match).all():
             raise NumericalError("a candidate torsion point failed the group-law check")
     return found.sorted_canonical()
@@ -438,5 +439,5 @@ def translation_certificate(
     if not samples:
         raise InputError("at least one sample point is required")
     X = np.stack([_coords(cp) for cp in samples])
-    diffs = chart._add_rows(X @ T.matrix.T, chart._negate_rows(X))
+    diffs = chart._add_rows(X @ T.matrix.T, chart._negate_rows(X)[0])[0]
     return float(chordal_matrix(diffs[0], diffs).max())

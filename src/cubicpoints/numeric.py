@@ -207,6 +207,16 @@ def chordal_matrix(A, B) -> np.ndarray:
     return np.minimum(1.0, _norms(cross, 2) / (na[:, None] * nb[None, :]))
 
 
+def _cofactors(A: np.ndarray) -> np.ndarray:
+    """The cofactor matrix K of a 3x3: row i is row i + 1 cross row i + 2, so adj A = K.T and det A = A[0] . K[0].
+
+    Python complex products, cheaper than numpy's linalg on a 3x3; det A is off by ulps of the product of A's
+    row norms, at most kappa^2 |det A| (LU: kappa |det A|)."""
+    (a, b, c), (d, e, f), (g, h, i) = A.tolist()
+    K = [[e * i - f * h, f * g - d * i, d * h - e * g], [h * c - i * b, i * a - g * c, g * b - h * a]]
+    return np.array(K + [[b * f - c * e, c * d - a * f, a * e - b * d]], dtype=complex)
+
+
 def _norms(X: np.ndarray, axis: int) -> np.ndarray:
     """Euclidean norms along an axis, with the bits of np.linalg.norm(X, axis=axis): its own formula, without its wrapper."""
     return np.sqrt(np.add.reduce((X.conj() * X).real, axis=axis))

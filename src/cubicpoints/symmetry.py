@@ -29,7 +29,7 @@ from .curve import (
     require_smooth,
 )
 from .errors import InputError, NumericalError
-from .numeric import ProjectivePoint, _components, _norms, _point_array, chordal_distance, normalize_point
+from .numeric import ProjectivePoint, _cofactors, _components, _norms, _point_array, chordal_distance, normalize_point
 
 _OMEGA = np.exp(2j * np.pi / 3)
 # The generators of the Fermat cubic's translations: the coordinate cycle and diag(1, w, w^2).
@@ -38,6 +38,12 @@ _CYCLE, _SCALE = np.roll(np.eye(3), 1, axis=0), np.diag([1.0, _OMEGA, _OMEGA**2]
 _SINGULAR_DET = 1e-12
 # Unit-determinant forms this close against their norm are one transform; products drift far less.
 _PGL_TOL = 1e-8
+
+
+def _inverse(M: np.ndarray) -> np.ndarray:
+    """M^-1 as K.T / det M from M's cofactors K: not the adjugate, whose scale moves a ProjectiveTransform's cube root."""
+    K = _cofactors(M)
+    return K.T / (M[0] @ K[0])
 
 
 class ProjectiveTransform:
@@ -49,7 +55,7 @@ class ProjectiveTransform:
             raise InputError("a projective transform needs a 3x3 matrix")
         if not np.all(np.isfinite(M)):
             raise InputError("transform entries must be finite")
-        det = complex(np.linalg.det(M))
+        det = complex(M[0] @ _cofactors(M)[0])
         hadamard = float(np.prod(_norms(M, 1)))
         if abs(det) <= _SINGULAR_DET * max(hadamard, _SCALE_FLOOR):
             raise InputError("transform matrix is singular")
@@ -61,7 +67,7 @@ class ProjectiveTransform:
         return cls(np.eye(3))
 
     def inverse(self) -> "ProjectiveTransform":
-        return ProjectiveTransform(np.linalg.inv(self.matrix))
+        return ProjectiveTransform(_inverse(self.matrix))
 
     def __matmul__(self, other: "ProjectiveTransform") -> "ProjectiveTransform":
         return ProjectiveTransform(self.matrix @ other.matrix)
@@ -282,7 +288,7 @@ def orbit_decomposition(group: list[ProjectiveTransform], points: PointSet) -> O
 def _through_four(vs: list[np.ndarray]) -> np.ndarray:
     """Matrix sending the standard frame e1, e2, e3, (1,1,1) to four points, no three collinear."""
     B = np.stack(vs[:3], axis=1)
-    return B * np.linalg.solve(B, vs[3])
+    return B * (_inverse(B) @ vs[3])
 
 
 @functools.cache
@@ -335,7 +341,7 @@ def hesse_normalize(
     that _hesse_target computes from their labels (curve._hesse_flexes):
     the lexicographically first image under the Hessian group, which acts
     on the labels as the special affine group of (Z/3)^2.  lam comes from a
-    least-squares fit of f(T^-1 x), which also checks the form, and
+    least-squares fit of f(T^-1 x), closed-form by disjoint supports, which also checks the form, and
     NumericalError from a fit beyond tau_hesse.  The result is kept for the
     last curve object (_hesse_normal_form), so make_chart reuses it.
     """
@@ -353,11 +359,13 @@ def _hesse_normal_form(f: CubicForm, tol: Tolerances) -> tuple[ProjectiveTransfo
     )
     target = _hesse_target([labels[i] for i in src])
     Mp = _through_four([flexes[i].array for i in src])
-    T = ProjectiveTransform(_base_frame(tuple(target)) @ np.linalg.inv(Mp))
-    # act_on_cubic(T, f) up to scale, which the fit ignores
-    gvec = f.compose_linear(np.linalg.inv(T.matrix)).coeffs
-    sol, *_ = np.linalg.lstsq(_HESSE_FIT, gvec, rcond=None)
-    resid = float(np.linalg.norm(_HESSE_FIT @ sol - gvec) / np.linalg.norm(gvec))
+    T = ProjectiveTransform(_base_frame(tuple(target)) @ _inverse(Mp))
+    # act_on_cubic(T, f) up to scale, which the fit ignores, so T's adjugate serves for its inverse
+    gvec = f.compose_linear(_cofactors(T.matrix).T).coeffs
+    # the 0-1 columns share no monomial: the fit is the mean of g's x^3, y^3, z^3 coefficients and its xyz one
+    sol = _HESSE_FIT.T @ gvec / _HESSE_FIT.real.sum(axis=0)
+    d = _HESSE_FIT @ sol - gvec
+    resid = float(np.sqrt(np.vdot(d, d).real / np.vdot(gvec, gvec).real))
     if resid > tol.tau_hesse or abs(sol[0]) <= _FIT_DEGENERATE * abs(sol[1]):
         raise NumericalError("no Hesse normalization found within tolerance")
     return T, complex(sol[1] / sol[0])

@@ -29,7 +29,7 @@ from cubicpoints import (
     third_intersection,
     torsion_points,
 )
-from cubicpoints import elliptic
+from cubicpoints import curve, elliptic
 from cubicpoints.curve import CubicForm, CurvePoint, polish_onto_curve
 from cubicpoints.elliptic import _third_rows
 from cubicpoints.numeric import normalize_point
@@ -176,7 +176,7 @@ def test_batched_ladder_matches_slope_formulas_and_the_scalar_verdict(m):
         verdicts.append((want, got))
         candidates = torsion_points(chart, m, certify=False)
         try:
-            back = chart._multiply_rows(m, candidates.arrays)
+            back = chart._multiply_rows(m, candidates.arrays)[0]
         except NumericalError:
             assert got != "pass"
             continue
@@ -191,7 +191,7 @@ def test_batched_multiples_match_the_slope_formulas_at_every_step():
     (chart,) = random_charts(1, 5)
     candidates = torsion_points(chart, 9, certify=False)
     for k in range(1, 10):
-        back = chart._multiply_rows(k, candidates.arrays)
+        back = chart._multiply_rows(k, candidates.arrays)[0]
         for cp, row in zip(candidates, back):
             oracle = _weierstrass_multiple(chart, k, cp)
             assert chordal_distance(chart.to_weierstrass(row).array, oracle) <= 1e-9
@@ -242,9 +242,9 @@ class TestErrorChannels:
         P, Q = random_points_on_curve(fermat, 2, rng)
         real = elliptic._settle
 
-        def spoil_outputs(T, X):
+        def spoil_outputs(T, X, first=None):
             # only _third_rows settles its output rows itself; inputs settle in _on_curve_rows
-            X, V, G = real(T, X)
+            X, V, G = real(T, X, first)
             if sys._getframe(1).f_code.co_name == "_third_rows":
                 V = V + 1.0
             return X, V, G
@@ -258,7 +258,7 @@ class TestErrorChannels:
         stack = points.arrays.copy()
         (stray,) = random_points_on_curve(fermat_chart.curve, 1, rng)
         stack[4] = stray.array
-        back = fermat_chart._multiply_rows(3, stack)
+        back = fermat_chart._multiply_rows(3, stack)[0]
         O = fermat_chart.identity
         far = [chordal_distance(row, O) > DEFAULT_TOLERANCES.tau_match for row in back]
         assert far == [i == 4 for i in range(9)]
@@ -276,3 +276,38 @@ class TestErrorChannels:
         monkeypatch.setattr(elliptic, "_polish_rows", plant)
         with pytest.raises(NumericalError, match="failed the group-law check"):
             torsion_points(fermat_chart, 3)
+
+
+class TestEvaluations:
+    """Each input row costs the chord law one evaluation of f when it is already on the curve.
+
+    The on-curve gate's evaluation is _settle's first, which stops there at
+    the rounding floor, and an output point takes its residual from the
+    settle that put it on the curve.
+    """
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        real = curve._forms_at
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(curve, "_forms_at", counting)
+        monkeypatch.setattr(elliptic, "_forms_at", counting)
+        return calls
+
+    def test_a_chord_through_two_flexes_costs_four_and_a_sum_eight(self, evaluations, rng):
+        # a chord: one evaluation per input, one of the chord's direction and
+        # one settle of the output; a sum is a chord and a negation
+        for f in [random_smooth_cubic(rng) for _ in range(3)]:
+            flexes = inflection_points(f)
+            chart = make_chart(f, flexes[0].point)
+            evaluations.clear()
+            third_intersection(f, flexes[1], flexes[2])
+            assert evaluations == [1, 1, 1, 1]
+            evaluations.clear()
+            chart.add(flexes[1], flexes[2])
+            assert evaluations == [1] * 8

@@ -221,6 +221,19 @@ class TestInflections:
             d = min(chordal_distance(row, cp.array) for cp in fermat_flexes)
             assert d < 1e-12
 
+    def test_fermat_cubic_within_roundoff_has_the_fermat_flexes(self):
+        # gate margin 1.0, but its Hessian is a triangle, so the top coefficient of
+        # the pencil's quartic is roundoff (7e-31): dropped, it leaves a root at infinity
+        e16, e15 = 1.0844038845175951e-16, 7.590827191623163e-16
+        f = CubicForm.from_coeffs({
+            (3, 0, 0): 1.0, (0, 3, 0): 1.0, (0, 0, 3): 1.0,
+            (2, 1, 0): e15, (1, 0, 2): e15, (0, 2, 1): 7.590827191623165e-16,
+            (2, 0, 1): 1.0844038845175952e-16, (1, 2, 0): e16, (0, 1, 2): 1.0844038845175955e-16,
+            (1, 1, 1): 1.0529280080906228e-32,
+        })
+        D = curve.chordal_matrix(inflection_points(f).arrays, fermat_inflection_rows())
+        assert max(D.min(axis=1).max(), D.min(axis=0).max()) <= 1e-14
+
     def test_min_separation_frozen(self, fermat_flexes):
         assert abs(fermat_flexes.min_separation() - np.sqrt(3.0) / 2.0) < 1e-12
 

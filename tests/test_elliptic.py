@@ -29,6 +29,7 @@ from cubicpoints import (
     torsion_points,
     translation_certificate,
     fermat_translations,
+    hesse_normalize,
 )
 from cubicpoints import curve, elliptic
 from cubicpoints.numeric import chordal_matrix
@@ -192,9 +193,9 @@ class TestChart:
             back = fermat_chart.from_weierstrass(fermat_chart.to_weierstrass(p))
             assert chordal_distance(back.array, p.array) < 1e-9
 
-    def test_a_certified_flex_costs_two_evaluations(self, rng, monkeypatch):
-        # the on-curve gate evaluates once, and _settle stops at its first
-        # evaluation on a flex already at the rounding floor
+    def test_a_certified_flex_costs_one_evaluation(self, rng, monkeypatch):
+        # the on-curve gate's evaluation is _settle's first, and _settle stops
+        # there on a flex already at the rounding floor
         calls = []
         real = curve._forms_at
 
@@ -209,7 +210,31 @@ class TestChart:
             calls.clear()
             make_chart(f, flexes[0].point)
             monkeypatch.undo()
-            assert len(calls) == 2
+            assert len(calls) == 1
+
+    def test_the_flex_hesse_chart_chain_calls_lapack_three_times(self, rng, monkeypatch):
+        # one SVD for the smoothness gate and one companion-matrix eigvals per
+        # root solve (the pencil's quartic and one cut's cubic); the 3x3
+        # frames, their inverses and the two fits are closed forms
+        names = ("svd", "eigvals", "det", "inv", "solve", "pinv", "lstsq")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        # new objects, which the last-curve caches do not hold
+        cubics = [CubicForm(random_smooth_cubic(rng).coeffs) for _ in range(4)]
+        for name in names:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for f in cubics:
+            calls.update(dict.fromkeys(names, 0))
+            make_chart(f, inflection_points(f)[0].point)
+            hesse_normalize(f)
+            assert calls == {**dict.fromkeys(names, 0), "svd": 1, "eigvals": 2}
 
     def test_non_inflection_identity_rejected(self, fermat, rng):
         (P,) = random_points_on_curve(fermat, 1, rng)
@@ -406,7 +431,7 @@ class TestPeriodLattice:
     def test_uncertified_twelve_torsion_is_killed_by_twelve(self):
         """Curves 13 to 16 of rng 6, on which solving division polynomials returned wrong points."""
         for chart in list(random_charts(17, 6))[13:]:
-            back = chart._multiply_rows(12, torsion_points(chart, 12, certify=False).arrays)
+            back = chart._multiply_rows(12, torsion_points(chart, 12, certify=False).arrays)[0]
             assert (chordal_matrix(chart.identity, back) <= DEFAULT_TOLERANCES.tau_match).all()
 
     def test_type_nine_on_the_golden_hesse_loop(self):

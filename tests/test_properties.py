@@ -27,7 +27,7 @@ import itertools
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubicpoints import (
@@ -37,6 +37,7 @@ from cubicpoints import (
     InputError,
     NumericalError,
     PointSet,
+    ProjectiveTransform,
     UniPoly,
     chordal_distance,
     constructible_sizes,
@@ -56,7 +57,7 @@ from cubicpoints.curve import (
     _forms_at,
     _newton_flexes,
 )
-from cubicpoints.numeric import _cluster, _derivative, _normalize_rows, chordal_matrix, solve_univariate
+from cubicpoints.numeric import _cluster, _cofactors, _derivative, _normalize_rows, chordal_matrix, solve_univariate
 from cubicpoints.sizes import _witnesses_up_to
 from oracles import division_polys, sylvester_dets
 
@@ -1309,3 +1310,70 @@ def test_normalized_rows_raise_what_normalize_point_raises(bad):
     with pytest.raises(InputError) as stack:
         _normalize_rows(np.stack([np.array([1.0, 2.0, 3.0j]), bad]))
     assert str(stack.value) == str(one.value)
+
+
+# ---------------------------------------------------------------------------
+# the 3x3 cofactor kernel against LAPACK
+
+
+def unitary(seed: int) -> np.ndarray:
+    return np.linalg.qr(random_complex(np.random.default_rng(seed), 3, 3))[0]
+
+
+@st.composite
+def conditioned_matrices(draw):
+    """s U diag(1, sigma_2, sigma_3) V, U and V unitary: scale s from 1e-100 to 1e100, condition 1 / sigma_3 up to 1e8."""
+    log3 = draw(st.floats(0.0, 8.0))
+    sigma = 10.0 ** -np.array([0.0, draw(st.floats(0.0, 1.0)) * log3, log3])
+    s = 10.0 ** draw(st.floats(-100.0, 100.0))
+    return s * (unitary(draw(st.integers(0, 2**32 - 1))) * sigma) @ unitary(draw(st.integers(0, 2**32 - 1))), s, sigma
+
+
+@settings(PROPERTY, max_examples=200)
+@given(conditioned_matrices())
+def test_cofactors_give_lapacks_determinant_and_inverse(case):
+    A, s, sigma = case
+    K = _cofactors(A)
+    det, ref = A[0] @ K[0], np.linalg.det(A)
+    # each cofactor rounds products of two rows, so det A = A[0] . K[0] is
+    # off by a few ulps of s^3, the largest product of three rows; numpy's
+    # det sums logarithms, which costs it about |log det| ulps of det
+    assert abs(det - ref) <= 8.0 * EPS * (s**3 + abs(np.log(abs(ref))) * abs(ref))
+    # relative to det, that is EPS times s^3 / |det| = 1 / (sigma_2 sigma_3),
+    # which also bounds LU's error kappa EPS; below half, the inverse K.T / det
+    # is off by as much relative to its largest entry (it is not claimed for a
+    # determinant that is subnormal or known to no digit)
+    hadamard = 1.0 / (sigma[1] * sigma[2])
+    if abs(ref) >= np.finfo(float).tiny and 64.0 * EPS * hadamard <= 0.5:
+        inv = np.linalg.inv(A)
+        assert np.abs(K.T / det - inv).max() <= 16.0 * EPS * hadamard * np.abs(inv).max()
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(-30, 30))
+def test_a_transform_is_its_matrix_over_the_principal_cube_root_of_lapacks_determinant(seed, exponent):
+    M = 10.0**exponent * random_complex(np.random.default_rng(seed), 3, 3)
+    want = M / np.linalg.det(M) ** (1.0 / 3.0)
+    T = ProjectiveTransform(M)
+    assert np.abs(T.matrix - want).max() <= 1e-12 * np.abs(want).max()
+    inv = np.linalg.inv(want)
+    assert np.abs(T.inverse().matrix - inv).max() <= 1e-12 * np.abs(inv).max()
+
+
+# P9 of ROADMAP: the Fermat cubic plus 1e-17 times this real noise raised
+# NumericalError before the pencil's quartic dropped its roundoff coefficients
+_ROUNDOFF_NOISE = [
+    0.5621166546881184, 0.5602005194734958, -0.6224567253694104, -0.00981504446292902, 0.0005379317968728325,
+    0.05742743529375752, 2.1827353149228874, -0.2838465851137296, -0.2918414767913422, -0.45808678224024874,
+]
+
+
+@example(None, -17.0, _ROUNDOFF_NOISE)
+@PROPERTY
+@given(st.none() | st.integers(0, 2**32 - 1), st.floats(-17.0, -15.0), st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10))
+def test_the_fermat_cubic_plus_roundoff_has_the_fermat_flexes(seed, exponent, noise):
+    # in the identity frame (None) or a random unitary frame Q, whose flexes are Q^-1 times the Fermat flexes
+    Q = np.eye(3) if seed is None else unitary(seed)
+    f = CubicForm(fermat_cubic().compose_linear(Q).coeffs + 10.0**exponent * np.array(noise))
+    D = chordal_matrix(inflection_points(f).arrays, np.linalg.solve(Q, curve._HESSE_BASE.T).T)
+    assert max(D.min(axis=1).max(), D.min(axis=0).max()) <= 1e-13
