@@ -185,13 +185,20 @@ class CubicForm:
         """Coefficient of x^i y^j z^k."""
         return complex(self.coeffs[_MONOMIALS.index((i, j, k))])
 
-    @property
+    @functools.cached_property
     def norm_inf(self) -> float:
+        """The largest coefficient modulus, computed once per object."""
         return max(map(abs, self.coeffs.tolist()))
 
     def _tensor(self) -> np.ndarray:
-        """The symmetric 3x3x3 tensor T with f(x) = sum T_ijk x_i x_j x_k."""
-        return _tensors(self.coeffs[None])[0]
+        """The symmetric 3x3x3 tensor T with f(x) = sum T_ijk x_i x_j x_k, read-only and built once per object."""
+        return self._tensor_once
+
+    @functools.cached_property
+    def _tensor_once(self) -> np.ndarray:
+        T = _tensors(self.coeffs[None])[0]
+        T.setflags(write=False)
+        return T
 
     def evaluate(self, point) -> complex:
         """The value at a point: the one-row case of _forms_at, as a numpy scalar."""
@@ -221,12 +228,14 @@ class CubicForm:
         Raises InputError on a cone, a union of concurrent lines such as
         x^3 + y^3, whose Hessian vanishes identically.
         """
-        h = self._hessian_coeffs
-        if not h.any():
-            raise InputError(
-                "the Hessian vanishes identically: the curve is a union of concurrent lines"
-            )
-        return CubicForm(h)
+        if self._hessian_form is None:
+            raise InputError("the Hessian vanishes identically: the curve is a union of concurrent lines")
+        return self._hessian_form
+
+    @functools.cached_property
+    def _hessian_form(self) -> "CubicForm | None":
+        """The Hessian as one CubicForm per object, so its own caches persist; None on a cone."""
+        return CubicForm(self._hessian_coeffs) if self._hessian_coeffs.any() else None
 
     @functools.cached_property
     def _hessian_coeffs(self) -> np.ndarray:
@@ -700,13 +709,10 @@ def inflection_points(
 
 
 def _hessian_of_smooth(f: CubicForm) -> CubicForm:
-    """The Hessian of a curve the caller has certified; NumericalError on a cone."""
-    h = f._hessian_coeffs
-    if not h.any():
-        raise NumericalError(
-            "the Hessian vanishes identically: the curve is a union of concurrent lines"
-        )
-    return CubicForm(h)
+    """The Hessian of a curve the caller has certified, the same object on every call; NumericalError on a cone."""
+    if f._hessian_form is None:
+        raise NumericalError("the Hessian vanishes identically: the curve is a union of concurrent lines")
+    return f._hessian_form
 
 
 # The nine base points of the Hesse pencil x^3 + y^3 + z^3 + lam xyz, the
@@ -840,10 +846,9 @@ _CORRECTOR_CONTRACTION = 0.5
 _CORRECTOR_ITERS = 10
 # For a row whose pivot (the coordinate held at 1) is i, the two it moves, q
 # and r; and, in a row's gradients flattened to six (f's, then h's), where
-# its Jacobian entries (f_r, h_q) and (h_r, f_q) lie.
+# its Jacobian entries f_r, h_q, h_r and f_q lie.
 _FREE = np.array([[1, 2], [0, 2], [0, 1]])
-_BC = np.stack([_FREE[:, 1], 3 + _FREE[:, 0]], axis=1)
-_DA = np.stack([3 + _FREE[:, 1], _FREE[:, 0]], axis=1)
+_JACOBIAN = np.stack([_FREE[:, 1], 3 + _FREE[:, 0], 3 + _FREE[:, 1], _FREE[:, 0]], axis=1)
 
 
 def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> PointSet:
@@ -855,17 +860,20 @@ def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> Point
     within _CORRECTOR_ITERS steps, and its point lies on f and on h within
     tau_on_curve. A row that fails stops moving and is dropped. The kept
     rows come back in start order as a PointSet built from their normalized
-    stack (PointSet._of_rows), each with its residual on f.
+    stack (PointSet._of_rows), each with its residual on f. It iterates on
+    the tensors f and h keep (CubicForm._tensor), builds its flat indices
+    once, and gathers each step's Jacobian entries by one take.
     """
     X = np.array(starts, dtype=complex).reshape(-1, 3)
     rows = np.arange(len(X))
     pivot = np.abs(X).argmax(axis=1)
     X /= X[rows, pivot][:, None]
     X[rows, pivot] = 1.0
-    free = _FREE[pivot]
-    # each row's Jacobian as (f_r, h_q) and (h_r, f_q), two gathers from its gradients flattened to six
-    bc, da = (rows[:, None], _BC[pivot]), (rows[:, None], _DA[pivot])
-    T = _tensors(np.stack([f.coeffs, h.coeffs]))
+    # flat indices, built once: the coordinates each row moves, and its Jacobian entries among all gradients
+    moved = (3 * rows)[:, None] + _FREE[pivot]
+    jacobian = (6 * rows)[:, None] + _JACOBIAN[pivot]
+    flat = X.reshape(-1)
+    T = np.stack([f._tensor(), h._tensor()])
     last = np.full(len(X), np.inf)
     kept = np.ones(len(X), dtype=bool)
     moving = kept.copy()
@@ -874,8 +882,8 @@ def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> Point
             if not moving.any():
                 break
             V, G = _forms_at(T, X)
-            G = G.reshape(-1, 6)
-            BC, DA = G[bc], G[da]
+            J = G.take(jacobian)
+            BC, DA = J[:, :2], J[:, 2:]
             # Cramer: the steps in q and r are (f_r h - h_r f, h_q f - f_q h) / (f_q h_r - f_r h_q)
             det = DA[:, 1] * DA[:, 0] - BC[:, 0] * BC[:, 1]
             D = (BC * V[:, ::-1] - DA * V) / det[:, None]
@@ -885,7 +893,7 @@ def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> Point
             # a NaN step fails the comparison too; a failed row takes its
             # step, which moves no other row, and then stops
             kept &= size <= _CORRECTOR_CONTRACTION * last
-            X[rows[:, None], free] += D
+            flat[moved] += D
             last = size
             moving = kept & (size > _CORRECTOR_DONE)
     kept &= ~moving
