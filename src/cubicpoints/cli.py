@@ -27,6 +27,8 @@ _EXIT_NUMERICAL = 4
 _EXIT_CODES = (
     (InputError, _EXIT_INPUT), (SingularCurveError, 3), (TrackingAmbiguityError, 5), (NumericalError, _EXIT_NUMERICAL)
 )
+# The subcommands whose output has no CSV form.
+_JSON_ONLY = frozenset({"verdict", "hesse", "smooth", "track"})
 # The Fermat flexes solve closed-form equations: a chordal miss this large has lost digits.
 _SELFTEST_FLEX_MISS = 1e-10
 # hesse_normalize gives back a pencil member's lam within this: its fit is checked to tau_hesse.
@@ -143,8 +145,6 @@ def _cmd_sizes(args) -> str:
 
 def _cmd_verdict(args) -> str:
     v = section_verdict(args.n)
-    if args.format == "csv":
-        raise InputError("the verdict subcommand only writes JSON")
     return canonical_dumps(
         {
             "n": v.n,
@@ -156,8 +156,6 @@ def _cmd_verdict(args) -> str:
 
 
 def _cmd_hesse(args) -> str:
-    if args.format == "csv":
-        raise InputError("the hesse subcommand only writes JSON")
     from .serialize import _pair
     from .symmetry import hesse_normalize
 
@@ -169,8 +167,6 @@ def _cmd_hesse(args) -> str:
 
 
 def _cmd_track(args) -> str:
-    if args.format == "csv":
-        raise InputError("the track subcommand only writes JSON")
     from .monodromy import canonical_section, track
     from .serialize import path_from_obj, points_to_obj
 
@@ -193,8 +189,6 @@ def _cmd_track(args) -> str:
 
 
 def _cmd_smooth(args) -> str:
-    if args.format == "csv":
-        raise InputError("the smooth subcommand only writes JSON")
     from .curve import smoothness
     from .serialize import _pair
 
@@ -400,6 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if args.format == "csv" and args.command in _JSON_ONLY:
+            raise InputError(f"the {args.command} subcommand only writes JSON")
         text = args.fn(args)
     except _SelftestFailure as exc:
         sys.stdout.write(str(exc))

@@ -10,8 +10,8 @@ points, polished by one batched Newton on (f, H) = 0 (_newton_flexes).
 Along a tracked path the flexes of the previous curve seed the same Newton
 instead (_correct_flexes).
 
-Kept results are held by functools: the Hessian's coefficients per
-CubicForm object, so the smoothness gate and the flex Newton along a
+Kept results are held by functools: a CubicForm's tensor, norm_inf and
+Hessian per object, so the smoothness gate and the flex Newton along a
 tracked path share them, and the smoothness report (_certify) and the
 labelled flexes (_hesse_flexes) for the last curve object only;
 symmetry._hesse_normal_form keeps the Hesse normal form built on them
@@ -23,7 +23,8 @@ numeric._normalize_rows. The Newton's kept rows stay one normalized stack,
 the arrays of the PointSet it returns, which builds their CurvePoints only
 when they are read, each residual residual_at's bit for bit as for the
 rows _settle puts on a curve (_curve_points). _settle stops at the
-rounding floor.
+rounding floor. A PointSet's distances and separation come from its
+_distances_from only, which the corrector calls like any caller.
 
 Smoothness is certified by one determinantal gate for the discriminant: a
 6x6 matrix of the partials of f and of its Hessian, in Bombieri-weighted
@@ -153,8 +154,9 @@ class CubicForm:
     """Homogeneous cubic in three variables, considered up to scale.
 
     coeffs is a read-only vector of ten complex coefficients, one for each
-    monomial of _MONOMIALS in that order. The symmetric tensor T with
-    f(x) = sum T_ijk x_i x_j x_k is built from it on demand.
+    monomial of _MONOMIALS in that order. Each object keeps three cached
+    properties built from it: the read-only symmetric tensor _tensor,
+    norm_inf, and the Hessian _hessian (None on a cone).
     """
 
     coeffs: np.ndarray
@@ -190,19 +192,16 @@ class CubicForm:
         """The largest coefficient modulus, computed once per object."""
         return max(map(abs, self.coeffs.tolist()))
 
+    @functools.cached_property
     def _tensor(self) -> np.ndarray:
         """The symmetric 3x3x3 tensor T with f(x) = sum T_ijk x_i x_j x_k, read-only and built once per object."""
-        return self._tensor_once
-
-    @functools.cached_property
-    def _tensor_once(self) -> np.ndarray:
         T = _tensors(self.coeffs[None])[0]
         T.setflags(write=False)
         return T
 
     def evaluate(self, point) -> complex:
         """The value at a point: the one-row case of _forms_at, as a numpy scalar."""
-        return _forms_at(self._tensor()[None], _point_array(point).reshape(1, 3))[0][0, 0]
+        return _forms_at(self._tensor[None], _point_array(point).reshape(1, 3))[0][0, 0]
 
     def gradient(self, point) -> np.ndarray:
         """The three partial derivatives at a point, from the quadratic monomials."""
@@ -226,31 +225,30 @@ class CubicForm:
         """Determinant of the matrix of second partials (again a cubic).
 
         Raises InputError on a cone, a union of concurrent lines such as
-        x^3 + y^3, whose Hessian vanishes identically.
+        x^3 + y^3, whose Hessian vanishes identically, and NumericalError
+        when its coefficients overflow.
         """
-        if self._hessian_form is None:
+        if self._hessian is None:
             raise InputError("the Hessian vanishes identically: the curve is a union of concurrent lines")
-        return self._hessian_form
+        return self._hessian
 
     @functools.cached_property
-    def _hessian_form(self) -> "CubicForm | None":
-        """The Hessian as one CubicForm per object, so its own caches persist; None on a cone."""
-        return CubicForm(self._hessian_coeffs) if self._hessian_coeffs.any() else None
-
-    @functools.cached_property
-    def _hessian_coeffs(self) -> np.ndarray:
-        """Coefficients of the Hessian, read-only and computed once per object; zero on a cone.
+    def _hessian(self) -> "CubicForm | None":
+        """The Hessian as one CubicForm per object, so its own caches persist; None on a cone.
 
         Entry (i, j) of the matrix of second partials is the linear form
         6 T_ij., so the determinant is 216 times _slice_contractions of T
         alone, triple products of columns of T's slices. The factor comes
         last, in one rounding, which keeps the x^3, y^3 and z^3 coefficients
         of a Hesse pencil member equal in the last bit. Caching is sound
-        because coeffs is read-only.
+        because coeffs is read-only. NumericalError when a coefficient
+        overflows, as the cube of f's does beyond about 1e102.
         """
-        h = 216.0 * (_FOLD @ _slice_contractions(self._tensor()[None]).reshape(27))
-        h.setflags(write=False)
-        return h
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = 216.0 * (_FOLD @ _slice_contractions(self._tensor[None]).reshape(27))
+        if not np.isfinite(h).all():
+            raise NumericalError("the Hessian's coefficients overflow: rescale the curve")
+        return CubicForm(h) if h.any() else None
 
     def compose_linear(self, matrix) -> "CubicForm":
         """The cubic x -> f(M x): each tensor axis contracted with M in turn.
@@ -259,7 +257,7 @@ class CubicForm:
         after three turns the axes are back in order.
         """
         M = np.asarray(matrix, dtype=complex).reshape(3, 3)
-        T = self._tensor()
+        T = self._tensor
         for _ in range(3):
             T = T.reshape(3, 9).T @ M
         return CubicForm(_FOLD @ T.reshape(27))
@@ -320,10 +318,12 @@ def _nearest_match(A, B, tolerance: float) -> list[int] | None:
 class PointSet:
     """Ordered finite set of curve points with a matching tolerance.
 
-    A set built on a row stack (_of_rows) builds its CurvePoints when first read.
+    A set built on a row stack (_of_rows) builds its CurvePoints when first
+    read. Its distances and separation have one writer, _distances_from.
     """
 
     _near = None
+    _separation = None
 
     def __init__(self, points: list[CurvePoint], tolerance: float) -> None:
         self.points = list(points)
@@ -351,11 +351,7 @@ class PointSet:
 
     @functools.cached_property
     def arrays(self) -> np.ndarray:
-        return (
-            np.stack([p.array for p in self.points])
-            if self.points
-            else np.zeros((0, 3), dtype=complex)
-        )
+        return np.array([cp.point.coords for cp in self.points], dtype=complex).reshape(-1, 3)
 
     def index_of(self, point) -> int | None:
         """Index of the member within tolerance of the given point, else None: the one-row case of match."""
@@ -363,8 +359,18 @@ class PointSet:
         return None if images is None else images[0]
 
     def _distances_from(self, rows) -> np.ndarray:
-        """chordal_matrix(rows, arrays): the kept block when rows is the stack this set was corrected from."""
-        return self._near_distances if rows is self._near else chordal_matrix(rows, self.arrays)
+        """chordal_matrix(rows, arrays), kept for the last rows asked (by identity).
+
+        One call on arrays stacked over rows: the top block gives min_separation, each block a call's own bits.
+        """
+        if rows is not self._near:
+            n = len(self)
+            D = chordal_matrix(np.concatenate([self.arrays, rows]), self.arrays)
+            self._near, self._near_distances = rows, D[n:]
+            D = D[:n]
+            np.fill_diagonal(D, np.inf)
+            self._separation = float(D.min()) if n > 1 else float("inf")
+        return self._near_distances
 
     def match(self, other: "PointSet") -> list[int] | None:
         """Bijection self index -> other index by nearest neighbor, or None."""
@@ -376,16 +382,10 @@ class PointSet:
         return self.match(other) is not None
 
     def min_separation(self) -> float:
-        """Smallest chordal distance between two members; computed once, like arrays."""
+        """Smallest chordal distance between two members: from the last _distances_from call, or one with no rows."""
+        if self._separation is None:
+            self._distances_from(self.arrays[:0])
         return self._separation
-
-    @functools.cached_property
-    def _separation(self) -> float:
-        if len(self) < 2:
-            return float("inf")
-        D = chordal_matrix(self.arrays, self.arrays)
-        np.fill_diagonal(D, np.inf)
-        return float(D.min())
 
     def sorted_canonical(self) -> "PointSet":
         return PointSet(
@@ -455,10 +455,16 @@ def _discriminant_margin(f: CubicForm) -> float:
     Kapranov and Zelevinsky). Each block is divided by its Frobenius
     norm, so the ratio depends neither on the scale of f nor, by the
     Bombieri weights, on a unitary change of coordinates. A cone has
-    H = 0 and margin 0.
+    H = 0 and margin 0. Raises NumericalError when a block norm
+    overflows, as the Hessian's does for coefficients beyond about 1e51.
     """
-    blocks = _GATE_MAP @ np.stack([f.coeffs, f._hessian_coeffs], axis=1)
-    norms = _norms(blocks, 0)
+    if f._hessian is None:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _GATE_MAP @ np.stack([f.coeffs, f._hessian.coeffs], axis=1)
+        norms = _norms(blocks, 0)
+    if not np.isfinite(norms).all():
+        raise NumericalError("the gate's block norms overflow: rescale the curve")
     if norms[1] == 0.0:
         return 0.0
     s = np.linalg.svd((blocks / norms).T.reshape(6, 6), compute_uv=False)
@@ -574,7 +580,7 @@ def _singular_witness(f: CubicForm, tol: Tolerances) -> ProjectivePoint:
     does not vanish on the line.
     """
     scale = f.norm_inf
-    T = f._tensor()
+    T = f._tensor
     conics = [Q / np.abs(Q).max() for Q in T if Q.any()]
     # a candidate with every coordinate subnormal has no finite representative
     X = np.array([
@@ -670,22 +676,19 @@ def _settle(T: np.ndarray, X: np.ndarray, first=None) -> tuple[np.ndarray, np.nd
     return X, V, G
 
 
-def _curve_points(f: CubicForm, X: np.ndarray, V: np.ndarray | None = None) -> list[CurvePoint]:
-    """Every row of X, normalized as _settle leaves it, with its relative residual on f.
+def _curve_points(f: CubicForm, X: np.ndarray, V: np.ndarray) -> list[CurvePoint]:
+    """Every row of X, normalized as _settle leaves it, with its relative residual from f's values V there.
 
-    V holds f's values at the rows when the caller has them; otherwise one
-    _forms_at call gives them. Python's abs per value (numpy's vectorized
-    abs can differ in the last bit) gives residual_at's residual, bit for bit.
+    Python's abs per value (numpy's vectorized abs can differ in the last
+    bit) gives residual_at's residual, bit for bit.
     """
-    if V is None:
-        V = _forms_at(f._tensor()[None], X)[0][:, 0]
     scale = f.norm_inf
     return [CurvePoint(ProjectivePoint(tuple(row)), abs(v) / scale) for row, v in zip(X.tolist(), V.tolist())]
 
 
 def _polish_rows(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
     """Every row of X settled onto f (_settle), with its relative residual from _settle's last evaluation."""
-    X, V, _ = _settle(f._tensor()[None], X)
+    X, V, _ = _settle(f._tensor[None], X)
     return _curve_points(f, X, V[:, 0])
 
 
@@ -710,9 +713,9 @@ def inflection_points(
 
 def _hessian_of_smooth(f: CubicForm) -> CubicForm:
     """The Hessian of a curve the caller has certified, the same object on every call; NumericalError on a cone."""
-    if f._hessian_form is None:
+    if f._hessian is None:
         raise NumericalError("the Hessian vanishes identically: the curve is a union of concurrent lines")
-    return f._hessian_form
+    return f._hessian
 
 
 # The nine base points of the Hesse pencil x^3 + y^3 + z^3 + lam xyz, the
@@ -775,7 +778,7 @@ def _triangle_lines(g: CubicForm, tol: Tolerances) -> np.ndarray:
     vanishes, so a cut through one fails that test and the next cut is
     tried; NumericalError when no cut passes.
     """
-    T = g._tensor()[None]
+    T = g._tensor[None]
     for P, Q in _CUTS:
         roots = [u for u, m in solve_univariate(UniPoly(_line_cubic(T, P, Q)), tol) for _ in range(m)]
         if len(roots) != 3:
@@ -803,7 +806,7 @@ def _hesse_frame(f: CubicForm, h: CubicForm, tol: Tolerances) -> np.ndarray:
     which fails the flex test.
     """
     K = _cofactors(_triangle_lines(_pencil_triangle(f, h, tol), tol))
-    cubes = _forms_at(f._tensor()[None], K)[0][:, 0]
+    cubes = _forms_at(f._tensor[None], K)[0][:, 0]
     if not cubes.all():
         raise NumericalError("the lines of the Hesse pencil's triangle are not a frame")
     return (_HESSE_BASE / cubes ** (1.0 / 3.0)) @ K
@@ -873,7 +876,7 @@ def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> Point
     moved = (3 * rows)[:, None] + _FREE[pivot]
     jacobian = (6 * rows)[:, None] + _JACOBIAN[pivot]
     flat = X.reshape(-1)
-    T = np.stack([f._tensor(), h._tensor()])
+    T = np.stack([f._tensor, h._tensor])
     last = np.full(len(X), np.inf)
     kept = np.ones(len(X), dtype=bool)
     moving = kept.copy()
@@ -913,30 +916,25 @@ def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
     nine lie pairwise farther apart than 2 tau_match; otherwise None. The
     curve meets its Hessian in nine points counted with multiplicity
     (Bezout), each simple on a smooth cubic, so nine distinct common points
-    are all the flexes. One chordal_matrix call gives the set's separation
-    and the distances from near that _distances_from(near) returns. Raises
-    NumericalError on a cone.
+    are all the flexes. The set's distances from near (_distances_from)
+    give its separation too, from one chordal_matrix call, and stay kept
+    for a caller that asks for them again. Raises NumericalError on a cone.
     """
     out = _newton_flexes(f, _hessian_of_smooth(f), near, tol)
     if len(out) != 9:
         return None
-    W = out.arrays
-    D = chordal_matrix(np.concatenate([W, near]), W)
-    out._near, out._near_distances = near, D[9:]
-    D = D[:9]
-    np.fill_diagonal(D, np.inf)
-    out._separation = float(D.min())
-    return out if out._separation > 2.0 * tol.tau_match else None
+    out._distances_from(near)
+    return out if out.min_separation() > 2.0 * tol.tau_match else None
 
 
-def _dedupe(points: list[CurvePoint], tolerance: float) -> list[CurvePoint]:
-    """Greedy dedupe in residual order.
+def _dedupe(points: list[CurvePoint], tolerance: float) -> PointSet:
+    """Greedy dedupe in residual order, as a PointSet in canonical order.
 
     Walks the points best first and keeps each one that lies farther than
     tolerance from every point already kept.
     """
     if not points:
-        return []
+        return PointSet([], tolerance)
     ranked = sorted(points, key=lambda cp: cp.residual)
     rows = np.stack([cp.array for cp in ranked])
     D = chordal_matrix(rows, rows)
@@ -944,7 +942,7 @@ def _dedupe(points: list[CurvePoint], tolerance: float) -> list[CurvePoint]:
     for i in range(len(ranked)):
         if not kept or D[i, kept].min() > tolerance:
             kept.append(i)
-    return [ranked[i] for i in kept]
+    return PointSet([ranked[i] for i in kept], tolerance).sorted_canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +960,7 @@ def line_curve_points(
     """
     P = _point_array(p).reshape(3)
     Q = _point_array(q).reshape(3)
-    coeffs = _line_cubic(f._tensor()[None], P, Q)
+    coeffs = _line_cubic(f._tensor[None], P, Q)
     top = np.abs(coeffs).max()
     if top == 0.0:
         raise InputError("the line lies on the curve, which no smooth cubic allows")
@@ -971,7 +969,7 @@ def line_curve_points(
     rows = [Q] if poly.degree < len(coeffs) - 1 else []
     if poly.degree >= 1:
         rows.extend(P + t0 * Q for t0, _ in solve_univariate(poly, tol))
-    return PointSet(_dedupe(_polish_rows(f, np.array(rows)), tol.tau_match), tol.tau_match).sorted_canonical().points
+    return _dedupe(_polish_rows(f, np.array(rows)), tol.tau_match).points
 
 
 def _unit_disc(rng: np.random.Generator, n: int) -> np.ndarray:

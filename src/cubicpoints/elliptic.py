@@ -116,7 +116,7 @@ def _third_rows(f: CubicForm, P, Q, tol: Tolerances) -> tuple[np.ndarray, np.nda
     times tau_match are rejected as an ill-conditioned chord. The output
     rows are polished onto the curve, each scaled to a largest coordinate 1, and come with f's values there.
     """
-    T = f._tensor()[None]
+    T = f._tensor[None]
     P, _, gP = _on_curve_rows(f, T, P, tol)
     Q = _on_curve_rows(f, T, Q, tol)[0]
     d = np.linalg.norm(np.cross(P, Q), axis=1) / (np.linalg.norm(P, axis=1) * np.linalg.norm(Q, axis=1))
@@ -245,7 +245,7 @@ class EllipticChart:
 
     def _multiply_rows(self, m: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """m times each row of X (m != 0), and f there, as _third_rows returns them: one ladder for the stack."""
-        X, V, _ = _on_curve_rows(self.curve, self.curve._tensor()[None], X, self.tol)
+        X, V, _ = _on_curve_rows(self.curve, self.curve._tensor[None], X, self.tol)
         addend, result = (X, V[:, 0]), None
         mm = abs(m)
         while mm:

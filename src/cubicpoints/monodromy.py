@@ -14,9 +14,10 @@ inflections section corrects the nine flexes by Newton
 (curve._correct_flexes) and computes them afresh, from a triangle of the
 curve's Hesse pencil, only when the correction cannot prove it found all
 nine.  Both polish with one batched Newton, curve._newton_flexes.  Other
-sections are recomputed from scratch at every step.  A continued step
-computes one distance matrix, the corrector's, for both the separation and
-the match, and the end set's CurvePoints are built once, after the loop.
+sections are recomputed from scratch at every step.  Every step computes
+one distance matrix, the new set's from the last points, for both the
+separation and the match (a continued set holds the corrector's), and the
+end set's CurvePoints are built once, after the loop.
 
 track certifies every curve it visits against smoothness_margin, once, and
 only then evaluates the section there.  The certificate is the discriminant
@@ -231,22 +232,24 @@ def track(
     accepted points, a (n, 3) array in label order, as near; otherwise the
     section is called on the curve alone.  Either way the returned set goes
     through the same matching, on its distances from the last points
-    (PointSet._distances_from).  A step is accepted when the set keeps its
-    size and a separation above 2 tau_match, and each last point has a
-    distinct nearest new point, at most _MATCH_REACH times the new
-    separation away and more than _MATCH_RATIO times closer than its
-    runner-up; otherwise, or when the section raises NumericalError, the
-    step is halved.  An accepted step of length h used the share u of the
-    test's room, the largest over the points of _MATCH_RATIO d1 / d2 and
-    d1 / reach (d1 and d2 the nearest and runner-up distances); the next
-    step is h / (_STEP_MARGIN u) within [h / 2, 2 h], and at most the base
-    step (u = 0, when no point moved, gives 2 h).  The end set is built
-    once, from the last accepted set in the matched order.  min_margin is
-    the smallest discriminant-gate margin over the accepted curves, a
-    unitary invariant (1 on the Fermat cubic).  Raises DiscriminantPathError when any visited curve has a gate margin
-    at or below smoothness_margin, TrackingAmbiguityError when matching
-    stays ambiguous at the minimal step size, and InputError when steps,
-    which overrides path.steps, is not an integer from 1 to _MAX_STEPS.
+    (PointSet._distances_from, which gives the separation too).  A step is
+    accepted when the set keeps its size and a separation above 2
+    tau_match, and each last point has a distinct nearest new point, at
+    most _MATCH_REACH times the new separation away and more than
+    _MATCH_RATIO times closer than its runner-up; otherwise, or when the
+    section raises NumericalError, the step is halved.  An accepted step
+    of length h used the share u of the test's room, the largest over the
+    points of _MATCH_RATIO d1 / d2 and d1 / reach (d1 and d2 the nearest
+    and runner-up distances); the next step is h / (_STEP_MARGIN u) within
+    [h / 2, 2 h], and at most the base step (u = 0, when no point moved,
+    gives 2 h).  The end set is built once, from the last accepted set in
+    the matched order.  min_margin is the smallest discriminant-gate margin
+    over the accepted curves, a unitary invariant (1 on the Fermat cubic).
+    Raises DiscriminantPathError when any visited curve has a gate margin
+    at or below smoothness_margin, TrackingAmbiguityError, naming the
+    rejection's reason, when a step would fall below _MIN_STEP, and
+    InputError when steps, which overrides path.steps, is not an integer
+    from 1 to _MAX_STEPS.
     """
     base = 1.0 / (path.steps if steps is None else _step_count(steps))
     f0 = path.at(0.0)
@@ -277,32 +280,26 @@ def track(
         try:
             S2 = section(f2, near=current) if continues else section(f2)
         except NumericalError:
-            dt *= 0.5
-            if dt < _MIN_STEP:
-                raise TrackingAmbiguityError(
-                    f"section could not be recomputed near parameter {t2:.6g}"
-                )
-            continue
-        ok = S2.min_separation() > 2.0 * tol.tau_match and len(S2) == n
-        if ok:
+            reason = "section could not be recomputed"
+        else:
             # points moved this step: demand a clear nearest, not a tolerance hit
             D = S2._distances_from(current)
-            order = np.argsort(D, axis=1)
-            rows = np.arange(n)
-            assignment = order[:, 0]
-            d1 = D[rows, assignment]
-            d2 = D[rows, order[:, 1]] if n > 1 else np.full(n, np.inf)
-            reach = _MATCH_REACH * S2.min_separation()
-            # the share of the test's room this step used, by point: at most 1 when accepted
-            used = np.maximum(_MATCH_RATIO * d1 / d2, d1 / reach)
-            ok = not ((d2 <= _MATCH_RATIO * d1) | (d1 > reach)).any()
-            ok = ok and len(set(assignment.tolist())) == n
-        if not ok:
+            ok = S2.min_separation() > 2.0 * tol.tau_match and len(S2) == n
+            if ok:
+                order = np.argsort(D, axis=1)
+                rows = np.arange(n)
+                assignment = order[:, 0]
+                d1 = D[rows, assignment]
+                d2 = D[rows, order[:, 1]] if n > 1 else np.full(n, np.inf)
+                reach = _MATCH_REACH * S2.min_separation()
+                # the share of the test's room this step used, by point: at most 1 when accepted
+                used = np.maximum(_MATCH_RATIO * d1 / d2, d1 / reach)
+                ok = not ((d2 <= _MATCH_RATIO * d1) | (d1 > reach)).any() and len(set(assignment.tolist())) == n
+            reason = None if ok else "point matching stayed ambiguous"
+        if reason:
             dt *= 0.5
             if dt < _MIN_STEP:
-                raise TrackingAmbiguityError(
-                    f"point matching stayed ambiguous near parameter {t2:.6g}"
-                )
+                raise TrackingAmbiguityError(f"{reason} near parameter {t2:.6g}")
             continue
         current = S2.arrays[assignment]
         last = S2

@@ -157,7 +157,7 @@ def fixed_points_on_curve(
         cp = polish_onto_curve(f, P.array)
         if chordal_distance(act_on_point(T, cp.point), cp.point) <= tol.tau_match:
             found.append(cp)
-    return PointSet(_dedupe(found, tol.tau_match), tol.tau_match).sorted_canonical()
+    return _dedupe(found, tol.tau_match)
 
 
 def lefschetz_trace(

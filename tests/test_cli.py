@@ -154,6 +154,15 @@ class TestArithmeticCommands:
         assert rc == 2
         assert "JSON" in err
 
+    @pytest.mark.parametrize("command", ["verdict", "hesse", "smooth", "track"])
+    def test_json_only_subcommands_reject_csv(self, capsys, command):
+        # the format is checked before any argument is read or file opened
+        argv = {"verdict": ["0"], "track": ["--path", "missing.json"]}.get(command, ["--curve", "missing.json"])
+        rc, out, err = run_cli(capsys, "--format", "csv", command, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: the {command} subcommand only writes JSON\n"
+
 
 class TestCurveCommands:
     def test_smooth_on_fermat(self, capsys, fermat_file):
@@ -191,6 +200,15 @@ class TestCurveCommands:
         rc, _, err = run_cli(capsys, "inflections", "--curve", singular_file)
         assert rc == 3
         assert "singular" in err.lower()
+
+    @pytest.mark.parametrize("scale", [1e60, 1e300])
+    def test_smooth_on_coefficients_too_large_exits_four(self, capsys, tmp_path, scale):
+        p = tmp_path / "huge.json"
+        p.write_text(canonical_dumps(cubic_to_obj(CubicForm(hesse_cubic(0.3).coeffs * scale))), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "smooth", "--curve", str(p))
+        assert rc == 4
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "overflow" in err
 
 
 class TestTrackCommand:

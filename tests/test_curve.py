@@ -201,6 +201,20 @@ class TestSmoothness:
             rep = smoothness(hesse_cubic(-3.0))
         assert chordal_distance(rep.witness.array, np.array([1.0, 1.0, 1.0])) < 1e-6
 
+    @pytest.mark.parametrize("scale", [1e60, 1e300], ids=["gate_norm", "hessian"])
+    def test_coefficients_too_large_for_the_hessian_are_a_numerical_error(self, scale):
+        # the Hessian grows as the cube of the scale: its block norm in the
+        # gate overflows from about 1e51, its coefficients from about 1e102
+        f = CubicForm(hesse_cubic(0.3).coeffs * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow"):
+                smoothness(f)
+
+    def test_a_large_scale_keeps_the_margin(self):
+        f = hesse_cubic(0.3)
+        assert abs(smoothness(CubicForm(f.coeffs * 1e45)).margin - smoothness(f).margin) <= 1e-12
+
     def test_require_smooth_raises(self):
         with pytest.raises(SingularCurveError):
             require_smooth(hesse_cubic(-3.0))
@@ -587,7 +601,7 @@ class TestSettle:
         for f in [fermat_cubic(), hesse_cubic(0.5)] + [random_smooth_cubic(rng) for _ in range(5)]:
             X = inflection_points(f).arrays
             evaluations.clear()
-            Y, V, G = curve._settle(f._tensor()[None], X)
+            Y, V, G = curve._settle(f._tensor[None], X)
             assert evaluations == [9]
             assert np.array_equal(Y, X)
 
@@ -605,7 +619,7 @@ class TestSettle:
         X = inflection_points(f).arrays.copy()
         X[4] += 1e-6 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         evaluations.clear()
-        _, V, _ = curve._settle(f._tensor()[None], X)
+        _, V, _ = curve._settle(f._tensor[None], X)
         assert len(evaluations) > 1
         assert (np.abs(V) <= tol.tau_on_curve * f.norm_inf).all()
 

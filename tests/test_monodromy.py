@@ -313,16 +313,16 @@ class TestOneHessianPerCurve:
 
     def test_the_cached_hessian_is_read_only(self):
         f = hesse_cubic(0.5)
-        h = f._hessian_coeffs
-        assert h is f._hessian_coeffs
+        h = f._hessian.coeffs
+        assert h is f._hessian.coeffs
         with pytest.raises(ValueError):
             h[0] = 1.0
         assert np.array_equal(f.hessian().coeffs, h)
 
     def test_the_cached_tensor_is_read_only(self):
         f = hesse_cubic(0.5)
-        T = f._tensor()
-        assert T is f._tensor()
+        T = f._tensor
+        assert T is f._tensor
         with pytest.raises(ValueError):
             T[0, 0, 0] = 1.0
         assert np.array_equal(T, curve._tensors(f.coeffs[None])[0])
@@ -331,10 +331,10 @@ class TestOneHessianPerCurve:
         f = hesse_cubic(0.5)
         h = curve._hessian_of_smooth(f)
         assert h is curve._hessian_of_smooth(f) is f.hessian()
-        assert np.array_equal(h.coeffs, f._hessian_coeffs)
+        assert np.array_equal(h.coeffs, f._hessian.coeffs)
 
     def test_a_cone_keeps_its_channels(self):
-        # the cached zero vector raises on every call, not only the first
+        # the cached None raises on every call, not only the first
         cone = CubicForm.from_coeffs({(3, 0, 0): 1.0, (0, 3, 0): 1.0})
         for _ in range(2):
             with pytest.raises(InputError, match="Hessian vanishes"):
@@ -376,6 +376,37 @@ class TestOneDistanceMatrixPerStep:
         assert result.permutation.cycle_type() == (3, 3, 3)
         assert calls == {"chordal_matrix": 39, "points": 18, "section": 37}
         assert calls["chordal_matrix"] == (calls["section"] - 1) + 3
+
+    def test_a_section_without_near_pays_once_per_step(self, monkeypatch):
+        # type3k:1 is recomputed at every step, and track asks each new set
+        # for its distances from the last points before its separation, so
+        # one matrix gives both; track's own matrices are one per step, the
+        # start set's separation and the closed path's match (18 of 54 when
+        # the separation took a matrix of its own)
+        calls = {"inside": 0, "outside": 0, "section": 0}
+        real_matrix = numeric.chordal_matrix
+        section = canonical_section("type3k:1")
+        inside = [False]
+
+        def counting_matrix(*args):
+            calls["inside" if inside[0] else "outside"] += 1
+            return real_matrix(*args)
+
+        def counting_section(f):
+            calls["section"] += 1
+            inside[0] = True
+            try:
+                return section(f)
+            finally:
+                inside[0] = False
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("cubicpoints") and getattr(module, "chordal_matrix", None) is real_matrix:
+                monkeypatch.setattr(module, "chordal_matrix", counting_matrix)
+        result = track(_hesse_loop(-3.0, 1.0, steps=8), counting_section)
+        assert result.permutation.is_identity() and result.steps_taken == 8
+        assert calls == {"inside": 36, "outside": 10, "section": 9}
+        assert calls["outside"] == result.steps_taken + 2
 
 
 class TestSections:
@@ -504,7 +535,7 @@ def _crossings(f0: CubicForm, f1: CubicForm) -> list[complex]:
     dets = []
     for t in ts:
         f = CubicForm(f0.coeffs + t * f1.coeffs)
-        blocks = curve._GATE_MAP @ np.stack([f.coeffs, f._hessian_coeffs], axis=1)
+        blocks = curve._GATE_MAP @ np.stack([f.coeffs, f._hessian.coeffs], axis=1)
         dets.append(np.linalg.det(blocks.T.reshape(6, 6)))
     coeffs = np.fft.fft(dets) / 32
     assert np.abs(coeffs[13:]).max() <= 1e-12 * np.abs(coeffs).max()

@@ -135,3 +135,22 @@ def test_every_module_level_private_name_is_read():
     read = set().union(*map(_names_loaded, trees.values()))
     unread = {name: sorted(_module_private_names(tree) - read) for name, tree in trees.items()}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def _private_attribute_writes(tree: ast.Module) -> list[str]:
+    """Each obj._name = ... (augmented and annotated too) in a function that no class body encloses."""
+    in_classes = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for n in ast.walk(c)}
+    return [
+        f"{fn.name}: {ast.unparse(node)}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and id(fn) not in in_classes
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr.startswith("_")
+    ]
+
+
+def test_only_a_class_writes_the_private_attributes_of_its_objects():
+    # a kept value has one writer, in its own class: a module function that
+    # filled another object's cache would be a second one
+    found = {path.name: _private_attribute_writes(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    assert {name: writes for name, writes in found.items() if writes} == {}

@@ -140,9 +140,10 @@ def candidate_lists(draw):
 @PROPERTY
 @given(candidate_lists(), st.sampled_from([1e-8, 1e-6, 1e-4]))
 def test_dedupe_keeps_what_the_greedy_loop_kept(points, tolerance):
+    # _dedupe returns the kept points in canonical order
     index = {id(cp): i for i, cp in enumerate(points)}
     got = [index[id(cp)] for cp in _dedupe(points, tolerance)]
-    want = [index[id(cp)] for cp in greedy_dedupe(points, tolerance)]
+    want = [index[id(cp)] for cp in PointSet(greedy_dedupe(points, tolerance), tolerance).sorted_canonical()]
     assert got == want
 
 
@@ -465,7 +466,7 @@ def test_batched_forms_match_evaluate_and_gradient(cases):
     # which no relative bound covers; UNDERFLOW allows for them.
     cubics = [CubicForm.from_coeffs(coeffs) for coeffs, _ in cases]
     points = np.array([v for _, v in cases])
-    values, grads = _forms_at(np.stack([f._tensor() for f in cubics]), points)
+    values, grads = _forms_at(np.stack([f._tensor for f in cubics]), points)
     for col, ((coeffs, _), f) in enumerate(zip(cases, cubics)):
         for n, v in enumerate(points):
             terms = monomial_terms(coeffs, v, [])
@@ -535,7 +536,7 @@ def test_slice_contractions_match_the_levi_civita_einsum(S):
 def test_hessian_of_a_hesse_member_has_equal_cube_coefficients_to_the_bit(lam):
     # x^3 + y^3 + z^3 + lam xyz is symmetric under permuting coordinates, and
     # the Hessian's factor of 216 comes last, in one rounding, to keep it so
-    h = hesse_cubic(lam)._hessian_coeffs
+    h = hesse_cubic(lam)._hessian.coeffs
     assert bits(h[0]) == bits(h[6]) == bits(h[9])
 
 
@@ -873,7 +874,7 @@ def reference_correct_flexes(f, near, tol=DEFAULT_TOLERANCES):
     X /= X[rows, pivot][:, None]
     X[rows, pivot] = 1.0
     q, r = np.array([[1, 2], [0, 2], [0, 1]])[pivot].T
-    T = np.stack([f._tensor(), h._tensor()])
+    T = np.stack([f._tensor, h._tensor])
     last = np.full(9, np.inf)
     moving = np.ones(9, dtype=bool)
     with np.errstate(all="ignore"):
