@@ -18,7 +18,7 @@ import sys
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import CubicPointsError, InputError, NumericalError, SingularCurveError, TrackingAmbiguityError
-from .sizes import _witnesses_up_to, canonical_dumps, jordan_totient_2, section_verdict
+from .sizes import _integer, _witnesses_up_to, canonical_dumps, jordan_totient_2, section_verdict
 
 _EXIT_INPUT = 2
 _EXIT_NUMERICAL = 4
@@ -110,9 +110,7 @@ def _cmd_torsion(args) -> str:
 
 
 def _cmd_counts(args) -> str:
-    if args.max_k < 1:
-        raise InputError("--max-k must be a positive integer")
-    rows = [(k, 9 * jordan_totient_2(k)) for k in range(1, args.max_k + 1)]
+    rows = [(k, 9 * jordan_totient_2(k)) for k in range(1, _integer(args.max_k, "--max-k") + 1)]
     if args.format == "csv":
         lines = ["k,type,count"] + [f"{k},{3 * k},{c}" for k, c in rows]
         return "\n".join(lines) + "\n"
@@ -120,9 +118,7 @@ def _cmd_counts(args) -> str:
 
 
 def _cmd_j2(args) -> str:
-    if args.max_k < 1:
-        raise InputError("--max-k must be a positive integer")
-    rows = [(k, jordan_totient_2(k)) for k in range(1, args.max_k + 1)]
+    rows = [(k, jordan_totient_2(k)) for k in range(1, _integer(args.max_k, "--max-k") + 1)]
     if args.format == "csv":
         return "\n".join(["k,j2"] + [f"{k},{v}" for k, v in rows]) + "\n"
     return canonical_dumps({"j2": {str(k): v for k, v in rows}})

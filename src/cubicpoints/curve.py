@@ -445,6 +445,11 @@ def _gate_map() -> np.ndarray:
 _GATE_MAP = _gate_map()
 
 
+def _binary_scaled(f: CubicForm) -> np.ndarray:
+    """f's coefficients times the power of two that puts norm_inf in [1/2, 1): exact, with squares in range."""
+    return np.ldexp(f.coeffs.view(float), -math.frexp(f.norm_inf)[1]).view(complex)
+
+
 def _discriminant_margin(f: CubicForm) -> float:
     """sigma_min / sigma_max of the gate matrix of f; zero exactly on singular curves.
 
@@ -455,18 +460,13 @@ def _discriminant_margin(f: CubicForm) -> float:
     Kapranov and Zelevinsky). Each block is divided by its Frobenius
     norm, so the ratio depends neither on the scale of f nor, by the
     Bombieri weights, on a unitary change of coordinates. A cone has
-    H = 0 and margin 0. Raises NumericalError when a block norm
-    overflows, as the Hessian's does for coefficients beyond about 1e51.
+    H = 0 and margin 0. The blocks come from _binary_scaled coefficients,
+    so their norms stay in range; NumericalError when the Hessian overflows (beyond about 1e102).
     """
     if f._hessian is None:
         return 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _GATE_MAP @ np.stack([f.coeffs, f._hessian.coeffs], axis=1)
-        norms = _norms(blocks, 0)
-    if not np.isfinite(norms).all():
-        raise NumericalError("the gate's block norms overflow: rescale the curve")
-    if norms[1] == 0.0:
-        return 0.0
+    blocks = _GATE_MAP @ np.stack([_binary_scaled(f), _binary_scaled(f._hessian)], axis=1)
+    norms = _norms(blocks, 0)
     s = np.linalg.svd((blocks / norms).T.reshape(6, 6), compute_uv=False)
     return float(s[-1] / s[0])
 
@@ -510,6 +510,8 @@ _WITNESS_BETTER = 1e-15
 _WITNESS_TIE_ABS, _WITNESS_TIE_REL = 1e-12, 1e-6
 # Gauss-Newton stops once its step is this small against the point.
 _POLISH_STEP_FLOOR = 1e-15
+# The backstop on Gauss-Newton steps; a stall stops it far sooner.
+_POLISH_ITERS = 30
 
 
 def _singular_members(Q1: np.ndarray, Q2: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
@@ -610,7 +612,7 @@ def _singular_witness(f: CubicForm, tol: Tolerances) -> ProjectivePoint:
     return max(best_witnesses, key=_canonical_key)
 
 
-def _polish_singular(T: np.ndarray, x: np.ndarray, iters: int = 30) -> np.ndarray:
+def _polish_singular(T: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gauss-Newton on grad f = 3 T x x, Jacobian 6 T x, in the max-modulus chart of x.
 
     The three partials need not share a zero near x; Gauss-Newton then
@@ -620,7 +622,7 @@ def _polish_singular(T: np.ndarray, x: np.ndarray, iters: int = 30) -> np.ndarra
     pivot = int(np.abs(x).argmax())
     x, free = x / x[pivot], _FREE[pivot]
     best, best_x, stalls, size = np.inf, x, 0, np.inf
-    for _ in range(iters + 1):
+    for _ in range(_POLISH_ITERS + 1):
         grad = _forms_at(T[None], x[None])[1][0, 0]
         rn = float(np.linalg.norm(grad))
         stalls = 0 if rn < 0.9 * best else stalls + 1
@@ -739,7 +741,8 @@ _FROM_H = [np.array([sum(ijk) == d for ijk in itertools.product(range(2), repeat
 def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
     """The triangle of the Hesse pencil s f + t h best separated from the other three.
 
-    With f and h at unit norm F and G, Hess(s f + t h) = A(s, t) f + B(s, t) h: the coefficient of
+    With f and h at unit norm F and G (from _binary_scaled coefficients, whose norms stay in range),
+    Hess(s f + t h) = A(s, t) f + B(s, t) h: the coefficient of
     s^(3-d) t^d is the sum of the _slice_contractions that take d of the three slices from h, projected
     onto F and W = G - <F, G> F (two Gram-Schmidt passes; the rank test sigma_2 <= 10 eps sigma_1 of the
     10x2 matrix [F G] reads |W| <= 10 eps (1 + |<F, G>|)). The triangles are the members the Hessian fixes, the roots of the
@@ -747,7 +750,7 @@ def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
     Fermat cubic h is one, and near it the top coefficient is roundoff). Near the discriminant three
     roots close up and lose digits.
     """
-    F, G = (c / _norms(c, 0) for c in (f.coeffs, h.coeffs))
+    F, G = (c / _norms(c, 0) for c in (_binary_scaled(f), _binary_scaled(h)))
     E = _slice_contractions(_tensors(np.stack([F, G]))).reshape(8, 27)
     C = 216.0 * np.stack([E[mask].sum(axis=0) for mask in _FROM_H]) @ _FOLD.T
     W, r = G, 0.0
@@ -984,21 +987,17 @@ def _unit_disc(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
-# random_smooth_cubic's default margin floor: a sampled curve stays ten times
+# random_smooth_cubic's margin floor: a sampled curve stays ten times
 # farther from the discriminant than smoothness_margin asks of a tracked one.
 _SAMPLE_MARGIN = 1e-3
 
 
-def random_smooth_cubic(
-    rng: np.random.Generator,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    min_margin: float = _SAMPLE_MARGIN,
-) -> CubicForm:
-    """Cubic with unit-disc coefficients, rejection sampled for smoothness."""
+def random_smooth_cubic(rng: np.random.Generator, tol: Tolerances = DEFAULT_TOLERANCES) -> CubicForm:
+    """Cubic with unit-disc coefficients, rejection sampled for a gate margin of at least _SAMPLE_MARGIN."""
     for _ in range(200):
         f = CubicForm(_unit_disc(rng, 10))
         rep = smoothness(f, tol)
-        if rep.smooth and rep.margin >= min_margin:
+        if rep.smooth and rep.margin >= _SAMPLE_MARGIN:
             return f
     raise NumericalError("rejection sampling failed to produce a smooth cubic")
 

@@ -14,7 +14,9 @@ is a closed form on the curve's Hesse normal form
 (symmetry._hesse_normal_form, through hesse_normalize), kept for the last
 curve as its flexes are.  The layer counts 9 J_2(k) and the sizes they
 realize are integer arithmetic and live in sizes.py; jordan_totient_2,
-constructible_sizes and size_witness are imported from there.
+constructible_sizes and size_witness are imported from there, and _integer
+checks every order and multiplier.  Points come in through
+numeric._point_array, and numeric._normalize_rows rejects a non-finite one.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .numeric import (
     chordal_matrix,
     solve_univariate,
 )
-from .sizes import constructible_sizes, jordan_totient_2, size_witness
+from .sizes import _integer, constructible_sizes, jordan_totient_2, size_witness
 from .symmetry import _CYCLE, _SCALE, ProjectiveTransform, act_on_point, hesse_normalize
 
 __all__ = [
@@ -83,13 +85,6 @@ _AGM_CLOSE = 4.0 * float(np.finfo(float).eps)
 _Q_TERMS = 10
 # g2 and g3 this far from -4a and -4b (against the weights 4 and 6 of the scale) condemn the periods.
 _LATTICE_CHECK = 1e-8
-
-
-def _coords(p) -> np.ndarray:
-    v = _point_array(p).reshape(3)
-    if not np.isfinite(v).all():
-        raise InputError("point coordinates must be finite")
-    return v
 
 
 def _on_curve_rows(f: CubicForm, T: np.ndarray, X, tol: Tolerances) -> tuple[np.ndarray, ...]:
@@ -151,7 +146,7 @@ def third_intersection(
     are distinct but closer than ten times tau_match are rejected as an
     ill-conditioned chord. The one-row case of _third_rows.
     """
-    return _curve_points(f, *_third_rows(f, _coords(p)[None], _coords(q)[None], tol))[0]
+    return _curve_points(f, *_third_rows(f, _point_array(p).reshape(1, 3), _point_array(q).reshape(1, 3), tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +211,10 @@ class EllipticChart:
         return complex(1728.0 * num / den)
 
     def to_weierstrass(self, p) -> ProjectivePoint:
-        return act_on_point(self.to_w, _coords(p))
+        return act_on_point(self.to_w, p)
 
     def from_weierstrass(self, p) -> ProjectivePoint:
-        return act_on_point(self.from_w, _coords(p))
+        return act_on_point(self.from_w, p)
 
     # -- group law ---------------------------------------------------------
 
@@ -227,14 +222,14 @@ class EllipticChart:
         return third_intersection(self.curve, self.identity, p, self.tol)
 
     def add(self, p, q) -> CurvePoint:
-        return _curve_points(self.curve, *self._add_rows(_coords(p)[None], _coords(q)[None]))[0]
+        P, Q = _point_array(p).reshape(1, 3), _point_array(q).reshape(1, 3)
+        return _curve_points(self.curve, *self._add_rows(P, Q))[0]
 
     def multiply(self, m: int, p) -> CurvePoint:
-        if not isinstance(m, (int, np.integer)):
-            raise InputError("the multiplier must be an integer")
+        m = _integer(m, "the multiplier", least=None)
         if m == 0:
             return polish_onto_curve(self.curve, self.identity.array)
-        return _curve_points(self.curve, *self._multiply_rows(int(m), _coords(p)[None]))[0]
+        return _curve_points(self.curve, *self._multiply_rows(m, _point_array(p).reshape(1, 3)))[0]
 
     def _negate_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         O = np.broadcast_to(self.identity.array, X.shape)
@@ -280,7 +275,7 @@ def make_chart(
     """
     T, lam = hesse_normalize(f, tol)
     h = _hessian_of_smooth(f)
-    X, V, _ = _on_curve_rows(f, _tensors(np.stack([f.coeffs, h.coeffs])), _coords(identity)[None], tol)
+    X, V, _ = _on_curve_rows(f, _tensors(np.stack([f.coeffs, h.coeffs])), _point_array(identity).reshape(1, 3), tol)
     if abs(V[0, 1]) / h.norm_inf > _FLEX_SLACK * tol.tau_on_curve:
         raise InputError("the identity must be an inflection point of the curve")
     P = ProjectivePoint(tuple(X[0].tolist()))
@@ -405,9 +400,8 @@ def torsion_points(
     chart: EllipticChart, m: int, certify: bool = True
 ) -> PointSet:
     """All points P with m P = O: the m^2 lattice points of _lattice_points, every label of (Z/m)^2."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InputError("the torsion order must be a positive integer")
-    return _lattice_points(chart, int(m), _labels(int(m)), certify)
+    m = _integer(m, "the torsion order")
+    return _lattice_points(chart, m, _labels(m), certify)
 
 
 def points_of_type(
@@ -419,9 +413,7 @@ def points_of_type(
     times the second Jordan totient of k; _lattice_points gives them in one
     evaluation.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise InputError("the type index must be a positive integer")
-    k = int(k)
+    k = _integer(k, "the type index")
     return _lattice_points(chart, 3 * k, [(i, j) for i, j in _labels(3 * k) if math.gcd(i, j, k) == 1], certify)
 
 
@@ -438,6 +430,6 @@ def translation_certificate(
     """
     if not samples:
         raise InputError("at least one sample point is required")
-    X = np.stack([_coords(cp) for cp in samples])
+    X = np.stack([_point_array(cp).reshape(3) for cp in samples])
     diffs = chart._add_rows(X @ T.matrix.T, chart._negate_rows(X)[0])[0]
     return float(chordal_matrix(diffs[0], diffs).max())

@@ -28,7 +28,9 @@ canonical_section therefore expect a curve the caller has certified and
 skip the weaker smoothness check of inflection_points.
 
 The verdicts on requested section sizes, SizeVerdict and section_verdict,
-are integer arithmetic and live in sizes.py; they are imported from there.
+are integer arithmetic and live in sizes.py; they are imported from there,
+with _integer, the check of every step count and type index.  Waypoints
+join when _meets finds them one curve.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .errors import (
     NumericalError,
     TrackingAmbiguityError,
 )
-from .sizes import SizeVerdict, section_verdict
+from .sizes import SizeVerdict, _integer, section_verdict
 from .symmetry import ProjectiveTransform, _permutation_images
 
 __all__ = [
@@ -138,17 +140,15 @@ class Permutation:
 _MEET_TOL = 1e-9
 
 
+def _meets(f: CubicForm, g: CubicForm) -> bool:
+    """Whether waypoints f and g are one curve, so a path may pass from f to g: f's residual against g's line."""
+    return f.proportionality_residual(g) <= _MEET_TOL
+
+
 # track's smallest step: a step that must be halved below it raises.
 _MIN_STEP = 1e-6
 # More steps would make the base step smaller than _MIN_STEP.
 _MAX_STEPS = round(1.0 / _MIN_STEP)
-
-
-def _step_count(steps) -> int:
-    """steps as an int; InputError unless it is an integer (a bool is not one) from 1 to _MAX_STEPS."""
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or not 1 <= steps <= _MAX_STEPS:
-        raise InputError(f"the step count must be a positive integer of at most {_MAX_STEPS}")
-    return int(steps)
 
 
 class ParameterPath:
@@ -158,7 +158,7 @@ class ParameterPath:
         if len(waypoints) < 2:
             raise InputError("a path needs at least two waypoints")
         self.waypoints = list(waypoints)
-        self.steps = _step_count(steps)
+        self.steps = _integer(steps, "the step count", most=_MAX_STEPS)
 
     def at(self, t: float) -> CubicForm:
         if not 0.0 <= t <= 1.0:
@@ -171,14 +171,14 @@ class ParameterPath:
         q = self.waypoints[i + 1].coeffs
         return CubicForm(p * (1.0 - s) + q * s)
 
-    def is_closed(self, tol: float = _MEET_TOL) -> bool:
-        return self.waypoints[0].proportionality_residual(self.waypoints[-1]) <= tol
+    def is_closed(self) -> bool:
+        return _meets(self.waypoints[0], self.waypoints[-1])
 
     def reversed(self) -> "ParameterPath":
         return ParameterPath(list(reversed(self.waypoints)), self.steps)
 
     def concatenate(self, other: "ParameterPath") -> "ParameterPath":
-        if self.waypoints[-1].proportionality_residual(other.waypoints[0]) > _MEET_TOL:
+        if not _meets(self.waypoints[-1], other.waypoints[0]):
             raise InputError("paths do not meet end to start")
         return ParameterPath(
             self.waypoints + other.waypoints[1:], self.steps + other.steps
@@ -251,7 +251,7 @@ def track(
     InputError when steps, which overrides path.steps, is not an integer
     from 1 to _MAX_STEPS.
     """
-    base = 1.0 / (path.steps if steps is None else _step_count(steps))
+    base = 1.0 / (path.steps if steps is None else _integer(steps, "the step count", most=_MAX_STEPS))
     f0 = path.at(0.0)
     rep = smoothness(f0, tol)
     if not rep.smooth or rep.margin <= tol.smoothness_margin:
@@ -363,8 +363,7 @@ def canonical_section(name: str, tol: Tolerances = DEFAULT_TOLERANCES):
             k = int(tail)
         except ValueError:
             raise InputError(f"bad type index in section name: {name!r}") from None
-        if k < 1:
-            raise InputError("the type index must be a positive integer")
+        k = _integer(k, "the type index")
 
         def sec(f: CubicForm) -> PointSet:
             flexes = _flexes_of_smooth(f, tol)
@@ -389,12 +388,13 @@ def verify_free_K_action(
     from .curve import fermat_cubic
     from .symmetry import fermat_translations, generate_group, orbit_decomposition
 
+    k = _integer(k, "the type index")
     f = fermat_cubic()
     a, b = fermat_translations(tol)
     group = generate_group([a, b], cap=30)
     flexes = inflection_points(f, tol)
     chart = make_chart(f, flexes[0].point, tol)
-    pts = points_of_type(chart, int(k))
+    pts = points_of_type(chart, k)
     rep = orbit_decomposition(group, pts)
     return FreeActionReport(
         free=rep.free,

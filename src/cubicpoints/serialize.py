@@ -123,7 +123,7 @@ def path_to_obj(path: ParameterPath) -> dict:
 def path_from_obj(obj) -> ParameterPath:
     # monodromy loads the group law and the symmetries, which the point and
     # cubic codecs, and so the curve subcommands, do not need
-    from .monodromy import _MEET_TOL, ParameterPath
+    from .monodromy import ParameterPath, _meets
 
     if not isinstance(obj, dict) or "segments" not in obj:
         raise InputError('a path object needs a "segments" list')
@@ -138,7 +138,7 @@ def path_from_obj(obj) -> ParameterPath:
         end = cubic_from_obj(seg["to"])
         if not waypoints:
             waypoints.append(start)
-        elif waypoints[-1].proportionality_residual(start) > _MEET_TOL:
+        elif not _meets(waypoints[-1], start):
             raise InputError(f"segment {idx} does not start where segment {idx - 1} ends")
         waypoints.append(end)
     return ParameterPath(waypoints, obj.get("steps", 64))

@@ -3,7 +3,8 @@
 The points of type 3k number 9 J_2(k), so a union of distinct layers has
 nine times a sum of distinct second Jordan totients.  Everything here is
 exact integer arithmetic and imports no numpy, so the CLI's integer
-subcommands start without the numeric stack.
+subcommands start without the numeric stack.  _integer is the package's
+one check of an integer argument, here and in elliptic, monodromy and cli.
 """
 
 from __future__ import annotations
@@ -28,11 +29,22 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _integer(value, what: str, least: int | None = 1, most: int | None = None) -> int:
+    """value as an int; InputError unless it is an Integral (numpy's too) other than a bool, from least to most.
+
+    least is 1 ("{what} must be a positive integer", then " of at most {most}") or None ("{what} must be an integer").
+    """
+    integral = isinstance(value, Integral) and not isinstance(value, bool)
+    if integral and (least is None or least <= value) and (most is None or value <= most):
+        return int(value)
+    if least is None:
+        raise InputError(f"{what} must be an integer")
+    raise InputError(f"{what} must be a positive integer" + ("" if most is None else f" of at most {most}"))
+
+
 def jordan_totient_2(k: int) -> int:
     """J_2(k) = k^2 prod_{p | k} (1 - 1/p^2), computed exactly."""
-    if not isinstance(k, Integral) or k < 1:
-        raise InputError("the Jordan totient needs a positive integer")
-    n = int(k)
+    n = _integer(k, "the argument of the Jordan totient")
     result = n * n
     p = 2
     while p * p <= n:
@@ -100,11 +112,10 @@ def size_witness(n: int) -> list[int] | None:
     Returns None when no such set exists (including all n not divisible by
     nine).
     """
-    if not isinstance(n, Integral) or n < 1:
-        raise InputError("the size must be a positive integer")
+    n = _integer(n, "the size")
     if n % 9:
         return None
-    m = int(n) // 9
+    m = n // 9
     return _witness(_size_table(m), m)
 
 
@@ -112,9 +123,7 @@ def _witnesses_up_to(bound: int) -> dict[int, list[int]]:
     """Every constructible size up to the bound, in increasing order, mapped
     to its witness.  One table serves them all.
     """
-    if not isinstance(bound, Integral) or bound < 1:
-        raise InputError("the bound must be a positive integer")
-    m = int(bound) // 9
+    m = _integer(bound, "the bound") // 9
     table = _size_table(m)
     return {9 * s: _witness(table, s) for s in range(1, m + 1) if table[1][0] >> s & 1}
 
@@ -135,9 +144,7 @@ def section_verdict(n: int) -> SizeVerdict:
     totients over distinct orders, witnessed by the lexicographically
     smallest such set; the rest stay open.
     """
-    if not isinstance(n, Integral) or n < 1:
-        raise InputError("the section size must be a positive integer")
-    n = int(n)
+    n = _integer(n, "the section size")
     if n % 9:
         return SizeVerdict(
             n,

@@ -29,7 +29,9 @@ from .curve import (
     require_smooth,
 )
 from .errors import InputError, NumericalError
-from .numeric import ProjectivePoint, _cofactors, _components, _norms, _point_array, chordal_distance, normalize_point
+from .numeric import (
+    ProjectivePoint, _cluster, _cofactors, _components, _norms, _point_array, chordal_distance, normalize_point
+)
 
 _OMEGA = np.exp(2j * np.pi / 3)
 # The generators of the Fermat cubic's translations: the coordinate cycle and diag(1, w, w^2).
@@ -72,16 +74,16 @@ class ProjectiveTransform:
     def __matmul__(self, other: "ProjectiveTransform") -> "ProjectiveTransform":
         return ProjectiveTransform(self.matrix @ other.matrix)
 
-    def pgl_equal(self, other: "ProjectiveTransform", tol: float = _PGL_TOL) -> bool:
-        """Equality in PGL: unit-determinant forms agree up to a cube root of unity."""
+    def pgl_equal(self, other: "ProjectiveTransform") -> bool:
+        """Equality in PGL: unit-determinant forms agree up to a cube root of unity, within _PGL_TOL."""
         scale = float(np.linalg.norm(other.matrix))
         return any(
-            float(np.linalg.norm(self.matrix - _OMEGA**k * other.matrix)) <= tol * scale
+            float(np.linalg.norm(self.matrix - _OMEGA**k * other.matrix)) <= _PGL_TOL * scale
             for k in range(3)
         )
 
-    def is_identity(self, tol: float = _PGL_TOL) -> bool:
-        return self.pgl_equal(ProjectiveTransform.identity(), tol)
+    def is_identity(self) -> bool:
+        return self.pgl_equal(ProjectiveTransform.identity())
 
     def __repr__(self) -> str:
         rows = "; ".join(
@@ -124,7 +126,9 @@ def fixed_points_on_curve(
 ) -> PointSet:
     """Fixed points of a curve automorphism, found by eigenspace analysis.
 
-    A one-dimensional eigenspace contributes its eigenvector when that point
+    Eigenvalues within _EIGEN_MERGE of each other over the largest modulus
+    are one (numeric._cluster), the first standing for them. A
+    one-dimensional eigenspace contributes its eigenvector when that point
     lies on the curve; a two-dimensional eigenspace is a pointwise-fixed
     line and contributes the full line-curve intersection.
     """
@@ -133,13 +137,9 @@ def fixed_points_on_curve(
         raise InputError("the identity fixes the whole curve")
     M = T.matrix
     evals = np.linalg.eigvals(M)
-    scale = float(np.abs(evals).max())
-    reps: list[complex] = []
-    for lam in evals:
-        if all(abs(lam - mu) > _EIGEN_MERGE * scale for mu in reps):
-            reps.append(complex(lam))
     found: list[CurvePoint] = []
-    for lam in reps:
+    for group in _cluster((evals / np.abs(evals).max()).tolist(), _EIGEN_MERGE):
+        lam = evals[group[0]]
         _, s, vh = np.linalg.svd(M - lam * np.eye(3))
         dim = int(np.sum(s <= _EIGEN_RANK * max(s[0], _SCALE_FLOOR)))
         dim = max(dim, 1)

@@ -201,7 +201,7 @@ class TestCurveCommands:
         assert rc == 3
         assert "singular" in err.lower()
 
-    @pytest.mark.parametrize("scale", [1e60, 1e300])
+    @pytest.mark.parametrize("scale", [1e300])
     def test_smooth_on_coefficients_too_large_exits_four(self, capsys, tmp_path, scale):
         p = tmp_path / "huge.json"
         p.write_text(canonical_dumps(cubic_to_obj(CubicForm(hesse_cubic(0.3).coeffs * scale))), encoding="utf-8")
@@ -209,6 +209,25 @@ class TestCurveCommands:
         assert rc == 4
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ") and "overflow" in err
+
+    @pytest.mark.parametrize("scale", [1e-60, 1e60])
+    def test_smooth_on_an_extreme_scale_keeps_the_margin(self, capsys, tmp_path, scale):
+        margins = []
+        for s in (1.0, scale):
+            p = tmp_path / "scaled.json"
+            p.write_text(canonical_dumps(cubic_to_obj(CubicForm(hesse_cubic(0.3).coeffs * s))), encoding="utf-8")
+            rc, out, _ = run_cli(capsys, "smooth", "--curve", str(p))
+            assert rc == 0
+            margins.append(json.loads(out)["margin"])
+        assert abs(margins[1] - margins[0]) <= 1e-12
+
+    def test_inflections_beyond_the_flex_newtons_range_exit_four(self, capsys, tmp_path):
+        # the flex Newton's 2x2 determinants scale as the fourth power of the coefficients
+        p = tmp_path / "tiny.json"
+        p.write_text(canonical_dumps(cubic_to_obj(CubicForm(hesse_cubic(0.3).coeffs * 1e-80))), encoding="utf-8")
+        rc, out, err = run_cli(capsys, "inflections", "--curve", str(p))
+        assert (rc, out) == (4, "")
+        assert err.startswith("error: ")
 
 
 class TestTrackCommand:
@@ -280,6 +299,12 @@ class TestInputHandling:
         assert rc == 2
         assert "tol-match" in err
 
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_tol_root_outside_the_open_unit_interval(self, capsys, fermat_file, value):
+        rc, out, err = run_cli(capsys, "--tol-root", value, "inflections", "--curve", fermat_file)
+        assert (rc, out) == (2, "")
+        assert err == "error: --tol-root must lie strictly between 0 and 1\n"
+
     def test_out_writes_identical_bytes(self, capsys, tmp_path, fermat_file):
         rc, out, _ = run_cli(capsys, "verdict", "9")
         assert rc == 0
@@ -301,6 +326,14 @@ class TestSelftest:
         assert rc == 0
         assert "8/8 checks passed" in out
         assert "FAIL" not in out
+
+    def test_a_failing_case_exits_four_with_its_report_on_stdout(self, capsys, monkeypatch):
+        real = sizes.constructible_sizes
+        monkeypatch.setattr(sizes, "constructible_sizes", lambda bound: real(bound)[:-1])
+        rc, out, err = run_cli(capsys, "selftest")
+        assert (rc, err) == (4, "")
+        assert "FAIL size-arithmetic: frozen size list changed\n" in out
+        assert out.count("FAIL") == 1 and out.endswith("7/8 checks passed\n")
 
     def test_a_planted_defect_fails_under_python_O(self):
         # -O strips assert statements; the checks must survive it

@@ -201,10 +201,9 @@ class TestSmoothness:
             rep = smoothness(hesse_cubic(-3.0))
         assert chordal_distance(rep.witness.array, np.array([1.0, 1.0, 1.0])) < 1e-6
 
-    @pytest.mark.parametrize("scale", [1e60, 1e300], ids=["gate_norm", "hessian"])
+    @pytest.mark.parametrize("scale", [1e300], ids=["hessian"])
     def test_coefficients_too_large_for_the_hessian_are_a_numerical_error(self, scale):
-        # the Hessian grows as the cube of the scale: its block norm in the
-        # gate overflows from about 1e51, its coefficients from about 1e102
+        # the Hessian grows as the cube of the scale: its coefficients overflow from about 1e102
         f = CubicForm(hesse_cubic(0.3).coeffs * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -214,6 +213,31 @@ class TestSmoothness:
     def test_a_large_scale_keeps_the_margin(self):
         f = hesse_cubic(0.3)
         assert abs(smoothness(CubicForm(f.coeffs * 1e45)).margin - smoothness(f).margin) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-102, 1e-60, 1e-55, 1e60, 1e101])
+    def test_an_extreme_scale_keeps_the_margin(self, scale):
+        # the squared norm of the Hessian's coefficients (about scale^6)
+        # underflows below 1e-54 and overflows above 1e51; the gate scales
+        # each block by a power of two first
+        f = hesse_cubic(0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = smoothness(CubicForm(f.coeffs * scale))
+        assert rep.smooth and abs(rep.margin - smoothness(f).margin) <= 1e-12
+
+    @pytest.mark.parametrize("exponent", [-183, 200])
+    def test_a_power_of_two_scale_keeps_the_margin_bit_for_bit(self, exponent):
+        f = hesse_cubic(0.3)
+        assert smoothness(CubicForm(f.coeffs * 2.0**exponent)).margin == smoothness(f).margin
+
+    @pytest.mark.parametrize("scale", [1e-60, 1e-55])
+    def test_a_tiny_scale_keeps_the_flexes(self, scale):
+        f = hesse_cubic(0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inflection_points(CubicForm(f.coeffs * scale)).arrays
+        D = curve.chordal_matrix(got, inflection_points(f).arrays)
+        assert np.diag(D).max() <= 1e-14
 
     def test_require_smooth_raises(self):
         with pytest.raises(SingularCurveError):
@@ -458,6 +482,23 @@ class TestHessePencilTriangles:
         g, want = _planted_triangle(np.cross(v, _FAR[0]), np.cross(v, _FAR[1]), np.cross(_FAR[0], _FAR[1] + 0.3))
         got = curve._triangle_lines(g, tol)
         D = curve.chordal_matrix(got, want)
+        assert sorted(D.argmin(axis=1).tolist()) == [0, 1, 2]
+        assert D.min(axis=1).max() <= 1e-12
+
+    def test_a_vertex_at_the_first_cuts_base_point_leaves_the_lines_to_the_second(self, tol, monkeypatch):
+        # xyz composed with a unitary U whose first row is conj(P): the lines
+        # are U's rows, and the vertex where the last two vanish is P itself
+        P = curve._CUTS[0][0]
+        Q, _ = np.linalg.qr(np.stack([P, [1.0, 0.3j, -0.2], [0.1, 1.0, 0.5j]], axis=1))
+        U = Q.conj().T
+        assert chordal_distance(U[0], P.conj()) <= 1e-15
+        g = CubicForm.from_coeffs({(1, 1, 1): 1.0}).compose_linear(U)
+        solved = []
+        real_solve = curve.solve_univariate
+        monkeypatch.setattr(curve, "solve_univariate", lambda *a: solved.append(a) or real_solve(*a))
+        got = curve._triangle_lines(g, tol)
+        assert len(solved) == 2
+        D = curve.chordal_matrix(got, U)
         assert sorted(D.argmin(axis=1).tolist()) == [0, 1, 2]
         assert D.min(axis=1).max() <= 1e-12
 

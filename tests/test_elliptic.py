@@ -178,6 +178,12 @@ class TestChart:
         assert abs(chart.j_invariant()) < 1e-12
         assert chordal_distance(chart.to_weierstrass(identity).array, [0.0, 1.0, 0.0]) < 1e-12
 
+    def test_a_vanishing_discriminant_has_no_j_invariant(self, fermat_chart):
+        c = fermat_chart
+        chart = elliptic.EllipticChart(c.curve, c.identity, 0.0, 0.0, c.to_w, c.tol)
+        with pytest.raises(NumericalError, match="vanishing discriminant"):
+            chart.j_invariant()
+
     def test_identity_maps_to_infinity(self, fermat_chart):
         W = fermat_chart.to_weierstrass(fermat_chart.identity)
         d = chordal_distance(W.array, np.array([0.0, 1.0, 0.0]))
@@ -469,6 +475,24 @@ class TestPeriodLattice:
         monkeypatch.setattr(elliptic, "_polish_rows", unsettled)
         with pytest.raises(NumericalError, match="failed to settle"):
             points_of_type(fermat_chart, 2)
+
+
+# every path that takes a point from the caller, with the bad point in one argument
+_POINT_PATHS = {
+    "third_intersection": lambda c, bad: third_intersection(c.curve, c.identity, bad),
+    "to_weierstrass": lambda c, bad: c.to_weierstrass(bad),
+    "from_weierstrass": lambda c, bad: c.from_weierstrass(bad),
+    "add": lambda c, bad: c.add(bad, c.identity),
+    "multiply": lambda c, bad: c.multiply(2, bad),
+    "make_chart": lambda c, bad: make_chart(c.curve, bad),
+    "translation_certificate": lambda c, bad: translation_certificate(c, fermat_translations()[0], [bad]),
+}
+
+
+@pytest.mark.parametrize("path", _POINT_PATHS)
+def test_a_non_finite_coordinate_is_bad_input_on_every_point_path(fermat_chart, path):
+    with pytest.raises(InputError, match="non-finite coordinate"):
+        _POINT_PATHS[path](fermat_chart, np.array([np.nan, 1.0, 0.0]))
 
 
 class TestTranslationCertificate:

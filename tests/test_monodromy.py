@@ -697,6 +697,17 @@ class TestTrackingAmbiguity:
         with pytest.raises(TrackingAmbiguityError, match="could not be recomputed"):
             track(path, _counting_section(_failing_after_start))
 
+    def test_an_empty_start_section_is_bad_input(self, fermat):
+        path = ParameterPath([fermat, fermat], steps=4)
+        with pytest.raises(InputError, match="cannot track an empty section"):
+            track(path, lambda f: _stub_points([]))
+
+    def test_start_points_within_the_matching_scale_are_a_numerical_error(self, fermat):
+        path = ParameterPath([fermat, fermat], steps=4)
+        near = _THREE[0] * np.array([1.0, 1.0, 1.0 + 1e-9])
+        with pytest.raises(NumericalError, match="start closer than the matching scale"):
+            track(path, lambda f: _stub_points([_THREE[0], near]))
+
     def test_points_collapsing_mid_path(self, fermat):
         path = ParameterPath([fermat, fermat], steps=4)
         with pytest.raises(TrackingAmbiguityError, match="matching stayed ambiguous"):

@@ -154,3 +154,26 @@ def test_only_a_class_writes_the_private_attributes_of_its_objects():
     # filled another object's cache would be a second one
     found = {path.name: _private_attribute_writes(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
     assert {name: writes for name, writes in found.items() if writes} == {}
+
+
+def _integer_checks(tree: ast.Module) -> list[str]:
+    """The functions that call isinstance with Integral or np.integer among its types."""
+    return sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+        and len(call.args) == 2
+        and any(
+            (isinstance(n, ast.Name) and n.id == "Integral") or (isinstance(n, ast.Attribute) and n.attr == "integer")
+            for n in ast.walk(call.args[1])
+        )
+    )
+
+
+def test_only_sizes_integer_checks_for_an_integer():
+    # an integer argument has one check, sizes._integer, with one set of
+    # accepted types (no bools) and one wording of its messages
+    found = {path.name: _integer_checks(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    assert {name: fns for name, fns in found.items() if fns} == {"sizes.py": ["_integer"]}

@@ -158,6 +158,18 @@ class TestFixedPoints:
             assert abs(p.array[2]) < 1e-8
         assert lefschetz_trace(T, fermat) == -1
 
+    @pytest.mark.parametrize("lam", [0.0, 1.25 + 0.5j], ids=["fermat", "hesse"])
+    def test_the_coordinate_swap_fixes_a_line_section_and_an_eigenvector(self, lam):
+        # x <-> y has eigenvalue 1 on the line x = y, which meets the curve
+        # three times, and a simple eigenvalue -1 whose eigenvector
+        # (1 : -1 : 0) lies on every member of the Hesse pencil
+        f = hesse_cubic(lam)
+        T = ProjectiveTransform([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        fixed = fixed_points_on_curve(T, f)
+        assert len(fixed) == 4 and lefschetz_trace(T, f) == -2
+        assert min(chordal_distance(p, [1.0, -1.0, 0.0]) for p in fixed) <= 1e-12
+        assert sum(chordal_distance(p, [1.0, -1.0, 0.0]) > 1e-3 and abs(p.array[0] - p.array[1]) <= 1e-12 for p in fixed) == 3
+
     def test_identity_is_rejected(self, fermat):
         with pytest.raises(InputError):
             fixed_points_on_curve(ProjectiveTransform.identity(), fermat)
