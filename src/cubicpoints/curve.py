@@ -47,8 +47,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InputError, NumericalError, SingularCurveError
 from .numeric import (
-    _NEXT,
-    _PREV,
+    _CROSS_A,
+    _CROSS_B,
     _ROUNDING_FLOOR,
     _TINY,
     ProjectivePoint,
@@ -56,7 +56,7 @@ from .numeric import (
     _cofactors,
     _normalize_rows,
     _norms,
-    _point_array,
+    _point_row,
     chordal_matrix,
     normalize_point,
     solve_univariate,
@@ -100,10 +100,6 @@ _TENSOR_INDEX = np.array(
 _FOLD = (np.arange(10)[:, None] == _TENSOR_INDEX).astype(complex)
 _TENSOR_COUNT = _FOLD.real.sum(axis=1)
 
-# Cross products by index, as in numeric.chordal_matrix: component p of a x b is
-# entry p of a[_CROSS_A] b[_CROSS_B] minus entry 3 + p.
-_CROSS_A, _CROSS_B = np.concatenate([_NEXT, _PREV]), np.concatenate([_PREV, _NEXT])
-
 
 def _tensors(C: np.ndarray) -> np.ndarray:
     """The symmetric tensors (m, 3, 3, 3) of the cubics whose coefficient vectors are the rows of C."""
@@ -137,7 +133,7 @@ def _forms_at(T: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stacked with it.
     """
     G = 3.0 * np.einsum("aijk,nj,nk->nai", T, X, X)
-    return (G * X[:, None, :]).sum(axis=2) / 3.0, G
+    return np.add.reduce(G * X[:, None, :], axis=2) / 3.0, G
 
 
 def _line_cubic(T: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -168,7 +164,7 @@ class CubicForm:
             raise InputError("a cubic form needs ten coefficients, one per cubic monomial")
         if not np.isfinite(c).all():
             raise InputError("non-finite coefficient")
-        if not c.any():
+        if not np.count_nonzero(c):
             raise InputError("the zero polynomial does not define a curve")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -195,17 +191,17 @@ class CubicForm:
     @functools.cached_property
     def _tensor(self) -> np.ndarray:
         """The symmetric 3x3x3 tensor T with f(x) = sum T_ijk x_i x_j x_k, read-only and built once per object."""
-        T = _tensors(self.coeffs[None])[0]
+        T = (self.coeffs / _TENSOR_COUNT)[_TENSOR_INDEX].reshape(3, 3, 3)
         T.setflags(write=False)
         return T
 
     def evaluate(self, point) -> complex:
         """The value at a point: the one-row case of _forms_at, as a numpy scalar."""
-        return _forms_at(self._tensor[None], _point_array(point).reshape(1, 3))[0][0, 0]
+        return _forms_at(self._tensor[None], _point_row(point))[0][0, 0]
 
     def gradient(self, point) -> np.ndarray:
         """The three partial derivatives at a point, from the quadratic monomials."""
-        x, y, z = _point_array(point).reshape(3).tolist()
+        x, y, z = _point_row(point)[0].tolist()
         c = self.coeffs.tolist()
         xx, xy, xz, yy, yz, zz = x * x, x * y, x * z, y * y, y * z, z * z
         return np.array(
@@ -248,7 +244,7 @@ class CubicForm:
             h = 216.0 * (_FOLD @ _slice_contractions(self._tensor[None]).reshape(27))
         if not np.isfinite(h).all():
             raise NumericalError("the Hessian's coefficients overflow: rescale the curve")
-        return CubicForm(h) if h.any() else None
+        return CubicForm(h) if np.count_nonzero(h) else None
 
     def compose_linear(self, matrix) -> "CubicForm":
         """The cubic x -> f(M x): each tensor axis contracted with M in turn.
@@ -355,7 +351,7 @@ class PointSet:
 
     def index_of(self, point) -> int | None:
         """Index of the member within tolerance of the given point, else None: the one-row case of match."""
-        images = _nearest_match(point, self.arrays, self.tolerance)
+        images = _nearest_match(_point_row(point), self.arrays, self.tolerance)
         return None if images is None else images[0]
 
     def _distances_from(self, rows) -> np.ndarray:
@@ -368,7 +364,7 @@ class PointSet:
             D = chordal_matrix(np.concatenate([self.arrays, rows]), self.arrays)
             self._near, self._near_distances = rows, D[n:]
             D = D[:n]
-            np.fill_diagonal(D, np.inf)
+            D.reshape(-1)[:: n + 1] = np.inf
             self._separation = float(D.min()) if n > 1 else float("inf")
         return self._near_distances
 
@@ -429,7 +425,7 @@ def _gate_map() -> np.ndarray:
     of f_i at the quadratic monomial m - e_i. Each column is weighted by
     the inverse square root of its monomial's multinomial coefficient
     (Bombieri), so that a unitary change of coordinates acts on the
-    weighted coefficients of a quadratic by a unitary matrix.
+    weighted coefficients of a quadratic by a unitary matrix. Complex, so the gate's product casts nothing per call.
     """
     out = np.zeros((3, 6, 10))
     for n, m in enumerate(_MONOMIALS):
@@ -439,7 +435,7 @@ def _gate_map() -> np.ndarray:
                 q[i] -= 1
                 out[i, _QUADRATICS.index(tuple(q)), n] = m[i]
     bombieri = np.sqrt([math.prod(map(math.factorial, q)) / 2.0 for q in _QUADRATICS])
-    return (out * bombieri[:, None]).reshape(18, 10)
+    return (out * bombieri[:, None]).reshape(18, 10).astype(complex)
 
 
 _GATE_MAP = _gate_map()
@@ -465,7 +461,7 @@ def _discriminant_margin(f: CubicForm) -> float:
     """
     if f._hessian is None:
         return 0.0
-    blocks = _GATE_MAP @ np.stack([_binary_scaled(f), _binary_scaled(f._hessian)], axis=1)
+    blocks = _GATE_MAP @ np.array([_binary_scaled(f), _binary_scaled(f._hessian)]).T
     norms = _norms(blocks, 0)
     s = np.linalg.svd((blocks / norms).T.reshape(6, 6), compute_uv=False)
     return float(s[-1] / s[0])
@@ -696,7 +692,7 @@ def _polish_rows(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
 
 def polish_onto_curve(f: CubicForm, coords) -> CurvePoint:
     """Project a near-curve point onto the curve: the one-row case of _polish_rows."""
-    return _polish_rows(f, _point_array(coords).reshape(1, 3))[0]
+    return _polish_rows(f, _point_row(coords))[0]
 
 
 def inflection_points(
@@ -850,11 +846,12 @@ _CORRECTOR_CONTRACTION = 0.5
 # start 0.1 away, as a tracked flex is; a row
 # still moving after twice that many is dropped.
 _CORRECTOR_ITERS = 10
-# For a row whose pivot (the coordinate held at 1) is i, the two it moves, q
-# and r; and, in a row's gradients flattened to six (f's, then h's), where
-# its Jacobian entries f_r, h_q, h_r and f_q lie.
+# For a row whose pivot (the coordinate held at 1) is i: _NEWTON_INDEX[i] holds i, the two it moves, q and r, and
+# where in its gradients flattened to six (f's, then h's) its Jacobian entries f_r, h_q, h_r and f_q lie; row k
+# adds k _NEWTON_STRIDE to make them flat indices.
 _FREE = np.array([[1, 2], [0, 2], [0, 1]])
-_JACOBIAN = np.stack([_FREE[:, 1], 3 + _FREE[:, 0], 3 + _FREE[:, 1], _FREE[:, 0]], axis=1)
+_NEWTON_INDEX = np.column_stack([range(3), _FREE, _FREE[:, 1], 3 + _FREE[:, 0], 3 + _FREE[:, 1], _FREE[:, 0]])
+_NEWTON_STRIDE = np.array([3, 3, 3, 6, 6, 6, 6])
 
 
 def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> PointSet:
@@ -871,21 +868,20 @@ def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> Point
     once, and gathers each step's Jacobian entries by one take.
     """
     X = np.array(starts, dtype=complex).reshape(-1, 3)
-    rows = np.arange(len(X))
-    pivot = np.abs(X).argmax(axis=1)
-    X /= X[rows, pivot][:, None]
-    X[rows, pivot] = 1.0
-    # flat indices, built once: the coordinates each row moves, and its Jacobian entries among all gradients
-    moved = (3 * rows)[:, None] + _FREE[pivot]
-    jacobian = (6 * rows)[:, None] + _JACOBIAN[pivot]
     flat = X.reshape(-1)
-    T = np.stack([f._tensor, h._tensor])
-    last = np.full(len(X), np.inf)
+    # flat indices, built once: each row's pivot, the coordinates it moves, and its Jacobian entries among all gradients
+    index = _NEWTON_INDEX[np.abs(X).argmax(axis=1)] + np.arange(len(X))[:, None] * _NEWTON_STRIDE
+    pivot, moved, jacobian = index[:, 0], index[:, 1:3], index[:, 3:]
+    X /= flat[pivot][:, None]
+    flat[pivot] = 1.0
+    T = np.array([f._tensor, h._tensor])
+    last = np.inf
     kept = np.ones(len(X), dtype=bool)
     moving = kept.copy()
     with np.errstate(all="ignore"):
         for _ in range(_CORRECTOR_ITERS):
-            if not moving.any():
+            left = np.count_nonzero(moving)
+            if not left:
                 break
             V, G = _forms_at(T, X)
             J = G.take(jacobian)
@@ -893,9 +889,9 @@ def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> Point
             # Cramer: the steps in q and r are (f_r h - h_r f, h_q f - f_q h) / (f_q h_r - f_r h_q)
             det = DA[:, 1] * DA[:, 0] - BC[:, 0] * BC[:, 1]
             D = (BC * V[:, ::-1] - DA * V) / det[:, None]
-            if not moving.all():
+            if left < len(X):
                 D = np.where(moving[:, None], D, 0.0)
-            size = np.abs(D).max(axis=1)
+            size = np.maximum.reduce(np.abs(D), axis=1)
             # a NaN step fails the comparison too; a failed row takes its
             # step, which moves no other row, and then stops
             kept &= size <= _CORRECTOR_CONTRACTION * last
@@ -904,11 +900,11 @@ def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> Point
             moving = kept & (size > _CORRECTOR_DONE)
     kept &= ~moving
     # residuals on f and h from one _forms_at call on the normalized rows, per value as _curve_points takes them
-    W = _normalize_rows(X[kept])
+    W = _normalize_rows(X if np.count_nonzero(kept) == len(X) else X[kept])
     nf, nh = f.norm_inf, h.norm_inf
     R = [(abs(vf) / nf, abs(vh) / nh) for vf, vh in _forms_at(T, W)[0].tolist()]
-    on_both = np.array([rf <= tol.tau_on_curve and rh <= tol.tau_on_curve for rf, rh in R], dtype=bool)
-    return PointSet._of_rows(W[on_both], [rf for (rf, _), ok in zip(R, on_both) if ok], tol.tau_match)
+    on_both = [i for i, (rf, rh) in enumerate(R) if rf <= tol.tau_on_curve and rh <= tol.tau_on_curve]
+    return PointSet._of_rows(W if len(on_both) == len(W) else W[on_both], [R[i][0] for i in on_both], tol.tau_match)
 
 
 def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
@@ -961,8 +957,7 @@ def line_curve_points(
     that cubic drops degree. They come in canonical order, so the order
     does not follow roundoff.
     """
-    P = _point_array(p).reshape(3)
-    Q = _point_array(q).reshape(3)
+    P, Q = _point_row(p)[0], _point_row(q)[0]
     coeffs = _line_cubic(f._tensor[None], P, Q)
     top = np.abs(coeffs).max()
     if top == 0.0:

@@ -15,8 +15,8 @@ is a closed form on the curve's Hesse normal form
 curve as its flexes are.  The layer counts 9 J_2(k) and the sizes they
 realize are integer arithmetic and live in sizes.py; jordan_totient_2,
 constructible_sizes and size_witness are imported from there, and _integer
-checks every order and multiplier.  Points come in through
-numeric._point_array, and numeric._normalize_rows rejects a non-finite one.
+checks every order and multiplier.  Points come in through the size check
+numeric._point_row, and numeric._normalize_rows rejects a non-finite one.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .numeric import (
     ProjectivePoint,
     UniPoly,
     _normalize_rows,
-    _point_array,
+    _point_row,
     chordal_matrix,
     solve_univariate,
 )
@@ -146,7 +146,7 @@ def third_intersection(
     are distinct but closer than ten times tau_match are rejected as an
     ill-conditioned chord. The one-row case of _third_rows.
     """
-    return _curve_points(f, *_third_rows(f, _point_array(p).reshape(1, 3), _point_array(q).reshape(1, 3), tol))[0]
+    return _curve_points(f, *_third_rows(f, _point_row(p), _point_row(q), tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +222,13 @@ class EllipticChart:
         return third_intersection(self.curve, self.identity, p, self.tol)
 
     def add(self, p, q) -> CurvePoint:
-        P, Q = _point_array(p).reshape(1, 3), _point_array(q).reshape(1, 3)
-        return _curve_points(self.curve, *self._add_rows(P, Q))[0]
+        return _curve_points(self.curve, *self._add_rows(_point_row(p), _point_row(q)))[0]
 
     def multiply(self, m: int, p) -> CurvePoint:
         m = _integer(m, "the multiplier", least=None)
         if m == 0:
             return polish_onto_curve(self.curve, self.identity.array)
-        return _curve_points(self.curve, *self._multiply_rows(m, _point_array(p).reshape(1, 3)))[0]
+        return _curve_points(self.curve, *self._multiply_rows(m, _point_row(p)))[0]
 
     def _negate_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         O = np.broadcast_to(self.identity.array, X.shape)
@@ -275,7 +274,7 @@ def make_chart(
     """
     T, lam = hesse_normalize(f, tol)
     h = _hessian_of_smooth(f)
-    X, V, _ = _on_curve_rows(f, _tensors(np.stack([f.coeffs, h.coeffs])), _point_array(identity).reshape(1, 3), tol)
+    X, V, _ = _on_curve_rows(f, _tensors(np.stack([f.coeffs, h.coeffs])), _point_row(identity), tol)
     if abs(V[0, 1]) / h.norm_inf > _FLEX_SLACK * tol.tau_on_curve:
         raise InputError("the identity must be an inflection point of the curve")
     P = ProjectivePoint(tuple(X[0].tolist()))
@@ -430,6 +429,6 @@ def translation_certificate(
     """
     if not samples:
         raise InputError("at least one sample point is required")
-    X = np.stack([_point_array(cp).reshape(3) for cp in samples])
+    X = np.concatenate([_point_row(cp) for cp in samples])
     diffs = chart._add_rows(X @ T.matrix.T, chart._negate_rows(X)[0])[0]
     return float(chordal_matrix(diffs[0], diffs).max())

@@ -36,6 +36,7 @@ join when _meets finds them one curve.
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +166,7 @@ class ParameterPath:
             raise InputError("path parameter must lie in [0, 1]")
         nseg = len(self.waypoints) - 1
         x = t * nseg
-        i = min(int(np.floor(x)), nseg - 1)
+        i = min(math.floor(x), nseg - 1)
         s = x - i
         p = self.waypoints[i].coeffs
         q = self.waypoints[i + 1].coeffs
@@ -215,6 +216,13 @@ _MATCH_REACH = 0.25
 # discriminant (steps=40) costs least near 1.25: 36 section calls for 36
 # steps, against 54 for 39 at 1.0 and 41 for 41 at 1.5.
 _STEP_MARGIN = 1.25
+
+
+def _nearest_two(D: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's nearest column, its distance d1 and the runner-up's d2: inf with one column, d1 on a tie."""
+    if D.shape[1] < 2:
+        return D.argmin(axis=1), D[:, 0], np.full(len(D), np.inf)
+    return (D.argmin(axis=1), *np.partition(D, 1, axis=1).T[:2])
 
 
 def track(
@@ -284,17 +292,15 @@ def track(
         else:
             # points moved this step: demand a clear nearest, not a tolerance hit
             D = S2._distances_from(current)
-            ok = S2.min_separation() > 2.0 * tol.tau_match and len(S2) == n
+            separation = S2.min_separation()
+            ok = separation > 2.0 * tol.tau_match and len(S2) == n
             if ok:
-                order = np.argsort(D, axis=1)
-                rows = np.arange(n)
-                assignment = order[:, 0]
-                d1 = D[rows, assignment]
-                d2 = D[rows, order[:, 1]] if n > 1 else np.full(n, np.inf)
-                reach = _MATCH_REACH * S2.min_separation()
+                assignment, d1, d2 = _nearest_two(D)
+                reach = _MATCH_REACH * separation
+                clear = _MATCH_RATIO * d1
                 # the share of the test's room this step used, by point: at most 1 when accepted
-                used = np.maximum(_MATCH_RATIO * d1 / d2, d1 / reach)
-                ok = not ((d2 <= _MATCH_RATIO * d1) | (d1 > reach)).any() and len(set(assignment.tolist())) == n
+                used = np.maximum(clear / d2, d1 / reach)
+                ok = not np.count_nonzero((d2 <= clear) | (d1 > reach)) and len(set(assignment.tolist())) == n
             reason = None if ok else "point matching stayed ambiguous"
         if reason:
             dt *= 0.5

@@ -62,9 +62,9 @@ _ROUNDING_FLOOR = 16.0 * float(np.finfo(float).eps)
 # The backstop on Newton steps, for a polish that never settles.
 _NEWTON_CAP = 40
 
-# component i of a x b is a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]]
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+# Cross products by index: component p of a x b is entry p of a[_CROSS_A] b[_CROSS_B]
+# minus entry 3 + p, that is a[p + 1] b[p + 2] - a[p + 2] b[p + 1] (indices mod 3).
+_CROSS_A, _CROSS_B = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 
 class UniPoly:
@@ -141,16 +141,21 @@ def _point_array(point) -> np.ndarray:
     return np.asarray(point.array if hasattr(point, "array") else point, dtype=complex)
 
 
+def _point_row(point) -> np.ndarray:
+    """One point's coordinates as a (1, 3) row: the size check of every single-point entry."""
+    a = _point_array(point)
+    if a.size != 3:
+        raise InputError("projective point needs exactly 3 coordinates")
+    return a.reshape(1, 3)
+
+
 def normalize_point(v) -> ProjectivePoint:
     """Canonical representative: max-modulus coordinate rescaled to exactly 1.
 
     The one-row case of _normalize_rows, which holds the rule. Raises
     InputError unless v has exactly three coordinates.
     """
-    a = _point_array(v).reshape(-1)
-    if a.size != 3:
-        raise InputError("projective point needs exactly 3 coordinates")
-    return ProjectivePoint(tuple(_normalize_rows(a.reshape(1, 3))[0].tolist()))
+    return ProjectivePoint(tuple(_normalize_rows(_point_row(v))[0].tolist()))
 
 
 def _normalize_rows(X: np.ndarray) -> np.ndarray:
@@ -163,20 +168,20 @@ def _normalize_rows(X: np.ndarray) -> np.ndarray:
     overflow; a stack with a bad row raises for the whole stack.
     """
     mods = np.abs(X)
-    top = mods.max(axis=1)
+    top = np.maximum.reduce(mods, axis=1)
     # one test passes the common stack (a NaN fails it); only a stack that
     # fails it is diagnosed, and one whose moduli overflow passes on
-    if top.size and not (_TINY <= top.min() and top.max() < math.inf):
+    if top.size and not (_TINY <= np.minimum.reduce(top) and np.maximum.reduce(top) < math.inf):
         if not np.isfinite(X).all():
             raise InputError("non-finite coordinate")
         if not top.all():
             raise InputError("the zero vector is not a projective point")
         if (top < _TINY).any():
             raise InputError("every coordinate is subnormal; no finite representative")
-    rows = np.arange(len(X))
-    pivot = (mods >= (top * (1.0 - _PIVOT_SLACK))[:, None]).argmax(axis=1)
-    W = X / X[rows, pivot][:, None]
-    W[rows, pivot] = 1.0
+    # each row's pivot as a flat index, which take and put read in C order whatever X's layout
+    pivot = (mods >= (top * (1.0 - _PIVOT_SLACK))[:, None]).argmax(axis=1) + np.arange(0, 3 * len(X), 3)
+    W = X / X.take(pivot)[:, None]
+    W.put(pivot, 1.0)
     return W
 
 
@@ -186,7 +191,7 @@ def chordal_distance(p, q) -> float:
     Takes ProjectivePoint, CurvePoint or raw coordinate triples; scale invariant,
     symmetric, range [0, 1], and a metric on the projective plane.
     """
-    return float(chordal_matrix(p, q)[0, 0])
+    return float(chordal_matrix(_point_row(p), _point_row(q))[0, 0])
 
 
 def chordal_matrix(A, B) -> np.ndarray:
@@ -197,14 +202,15 @@ def chordal_matrix(A, B) -> np.ndarray:
     """
     A, B = _point_array(A).reshape(-1, 3), _point_array(B).reshape(-1, 3)
     na, nb = _norms(A, 1), _norms(B, 1)
-    if not (na.all() and nb.all()):
+    if np.count_nonzero(na) < len(na) or np.count_nonzero(nb) < len(nb):
         raise InputError("the zero vector is not a projective point")
     # Lagrange identity: |a|^2 |b|^2 - |<a, conj(b)>|^2 = |a x b|^2, which
     # avoids the cancellation that a direct 1 - |<a,b>|^2 suffers near 0.
     # The pairwise cross products are np.cross(a, b) spelled out by index,
-    # which skips np.cross's per-call broadcasting overhead.
-    cross = A[:, None, _NEXT] * B[None, :, _PREV] - A[:, None, _PREV] * B[None, :, _NEXT]
-    return np.minimum(1.0, _norms(cross, 2) / (na[:, None] * nb[None, :]))
+    # which skips np.cross's per-call broadcasting overhead: one gather per
+    # side, every product in one multiply, then the halves subtracted.
+    X = A[:, None, _CROSS_A] * B[None, :, _CROSS_B]
+    return np.minimum(1.0, _norms(X[..., :3] - X[..., 3:], 2) / (na[:, None] * nb[None, :]))
 
 
 def _cofactors(A: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .curve import _MONOMIALS, CubicForm
 from .errors import InputError
-from .numeric import ProjectivePoint, _point_array, normalize_point
+from .numeric import ProjectivePoint, _point_row, normalize_point
 from .sizes import canonical_dumps
 
 if TYPE_CHECKING:
@@ -84,7 +84,7 @@ def cubic_from_obj(obj) -> CubicForm:
 def points_to_obj(points) -> dict:
     rows = []
     for p in points:
-        rows.append([_pair(complex(c)) for c in _point_array(p).reshape(3)])
+        rows.append([_pair(complex(c)) for c in _point_row(p)[0]])
     return {"xyz": rows}
 
 
@@ -108,7 +108,7 @@ def points_from_obj(obj) -> list[ProjectivePoint]:
 def points_to_csv(points) -> str:
     lines = ["x_re,x_im,y_re,y_im,z_re,z_im"]
     for p in points:
-        v = _point_array(p).reshape(3)
+        v = _point_row(p)[0]
         lines.append(",".join(repr(float(x)) for c in v for x in (c.real, c.imag)))
     return "\n".join(lines) + "\n"
 

@@ -30,7 +30,7 @@ from .curve import (
 )
 from .errors import InputError, NumericalError
 from .numeric import (
-    ProjectivePoint, _cluster, _cofactors, _components, _norms, _point_array, chordal_distance, normalize_point
+    ProjectivePoint, _cluster, _cofactors, _components, _norms, _point_row, chordal_distance, normalize_point
 )
 
 _OMEGA = np.exp(2j * np.pi / 3)
@@ -93,7 +93,11 @@ class ProjectiveTransform:
 
 
 def act_on_point(T: ProjectiveTransform, point) -> ProjectivePoint:
-    return normalize_point(T.matrix @ _point_array(point).reshape(3))
+    """T(point), normalized; the point is checked finite before the product, which would warn."""
+    x = _point_row(point)[0]
+    if not np.isfinite(x).all():
+        raise InputError("non-finite coordinate")
+    return normalize_point(T.matrix @ x)
 
 
 def act_on_cubic(T: ProjectiveTransform, f: CubicForm) -> CubicForm:

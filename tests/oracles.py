@@ -3,15 +3,19 @@
 Everything here is deliberately implemented from first principles with none
 of the package's machinery: affine Weierstrass addition by the textbook
 slope formulas, point counts by brute-force enumeration, closed-form
-special points, resultants as determinants of Sylvester matrices, and the
-division polynomials by their classical recurrences.
+special points, resultants as determinants of Sylvester matrices, the
+division polynomials by their classical recurrences, and the j-invariant
+of a plane cubic from the branch quartic of a projection from one of its
+points, which needs no flex, Hesse frame or Weierstrass chart.
 Agreement between these and the package is the evidence the tests rely on.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from cubicpoints.numeric import UniPoly
@@ -200,3 +204,70 @@ def division_polys(m: int, A: complex, B: complex) -> dict[int, UniPoly]:
         expected = (k * k - 1) // 2 if k % 2 else (k * k - 4) // 2
         assert len(f[k]) - 1 == expected, f"division polynomial {k} lost its leading coefficient"
     return {k: UniPoly(c) for k, c in f.items()}
+
+
+# The ten cubic monomials x^i y^j z^k in the order of CubicForm.coeffs.
+CUBIC_MONOMIALS = [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1), (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3)]
+
+
+def hesse_j(lam: complex) -> complex:
+    """The closed-form j-invariant of x^3 + y^3 + z^3 + lam xyz, with mu^3 = (-lam / 3)^3."""
+    mu3 = (-lam / 3.0) ** 3
+    return 27.0 * mu3 * (mu3 + 8.0) ** 3 / (mu3 - 1.0) ** 3
+
+
+def _polar_tensor(coeffs) -> list:
+    """The symmetric T with f(x) = sum T_abc x_a x_b x_c as nested lists of mpmath numbers: each coefficient spread over its 3! / (i! j! k!) entries."""
+    T = [[[mpmath.mpc(0) for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    for c, exps in zip(coeffs, CUBIC_MONOMIALS):
+        perms = set(itertools.permutations([a for a in range(3) for _ in range(exps[a])]))
+        for a, b, k in perms:
+            T[a][b][k] = mpmath.mpc(complex(c)) / len(perms)
+    return T
+
+
+def _contract(T: list, w: list) -> list:
+    """The 3x3 matrix sum_c T_abc w_c."""
+    return [[sum(T[a][b][c] * w[c] for c in range(3)) for b in range(3)] for a in range(3)]
+
+
+def _pair(M: list, u: list, v: list):
+    """sum_ab M_ab u_a v_b."""
+    return sum(u[a] * sum(M[a][b] * v[b] for b in range(3)) for a in range(3))
+
+
+def branch_quartic_j(coeffs, rng: np.random.Generator) -> complex:
+    """j of the smooth cubic with these coefficients, from the branch quartic of a projection, in mpmath at 30 digits.
+
+    P is a point on the curve, a root of f on a random line (np.roots,
+    then Newton in mpmath). The lines through P have directions D = A + t B
+    for random A and B; on such a line f(P + s D) / s is the quadratic
+    T(D,D,D) s^2 + 3 T(P,D,D) s + 3 T(P,P,D), whose discriminant
+    q(t) = 9 T(P,D,D)^2 - 12 T(P,P,D) T(D,D,D) is a binary quartic whose
+    roots are the four tangents from P, so y^2 = q(t) is the curve.
+    q is expanded exactly as coefficient lists in t. With Cremona's
+    invariants I = 12ae - 3bd + c^2 and J = 72ace + 9bcd - 27ad^2 - 27eb^2 - 2c^3
+    of q = a t^4 + b t^3 + c t^2 + d t + e, j = 1728 4I^3 / (4I^3 - J^2).
+    """
+    P0, Q0, A, B = ([mpmath.mpc(complex(z)) for z in rng.normal(size=3) + 1j * rng.normal(size=3)] for _ in range(4))
+    with mpmath.workdps(30):
+        T = _polar_tensor(coeffs)
+        # T(u, v, w) = v . (T w) u, from one contraction per last argument
+        TQ, TP0, TA, TB = (_contract(T, w) for w in (Q0, P0, A, B))
+        line = [_pair(TQ, Q0, Q0), 3 * _pair(TQ, P0, Q0), 3 * _pair(TQ, P0, P0), _pair(TP0, P0, P0)]
+        u = mpmath.mpc(complex(np.roots(np.array(line, dtype=complex))[0]))
+        for _ in range(6):
+            u -= mpmath.polyval(line, u) / mpmath.polyval([3 * line[0], 2 * line[1], line[2]], u)
+        P = [p + u * q for p, q in zip(P0, Q0)]
+        ppd = [_pair(TA, P, P), _pair(TB, P, P)]
+        pdd = [_pair(TA, P, A), 2 * _pair(TA, P, B), _pair(TB, P, B)]
+        ddd = [_pair(TA, A, A), 3 * _pair(TA, A, B), 3 * _pair(TB, A, B), _pair(TB, B, B)]
+        # lowest degree first: q = [e, d, c, b, a]
+        e, d, c, b, a = (
+            9 * sum(pdd[i] * pdd[k - i] for i in range(max(0, k - 2), min(k, 2) + 1))
+            - 12 * sum(ppd[i] * ddd[k - i] for i in range(max(0, k - 3), min(k, 1) + 1))
+            for k in range(5)
+        )
+        I = 12 * a * e - 3 * b * d + c * c
+        J = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * e * b * b - 2 * c**3
+        return complex(1728 * 4 * I**3 / (4 * I**3 - J * J))

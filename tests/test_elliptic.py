@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,9 @@ from cubicpoints.serialize import path_from_obj
 from test_chord_rows import random_charts
 
 from oracles import (
+    branch_quartic_j,
     division_polys,
+    hesse_j,
     jordan_j2_bruteforce,
     subset_sums_upto,
     weierstrass_add,
@@ -268,9 +271,51 @@ class TestHesseWeierstrass:
     def test_the_chart_j_is_the_pencil_j(self, lam):
         f = hesse_cubic(lam)
         j = make_chart(f, inflection_points(f).sorted_canonical()[0].point).j_invariant()
-        mu3 = (-lam / 3.0) ** 3
-        want = 27.0 * mu3 * (mu3 + 8.0) ** 3 / (mu3 - 1.0) ** 3
+        want = hesse_j(lam)
         assert abs(j - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def _chart_j(f: CubicForm) -> complex:
+    return make_chart(f, inflection_points(f)[0].point).j_invariant()
+
+
+def _gap(j: complex, want: complex) -> float:
+    """|j - want| relative to max(|want|, 1), so that j near 0 is held absolutely."""
+    return abs(j - want) / max(abs(want), 1.0)
+
+
+class TestBranchQuarticOracle:
+    """The chart's j against oracles.branch_quartic_j, which shares no code with the flexes, the Hesse frame or the chart.
+
+    The oracle runs at 30 digits, so the bound is the chart's own error:
+    at most 9.3e-15 over the random curves and 8.1e-14 over the frames
+    when the bound was set.
+    """
+
+    BOUND = 1e-12
+
+    def test_random_cubics(self):
+        rng, draws = np.random.default_rng(0), np.random.default_rng(1)
+        gaps = []
+        for _ in range(200):
+            f = random_smooth_cubic(rng)
+            gaps.append(_gap(_chart_j(f), branch_quartic_j(f.coeffs, draws)))
+        assert max(gaps) <= self.BOUND
+
+    def test_hesse_members_in_random_unitary_frames(self):
+        # the oracle meets the closed form j(lam) too; lam keeps |lam^3 + 27| >= 1, off the singular members
+        rng, draws = np.random.default_rng(2), np.random.default_rng(3)
+        checked = 0
+        while checked < 50:
+            lam = 2.0 * complex(*rng.normal(size=2))
+            U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+            if abs(lam**3 + 27.0) < 1.0:
+                continue
+            f = hesse_cubic(lam).compose_linear(U)
+            want = branch_quartic_j(f.coeffs, draws)
+            assert _gap(hesse_j(lam), want) <= self.BOUND
+            assert _gap(_chart_j(f), want) <= self.BOUND
+            checked += 1
 
 
 class TestGroupLaw:
@@ -493,6 +538,14 @@ _POINT_PATHS = {
 def test_a_non_finite_coordinate_is_bad_input_on_every_point_path(fermat_chart, path):
     with pytest.raises(InputError, match="non-finite coordinate"):
         _POINT_PATHS[path](fermat_chart, np.array([np.nan, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("side", ["to_weierstrass", "from_weierstrass"])
+def test_an_infinite_coordinate_is_rejected_before_the_transform_warns(fermat_chart, side):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="non-finite coordinate"):
+            getattr(fermat_chart, side)([np.inf, 1.0, 0.0])
 
 
 class TestTranslationCertificate:

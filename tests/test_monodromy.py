@@ -258,6 +258,22 @@ class TestStepController:
         assert res.steps_taken == 24
         assert len(res.end) == 1 and res.end.index_of(base) == 0
 
+    def test_a_moving_one_point_section_ends_where_the_nine_point_track_takes_it(self):
+        # one flex followed alone along two of the translation path's eight legs:
+        # the match has no runner-up column, and the flex still moves
+        section = canonical_section("inflections")
+
+        def one(f: CubicForm, near=None) -> PointSet:
+            flexes = section(f)
+            k = 0 if near is None else int(numeric.chordal_matrix(near, flexes.arrays).argmin())
+            return PointSet([flexes[k]], flexes.tolerance)
+
+        path = ParameterPath(_translation_path().waypoints[:3], steps=12)
+        alone, nine = track(path, one), track(path, section)
+        assert alone.steps_taken == 12
+        assert numeric.chordal_distance(alone.start[0], alone.end[0]) > 0.1
+        assert numeric.chordal_distance(alone.end[0], nine.end[0]) <= 1e-12
+
     @pytest.mark.parametrize("one", [False, True], ids=["hesse_pencil", "one_point"])
     def test_points_that_do_not_move_keep_the_base_step(self, one):
         # on the pencil loop the flexes are the base points, so a step uses

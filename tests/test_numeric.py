@@ -9,9 +9,13 @@ from cubicpoints import (
     CurvePoint,
     InputError,
     NumericalError,
+    ProjectiveTransform,
     UniPoly,
+    act_on_point,
     chordal_distance,
+    line_curve_points,
     normalize_point,
+    polish_onto_curve,
     solve_univariate,
 )
 
@@ -195,3 +199,34 @@ class TestResultant:
         want = 3.0**1 * 5.0**2 * (1.0 - 4.0) * (2.0 - 4.0)
         got = resultant(p, q)
         assert abs(got - want) / abs(want) < 1e-12
+
+
+# every entry that takes a single point, with the bad point in one argument
+_ONE_POINT_ENTRIES = {
+    "normalize_point": lambda f, c, bad: normalize_point(bad),
+    "chordal_distance first": lambda f, c, bad: chordal_distance(bad, [1.0, 2.0, 3.0]),
+    "chordal_distance second": lambda f, c, bad: chordal_distance([1.0, 2.0, 3.0], bad),
+    "evaluate": lambda f, c, bad: f.evaluate(bad),
+    "gradient": lambda f, c, bad: f.gradient(bad),
+    "residual_at": lambda f, c, bad: f.residual_at(bad),
+    "polish_onto_curve": lambda f, c, bad: polish_onto_curve(f, bad),
+    "line_curve_points": lambda f, c, bad: line_curve_points(f, bad, [1.0, 0.0, 0.0]),
+    "act_on_point": lambda f, c, bad: act_on_point(ProjectiveTransform(np.eye(3)), bad),
+    "add": lambda f, c, bad: c.add(c.identity, bad),
+    "negate": lambda f, c, bad: c.negate(bad),
+    "multiply": lambda f, c, bad: c.multiply(2, bad),
+    "to_weierstrass": lambda f, c, bad: c.to_weierstrass(bad),
+    "from_weierstrass": lambda f, c, bad: c.from_weierstrass(bad),
+}
+
+
+@pytest.mark.parametrize("size", [2, 4])
+@pytest.mark.parametrize("entry", _ONE_POINT_ENTRIES)
+def test_a_point_of_the_wrong_size_is_bad_input_on_every_single_point_entry(fermat, fermat_chart, entry, size):
+    with pytest.raises(InputError, match="exactly 3 coordinates"):
+        _ONE_POINT_ENTRIES[entry](fermat, fermat_chart, [1.0, 0.5, 0.25, 0.125][:size])
+
+
+def test_six_coordinates_are_not_two_points_to_chordal_distance():
+    with pytest.raises(InputError, match="exactly 3 coordinates"):
+        chordal_distance([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0])

@@ -1,7 +1,8 @@
 """Property tests: each shared primitive and fast kernel against the code it replaced.
 
 The references below are the earlier implementations, kept verbatim in
-spirit: the scalar cross-product chordal distance, the greedy dedupe loop
+spirit: the scalar cross-product chordal distance and the four-gather
+chordal matrix, track's argsort match, the greedy dedupe loop
 over scalar distances, brute-force subset sums of the layer counts, the
 root solver as np.roots, vectorized clustering and a per-root polish
 through UniPoly.derivative and polyval, the flex search in all three
@@ -49,7 +50,7 @@ from cubicpoints import (
     size_witness,
     smoothness,
 )
-from cubicpoints import curve
+from cubicpoints import curve, monodromy
 from cubicpoints.curve import (
     _canonical_key,
     _dedupe,
@@ -114,6 +115,66 @@ def test_chordal_matrix_matches_scalar_formula(AB):
     D = chordal_matrix(A, B)
     want = np.array([[scalar_chordal(a, b) for b in B] for a in A])
     assert np.abs(D - want).max() <= 1e-15
+
+
+def reference_chordal_matrix(A, B) -> np.ndarray:
+    """numeric.chordal_matrix as it was: the cross products from four gathers of the factors."""
+    nxt, prv = [1, 2, 0], [2, 0, 1]
+    A, B = np.asarray(A, dtype=complex).reshape(-1, 3), np.asarray(B, dtype=complex).reshape(-1, 3)
+
+    def norms(X, axis):
+        return np.sqrt(np.add.reduce((X.conj() * X).real, axis=axis))
+
+    cross = A[:, None, nxt] * B[None, :, prv] - A[:, None, prv] * B[None, :, nxt]
+    return np.minimum(1.0, norms(cross, 2) / (norms(A, 1)[:, None] * norms(B, 1)[None, :]))
+
+
+@PROPERTY
+@given(stacks(), st.sampled_from(["stacks", "one row", "one point"]))
+def test_chordal_matrix_has_the_bits_of_the_frozen_copy(AB, shape):
+    """Random stacks with near-parallel rows (nudged copies), and (n, 3) against (1, 3) or a bare triple."""
+    A, B = AB
+    B = {"stacks": B, "one row": B[-1:], "one point": B[-1]}[shape]
+    got = chordal_matrix(A, B)
+    assert got.shape == (len(A), len(B) if shape == "stacks" else 1)
+    assert got.tobytes() == reference_chordal_matrix(A, B).tobytes()
+
+
+def reference_nearest_two(D):
+    """track's match as it was: one argsort, then the nearest and runner-up distances by two gathers."""
+    rows = np.arange(len(D))
+    order = np.argsort(D, axis=1)
+    d2 = D[rows, order[:, 1]] if D.shape[1] > 1 else np.full(len(D), np.inf)
+    return order[:, 0], D[rows, order[:, 0]], d2
+
+
+@st.composite
+def distance_matrices(draw):
+    """n x m chordal-range matrices, each row with a unique minimum and, in some rows, a value copied into another column above it."""
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    D = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n * m, max_size=n * m))).reshape(n, m)
+    for i in range(n):
+        assume(np.count_nonzero(D[i] == D[i].min()) == 1)
+        if m > 2 and draw(st.booleans()):
+            j = int(D[i].argmin())
+            a, b = draw(st.lists(st.sampled_from([k for k in range(m) if k != j]), min_size=2, max_size=2, unique=True))
+            D[i, b] = D[i, a]
+    return D
+
+
+@PROPERTY
+@given(distance_matrices())
+def test_the_match_has_what_argsort_and_gathers_gave(D):
+    got, want = monodromy._nearest_two(D), reference_nearest_two(D)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+
+
+def test_a_tie_at_the_minimum_gives_a_runner_up_at_the_same_distance():
+    # argmin and argsort may name different columns; the step is rejected either way
+    D = np.array([[0.3, 0.1, 0.1, 0.5], [0.2, 0.4, 0.2, 0.2]])
+    _, d1, d2 = monodromy._nearest_two(D)
+    assert d1.tolist() == d2.tolist() == [0.1, 0.2]
 
 
 def test_chordal_matrix_resolves_nearby_points():
