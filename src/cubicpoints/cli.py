@@ -294,6 +294,8 @@ def _selftest_cases(seed: int, tol: Tolerances):
 
 
 def _cmd_selftest(args) -> str:
+    if args.seed < 0:
+        raise InputError("--seed must be a non-negative integer")
     tol = _tolerances(args)
     cases = _selftest_cases(args.seed, tol)
     lines = []

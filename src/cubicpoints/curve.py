@@ -10,12 +10,12 @@ points, polished by one batched Newton on (f, H) = 0 (_newton_flexes).
 Along a tracked path the flexes of the previous curve seed the same Newton
 instead (_correct_flexes).
 
-Kept results are held by functools: a CubicForm's tensor, norm_inf and
-Hessian per object, so the smoothness gate and the flex Newton along a
-tracked path share them, and the smoothness report (_certify) and the
-labelled flexes (_hesse_flexes) for the last curve object only;
-symmetry._hesse_normal_form keeps the Hesse normal form built on them
-the same way, for hesse_normalize and elliptic.make_chart.
+Kept results are held by functools: a CubicForm's tensor, norm_inf,
+representative and Hessian per object, so the smoothness gate and the
+flex Newton along a tracked path share them, and the smoothness report
+(_certify) and the labelled flexes (_hesse_flexes) for the last curve
+object only; symmetry._hesse_normal_form keeps the Hesse normal form
+built on them the same way, for hesse_normalize and elliptic.make_chart.
 
 A cubic's value and gradient have one formula, _forms_at, on stacks of
 rows and cubics, and a point's representative one rule,
@@ -150,9 +150,9 @@ class CubicForm:
     """Homogeneous cubic in three variables, considered up to scale.
 
     coeffs is a read-only vector of ten complex coefficients, one for each
-    monomial of _MONOMIALS in that order. Each object keeps three cached
+    monomial of _MONOMIALS in that order. Each object keeps four cached
     properties built from it: the read-only symmetric tensor _tensor,
-    norm_inf, and the Hessian _hessian (None on a cone).
+    norm_inf, the representative _rep and the Hessian _hessian (None on a cone).
     """
 
     coeffs: np.ndarray
@@ -189,6 +189,18 @@ class CubicForm:
         return max(map(abs, self.coeffs.tolist()))
 
     @functools.cached_property
+    def _rep(self) -> "CubicForm":
+        """self when norm_inf is in [1/2, 1), else coeffs times the power of two that puts it there; every internal
+        computation reads it. The scale is exact, so __post_init__'s checks still hold and are not run again."""
+        e = math.frexp(self.norm_inf)[1]
+        if not e:
+            return self
+        rep = object.__new__(CubicForm)
+        rep.__dict__.update(coeffs=np.ldexp(self.coeffs.view(float), -e).view(complex), label=self.label)
+        rep.coeffs.setflags(write=False)
+        return rep
+
+    @functools.cached_property
     def _tensor(self) -> np.ndarray:
         """The symmetric 3x3x3 tensor T with f(x) = sum T_ijk x_i x_j x_k, read-only and built once per object."""
         T = (self.coeffs / _TENSOR_COUNT)[_TENSOR_INDEX].reshape(3, 3, 3)
@@ -213,9 +225,9 @@ class CubicForm:
         )
 
     def residual_at(self, point) -> float:
-        """Relative curve residual at a normalized representative."""
+        """Relative curve residual at a normalized point, read from the curve's representative _rep."""
         p = point if isinstance(point, ProjectivePoint) else normalize_point(point)
-        return abs(self.evaluate(p)) / self.norm_inf
+        return abs(self._rep.evaluate(p)) / self._rep.norm_inf
 
     def hessian(self) -> "CubicForm":
         """Determinant of the matrix of second partials (again a cubic).
@@ -441,11 +453,6 @@ def _gate_map() -> np.ndarray:
 _GATE_MAP = _gate_map()
 
 
-def _binary_scaled(f: CubicForm) -> np.ndarray:
-    """f's coefficients times the power of two that puts norm_inf in [1/2, 1): exact, with squares in range."""
-    return np.ldexp(f.coeffs.view(float), -math.frexp(f.norm_inf)[1]).view(complex)
-
-
 def _discriminant_margin(f: CubicForm) -> float:
     """sigma_min / sigma_max of the gate matrix of f; zero exactly on singular curves.
 
@@ -456,12 +463,12 @@ def _discriminant_margin(f: CubicForm) -> float:
     Kapranov and Zelevinsky). Each block is divided by its Frobenius
     norm, so the ratio depends neither on the scale of f nor, by the
     Bombieri weights, on a unitary change of coordinates. A cone has
-    H = 0 and margin 0. The blocks come from _binary_scaled coefficients,
-    so their norms stay in range; NumericalError when the Hessian overflows (beyond about 1e102).
+    H = 0 and margin 0. The blocks come from f's representative and the
+    representative of its Hessian (CubicForm._rep), so their norms stay in range at every scale.
     """
-    if f._hessian is None:
+    if f._rep._hessian is None:
         return 0.0
-    blocks = _GATE_MAP @ np.array([_binary_scaled(f), _binary_scaled(f._hessian)]).T
+    blocks = _GATE_MAP @ np.array([f._rep.coeffs, f._rep._hessian._rep.coeffs]).T
     norms = _norms(blocks, 0)
     s = np.linalg.svd((blocks / norms).T.reshape(6, 6), compute_uv=False)
     return float(s[-1] / s[0])
@@ -510,6 +517,11 @@ _POLISH_STEP_FLOOR = 1e-15
 _POLISH_ITERS = 30
 
 
+def _trimmed(c: np.ndarray) -> UniPoly:
+    """The polynomial with coefficients c, lowest degree first, less those below _REL_TRIM of the largest: roundoff."""
+    return UniPoly(np.where(np.abs(c) > _REL_TRIM * np.abs(c).max(), c, 0.0))
+
+
 def _singular_members(Q1: np.ndarray, Q2: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     """The singular conics of the pencil Q1 + s Q2, or [Q1] when every member is singular.
 
@@ -522,7 +534,7 @@ def _singular_members(Q1: np.ndarray, Q2: np.ndarray, tol: Tolerances) -> list[n
     top = np.abs(cubic).max()
     if top <= _CONIC_ZERO:
         return [Q1]
-    poly = UniPoly(np.where(np.abs(cubic) > _REL_TRIM * top, cubic, 0.0))
+    poly = _trimmed(cubic)
     members = [Q1 + s * Q2 for s, _ in solve_univariate(poly, tol)] if poly.degree else []
     return members + [Q2] * (poly.degree < 3)
 
@@ -577,8 +589,8 @@ def _singular_witness(f: CubicForm, tol: Tolerances) -> ProjectivePoint:
     singular members is cut with the first partial, from that one on, that
     does not vanish on the line.
     """
-    scale = f.norm_inf
-    T = f._tensor
+    scale = f._rep.norm_inf
+    T = f._rep._tensor
     conics = [Q / np.abs(Q).max() for Q in T if Q.any()]
     # a candidate with every coordinate subnormal has no finite representative
     X = np.array([
@@ -675,18 +687,18 @@ def _settle(T: np.ndarray, X: np.ndarray, first=None) -> tuple[np.ndarray, np.nd
 
 
 def _curve_points(f: CubicForm, X: np.ndarray, V: np.ndarray) -> list[CurvePoint]:
-    """Every row of X, normalized as _settle leaves it, with its relative residual from f's values V there.
+    """Every row of X, normalized as _settle leaves it, with its relative residual from V, f._rep's values there.
 
     Python's abs per value (numpy's vectorized abs can differ in the last
-    bit) gives residual_at's residual, bit for bit.
+    bit) gives residual_at's residual, bit for bit, as a power of two scales |f(x)| and norm_inf alike.
     """
-    scale = f.norm_inf
+    scale = f._rep.norm_inf
     return [CurvePoint(ProjectivePoint(tuple(row)), abs(v) / scale) for row, v in zip(X.tolist(), V.tolist())]
 
 
 def _polish_rows(f: CubicForm, X: np.ndarray) -> list[CurvePoint]:
-    """Every row of X settled onto f (_settle), with its relative residual from _settle's last evaluation."""
-    X, V, _ = _settle(f._tensor[None], X)
+    """Every row of X settled onto f._rep (_settle), with its relative residual from _settle's last evaluation."""
+    X, V, _ = _settle(f._rep._tensor[None], X)
     return _curve_points(f, X, V[:, 0])
 
 
@@ -709,11 +721,11 @@ def inflection_points(
     return _flexes_of_smooth(f, tol)
 
 
-def _hessian_of_smooth(f: CubicForm) -> CubicForm:
-    """The Hessian of a curve the caller has certified, the same object on every call; NumericalError on a cone."""
-    if f._hessian is None:
+def _hessian_of_smooth(f: CubicForm) -> tuple[CubicForm, CubicForm]:
+    """The representative of a certified curve and its Hessian, the gate's two objects; NumericalError on a cone."""
+    if f._rep._hessian is None:
         raise NumericalError("the Hessian vanishes identically: the curve is a union of concurrent lines")
-    return f._hessian
+    return f._rep, f._rep._hessian
 
 
 # The nine base points of the Hesse pencil x^3 + y^3 + z^3 + lam xyz, the
@@ -737,7 +749,7 @@ _FROM_H = [np.array([sum(ijk) == d for ijk in itertools.product(range(2), repeat
 def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
     """The triangle of the Hesse pencil s f + t h best separated from the other three.
 
-    With f and h at unit norm F and G (from _binary_scaled coefficients, whose norms stay in range),
+    With f and h at unit norm F and G (from their representatives, whose norms stay in range),
     Hess(s f + t h) = A(s, t) f + B(s, t) h: the coefficient of
     s^(3-d) t^d is the sum of the _slice_contractions that take d of the three slices from h, projected
     onto F and W = G - <F, G> F (two Gram-Schmidt passes; the rank test sigma_2 <= 10 eps sigma_1 of the
@@ -746,7 +758,7 @@ def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
     Fermat cubic h is one, and near it the top coefficient is roundoff). Near the discriminant three
     roots close up and lose digits.
     """
-    F, G = (c / _norms(c, 0) for c in (_binary_scaled(f), _binary_scaled(h)))
+    F, G = (g._rep.coeffs / _norms(g._rep.coeffs, 0) for g in (f, h))
     E = _slice_contractions(_tensors(np.stack([F, G]))).reshape(8, 27)
     C = 216.0 * np.stack([E[mask].sum(axis=0) for mask in _FROM_H]) @ _FOLD.T
     W, r = G, 0.0
@@ -758,8 +770,7 @@ def _pencil_triangle(f: CubicForm, h: CubicForm, tol: Tolerances) -> CubicForm:
         raise NumericalError("the curve and its Hessian are proportional: no triangle to split")
     B = (W.conj() @ C.T) / rho**2
     q = np.append(0.0, F.conj() @ C.T - B * r) - np.append(B, 0.0)  # A u - B in u = t / s
-    quartic = UniPoly(np.where(np.abs(q) > _REL_TRIM * np.abs(q).max(), q, 0.0))
-    R = [[1.0, u] for u, m in solve_univariate(quartic, tol) for _ in range(m)]
+    R = [[1.0, u] for u, m in solve_univariate(_trimmed(q), tol) for _ in range(m)]
     R = np.array(R + [[0.0, 1.0]] * (4 - len(R)))
     R /= _norms(R, 1)[:, None]
     gaps = np.abs(np.outer(R[:, 0], R[:, 1]) - np.outer(R[:, 1], R[:, 0])) + np.diag([np.inf] * 4)
@@ -802,7 +813,7 @@ def _hesse_frame(f: CubicForm, h: CubicForm, tol: Tolerances) -> np.ndarray:
     cube roots: they differ by diag(1, w^j, w^k), which permutes the base points.
     Up to one scalar, M's cofactor rows K are M^-1's columns, a, b and c are f there, and a
     base point p pulls back to (p / (a, b, c)^(1/3)) K: lines through one point give that point,
-    which fails the flex test.
+    which fails the flex test. f and h are a representative and its Hessian (_hessian_of_smooth).
     """
     K = _cofactors(_triangle_lines(_pencil_triangle(f, h, tol), tol))
     cubes = _forms_at(f._tensor[None], K)[0][:, 0]
@@ -817,8 +828,7 @@ def _hesse_flexes(f: CubicForm, tol: Tolerances) -> tuple[tuple[CurvePoint, ...]
 
     labels[i] is the row of _HESSE_BASE whose preimage became flex i.
     """
-    h = _hessian_of_smooth(f)
-    flexes = _correct_flexes(f, _hesse_frame(f, h, tol), tol)
+    flexes = _correct_flexes(f, _hesse_frame(*_hessian_of_smooth(f), tol), tol)
     if flexes is None:
         raise NumericalError("the Hesse pencil's triangle did not give nine distinct flexes")
     labels = tuple(sorted(range(9), key=lambda i: _canonical_key(flexes[i].point)))
@@ -863,8 +873,8 @@ def _newton_flexes(f: CubicForm, h: CubicForm, starts, tol: Tolerances) -> Point
     within _CORRECTOR_ITERS steps, and its point lies on f and on h within
     tau_on_curve. A row that fails stops moving and is dropped. The kept
     rows come back in start order as a PointSet built from their normalized
-    stack (PointSet._of_rows), each with its residual on f. It iterates on
-    the tensors f and h keep (CubicForm._tensor), builds its flat indices
+    stack (PointSet._of_rows), each with its residual on f. Callers pass a representative and its Hessian
+    (_hessian_of_smooth), whose tensors (CubicForm._tensor) it iterates on; it builds its flat indices
     once, and gathers each step's Jacobian entries by one take.
     """
     X = np.array(starts, dtype=complex).reshape(-1, 3)
@@ -919,7 +929,7 @@ def _correct_flexes(f: CubicForm, near, tol: Tolerances) -> PointSet | None:
     give its separation too, from one chordal_matrix call, and stay kept
     for a caller that asks for them again. Raises NumericalError on a cone.
     """
-    out = _newton_flexes(f, _hessian_of_smooth(f), near, tol)
+    out = _newton_flexes(*_hessian_of_smooth(f), near, tol)
     if len(out) != 9:
         return None
     out._distances_from(near)
@@ -958,12 +968,10 @@ def line_curve_points(
     does not follow roundoff.
     """
     P, Q = _point_row(p)[0], _point_row(q)[0]
-    coeffs = _line_cubic(f._tensor[None], P, Q)
-    top = np.abs(coeffs).max()
-    if top == 0.0:
+    coeffs = _line_cubic(f._rep._tensor[None], P, Q)
+    if not np.count_nonzero(coeffs):
         raise InputError("the line lies on the curve, which no smooth cubic allows")
-    trimmed = np.where(np.abs(coeffs) > _REL_TRIM * top, coeffs, 0.0)
-    poly = UniPoly(trimmed)
+    poly = _trimmed(coeffs)
     rows = [Q] if poly.degree < len(coeffs) - 1 else []
     if poly.degree >= 1:
         rows.extend(P + t0 * Q for t0, _ in solve_univariate(poly, tol))

@@ -109,8 +109,9 @@ def _third_rows(f: CubicForm, P, Q, tol: Tolerances) -> tuple[np.ndarray, np.nda
     it, and it is Hermitian-orthogonal to P, with length |g| |P| because
     g . P = 3 f(P) = 0 (Euler). Rows that are distinct but closer than ten
     times tau_match are rejected as an ill-conditioned chord. The output
-    rows are polished onto the curve, each scaled to a largest coordinate 1, and come with f's values there.
+    rows are polished onto the curve, each scaled to a largest coordinate 1, and come with f._rep's values there.
     """
+    f = f._rep
     T = f._tensor[None]
     P, _, gP = _on_curve_rows(f, T, P, tol)
     Q = _on_curve_rows(f, T, Q, tol)[0]
@@ -239,7 +240,7 @@ class EllipticChart:
 
     def _multiply_rows(self, m: int, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """m times each row of X (m != 0), and f there, as _third_rows returns them: one ladder for the stack."""
-        X, V, _ = _on_curve_rows(self.curve, self.curve._tensor[None], X, self.tol)
+        X, V, _ = _on_curve_rows(self.curve._rep, self.curve._rep._tensor[None], X, self.tol)
         addend, result = (X, V[:, 0]), None
         mm = abs(m)
         while mm:
@@ -270,11 +271,11 @@ def make_chart(
     SingularCurveError on a singular curve, a cone included, before the
     identity is read (gated and settled: one evaluation at a flex already
     at the rounding floor, where f and its Hessian are evaluated together);
-    InputError unless the identity is an inflection.
+    InputError unless the identity is an inflection. The checks read f._rep; the chart's curve is f.
     """
     T, lam = hesse_normalize(f, tol)
-    h = _hessian_of_smooth(f)
-    X, V, _ = _on_curve_rows(f, _tensors(np.stack([f.coeffs, h.coeffs])), _point_row(identity), tol)
+    rep, h = _hessian_of_smooth(f)
+    X, V, _ = _on_curve_rows(rep, _tensors(np.stack([rep.coeffs, h.coeffs])), _point_row(identity), tol)
     if abs(V[0, 1]) / h.norm_inf > _FLEX_SLACK * tol.tau_on_curve:
         raise InputError("the identity must be an inflection point of the curve")
     P = ProjectivePoint(tuple(X[0].tolist()))
@@ -283,7 +284,7 @@ def make_chart(
     u = max(abs(a) ** 0.25, abs(b) ** (1.0 / 6.0))
     to_w = ProjectiveTransform(np.diag([u**-2, u**-3, 1.0]) @ W @ _TO_FIRST_BASE[k] @ T.matrix)
     chart = EllipticChart(f, P, a / u**4, b / u**6, to_w, tol)
-    if f.compose_linear(chart.from_w.matrix).proportionality_residual(chart.weierstrass_form()) > _REDUCTION_CHECK:
+    if rep.compose_linear(chart.from_w.matrix).proportionality_residual(chart.weierstrass_form()) > _REDUCTION_CHECK:
         raise NumericalError("Weierstrass reduction failed the invariant check")
     # the chordal distance is scale-invariant, so the raw image needs no normalizing
     if chordal_matrix(to_w.matrix @ P.array, (0.0, 1.0, 0.0))[0, 0] > tol.tau_match:

@@ -143,7 +143,7 @@ _MEET_TOL = 1e-9
 
 def _meets(f: CubicForm, g: CubicForm) -> bool:
     """Whether waypoints f and g are one curve, so a path may pass from f to g: f's residual against g's line."""
-    return f.proportionality_residual(g) <= _MEET_TOL
+    return f._rep.proportionality_residual(g._rep) <= _MEET_TOL
 
 
 # track's smallest step: a step that must be halved below it raises.

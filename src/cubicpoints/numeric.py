@@ -197,10 +197,10 @@ def chordal_distance(p, q) -> float:
 def chordal_matrix(A, B) -> np.ndarray:
     """Pairwise chordal distances between two stacks of coordinate rows.
 
-    Either side may also be a single ProjectivePoint, CurvePoint or
-    coordinate triple.
+    Either side is an (n, 3) stack or one point, a ProjectivePoint,
+    CurvePoint or coordinate triple (_point_row); InputError on any other size.
     """
-    A, B = _point_array(A).reshape(-1, 3), _point_array(B).reshape(-1, 3)
+    A, B = (a if a.ndim == 2 and a.shape[1] == 3 else _point_row(a) for a in map(_point_array, (A, B)))
     na, nb = _norms(A, 1), _norms(B, 1)
     if np.count_nonzero(na) < len(na) or np.count_nonzero(nb) < len(nb):
         raise InputError("the zero vector is not a projective point")

@@ -108,8 +108,8 @@ def act_on_cubic(T: ProjectiveTransform, f: CubicForm) -> CubicForm:
 def preserves_cubic(
     T: ProjectiveTransform, f: CubicForm, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> bool:
-    g = act_on_cubic(T, f)
-    return g.proportionality_residual(f) <= tol.tau_match
+    g = act_on_cubic(T, f._rep)
+    return g.proportionality_residual(f._rep) <= tol.tau_match
 
 
 def _require_automorphism(
@@ -364,8 +364,8 @@ def _hesse_normal_form(f: CubicForm, tol: Tolerances) -> tuple[ProjectiveTransfo
     target = _hesse_target([labels[i] for i in src])
     Mp = _through_four([flexes[i].array for i in src])
     T = ProjectiveTransform(_base_frame(tuple(target)) @ _inverse(Mp))
-    # act_on_cubic(T, f) up to scale, which the fit ignores, so T's adjugate serves for its inverse
-    gvec = f.compose_linear(_cofactors(T.matrix).T).coeffs
+    # act_on_cubic(T, f) up to scale, which the fit ignores: f._rep serves for f and T's adjugate for its inverse
+    gvec = f._rep.compose_linear(_cofactors(T.matrix).T).coeffs
     # the 0-1 columns share no monomial: the fit is the mean of g's x^3, y^3, z^3 coefficients and its xyz one
     sol = _HESSE_FIT.T @ gvec / _HESSE_FIT.real.sum(axis=0)
     d = _HESSE_FIT @ sol - gvec

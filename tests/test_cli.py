@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cubicpoints import CubicForm, ParameterPath, fermat_cubic, hesse_cubic, sizes
+from cubicpoints import DEFAULT_TOLERANCES, CubicForm, ParameterPath, fermat_cubic, hesse_cubic, sizes
 from cubicpoints.cli import main
+from cubicpoints.numeric import chordal_matrix
 from cubicpoints.serialize import (
     canonical_dumps,
     cubic_from_obj,
@@ -201,14 +203,23 @@ class TestCurveCommands:
         assert rc == 3
         assert "singular" in err.lower()
 
+    @staticmethod
+    def _scaled_runs(capsys, tmp_path, command, scale):
+        """The parsed output of command on x^3 + y^3 + z^3 + 0.3xyz unscaled and scaled."""
+        runs = []
+        for s in (1.0, scale):
+            p = tmp_path / "scaled.json"
+            p.write_text(canonical_dumps(cubic_to_obj(CubicForm(hesse_cubic(0.3).coeffs * s))), encoding="utf-8")
+            rc, out, err = run_cli(capsys, command, "--curve", str(p))
+            assert (rc, err) == (0, "")
+            runs.append(json.loads(out))
+        return runs
+
     @pytest.mark.parametrize("scale", [1e300])
-    def test_smooth_on_coefficients_too_large_exits_four(self, capsys, tmp_path, scale):
-        p = tmp_path / "huge.json"
-        p.write_text(canonical_dumps(cubic_to_obj(CubicForm(hesse_cubic(0.3).coeffs * scale))), encoding="utf-8")
-        rc, out, err = run_cli(capsys, "smooth", "--curve", str(p))
-        assert rc == 4
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ") and "overflow" in err
+    def test_smooth_on_coefficients_too_large_for_the_raw_hessian_keeps_the_margin(self, capsys, tmp_path, scale):
+        # the raw coefficients' Hessian overflows (about scale^3); the gate reads the representative's
+        want, got = self._scaled_runs(capsys, tmp_path, "smooth", scale)
+        assert got["smooth"] and abs(got["margin"] - want["margin"]) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1e-60, 1e60])
     def test_smooth_on_an_extreme_scale_keeps_the_margin(self, capsys, tmp_path, scale):
@@ -221,13 +232,19 @@ class TestCurveCommands:
             margins.append(json.loads(out)["margin"])
         assert abs(margins[1] - margins[0]) <= 1e-12
 
-    def test_inflections_beyond_the_flex_newtons_range_exit_four(self, capsys, tmp_path):
-        # the flex Newton's 2x2 determinants scale as the fourth power of the coefficients
-        p = tmp_path / "tiny.json"
-        p.write_text(canonical_dumps(cubic_to_obj(CubicForm(hesse_cubic(0.3).coeffs * 1e-80))), encoding="utf-8")
-        rc, out, err = run_cli(capsys, "inflections", "--curve", str(p))
-        assert (rc, out) == (4, "")
-        assert err.startswith("error: ")
+    @pytest.mark.parametrize("scale", [1e-80, 1e-200, 1e200])
+    def test_inflections_beyond_the_flex_newtons_old_range_are_the_unscaled_flexes(self, capsys, tmp_path, scale):
+        # the flex Newton's 2x2 determinants scale as the fourth power of the
+        # coefficients; it reads the power-of-two representative instead
+        want, got = (np.array([[complex(*c) for c in row] for row in run["xyz"]])
+                     for run in self._scaled_runs(capsys, tmp_path, "inflections", scale))
+        assert np.diag(chordal_matrix(got, want)).max() <= DEFAULT_TOLERANCES.tau_match
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_hesse_on_an_extreme_scale_keeps_the_normal_form(self, capsys, tmp_path, scale):
+        want, got = self._scaled_runs(capsys, tmp_path, "hesse", scale)
+        assert abs(complex(*got["lambda"]) - complex(*want["lambda"])) <= 1e-12
+        assert np.abs(np.array(got["transform"]) - np.array(want["transform"])).max() <= 1e-12
 
 
 class TestTrackCommand:
@@ -334,6 +351,11 @@ class TestSelftest:
         assert (rc, err) == (4, "")
         assert "FAIL size-arithmetic: frozen size list changed\n" in out
         assert out.count("FAIL") == 1 and out.endswith("7/8 checks passed\n")
+
+    def test_a_negative_seed_is_bad_input_before_any_check_runs(self, capsys):
+        rc, out, err = run_cli(capsys, "--seed", "-1", "selftest")
+        assert (rc, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "seed" in err
 
     def test_a_planted_defect_fails_under_python_O(self):
         # -O strips assert statements; the checks must survive it

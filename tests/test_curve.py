@@ -10,6 +10,7 @@ from cubicpoints import (
     CurvePoint,
     InputError,
     NumericalError,
+    ParameterPath,
     PointSet,
     ProjectiveTransform,
     SingularCurveError,
@@ -127,6 +128,19 @@ class TestCubicForm:
         with pytest.raises(ValueError):
             fermat.coeffs[0] = 2.0
 
+    @pytest.mark.parametrize("exponent", [-996, -664, 664, 996])
+    def test_scale_free_values_are_the_unscaled_ones_at_every_scale(self, fermat, fermat_flexes, exponent):
+        # |f(x)| and the squared coefficient norms leave the floats beyond about
+        # 1e+-154 on the raw coefficients; the residual, the automorphism check
+        # and the waypoint join read the representative, which a power of two
+        # leaves bit for bit
+        f = CubicForm(fermat.coeffs * 2.0**exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f.residual_at(fermat_flexes[0].point) == fermat.residual_at(fermat_flexes[0].point)
+            assert symmetry.preserves_cubic(symmetry.fermat_translations()[0], f)
+            assert ParameterPath([f, fermat, CubicForm(fermat.coeffs * 2.0)]).is_closed()
+
     def test_rejects_wrong_degree(self):
         with pytest.raises(InputError):
             CubicForm.from_coeffs({(2, 0, 0): 1.0})
@@ -203,12 +217,15 @@ class TestSmoothness:
 
     @pytest.mark.parametrize("scale", [1e300], ids=["hessian"])
     def test_coefficients_too_large_for_the_hessian_are_a_numerical_error(self, scale):
-        # the Hessian grows as the cube of the scale: its coefficients overflow from about 1e102
+        # the public Hessian grows as the cube of the scale: its coefficients
+        # overflow from about 1e102; the gate reads the representative's instead
         f = CubicForm(hesse_cubic(0.3).coeffs * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="overflow"):
-                smoothness(f)
+                f.hessian()
+            rep = smoothness(f)
+        assert rep.smooth and abs(rep.margin - smoothness(hesse_cubic(0.3)).margin) <= 1e-12
 
     def test_a_large_scale_keeps_the_margin(self):
         f = hesse_cubic(0.3)

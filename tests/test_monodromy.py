@@ -344,10 +344,12 @@ class TestOneHessianPerCurve:
         assert np.array_equal(T, curve._tensors(f.coeffs[None])[0])
 
     def test_the_smooth_hessian_is_one_object(self):
+        # the representative of x^3 + y^3 + z^3 + xyz / 2 is half of it, whose Hessian is an eighth of f's
         f = hesse_cubic(0.5)
-        h = curve._hessian_of_smooth(f)
-        assert h is curve._hessian_of_smooth(f) is f.hessian()
-        assert np.array_equal(h.coeffs, f._hessian.coeffs)
+        rep, h = curve._hessian_of_smooth(f)
+        again = curve._hessian_of_smooth(f)
+        assert rep is again[0] is f._rep and h is again[1] is rep._hessian is rep.hessian()
+        assert np.array_equal(rep.coeffs, f.coeffs / 2) and np.array_equal(h.coeffs, f.hessian().coeffs / 8)
 
     def test_a_cone_keeps_its_channels(self):
         # the cached None raises on every call, not only the first

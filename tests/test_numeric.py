@@ -18,6 +18,7 @@ from cubicpoints import (
     polish_onto_curve,
     solve_univariate,
 )
+from cubicpoints.numeric import chordal_matrix
 
 from oracles import resultant
 
@@ -230,3 +231,19 @@ def test_a_point_of_the_wrong_size_is_bad_input_on_every_single_point_entry(ferm
 def test_six_coordinates_are_not_two_points_to_chordal_distance():
     with pytest.raises(InputError, match="exactly 3 coordinates"):
         chordal_distance([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], np.ones((2, 2, 3)), np.ones((3, 2))],
+    ids=["2-vector", "4-vector", "6-vector", "2x2x3", "3x2"],
+)
+def test_chordal_matrix_takes_one_point_or_a_stack_of_rows(bad):
+    # a flat vector of six coordinates once read as two points, and a (2, 2, 3) array as four rows
+    for A, B in ((bad, [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], bad)):
+        with pytest.raises(InputError, match="exactly 3 coordinates"):
+            chordal_matrix(A, B)
+    rows = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
+    assert chordal_matrix(rows, [1.0, 2.0, 3.0]).shape == (2, 1)
+    assert chordal_matrix(normalize_point([0.0, 1.0, 0.0]), rows).shape == (1, 2)
+    assert chordal_matrix(rows[:0], rows).shape == (0, 2)

@@ -177,3 +177,22 @@ def test_only_sizes_integer_checks_for_an_integer():
     # accepted types (no bools) and one wording of its messages
     found = {path.name: _integer_checks(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
     assert {name: fns for name, fns in found.items() if fns} == {"sizes.py": ["_integer"]}
+
+
+def _binary_scalings(tree: ast.Module) -> list[str]:
+    """Each use of ldexp or frexp (by name or attribute, imported or called) outside the body of class CubicForm."""
+    in_cubic = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "CubicForm" for n in ast.walk(c)}
+    uses = (
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+        for node in ast.walk(tree)
+        if id(node) not in in_cubic and isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    )
+    return sorted(name for name in uses if name.split(".")[-1] in ("ldexp", "frexp"))
+
+
+def test_only_cubic_form_scales_coefficients_by_a_power_of_two():
+    # a cubic's scale has one rule, its representative CubicForm._rep, which
+    # every internal computation reads instead of scaling coefficients itself
+    found = {path.name: _binary_scalings(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    assert "ldexp" in (SRC / "curve.py").read_text()

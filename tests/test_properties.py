@@ -23,7 +23,9 @@ rewriting a kernel cannot rewrite its reference too.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import warnings
 
 import mpmath
 import numpy as np
@@ -46,7 +48,10 @@ from cubicpoints import (
     hesse_cubic,
     inflection_points,
     jordan_totient_2,
+    make_chart,
     normalize_point,
+    points_of_type,
+    random_smooth_cubic,
     size_witness,
     smoothness,
 )
@@ -1439,3 +1444,48 @@ def test_the_fermat_cubic_plus_roundoff_has_the_fermat_flexes(seed, exponent, no
     f = CubicForm(fermat_cubic().compose_linear(Q).coeffs + 10.0**exponent * np.array(noise))
     D = chordal_matrix(inflection_points(f).arrays, np.linalg.solve(Q, curve._HESSE_BASE.T).T)
     assert max(D.min(axis=1).max(), D.min(axis=0).max()) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# one scale rule: every answer reads the cubic's power-of-two representative
+
+_SCALED_CURVES = {
+    "hesse": hesse_cubic(0.3),
+    "random": random_smooth_cubic(np.random.default_rng(1)),
+    "fermat_frame": fermat_cubic().compose_linear(unitary(1)),
+}
+
+
+@functools.cache
+def unscaled_answers(name: str) -> tuple[float, np.ndarray, complex]:
+    f = _SCALED_CURVES[name]
+    flexes = inflection_points(f)
+    return smoothness(f).margin, flexes.arrays, make_chart(f, flexes[0].point).j_invariant()
+
+
+# 2^996 and 10^300 are near the top of the floats; a curve's smallest coefficient stays normal at the bottom
+scalings = st.tuples(st.just(2.0), st.integers(-996, 996)) | st.tuples(st.just(10.0), st.integers(-300, 300))
+
+
+@example("hesse", (10.0, -300))
+@example("hesse", (10.0, 300))
+@example("random", (2.0, -996))
+@example("fermat_frame", (2.0, 996))
+@PROPERTY
+@given(st.sampled_from(sorted(_SCALED_CURVES)), scalings)
+def test_every_answer_is_the_unscaled_one_at_every_scale(name, scaling):
+    # a power of two leaves the representative's bits, and with them the margin's; a power of ten rounds them
+    base, k = scaling
+    f = CubicForm(_SCALED_CURVES[name].coeffs * base**k)
+    margin, flexes, j = unscaled_answers(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = smoothness(f)
+        got = inflection_points(f)
+        chart = make_chart(f, got[0].point)
+        layer = points_of_type(chart, 2)
+    assert rep.smooth
+    assert rep.margin == margin if base == 2.0 else abs(rep.margin - margin) <= 1e-12
+    assert np.diag(chordal_matrix(got.arrays, flexes)).max() <= 1e-14
+    assert abs(chart.j_invariant() - j) <= 1e-12 * max(abs(j), 1.0)
+    assert len(layer) == 27

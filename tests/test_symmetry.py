@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,16 @@ class TestActions:
         assert preserves_cubic(a, fermat)
         assert preserves_cubic(b, fermat)
         assert not preserves_cubic(ProjectiveTransform(np.diag([2.0, 1.0, 1.0])), fermat)
+
+    def test_preserves_cubic_at_a_scale_where_the_raw_pushforward_overflows(self):
+        # the pushforward by diag(1e4, 1, 1e-4) multiplies the z^3 coefficient
+        # by 1e12: past the floats from coefficients of 1e300, not from the
+        # curve's representative
+        f = CubicForm(hesse_cubic(0.3).coeffs * 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not preserves_cubic(ProjectiveTransform(np.diag([1e4, 1.0, 1e-4])), f)
+            assert preserves_cubic(ProjectiveTransform(symmetry._CYCLE), f)
 
 
 class TestFermatTranslations:
