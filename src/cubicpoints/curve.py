@@ -262,13 +262,20 @@ class CubicForm:
         """The cubic x -> f(M x): each tensor axis contracted with M in turn.
 
         Each turn contracts the leading axis and appends the new one, so
-        after three turns the axes are back in order.
+        after three turns the axes are back in order. The turns run on _rep
+        and the result is scaled back by its power of two, which keeps the
+        raw contraction's bits wherever that stays in range. NumericalError,
+        without a warning, when a coefficient overflows.
         """
         M = np.asarray(matrix, dtype=complex).reshape(3, 3)
-        T = self._tensor
-        for _ in range(3):
-            T = T.reshape(3, 9).T @ M
-        return CubicForm(_FOLD @ T.reshape(27))
+        T, e = self._rep._tensor, math.frexp(self.norm_inf)[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(3):
+                T = T.reshape(3, 9).T @ M
+            g = np.ldexp((_FOLD @ T.reshape(27)).view(float), e).view(complex) if e else _FOLD @ T.reshape(27)
+        if not np.isfinite(g).all() and np.isfinite(M).all():
+            raise NumericalError("the composed cubic's coefficients overflow")
+        return CubicForm(g)
 
     def proportionality_residual(self, other: "CubicForm") -> float:
         """Relative distance from self to the complex line spanned by other."""

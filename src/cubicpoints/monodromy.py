@@ -153,7 +153,7 @@ _MAX_STEPS = round(1.0 / _MIN_STEP)
 
 
 class ParameterPath:
-    """Piecewise-linear path through cubic coefficient space."""
+    """Piecewise-linear path through cubic coefficient space; track's base step is 1 / max(steps, segments)."""
 
     def __init__(self, waypoints: list[CubicForm], steps: int = 64) -> None:
         if len(waypoints) < 2:
@@ -249,17 +249,19 @@ def track(
     of length h used the share u of the test's room, the largest over the
     points of _MATCH_RATIO d1 / d2 and d1 / reach (d1 and d2 the nearest
     and runner-up distances); the next step is h / (_STEP_MARGIN u) within
-    [h / 2, 2 h], and at most the base step (u = 0, when no point moved,
-    gives 2 h).  The end set is built once, from the last accepted set in
-    the matched order.  min_margin is the smallest discriminant-gate margin
-    over the accepted curves, a unitary invariant (1 on the Fermat cubic).
-    Raises DiscriminantPathError when any visited curve has a gate margin
-    at or below smoothness_margin, TrackingAmbiguityError, naming the
-    rejection's reason, when a step would fall below _MIN_STEP, and
+    [h / 2, 2 h], and at most the base step 1 / max(steps, segments), so
+    no step is longer than one waypoint segment (u = 0, when no point
+    moved, gives 2 h).  The end set is built once, from the last accepted
+    set in the matched order.  min_margin is the smallest discriminant-gate
+    margin over the accepted curves, a unitary invariant (1 on the Fermat
+    cubic).  Raises DiscriminantPathError when any visited curve has a gate
+    margin at or below smoothness_margin, TrackingAmbiguityError, naming
+    the rejection's reason, when a step would fall below _MIN_STEP, and
     InputError when steps, which overrides path.steps, is not an integer
     from 1 to _MAX_STEPS.
     """
-    base = 1.0 / (path.steps if steps is None else _integer(steps, "the step count", most=_MAX_STEPS))
+    count = path.steps if steps is None else _integer(steps, "the step count", most=_MAX_STEPS)
+    base = 1.0 / max(count, len(path.waypoints) - 1)
     f0 = path.at(0.0)
     rep = smoothness(f0, tol)
     if not rep.smooth or rep.margin <= tol.smoothness_margin:

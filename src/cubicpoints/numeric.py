@@ -287,7 +287,7 @@ def _companion_roots(c: np.ndarray) -> list[complex]:
     """
     if len(c) == 1:
         return []
-    A = np.diag(np.ones(len(c) - 2, c.dtype), -1)
+    A = np.eye(len(c) - 1, k=-1, dtype=c.dtype)
     with np.errstate(all="ignore"):
         A[0, :] = -c[1:] / c[0]
     try:
@@ -318,15 +318,19 @@ def _components(n: int, pairs) -> list[list[int]]:
     return list(groups.values())
 
 
+def _close_pairs(values: list[complex], radius: float) -> list[tuple[int, int]]:
+    """The pairs i < j with |values[i] - values[j]| <= radius max(1, |values[i]|): _cluster's one closeness rule."""
+    lims = [radius * max(1.0, abs(v)) for v in values]
+    return [(i, j) for i, v in enumerate(values) for j in range(i + 1, len(values)) if abs(v - values[j]) <= lims[i]]
+
+
+def _apart(values: list[complex], radius: float) -> bool:
+    """Whether no two values are close (_close_pairs), so that each value is a cluster of its own."""
+    return not _close_pairs(values, radius)
+
+
 def _cluster(values: list[complex], radius: float) -> list[list[int]]:
-    # pairwise closeness; the radius scales with the size of the earlier root
-    n = len(values)
-    pairs = []
-    for i in range(n):
-        vi = values[i]
-        lim = radius * max(1.0, abs(vi))
-        pairs.extend((i, j) for j in range(i + 1, n) if abs(vi - values[j]) <= lim)
-    return _components(n, pairs)
+    return _components(len(values), _close_pairs(values, radius))
 
 
 def _centre(values: list[complex], group: list[int]) -> complex:
@@ -349,11 +353,11 @@ def solve_univariate(
     builds, with one zero root per vanishing low coefficient), clusters
     within tau_cluster merge into multiple roots, and each representative
     is Newton polished (on the (m-1)-th derivative for an m-fold root).
-    Roots stay a list of Python complex numbers: clustering is a pair
-    loop, and the residual check reuses the Horner loop against one
-    max|coeff| per solve. Raises NumericalError if the companion matrix
-    overflows or a polished root fails the relative residual bound
-    tau_root, InputError on constants.
+    When the seeds and the polished seeds are pairwise apart (_apart),
+    every cluster is a singleton: the clustering is skipped, bits kept.
+    Roots are Python complex numbers, checked by Horner against one
+    max|coeff|. NumericalError if the companion matrix overflows or a root
+    fails the relative residual bound tau_root, InputError on constants.
     """
     if p.is_zero():
         raise InputError("cannot solve the zero polynomial")
@@ -375,19 +379,21 @@ def solve_univariate(
             chain.append(_derivative(chain[-1]))
         return _newton(chain[m - 1], chain[m], z)
 
-    roots = [
-        (polish(_centre(raw, g), len(g)), len(g)) for g in _cluster(raw, tol.tau_cluster)
-    ]
-    # Polishing can reunite a cluster the first pass split; merge again.
-    vals = [z for z, _ in roots]
-    merged: list[tuple[complex, int]] = []
-    for g in _cluster(vals, tol.tau_cluster):
-        mult = sum(roots[i][1] for i in g)
-        z = _centre(vals, g)
-        if len(g) > 1:
-            z = polish(z, mult)
-        merged.append((z, mult))
-    scale = float(np.max(np.abs(p.coeffs)))
+    vals = [polish(z + 0j, 1) for z in raw] if _apart(raw, tol.tau_cluster) else None
+    if vals and _apart(vals, tol.tau_cluster):
+        merged = [(z + 0j, 1) for z in vals]  # + 0j as _centre gives a singleton
+    else:
+        roots = [(polish(_centre(raw, g), len(g)), len(g)) for g in _cluster(raw, tol.tau_cluster)]
+        # Polishing can reunite a cluster the first pass split; merge again.
+        vals = [z for z, _ in roots]
+        merged = []
+        for g in _cluster(vals, tol.tau_cluster):
+            mult = sum(roots[i][1] for i in g)
+            z = _centre(vals, g)
+            if len(g) > 1:
+                z = polish(z, mult)
+            merged.append((z, mult))
+    scale = max(map(abs, h))
     for z, m in merged:
         res = abs(_horner(h, z))
         if res > tol.tau_root * (scale * max(1.0, abs(z)) ** p.degree):

@@ -260,6 +260,22 @@ class TestTrackCommand:
         assert obj["permutation"] == list(range(9))
         assert obj["cycle_type"] == [1] * 9
 
+    def test_one_step_on_the_translation_loop_gives_its_monodromy(self, capsys, tmp_path):
+        # the base step is at most one waypoint segment, so one step cannot close the loop at once
+        from cubicpoints import act_on_cubic
+        from cubicpoints.symmetry import ProjectiveTransform, fermat_translations
+
+        a, _ = fermat_translations()
+        waypoints = [act_on_cubic(ProjectiveTransform((1.0 - t) * np.eye(3) + t * a.matrix).inverse(), fermat_cubic())
+                     for t in np.linspace(0.0, 1.0, 9)]
+        obj = path_to_obj(ParameterPath(waypoints, steps=8))
+        obj["steps"] = 1
+        pf = tmp_path / "translation.json"
+        pf.write_text(json.dumps(obj), encoding="utf-8")
+        rc, out, _ = run_cli(capsys, "track", "--path", str(pf))
+        assert rc == 0
+        assert sorted(json.loads(out)["cycle_type"]) == [3, 3, 3]
+
     @pytest.mark.parametrize("steps", [10**6 + 1, pytest.param(10**400, id="10**400")])
     def test_too_many_steps_exit_two_before_any_step(self, capsys, tmp_path, steps):
         obj = path_to_obj(ParameterPath([fermat_cubic(), fermat_cubic()], steps=4))

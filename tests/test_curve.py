@@ -744,3 +744,26 @@ class TestPolishAndSampling:
         assert len(pts) == 6
         for p in pts:
             assert p.residual <= 1e-8
+
+
+class TestComposeLinearScale:
+    BASE = np.array([1, 0, 0, 0, 0.3, 0, 1, 0, 0, 1], dtype=complex)
+
+    def test_an_overflowing_result_raises_numerical_error_without_a_warning(self):
+        # as under python -W error: any warning fails the call
+        T = ProjectiveTransform(np.diag([1e4, 1.0, 1e-4]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflow"):
+                act_on_cubic(T, CubicForm(1e300 * self.BASE))
+            with pytest.raises(InputError, match="non-finite"):
+                CubicForm(self.BASE).compose_linear(np.diag([np.inf, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("scale", [1e-200, 3.0, 1e200])
+    def test_an_in_range_result_keeps_the_bits_of_the_raw_contraction(self, scale, rng):
+        M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        f = CubicForm(scale * (rng.normal(size=10) + 1j * rng.normal(size=10)))
+        T = f._tensor
+        for _ in range(3):
+            T = T.reshape(3, 9).T @ M
+        assert f.compose_linear(M).coeffs.tobytes() == (curve._FOLD @ T.reshape(27)).tobytes()

@@ -247,3 +247,51 @@ def test_chordal_matrix_takes_one_point_or_a_stack_of_rows(bad):
     assert chordal_matrix(rows, [1.0, 2.0, 3.0]).shape == (2, 1)
     assert chordal_matrix(normalize_point([0.0, 1.0, 0.0]), rows).shape == (1, 2)
     assert chordal_matrix(rows[:0], rows).shape == (0, 2)
+
+
+def _both_paths(monkeypatch, polys):
+    """The roots of each polynomial as solved, and with the clustering path forced (no values read as apart)."""
+    from cubicpoints import numeric
+
+    fast = [solve_univariate(p) for p in polys]
+    with monkeypatch.context() as m:
+        m.setattr(numeric, "_apart", lambda values, radius: False)
+        general = [solve_univariate(p) for p in polys]
+    return fast, general
+
+
+def test_simple_roots_have_the_bits_of_the_clustering_path(monkeypatch):
+    rng = np.random.default_rng(5)
+    polys = [UniPoly(rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)) for d in range(2, 10) for _ in range(25)]
+    fast, general = _both_paths(monkeypatch, polys)
+    assert all(m == 1 for roots in fast for _, m in roots)
+    assert repr(fast) == repr(general)
+
+
+def test_the_flex_chain_solves_have_the_bits_of_the_clustering_path(monkeypatch):
+    from cubicpoints import curve
+
+    polys = []
+    with monkeypatch.context() as m:
+        m.setattr(curve, "solve_univariate", lambda p, tol: polys.append(p) or solve_univariate(p, tol))
+        for seed in range(20):
+            curve.inflection_points(curve.random_smooth_cubic(np.random.default_rng(seed)))
+    assert sorted(p.degree for p in polys) == [3] * 20 + [4] * 20
+    fast, general = _both_paths(monkeypatch, polys)
+    assert repr(fast) == repr(general)
+
+
+def test_roots_closer_than_the_cluster_radius_stay_one_double_root():
+    roots = solve_univariate(UniPoly.from_roots([0.5, 0.5 + 1e-9, -2.0]))
+    assert [m for _, m in roots] == [1, 2]
+    assert abs(roots[1][0] - (0.5 + 5e-10)) <= 1e-9
+
+
+def test_a_flex_computation_makes_no_union_find_call(monkeypatch):
+    from cubicpoints import curve, numeric
+
+    calls = []
+    components = numeric._components
+    monkeypatch.setattr(numeric, "_components", lambda n, pairs: calls.append(n) or components(n, pairs))
+    assert len(curve.inflection_points(curve.random_smooth_cubic(np.random.default_rng(3)))) == 9
+    assert calls == []
