@@ -5,11 +5,10 @@ normalized projective representatives), never absolute magnitudes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """Numerical thresholds used throughout.
 
     tau_root: relative residual accepted for a polished polynomial root.
@@ -40,7 +39,7 @@ class Tolerances:
     tau_singular: float = 1e-8
 
     def with_(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
+        return self._replace(**kwargs)
 
 
 DEFAULT_TOLERANCES = Tolerances()

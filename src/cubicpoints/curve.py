@@ -10,12 +10,15 @@ points, polished by one batched Newton on (f, H) = 0 (_newton_flexes).
 Along a tracked path the flexes of the previous curve seed the same Newton
 instead (_correct_flexes).
 
-Kept results are held by functools: a CubicForm's tensor, norm_inf,
-representative and Hessian per object, so the smoothness gate and the
-flex Newton along a tracked path share them, and the smoothness report
-(_certify) and the labelled flexes (_hesse_flexes) for the last curve
-object only; symmetry._hesse_normal_form keeps the Hesse normal form
+Kept results per object are stored in its dict on first read by _kept: a
+CubicForm's tensor, norm_inf, representative and Hessian, which the
+smoothness gate and the flex Newton along a tracked path share, and a
+PointSet's points and arrays. functools.lru_cache keeps the smoothness
+report (_certify) and the labelled flexes (_hesse_flexes) for the last
+curve object only; symmetry._hesse_normal_form keeps the Hesse normal form
 built on them the same way, for hesse_normalize and elliptic.make_chart.
+CubicForm and CurvePoint are plain classes with read-only fields
+(_read_only); SmoothnessReport is a NamedTuple record.
 
 A cubic's value and gradient have one formula, _forms_at, on stacks of
 rows and cubics, and a point's representative one rule,
@@ -40,7 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,21 +148,46 @@ def _line_cubic(T: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.array([V[0, 0], G[0, 0] @ Q, G[1, 0] @ P, V[1, 0]])
 
 
-@dataclass(frozen=True, eq=False)
+class _kept:
+    """A value computed by the decorated method on its first read and stored in the object's dict under its name.
+
+    A descriptor without __set__, so the stored entry shadows it and every
+    later read is a plain dict hit. functools.cached_property does the
+    same but takes a lock on each first read (Python 3.11); this one takes
+    none, as two threads that race compute equal values of read-only state.
+    """
+
+    def __init__(self, compute) -> None:
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
+def _read_only(obj, name: str, *value) -> None:
+    """__setattr__ and __delattr__ of the value objects, whose fields their class sets once: AttributeError."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r} of {type(obj).__name__}")
+
+
 class CubicForm:
     """Homogeneous cubic in three variables, considered up to scale.
 
     coeffs is a read-only vector of ten complex coefficients, one for each
-    monomial of _MONOMIALS in that order. Each object keeps four cached
-    properties built from it: the read-only symmetric tensor _tensor,
-    norm_inf, the representative _rep and the Hessian _hessian (None on a cone).
+    monomial of _MONOMIALS in that order, and label an optional name. Both
+    are set once: by __init__, which checks the coefficients, or by
+    _of_checked, for a vector its caller has just checked. Objects compare
+    and hash by identity. Each keeps four values, computed on first read
+    (_kept): the read-only symmetric tensor _tensor, norm_inf, the
+    representative _rep and the Hessian _hessian (None on a cone).
     """
 
-    coeffs: np.ndarray
-    label: str | None = None
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=complex)
+    def __init__(self, coeffs, label: str | None = None) -> None:
+        c = np.array(coeffs, dtype=complex)
         if c.shape != (10,):
             raise InputError("a cubic form needs ten coefficients, one per cubic monomial")
         if not np.isfinite(c).all():
@@ -167,7 +195,19 @@ class CubicForm:
         if not np.count_nonzero(c):
             raise InputError("the zero polynomial does not define a curve")
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        self.__dict__.update(coeffs=c, label=label)
+
+    @classmethod
+    def _of_checked(cls, c: np.ndarray, label: str | None = None) -> "CubicForm":
+        """The cubic whose coeffs is c itself, made read-only, without __init__'s checks.
+
+        For a vector of ten complex coefficients, finite and not all zero,
+        that the caller has just built and checked (_rep, _hessian).
+        """
+        out = object.__new__(cls)
+        c.setflags(write=False)
+        out.__dict__.update(coeffs=c, label=label)
+        return out
 
     @classmethod
     def from_coeffs(cls, coeffs: dict[tuple[int, int, int], complex], label=None) -> "CubicForm":
@@ -183,24 +223,21 @@ class CubicForm:
         """Coefficient of x^i y^j z^k."""
         return complex(self.coeffs[_MONOMIALS.index((i, j, k))])
 
-    @functools.cached_property
+    @_kept
     def norm_inf(self) -> float:
         """The largest coefficient modulus, computed once per object."""
         return max(map(abs, self.coeffs.tolist()))
 
-    @functools.cached_property
+    @_kept
     def _rep(self) -> "CubicForm":
         """self when norm_inf is in [1/2, 1), else coeffs times the power of two that puts it there; every internal
-        computation reads it. The scale is exact, so __post_init__'s checks still hold and are not run again."""
+        computation reads it. The scale is exact, so __init__'s checks still hold (_of_checked skips them)."""
         e = math.frexp(self.norm_inf)[1]
         if not e:
             return self
-        rep = object.__new__(CubicForm)
-        rep.__dict__.update(coeffs=np.ldexp(self.coeffs.view(float), -e).view(complex), label=self.label)
-        rep.coeffs.setflags(write=False)
-        return rep
+        return CubicForm._of_checked(np.ldexp(self.coeffs.view(float), -e).view(complex), self.label)
 
-    @functools.cached_property
+    @_kept
     def _tensor(self) -> np.ndarray:
         """The symmetric 3x3x3 tensor T with f(x) = sum T_ijk x_i x_j x_k, read-only and built once per object."""
         T = (self.coeffs / _TENSOR_COUNT)[_TENSOR_INDEX].reshape(3, 3, 3)
@@ -240,23 +277,24 @@ class CubicForm:
             raise InputError("the Hessian vanishes identically: the curve is a union of concurrent lines")
         return self._hessian
 
-    @functools.cached_property
+    @_kept
     def _hessian(self) -> "CubicForm | None":
-        """The Hessian as one CubicForm per object, so its own caches persist; None on a cone.
+        """The Hessian as one CubicForm per object, so its own kept values persist; None on a cone.
 
         Entry (i, j) of the matrix of second partials is the linear form
         6 T_ij., so the determinant is 216 times _slice_contractions of T
         alone, triple products of columns of T's slices. The factor comes
         last, in one rounding, which keeps the x^3, y^3 and z^3 coefficients
-        of a Hesse pencil member equal in the last bit. Caching is sound
+        of a Hesse pencil member equal in the last bit. Keeping it is sound
         because coeffs is read-only. NumericalError when a coefficient
-        overflows, as the cube of f's does beyond about 1e102.
+        overflows, as the cube of f's does beyond about 1e102; the vector
+        checked here is the Hessian's coeffs (_of_checked).
         """
         with np.errstate(over="ignore", invalid="ignore"):
             h = 216.0 * (_FOLD @ _slice_contractions(self._tensor[None]).reshape(27))
         if not np.isfinite(h).all():
             raise NumericalError("the Hessian's coefficients overflow: rescale the curve")
-        return CubicForm(h) if np.count_nonzero(h) else None
+        return CubicForm._of_checked(h) if np.count_nonzero(h) else None
 
     def compose_linear(self, matrix) -> "CubicForm":
         """The cubic x -> f(M x): each tensor axis contracted with M in turn.
@@ -289,12 +327,29 @@ class CubicForm:
         return f"CubicForm({' + '.join(terms)}{name})"
 
 
-@dataclass(frozen=True)
 class CurvePoint:
-    """A projective point together with its relative curve residual."""
+    """A projective point together with its relative curve residual.
 
-    point: ProjectivePoint
-    residual: float
+    Both fields are set once, by __init__; objects compare and hash by (point, residual).
+    """
+
+    __slots__ = ("point", "residual")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, point: ProjectivePoint, residual: float) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "residual", residual)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.point, self.residual) == (other.point, other.residual)
+
+    def __hash__(self) -> int:
+        return hash((self.point, self.residual))
+
+    def __repr__(self) -> str:
+        return f"CurvePoint(point={self.point!r}, residual={self.residual!r})"
 
     @property
     def array(self) -> np.ndarray:
@@ -351,7 +406,7 @@ class PointSet:
         out.arrays, out._residuals, out.tolerance = rows, residuals, float(tolerance)
         return out
 
-    @functools.cached_property
+    @_kept
     def points(self) -> list[CurvePoint]:
         return [CurvePoint(ProjectivePoint(tuple(w)), r) for w, r in zip(self.arrays.tolist(), self._residuals)]
 
@@ -364,7 +419,7 @@ class PointSet:
     def __getitem__(self, i: int) -> CurvePoint:
         return self.points[i]
 
-    @functools.cached_property
+    @_kept
     def arrays(self) -> np.ndarray:
         return np.array([cp.point.coords for cp in self.points], dtype=complex).reshape(-1, 3)
 
@@ -408,8 +463,7 @@ class PointSet:
         )
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     smooth: bool
     margin: float
     witness: ProjectivePoint | None

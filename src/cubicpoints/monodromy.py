@@ -30,14 +30,16 @@ skip the weaker smoothness check of inflection_points.
 The verdicts on requested section sizes, SizeVerdict and section_verdict,
 are integer arithmetic and live in sizes.py; they are imported from there,
 with _integer, the check of every step count and type index.  Waypoints
-join when _meets finds them one curve.
+join when _meets finds them one curve.  The group law (elliptic) and the
+symmetries (symmetry) are imported inside the functions that use them, so
+a process that tracks only the flexes loads neither.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from .curve import (
     inflection_points,
     smoothness,
 )
-from .elliptic import make_chart, points_of_type
 from .errors import (
     DiscriminantPathError,
     InputError,
@@ -58,7 +59,9 @@ from .errors import (
     TrackingAmbiguityError,
 )
 from .sizes import SizeVerdict, _integer, section_verdict
-from .symmetry import ProjectiveTransform, _permutation_images
+
+if TYPE_CHECKING:
+    from .symmetry import ProjectiveTransform
 
 __all__ = [
     "Permutation",
@@ -186,8 +189,7 @@ class ParameterPath:
         )
 
 
-@dataclass
-class TrackResult:
+class TrackResult(NamedTuple):
     """Outcome of tracking: labeled start and end sections, loop permutation.
 
     end.points[i] is where the point that started at start.points[i] ended
@@ -334,6 +336,8 @@ def permutation_of_automorphism(T: ProjectiveTransform, points: PointSet) -> Per
     With composition applying the right factor first, this assignment is a
     homomorphism: sigma_(S T) = sigma_S * sigma_T.
     """
+    from .symmetry import _permutation_images
+
     return Permutation(_permutation_images(T, points))
 
 
@@ -374,6 +378,8 @@ def canonical_section(name: str, tol: Tolerances = DEFAULT_TOLERANCES):
         k = _integer(k, "the type index")
 
         def sec(f: CubicForm) -> PointSet:
+            from .elliptic import make_chart, points_of_type
+
             flexes = _flexes_of_smooth(f, tol)
             chart = make_chart(f, flexes[0].point, tol)
             return points_of_type(chart, k, certify=False)
@@ -382,8 +388,7 @@ def canonical_section(name: str, tol: Tolerances = DEFAULT_TOLERANCES):
     raise InputError(f"unknown section name: {name!r}")
 
 
-@dataclass(frozen=True)
-class FreeActionReport:
+class FreeActionReport(NamedTuple):
     free: bool
     point_count: int
     orbit_sizes: tuple[int, ...]
@@ -394,6 +399,7 @@ def verify_free_K_action(
 ) -> FreeActionReport:
     """Check that the nine Fermat translations act freely on the type-3k points."""
     from .curve import fermat_cubic
+    from .elliptic import make_chart, points_of_type
     from .symmetry import fermat_translations, generate_group, orbit_decomposition
 
     k = _integer(k, "the type index")

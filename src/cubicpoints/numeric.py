@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,13 +116,13 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)!r})"
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """Point of the complex projective plane, stored normalized.
 
     The representative has its max-modulus coordinate equal to 1 (lowest
-    index wins ties). Equality of the dataclass is representation
-    equality; geometric identity is chordal_distance below a tolerance.
+    index wins ties). Equality of the record is equality of the coords
+    tuples (representation equality); geometric identity is
+    chordal_distance below a tolerance.
     """
 
     coords: tuple[complex, complex, complex]

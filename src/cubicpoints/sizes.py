@@ -10,8 +10,8 @@ one check of an integer argument, here and in elliptic, monodromy and cli.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from numbers import Integral
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -128,8 +128,7 @@ def _witnesses_up_to(bound: int) -> dict[int, list[int]]:
     return {9 * s: _witness(table, s) for s in range(1, m + 1) if table[1][0] >> s & 1}
 
 
-@dataclass(frozen=True)
-class SizeVerdict:
+class SizeVerdict(NamedTuple):
     n: int
     status: str
     witness: list[int] | None

@@ -415,37 +415,51 @@ class TestSelftest:
         assert json.loads(proc.stdout)["j2"]["3"] == 8
 
 
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports the package from src/; it fails on a failed assert."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+# The integer subcommands, each with its exit code, as one fresh process runs them.
+_INTEGER_RUNS = (
+    "import sys\n"
+    "from cubicpoints.cli import main\n"
+    "assert main(['sizes', '--bound', '2000']) == 0\n"
+    "assert main(['verdict', '36']) == 0\n"
+    "assert main(['counts']) == 0\n"
+    "assert main(['j2']) == 0\n"
+    "assert main(['verdict', '0']) == 2\n"
+)
+
+
 class TestImportCost:
     def test_integer_subcommands_import_no_numpy(self):
         # sizes, verdict, counts and j2 are integer arithmetic: a fresh
         # process that runs only them never imports numpy or the curve layer
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
-            "import sys\n"
-            "from cubicpoints.cli import main\n"
-            "assert main(['sizes', '--bound', '2000']) == 0\n"
-            "assert main(['verdict', '36']) == 0\n"
-            "assert main(['counts']) == 0\n"
-            "assert main(['j2']) == 0\n"
-            "assert main(['verdict', '0']) == 2\n"
-            "loaded = [m for m in ('numpy', 'cubicpoints.curve') if m in sys.modules]\n"
+        _run_fresh(
+            _INTEGER_RUNS
+            + "loaded = [m for m in ('numpy', 'cubicpoints.curve') if m in sys.modules]\n"
             "assert not loaded, f'imported {loaded}'\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+
+    def test_integer_subcommands_import_no_dataclasses_or_inspect(self):
+        # the value records are NamedTuples and plain classes, so the integer
+        # subcommands never import dataclasses or the inspect it pulls in
+        _run_fresh(
+            _INTEGER_RUNS
+            + "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+            "assert not loaded, f'imported {loaded}'\n"
         )
-        assert proc.returncode == 0, proc.stderr
 
     def test_curve_subcommands_import_no_group_law(self, fermat_file):
         # inflections and smooth need the curve layer and the codecs only: a
         # fresh process that runs only them never imports the group law, the
         # symmetries or tracking
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
+        _run_fresh(
             "import sys\n"
             "from cubicpoints.cli import main\n"
             f"assert main(['inflections', '--curve', {fermat_file!r}]) == 0\n"
@@ -454,7 +468,15 @@ class TestImportCost:
             "loaded = [m for m in mods if m in sys.modules]\n"
             "assert not loaded, f'imported {loaded}'\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+
+    def test_tracking_the_flexes_imports_no_group_law(self):
+        # monodromy imports elliptic and symmetry inside the functions that
+        # use them, so a process that tracks the inflections loads neither
+        loop = str(Path(__file__).resolve().parent / "golden" / "hesse_loop.json")
+        _run_fresh(
+            "import sys\n"
+            "from cubicpoints.cli import main\n"
+            f"assert main(['track', '--path', {loop!r}]) == 0\n"
+            "loaded = [m for m in ('cubicpoints.elliptic', 'cubicpoints.symmetry') if m in sys.modules]\n"
+            "assert 'cubicpoints.monodromy' in sys.modules and not loaded, f'imported {loaded}'\n"
         )
-        assert proc.returncode == 0, proc.stderr

@@ -196,3 +196,24 @@ def test_only_cubic_form_scales_coefficients_by_a_power_of_two():
     found = {path.name: _binary_scalings(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
     assert {name: uses for name, uses in found.items() if uses} == {}
     assert "ldexp" in (SRC / "curve.py").read_text()
+
+
+def _value_machinery(tree: ast.Module) -> list[str]:
+    """Each name, attribute or import from the dataclasses module, and each cached_property, in a module."""
+    uses = [
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    ]
+    uses += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    return sorted(name for name in uses if name.split(".")[0] == "dataclasses" or name.endswith("cached_property"))
+
+
+def test_kept_values_have_one_descriptor():
+    # value objects are NamedTuple records and plain classes, and a kept value
+    # is curve._kept's, which takes no lock: no dataclasses machinery and no
+    # functools.cached_property in src/
+    probe = "import dataclasses\nfrom dataclasses import dataclass\nimport functools\nx = functools.cached_property"
+    assert _value_machinery(ast.parse(probe)) == ["cached_property", "dataclasses", "dataclasses"]
+    found = {path.name: _value_machinery(ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
